@@ -78,10 +78,17 @@ def write_csv(
 
 def read_csv(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
     """Counterpart of write_csv; returns (metadata, header, rows)."""
+    meta, header, numbered = read_csv_numbered(path)
+    return meta, header, [row for _, row in numbered]
+
+
+def read_csv_numbered(path: str | Path) -> tuple[dict[str, str], list[str], list[tuple[int, list[str]]]]:
+    """read_csv, with each data row paired with its 1-based line number in the file."""
     meta: dict[str, str] = {}
     data_lines: list[str] = []
+    line_numbers: list[int] = []
     with open(path, encoding="utf-8", newline="") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             if line.startswith("#"):
                 body = line[1:].strip()
                 if "=" in body:
@@ -89,10 +96,16 @@ def read_csv(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str
                     meta[key.strip()] = value.strip()
                 continue
             data_lines.append(line)
-    rows = list(csv.reader(data_lines))
+            line_numbers.append(lineno)
+    reader = csv.reader(data_lines)
+    rows: list[tuple[int, list[str]]] = []
+    consumed = 0
+    for row in reader:
+        rows.append((line_numbers[consumed], row))
+        consumed = reader.line_num  # a quoted field may span several lines
     if not rows:
         return meta, [], []
-    return meta, rows[0], rows[1:]
+    return meta, rows[0][1], rows[1:]
 
 
 def write_json(path: str | Path, meta: dict[str, str], payload: dict) -> None:

@@ -15,13 +15,15 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 from .domain import (
     AgeGroup,
@@ -209,6 +211,9 @@ class AdsApiClient:
     not. The wire contract used: GET {base_url}/reach_estimate with the
     query's fields as parameters and a bearer token, answering
     {"audience_size": <int>}.
+
+    `requests` is imported only when no `session` is injected, so fixture
+    runs and tests with a fake session never load it.
     """
 
     def __init__(
@@ -222,7 +227,11 @@ class AdsApiClient:
             raise AuthError(f"no API token; set {TOKEN_ENV_VAR} or pass one explicitly")
         self._token = token
         self._base_url = base_url.rstrip("/")
-        self._session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self._session = session
         self._timeout = timeout
 
     def reach_estimate(self, query: QueryDescriptor) -> int:
@@ -239,7 +248,7 @@ class AdsApiClient:
                 headers={"Authorization": f"Bearer {self._token}"},
                 timeout=self._timeout,
             )
-        except requests.RequestException as exc:
+        except OSError as exc:  # requests.RequestException subclasses OSError
             raise MalformedResponse(f"transport failure for {query.canonical()}: {exc}") from exc
         if response.status_code in (401, 403):
             raise AuthError(f"token rejected ({response.status_code})")
@@ -341,9 +350,10 @@ class _CellCache:
 class Collector:
     """Collects audience snapshots; safe to share across threads.
 
-    Live fetches run up to config.max_in_flight at a time; snapshot
-    assembly gathers results in canonical query order, so completion order
-    never affects output.
+    Fixture lookups are in-memory and run inline, starting no thread. Live
+    fetches run in a pool, up to config.max_in_flight at a time. Either
+    way snapshot assembly gathers results in canonical query order, so
+    completion order never affects output.
     """
 
     def __init__(
@@ -426,15 +436,25 @@ class Collector:
         if self.config.mode is Mode.FIXTURE:
             assert self._fixtures is not None
             self._fixtures.preload(country.iso2)
-        cells: list[AudienceCell] = []
-        failures: list[tuple[QueryDescriptor, Exception]] = []
+            return self._assemble(country, queries, [partial(self.fetch_cell, q) for q in queries])
         with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
             futures = [pool.submit(self.fetch_cell, q) for q in queries]
-            for query, future in zip(queries, futures):
-                try:
-                    cells.append(future.result())
-                except (FixtureMiss, RateLimited, MalformedResponse) as exc:
-                    failures.append((query, exc))
+            return self._assemble(country, queries, [f.result for f in futures])
+
+    def _assemble(
+        self,
+        country: CountryRef,
+        queries: list[QueryDescriptor],
+        results: list[Callable[[], AudienceCell]],
+    ) -> AudienceSnapshot:
+        """Call each query's result in order, collecting the per-cell failures."""
+        cells: list[AudienceCell] = []
+        failures: list[tuple[QueryDescriptor, Exception]] = []
+        for query, result in zip(queries, results):
+            try:
+                cells.append(result())
+            except (FixtureMiss, RateLimited, MalformedResponse) as exc:
+                failures.append((query, exc))
         if failures:
             raise SnapshotIncomplete(
                 f"{country.iso2}: {len(failures)} of {len(queries)} cells failed "

@@ -25,8 +25,8 @@ from .errors import (
     SnapshotIncomplete,
     TooFewPoints,
 )
-from .fileio import read_csv, sha256_file, standard_metadata, write_csv, write_json
-from .groundtruth import load_continent_map, load_ground_truth, join_pairs
+from .fileio import read_csv_numbered, sha256_file, standard_metadata, write_csv, write_json
+from .groundtruth import GroundTruthRecord, load_continent_map, load_ground_truth, join_pairs
 from .indicators import (
     IneligibilityReason,
     LowerBoundPolicy,
@@ -240,23 +240,36 @@ def stage_estimate(cfg: RunConfig) -> Path:
 
 
 def load_estimates(path: Path) -> list[MacEstimate]:
+    """Read estimates.csv back; a malformed row raises ParseError with its line."""
     if not Path(path).exists():
         raise MissingStageInput(f"{path} not found; run `estimate` first")
-    _, header, rows = read_csv(path)
+    try:
+        _, header, rows = read_csv_numbered(path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
     if header != ESTIMATE_COLUMNS:
         raise MissingStageInput(f"{path} is not an estimates file (header {header!r})")
     estimates = []
-    for row in rows:
-        iso2, sex, mac_raw, eligible, reason = row
-        estimates.append(
-            MacEstimate(
-                country=CountryRef(iso2=iso2),
-                sex=Sex(sex),
-                mac=float(mac_raw) if mac_raw else None,
-                eligible=eligible == "true",
-                ineligibility_reason=IneligibilityReason(reason) if reason else None,
+    for lineno, row in rows:
+        if len(row) != len(ESTIMATE_COLUMNS):
+            raise ParseError(
+                f"{path}: expected {len(ESTIMATE_COLUMNS)} fields, got {len(row)}", line=lineno
             )
-        )
+        iso2, sex, mac_raw, eligible, reason = row
+        try:
+            if eligible not in ("true", "false"):
+                raise ValueError(f"eligible must be true or false, got {eligible!r}")
+            estimates.append(
+                MacEstimate(
+                    country=CountryRef(iso2=iso2),
+                    sex=Sex(sex),
+                    mac=float(mac_raw) if mac_raw else None,
+                    eligible=eligible == "true",
+                    ineligibility_reason=IneligibilityReason(reason) if reason else None,
+                )
+            )
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}", line=lineno) from exc
     return estimates
 
 
@@ -265,9 +278,8 @@ def load_estimates(path: Path) -> list[MacEstimate]:
 # --------------------------------------------------------------------------
 
 def _stage_inputs(cfg: RunConfig) -> dict[str, str]:
-    for path, stage in ((cfg.estimates_path, "estimate"),):
-        if not path.exists():
-            raise MissingStageInput(f"{path} not found; run `{stage}` first")
+    if not cfg.estimates_path.exists():
+        raise MissingStageInput(f"{cfg.estimates_path} not found; run `estimate` first")
     for path, what in ((cfg.truth_path, "ground truth"), (cfg.continent_map_path, "continent map")):
         if not Path(path).exists():
             raise MissingStageInput(f"{what} file {path} not found")
@@ -278,9 +290,22 @@ def _stage_inputs(cfg: RunConfig) -> dict[str, str]:
     }
 
 
-def _pairs_for_sex(cfg: RunConfig, sex: Sex, continent_map: dict[str, Continent]):
+def _load_stage_data(
+    cfg: RunConfig,
+) -> tuple[dict[str, Continent], list[MacEstimate], list[GroundTruthRecord]]:
+    """The continent map, estimates and truth table, each read once per stage."""
+    continent_map = load_continent_map(cfg.continent_map_path)
     estimates = load_estimates(cfg.estimates_path)
     truth = load_ground_truth(cfg.truth_path, continent_map)
+    return continent_map, estimates, truth
+
+
+def _pairs_for_sex(
+    sex: Sex,
+    continent_map: dict[str, Continent],
+    estimates: list[MacEstimate],
+    truth: list[GroundTruthRecord],
+):
     triples = [
         (CountryRef(iso2=e.country.iso2, continent=continent_map.get(e.country.iso2)), e.sex, e.mac)
         for e in estimates
@@ -315,10 +340,10 @@ def _write_metrics(path: Path, meta: dict[str, str], direct: GroupedMetrics, cv:
 def stage_validate(cfg: RunConfig) -> list[Path]:
     """Spearman/MAPE of platform vs truth, direct and under LOOCV, by continent."""
     inputs = _stage_inputs(cfg)
-    continent_map = load_continent_map(cfg.continent_map_path)
+    continent_map, estimates, truth = _load_stage_data(cfg)
     written = []
     for sex in cfg.sexes:
-        join = _pairs_for_sex(cfg, sex, continent_map)
+        join = _pairs_for_sex(sex, continent_map, estimates, truth)
         pairs = join.pairs
         if len(pairs) < 4:
             raise TooFewPoints(
@@ -377,10 +402,10 @@ def stage_calibrate(cfg: RunConfig) -> list[Path]:
     """Fit mac_truth = b0 + b1 * mac_fb per sex; report inference and the
     seeded random-split out-of-sample exercise."""
     inputs = _stage_inputs(cfg)
-    continent_map = load_continent_map(cfg.continent_map_path)
+    continent_map, estimates, truth = _load_stage_data(cfg)
     written = []
     for sex in cfg.sexes:
-        join = _pairs_for_sex(cfg, sex, continent_map)
+        join = _pairs_for_sex(sex, continent_map, estimates, truth)
         pairs = join.pairs
         if len(pairs) < 3:
             raise TooFewPoints(
@@ -421,30 +446,41 @@ def stage_calibrate(cfg: RunConfig) -> list[Path]:
 
 
 def load_model(path: Path) -> CalibrationModel:
+    """Read model_<sex>.json back; a malformed file raises ParseError."""
     if not Path(path).exists():
         raise MissingStageInput(f"{path} not found; run `calibrate` first")
-    with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
-    m = document["model"]
-    return CalibrationModel(
-        intercept=m["intercept"],
-        slope=m["slope"],
-        se_intercept=m["se_intercept"],
-        se_slope=m["se_slope"],
-        r2=m["r2"],
-        adj_r2=m["adj_r2"],
-        residual_se=m["residual_se"],
-        f_stat=m["f_stat"],
-        df_model=m["df_model"],
-        df_resid=m["df_resid"],
-        n=m["n"],
-        p_slope=m["p_slope"],
-        p_intercept=m["p_intercept"],
-        p_f=m["p_f"],
-        residuals=tuple(m["residuals"]),
-        x_mean=m["x_mean"],
-        s_xx=m["s_xx"],
-    )
+    try:
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
+    try:
+        m = document["model"]
+        return CalibrationModel(
+            intercept=m["intercept"],
+            slope=m["slope"],
+            se_intercept=m["se_intercept"],
+            se_slope=m["se_slope"],
+            r2=m["r2"],
+            adj_r2=m["adj_r2"],
+            residual_se=m["residual_se"],
+            f_stat=m["f_stat"],
+            df_model=m["df_model"],
+            df_resid=m["df_resid"],
+            n=m["n"],
+            p_slope=m["p_slope"],
+            p_intercept=m["p_intercept"],
+            p_f=m["p_f"],
+            residuals=tuple(m["residuals"]),
+            x_mean=m["x_mean"],
+            s_xx=m["s_xx"],
+        )
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed model: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -454,9 +490,7 @@ def load_model(path: Path) -> CalibrationModel:
 def stage_predict(cfg: RunConfig) -> list[Path]:
     """Fill the gaps: predicted MAC for eligible countries without truth."""
     inputs = _stage_inputs(cfg)
-    continent_map = load_continent_map(cfg.continent_map_path)
-    estimates = load_estimates(cfg.estimates_path)
-    truth = load_ground_truth(cfg.truth_path, continent_map)
+    _, estimates, truth = _load_stage_data(cfg)
 
     all_rows = []
     by_sex = {}

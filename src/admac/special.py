@@ -10,6 +10,7 @@ meets (1..1000), comfortably inside the 1e-10 contract.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .errors import DomainError
 
@@ -137,11 +138,13 @@ def f_sf(f: float, d1: float, d2: float) -> float:
     return 0.0 if p < P_FLOOR else p
 
 
+@lru_cache(maxsize=256)
 def t_quantile(p: float, df: float) -> float:
     """Inverse of t_cdf by bisection; adequate for interval construction.
 
-    Monotone bisection on t_cdf down to a ~1e-13 wide bracket; the few
-    hundred CDF evaluations are irrelevant at pipeline scale.
+    Monotone bisection on t_cdf down to a ~1e-13 wide bracket, about 50
+    CDF evaluations. The result is memoised per (p, df), so a model's
+    prediction intervals share one bisection.
     """
     if df <= 0:
         raise DomainError(f"t_quantile requires df > 0, got {df}")

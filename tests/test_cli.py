@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import admac
 from admac.cli import main
 from admac.fileio import read_csv
 
@@ -193,3 +197,72 @@ def test_snapshot_outputs_carry_metadata(tmp_path):
     assert text.startswith("# tool=admac")
     assert "# seed=8" in text
     assert "# input_fixture_IT=" in text
+
+
+def _one_line_report(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+def _rewrite_first_eligible_row(path: Path, edit) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.endswith(",true,\n"):
+            lines[i] = edit(line)
+            break
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda line: line.replace(line.split(",")[2], "abc"),
+        lambda line: line.replace(",true,\n", ",true,,extra\n"),
+        lambda line: line.replace(",true,\n", ",yes,\n"),
+    ],
+    ids=["mac_not_a_number", "sixth_field", "eligible_not_boolean"],
+)
+def test_malformed_estimates_row_reports_parse_error(tmp_path, capsys, edit):
+    out = tmp_path / "out"
+    assert run_cli("all", "--out", out) == 0
+    _rewrite_first_eligible_row(out / "estimates.csv", edit)
+    capsys.readouterr()
+    assert run_cli("validate", "--out", out) == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "ParseError"
+    assert report["command"] == "validate"
+    assert "(line " in report["message"]
+
+
+def _truncate(text: str) -> str:
+    return text[: len(text) // 2]
+
+
+def _drop_slope(text: str) -> str:
+    document = json.loads(text)
+    del document["model"]["slope"]
+    return json.dumps(document)
+
+
+@pytest.mark.parametrize("edit", [_truncate, _drop_slope], ids=["truncated", "missing_key"])
+def test_malformed_model_reports_parse_error(tmp_path, capsys, edit):
+    out = tmp_path / "out"
+    assert run_cli("all", "--out", out) == 0
+    model = out / "model_male.json"
+    model.write_text(edit(model.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("predict", "--out", out) == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "ParseError"
+    assert report["command"] == "predict"
+
+
+def test_importing_the_cli_does_not_load_requests():
+    src = str(Path(admac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", "import admac.cli, sys; print('requests' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert result.stdout.strip() == "False"

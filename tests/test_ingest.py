@@ -297,6 +297,16 @@ def test_live_concurrency_is_bounded(tmp_path):
     assert client.max_active >= 2  # it does actually run in parallel
 
 
+def test_fixture_collect_starts_no_thread(fixture_dir, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("fixture lookups must not start a thread pool")
+
+    monkeypatch.setattr("admac.ingest.ThreadPoolExecutor", no_pool)
+    write_fixture(fixture_dir, "IT", full_fixture_rows())
+    snapshot = fixture_collector(fixture_dir).collect_snapshot(IT)
+    assert len(snapshot.cells) == 28
+
+
 def test_live_mode_requires_token(tmp_path, monkeypatch):
     monkeypatch.delenv("ADS_API_TOKEN", raising=False)
     config = CollectorConfig(mode=Mode.LIVE, cache_dir=tmp_path / "cache")
@@ -364,3 +374,20 @@ def test_client_rejects_bad_payloads():
 def test_client_requires_token():
     with pytest.raises(AuthError):
         AdsApiClient(token="")
+
+
+class RaisingSession:
+    def __init__(self, exc):
+        self.exc = exc
+
+    def get(self, url, params=None, headers=None, timeout=None):
+        raise self.exc
+
+
+def test_client_maps_transport_errors_to_malformed_response():
+    requests = pytest.importorskip("requests")
+    assert issubclass(requests.RequestException, OSError)
+    for exc in (ConnectionError("reset by peer"), requests.ConnectionError("refused")):
+        client = AdsApiClient(token="tok", session=RaisingSession(exc))
+        with pytest.raises(MalformedResponse, match="transport failure"):
+            client.reach_estimate(_query())

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from admac import special
 from admac.domain import CountryRef, Sex
 from admac.errors import EmptyInput, UnfittedModel
 from admac.groundtruth import GroundTruthRecord
@@ -172,3 +173,19 @@ def test_choropleth_rejects_empty_and_mixed_input(tmp_path):
         emit_choropleth([_pred("TR", 32.5), female], tmp_path / "map.geojson")
     with pytest.raises(ValueError, match="duplicate"):
         emit_choropleth([_pred("TR", 32.5), _pred("TR", 31.0)], tmp_path / "map.geojson")
+
+
+def test_interval_quantile_computed_once_per_model(monkeypatch):
+    calls = []
+    real_t_cdf = special.t_cdf
+
+    def counting_t_cdf(t, df):
+        calls.append(df)
+        return real_t_cdf(t, df)
+
+    monkeypatch.setattr(special, "t_cdf", counting_t_cdf)
+    special.t_quantile.cache_clear()
+    model = published_model()
+    for i in range(100):
+        model.prediction_interval(25.0 + 0.1 * i)
+    assert 0 < len(calls) <= 50  # one bisection, not one per prediction
