@@ -4,6 +4,12 @@ cache, retry with exponential backoff and bounded request concurrency.
 Fixture files and cache files share one CSV schema
 (`iso2,sex,age_low,age_high,parent_filter,count,collected_at`), so a
 recorded live session can be replayed as a fixture unchanged.
+
+A live collect stage resolves every requested country in one call: cache
+hits are answered inline, and the misses go to one set of at most
+`max_in_flight` worker threads for the whole stage. Each (country, day)
+cache file is written once, atomically, when that country's last query
+resolves.
 """
 
 from __future__ import annotations
@@ -14,13 +20,13 @@ import logging
 import os
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
-from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 if TYPE_CHECKING:
     import requests
@@ -56,6 +62,16 @@ DEFAULT_EXCLUDED = frozenset({"CU", "IR", "KP", "SY", "SD"})
 
 TOKEN_ENV_VAR = "ADS_API_TOKEN"
 
+CellKey = tuple[Sex, AgeGroup, ParentFilter]
+
+# A country's 28 cells in canonical query order: sex, then age, then filter.
+CELL_KEYS: tuple[CellKey, ...] = tuple(
+    (sex, group, flt)
+    for sex in (Sex.FEMALE, Sex.MALE)
+    for group in age_grid()
+    for flt in (ParentFilter.ALL, ParentFilter.PARENTS_0_12M)
+)
+
 
 class Mode(str, Enum):
     LIVE = "live"
@@ -82,6 +98,11 @@ class QueryDescriptor:
     @property
     def age_group(self) -> AgeGroup:
         return AgeGroup(self.age_min)
+
+    @property
+    def key(self) -> CellKey:
+        """The key of the cell this query asks for (see AudienceCell.key)."""
+        return (self.sex, self.age_group, self.parent_filter)
 
     def canonical(self) -> str:
         """Deterministic, fixed-field-order serialization."""
@@ -269,91 +290,102 @@ class AdsApiClient:
 
 
 # --------------------------------------------------------------------------
-# fixture store and per-day cache
+# cell store: fixtures and the per-day cache
 # --------------------------------------------------------------------------
 
-class _FixtureStore:
-    def __init__(self, fixture_dir: Path) -> None:
-        self._dir = fixture_dir
+class _CellStore:
+    """A directory of cell CSVs, each file read once into a dict keyed by
+    (sex, age group, filter).
+
+    Fixtures are `<ISO2>.csv` and only read. The live cache is
+    `<ISO2>_<day>.csv`: `put` only updates memory and marks the file dirty,
+    and `flush` rewrites dirty files atomically with rows in canonical query
+    order, so an interrupted run leaves the old file or the new one, never
+    a torn line.
+    """
+
+    def __init__(self, directory: Path) -> None:
+        self.directory = directory
         self._lock = threading.Lock()
-        self._by_country: dict[str, dict[tuple, AudienceCell]] = {}
+        self._files: dict[tuple[str, date | None], dict[CellKey, AudienceCell] | None] = {}
+        self._dirty: set[tuple[str, date]] = set()
 
-    def _load(self, iso2: str) -> dict[tuple, AudienceCell]:
-        with self._lock:
-            if iso2 not in self._by_country:
-                path = self._dir / f"{iso2}.csv"
-                if not path.exists():
-                    raise FixtureMiss(f"no fixture file for {iso2} under {self._dir}")
-                cells = read_cells_csv(path)
-                self._by_country[iso2] = {
-                    (c.sex, c.age_group, c.parent_filter): c for c in cells
-                }
-            return self._by_country[iso2]
+    def _path(self, iso2: str, day: date | None) -> Path:
+        name = iso2 if day is None else f"{iso2}_{day.isoformat()}"
+        return self.directory / f"{name}.csv"
 
-    def preload(self, iso2: str) -> None:
-        """Raise FixtureMiss now if the country has no fixture file at all."""
-        self._load(iso2)
-
-    def get(self, query: QueryDescriptor) -> AudienceCell:
-        cells = self._load(query.country_iso2)
-        key = (query.sex, query.age_group, query.parent_filter)
-        cell = cells.get(key)
-        if cell is None:
-            raise FixtureMiss(f"fixture has no row for {query.canonical()}")
-        return cell
-
-
-class _CellCache:
-    """Write-through cache of live responses, one CSV per (country, day)."""
-
-    def __init__(self, cache_dir: Path) -> None:
-        self._dir = cache_dir
-        self._lock = threading.Lock()
-        self._loaded: dict[str, dict[tuple, AudienceCell]] = {}
-
-    def _path(self, iso2: str, day: date) -> Path:
-        return self._dir / f"{iso2}_{day.isoformat()}.csv"
-
-    def _load(self, iso2: str, day: date) -> dict[tuple, AudienceCell]:
-        file_key = f"{iso2}_{day.isoformat()}"
-        if file_key not in self._loaded:
+    def _load(self, iso2: str, day: date | None) -> dict[CellKey, AudienceCell] | None:
+        file = (iso2, day)
+        if file not in self._files:
             path = self._path(iso2, day)
-            cells = read_cells_csv(path) if path.exists() else []
-            self._loaded[file_key] = {
-                (c.sex, c.age_group, c.parent_filter): c for c in cells
-            }
-        return self._loaded[file_key]
+            cells = None
+            if path.exists():
+                # one CountryRef for the file's cells rather than one per row
+                cells = {c.key: c for c in read_cells_csv(path, CountryRef(iso2=iso2))}
+            self._files[file] = cells
+        return self._files[file]
 
-    def get(self, query: QueryDescriptor, day: date) -> AudienceCell | None:
+    def cells(self, iso2: str, day: date | None = None) -> dict[CellKey, AudienceCell] | None:
+        """The file's cells by key, or None when there is no such file."""
         with self._lock:
-            cells = self._load(query.country_iso2, day)
-            return cells.get((query.sex, query.age_group, query.parent_filter))
+            return self._load(iso2, day)
 
     def put(self, cell: AudienceCell, day: date) -> None:
+        iso2 = cell.country.iso2
         with self._lock:
-            path = self._path(cell.country.iso2, day)
-            new_file = not path.exists()
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "a", encoding="utf-8", newline="") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                if new_file:
-                    writer.writerow(CELL_COLUMNS)
-                writer.writerow(cell_to_row(cell))
-            cells = self._load(cell.country.iso2, day)
-            cells[(cell.sex, cell.age_group, cell.parent_filter)] = cell
+            if self._load(iso2, day) is None:
+                self._files[iso2, day] = {}
+            self._files[iso2, day][cell.key] = cell
+            self._dirty.add((iso2, day))
+
+    def flush(self, iso2: str | None = None) -> None:
+        """Rewrite the dirty files of `iso2`, or of every country when None.
+
+        The rows are taken under the lock and written outside it, so other
+        threads keep storing cells while a file is written.
+        """
+        writes = []
+        with self._lock:
+            for file in sorted(f for f in self._dirty if iso2 is None or f[0] == iso2):
+                self._dirty.discard(file)
+                cells = self._files[file]
+                assert cells is not None
+                writes.append((self._path(*file), [cells[k] for k in CELL_KEYS if k in cells]))
+        for path, rows in writes:
+            write_cells_csv(path, rows)
 
 
 # --------------------------------------------------------------------------
 # collector
 # --------------------------------------------------------------------------
 
+# Per-cell failures: they leave a snapshot incomplete instead of ending the run.
+_CELL_ERRORS = (FixtureMiss, RateLimited, MalformedResponse)
+
+Outcome = AudienceCell | Exception
+
+
+def _query(iso2: str, key: CellKey) -> QueryDescriptor:
+    sex, group, flt = key
+    return QueryDescriptor(
+        country_iso2=iso2, sex=sex, age_min=group.lower, age_max=group.upper, parent_filter=flt
+    )
+
+
 class Collector:
     """Collects audience snapshots; safe to share across threads.
 
-    Fixture lookups are in-memory and run inline, starting no thread. Live
-    fetches run in a pool, up to config.max_in_flight at a time. Either
-    way snapshot assembly gathers results in canonical query order, so
-    completion order never affects output.
+    `collect_snapshots` checks every requested country before it sends a
+    request. Fixture lookups are in-memory and run inline, one country at
+    a time, starting no thread. In live mode, cache hits are answered
+    inline as well, and the misses of the whole call go to one worker set:
+    min(max_in_flight, misses) threads, each pulling the next query from a
+    shared iterator, so at most max_in_flight requests are in flight. Each
+    (country, day) cache file is rewritten atomically once, as soon as that
+    country's last query resolves; an error or an interrupt that ends the
+    call stops the workers and flushes whatever is still pending. Snapshots
+    are assembled in canonical query order, so completion order never
+    affects output.
     """
 
     def __init__(
@@ -366,41 +398,42 @@ class Collector:
         self.config = config
         self._clock = clock
         self._sleep = sleep
-        self._fixtures = _FixtureStore(Path(config.fixture_dir)) if config.fixture_dir else None
-        self._cache = _CellCache(Path(config.cache_dir)) if config.cache_dir else None
+        self._fixtures = _CellStore(Path(config.fixture_dir)) if config.fixture_dir else None
+        self._cache = _CellStore(Path(config.cache_dir)) if config.cache_dir else None
         if config.mode is Mode.LIVE and client is None:
             client = AdsApiClient(token=os.environ.get(TOKEN_ENV_VAR, ""))
         self._client = client
 
-    def build_queries(self, country: CountryRef) -> list[QueryDescriptor]:
-        """All 28 descriptors for a country: sex, then age, then filter."""
+    def _check_served(self, country: CountryRef) -> None:
         if country.iso2 in self.config.excluded_countries:
             raise ExcludedCountry(f"platform provides no data for {country.iso2}")
-        return [
-            QueryDescriptor(
-                country_iso2=country.iso2,
-                sex=sex,
-                age_min=group.lower,
-                age_max=group.upper,
-                parent_filter=flt,
-            )
-            for sex in (Sex.FEMALE, Sex.MALE)
-            for group in age_grid()
-            for flt in (ParentFilter.ALL, ParentFilter.PARENTS_0_12M)
-        ]
+
+    def build_queries(self, country: CountryRef) -> list[QueryDescriptor]:
+        """All 28 descriptors for a country: sex, then age, then filter."""
+        self._check_served(country)
+        return [_query(country.iso2, key) for key in CELL_KEYS]
 
     def fetch_cell(self, query: QueryDescriptor) -> AudienceCell:
         if self.config.mode is Mode.FIXTURE:
-            assert self._fixtures is not None
-            return self._fixtures.get(query)
+            cell = self._fixture_cells(query.country_iso2).get(query.key)
+            if cell is None:
+                raise FixtureMiss(f"fixture has no row for {query.canonical()}")
+            return cell
         return self._fetch_live(query)
+
+    def _fixture_cells(self, iso2: str) -> dict[CellKey, AudienceCell]:
+        assert self._fixtures is not None
+        cells = self._fixtures.cells(iso2)
+        if cells is None:
+            raise FixtureMiss(f"no fixture file for {iso2} under {self._fixtures.directory}")
+        return cells
 
     def _fetch_live(self, query: QueryDescriptor) -> AudienceCell:
         assert self._client is not None and self._cache is not None
         today = self._clock().date()
-        cached = self._cache.get(query, today)
-        if cached is not None:
-            return cached
+        cached = self._cache.cells(query.country_iso2, today)
+        if cached is not None and query.key in cached:
+            return cached[query.key]
         attempts = self.config.max_retries + 1
         for attempt in range(1, attempts + 1):
             try:
@@ -426,41 +459,121 @@ class Collector:
         self._cache.put(cell, today)
         return cell
 
+    def _outcome(self, query: QueryDescriptor) -> Outcome:
+        """The query's cell, or its per-cell failure; other errors propagate."""
+        try:
+            return self.fetch_cell(query)
+        except _CELL_ERRORS as exc:
+            return exc
+
     def collect_snapshot(self, country: CountryRef) -> AudienceSnapshot:
         """All 28 cells for a country, or SnapshotIncomplete with what came back.
 
         A country with no fixture file at all is a configuration problem,
         not partial data, and raises FixtureMiss directly.
         """
-        queries = self.build_queries(country)
-        if self.config.mode is Mode.FIXTURE:
-            assert self._fixtures is not None
-            self._fixtures.preload(country.iso2)
-            return self._assemble(country, queries, [partial(self.fetch_cell, q) for q in queries])
-        with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
-            futures = [pool.submit(self.fetch_cell, q) for q in queries]
-            return self._assemble(country, queries, [f.result for f in futures])
+        (result,) = self.collect_snapshots([country])
+        if isinstance(result, SnapshotIncomplete):
+            raise result
+        return result
 
-    def _assemble(
-        self,
-        country: CountryRef,
-        queries: list[QueryDescriptor],
-        results: list[Callable[[], AudienceCell]],
-    ) -> AudienceSnapshot:
-        """Call each query's result in order, collecting the per-cell failures."""
-        cells: list[AudienceCell] = []
-        failures: list[tuple[QueryDescriptor, Exception]] = []
-        for query, result in zip(queries, results):
+    def collect_snapshots(
+        self, countries: Sequence[CountryRef]
+    ) -> Iterator[AudienceSnapshot | SnapshotIncomplete]:
+        """Each country's snapshot, in the order given.
+
+        A country whose cells did not all arrive yields (not raises) a
+        SnapshotIncomplete holding the cells that did. An excluded country
+        raises ExcludedCountry before any request is sent. Live mode fetches
+        everything before the first snapshot is yielded; fixture mode reads
+        one country per snapshot.
+        """
+        countries = list(countries)
+        for country in countries:
+            self._check_served(country)
+        if self.config.mode is Mode.FIXTURE:
+            return self._fixture_snapshots(countries)
+        outcomes = self._resolve_live(countries)
+        n = len(CELL_KEYS)
+        return (self._assemble(c, outcomes[i * n:(i + 1) * n]) for i, c in enumerate(countries))
+
+    def _fixture_snapshots(self, countries: list[CountryRef]) -> Iterator[AudienceSnapshot | SnapshotIncomplete]:
+        for country in countries:
+            self._fixture_cells(country.iso2)  # no file at all: FixtureMiss, not partial data
+            yield self._assemble(country, [self._outcome(q) for q in self.build_queries(country)])
+
+    def _resolve_live(self, countries: list[CountryRef]) -> list[Outcome]:
+        """Every country's outcomes in canonical order, flattened: cache hits
+        inline, misses on one worker set."""
+        assert self._cache is not None
+        today = self._clock().date()
+        outcomes: list = [None] * (len(countries) * len(CELL_KEYS))
+        misses: list[int] = []
+        for i, country in enumerate(countries):
+            cached = self._cache.cells(country.iso2, today) or {}
+            for j, key in enumerate(CELL_KEYS, start=i * len(CELL_KEYS)):
+                if key in cached:
+                    outcomes[j] = self._outcome(_query(country.iso2, key))
+                else:
+                    misses.append(j)
+        try:
+            if misses:
+                self._fetch_misses(countries, misses, outcomes)
+        finally:
+            self._cache.flush()
+        return outcomes
+
+    def _fetch_misses(self, countries: list[CountryRef], misses: list[int], outcomes: list) -> None:
+        """Fill outcomes[i] for every i in misses with at most max_in_flight
+        requests in flight, flushing each country's cache file as soon as its
+        last miss resolves. The first error that is not a per-cell failure
+        stops the workers taking new queries and is raised here."""
+        assert self._cache is not None
+        n = len(CELL_KEYS)
+        pending = Counter(i // n for i in misses)
+        todo = iter(misses)
+        lock = threading.Lock()
+        stop = threading.Event()
+
+        def work() -> None:
             try:
-                cells.append(result())
-            except (FixtureMiss, RateLimited, MalformedResponse) as exc:
-                failures.append((query, exc))
+                while not stop.is_set():
+                    with lock:
+                        i = next(todo, None)
+                    if i is None:
+                        return
+                    country = countries[i // n]
+                    outcomes[i] = self._outcome(_query(country.iso2, CELL_KEYS[i % n]))
+                    with lock:
+                        pending[i // n] -= 1
+                        last = pending[i // n] == 0
+                    if last:
+                        self._cache.flush(country.iso2)
+            except BaseException:
+                stop.set()
+                raise
+
+        workers = min(self.config.max_in_flight, len(misses))
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            for future in [pool.submit(work) for _ in range(workers)]:
+                future.result()
+        finally:
+            stop.set()
+            pool.shutdown()
+
+    @staticmethod
+    def _assemble(country: CountryRef, outcomes: Sequence[Outcome]) -> AudienceSnapshot | SnapshotIncomplete:
+        """The snapshot from one country's outcomes in canonical order, or
+        SnapshotIncomplete with the cells that did arrive."""
+        cells = [o for o in outcomes if isinstance(o, AudienceCell)]
+        failures = [(key, o) for key, o in zip(CELL_KEYS, outcomes) if not isinstance(o, AudienceCell)]
         if failures:
-            raise SnapshotIncomplete(
-                f"{country.iso2}: {len(failures)} of {len(queries)} cells failed "
+            return SnapshotIncomplete(
+                f"{country.iso2}: {len(failures)} of {len(outcomes)} cells failed "
                 f"(first: {failures[0][1]})",
                 cells=cells,
-                missing=[q for q, _ in failures],
+                missing=[_query(country.iso2, key) for key, _ in failures],
             )
         return AudienceSnapshot(
             country=country,

@@ -12,9 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib.resources import files
 from pathlib import Path
+from typing import get_type_hints
 
 from .domain import AudienceSnapshot, Continent, CountryRef, Sex
 from .errors import (
@@ -145,38 +146,37 @@ def _collector_config(cfg: RunConfig) -> CollectorConfig:
 def stage_collect(cfg: RunConfig, collector: Collector | None = None) -> list[Path]:
     """Snapshot every requested country into output_dir/snapshots/.
 
-    A country whose collection comes back incomplete is written with the
-    cells that did arrive; the estimate stage will mark the affected sexes
-    ineligible rather than this stage failing the whole run.
+    An excluded country in the list fails the stage before any request is
+    sent or snapshot written. A country whose collection comes back
+    incomplete is written with the cells that did arrive; the estimate
+    stage will mark the affected sexes ineligible rather than this stage
+    failing the whole run.
     """
     collector = collector or Collector(_collector_config(cfg))
     excluded = collector.config.excluded_countries
     if cfg.countries is not None:
-        wanted = [c.upper() for c in cfg.countries]
+        wanted = {c.upper() for c in cfg.countries}
     elif cfg.mode is Mode.FIXTURE:
-        wanted = [c for c in fixture_countries(cfg.fixture_dir) if c not in excluded]
+        wanted = {c for c in fixture_countries(cfg.fixture_dir) if c not in excluded}
     else:
         raise ConfigError("live mode needs an explicit country list")
+    if not wanted:
+        raise ConfigError("no countries to collect")
 
+    countries = [CountryRef(iso2=iso2) for iso2 in sorted(wanted)]
     written: list[Path] = []
-    for iso2 in sorted(wanted):
-        country = CountryRef(iso2=iso2)
-        try:
-            snapshot = collector.collect_snapshot(country)
-            cells = snapshot.cells
-        except SnapshotIncomplete as exc:
-            logger.warning("%s: incomplete snapshot kept (%s)", iso2, exc)
-            cells = exc.cells
+    for country, result in zip(countries, collector.collect_snapshots(countries)):
+        iso2 = country.iso2
+        if isinstance(result, SnapshotIncomplete):
+            logger.warning("%s: incomplete snapshot kept (%s)", iso2, result)
         inputs = {}
         if cfg.mode is Mode.FIXTURE:
             fixture = cfg.fixture_dir / f"{iso2}.csv"
             if fixture.exists():
                 inputs[f"fixture_{iso2}"] = sha256_file(fixture)
         path = cfg.snapshots_dir / f"{iso2}.csv"
-        write_cells_csv(path, cells, meta=standard_metadata(seed=cfg.seed, inputs=inputs))
+        write_cells_csv(path, result.cells, meta=standard_metadata(seed=cfg.seed, inputs=inputs))
         written.append(path)
-    if not written:
-        raise ConfigError("no countries to collect")
     return written
 
 
@@ -372,30 +372,13 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
 # --------------------------------------------------------------------------
 
 def _model_payload(model: CalibrationModel) -> dict:
-    return {
-        "intercept": model.intercept,
-        "slope": model.slope,
-        "se_intercept": model.se_intercept,
-        "se_slope": model.se_slope,
-        "r2": model.r2,
-        "adj_r2": model.adj_r2,
-        "residual_se": model.residual_se,
-        "f_stat": model.f_stat,
-        "df_model": model.df_model,
-        "df_resid": model.df_resid,
-        "n": model.n,
-        "p_slope": model.p_slope,
-        "p_intercept": model.p_intercept,
-        "p_f": model.p_f,
-        "residuals": list(model.residuals),
-        "x_mean": model.x_mean,
-        "s_xx": model.s_xx,
-        "stars": {
-            "intercept": significance_stars(model.p_intercept),
-            "slope": significance_stars(model.p_slope),
-            "f": significance_stars(model.p_f),
-        },
+    payload = {f.name: getattr(model, f.name) for f in fields(CalibrationModel)}
+    payload["stars"] = {
+        "intercept": significance_stars(model.p_intercept),
+        "slope": significance_stars(model.p_slope),
+        "f": significance_stars(model.p_f),
     }
+    return payload
 
 
 def stage_calibrate(cfg: RunConfig) -> list[Path]:
@@ -445,6 +428,27 @@ def stage_calibrate(cfg: RunConfig) -> list[Path]:
     return written
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _model_field(name: str, kind, value):
+    """One CalibrationModel field from its JSON value; ValueError on a wrong type."""
+    if kind is int:
+        if type(value) is int:
+            return value
+        expected = "an integer"
+    elif kind is float:
+        if _is_number(value):
+            return float(value)
+        expected = "a number"
+    else:  # tuple[float, ...]
+        if isinstance(value, list) and all(map(_is_number, value)):
+            return tuple(map(float, value))
+        expected = "a list of numbers"
+    raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
 def load_model(path: Path) -> CalibrationModel:
     """Read model_<sex>.json back; a malformed file raises ParseError."""
     if not Path(path).exists():
@@ -456,30 +460,15 @@ def load_model(path: Path) -> CalibrationModel:
         raise ParseError(f"{path} is not valid JSON: {exc.msg}", line=exc.lineno) from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
+    kinds = get_type_hints(CalibrationModel)
     try:
         m = document["model"]
         return CalibrationModel(
-            intercept=m["intercept"],
-            slope=m["slope"],
-            se_intercept=m["se_intercept"],
-            se_slope=m["se_slope"],
-            r2=m["r2"],
-            adj_r2=m["adj_r2"],
-            residual_se=m["residual_se"],
-            f_stat=m["f_stat"],
-            df_model=m["df_model"],
-            df_resid=m["df_resid"],
-            n=m["n"],
-            p_slope=m["p_slope"],
-            p_intercept=m["p_intercept"],
-            p_f=m["p_f"],
-            residuals=tuple(m["residuals"]),
-            x_mean=m["x_mean"],
-            s_xx=m["s_xx"],
+            **{f.name: _model_field(f.name, kinds[f.name], m[f.name]) for f in fields(CalibrationModel)}
         )
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed model: {exc}") from exc
 
 

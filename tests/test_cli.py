@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -256,6 +257,48 @@ def test_malformed_model_reports_parse_error(tmp_path, capsys, edit):
     report = _one_line_report(capsys)
     assert report["error"] == "ParseError"
     assert report["command"] == "predict"
+
+
+@pytest.fixture(scope="module")
+def demo_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("demo") / "out"
+    assert run_cli("all", "--out", out) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("slope", "abc"),
+        ("intercept", True),
+        ("df_resid", 2.5),
+        ("n", None),
+        ("residuals", [0.1, "x"]),
+        ("residuals", 0.1),
+    ],
+    ids=["string_slope", "bool_intercept", "float_df", "null_n", "string_residual", "scalar_residuals"],
+)
+def test_wrongly_typed_model_reports_parse_error(tmp_path, capsys, demo_out, key, value):
+    out = tmp_path / "out"
+    shutil.copytree(demo_out, out)
+    model = out / "model_male.json"
+    document = json.loads(model.read_text(encoding="utf-8"))
+    document["model"][key] = value
+    model.write_text(json.dumps(document), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("predict", "--out", out) == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "ParseError"
+    assert key in report["message"]
+
+
+def test_excluded_country_fails_before_any_snapshot(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("collect", "--out", out, "--countries", "AR,IT,SY") == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "ExcludedCountry"
+    assert "SY" in report["message"]
+    assert not (out / "snapshots").exists()
 
 
 def test_importing_the_cli_does_not_load_requests():

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import os
+import sys
 import threading
 import time
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
-from admac.domain import CountryRef, ParentFilter, Sex, age_grid
+from admac.domain import AudienceSnapshot, CountryRef, ParentFilter, Sex, age_grid
 from admac.errors import (
     AuthError,
     ConfigError,
@@ -19,6 +22,7 @@ from admac.errors import (
 from admac.ingest import (
     AdsApiClient,
     CELL_COLUMNS,
+    CELL_KEYS,
     Collector,
     CollectorConfig,
     Mode,
@@ -305,6 +309,191 @@ def test_fixture_collect_starts_no_thread(fixture_dir, monkeypatch):
     write_fixture(fixture_dir, "IT", full_fixture_rows())
     snapshot = fixture_collector(fixture_dir).collect_snapshot(IT)
     assert len(snapshot.cells) == 28
+
+
+# --- live mode: one worker set per collect, one atomic cache write per country
+
+FIVE = [CountryRef(iso2=c) for c in ("AR", "BR", "DE", "IT", "NG")]
+
+
+def cache_file(tmp_path, iso2):
+    return tmp_path / "cache" / f"{iso2}_{FIXED_NOW.date().isoformat()}.csv"
+
+
+def count_thread_starts(monkeypatch):
+    started = []
+    original = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+class SlowStubClient(StubClient):
+    """StubClient whose answers take a few ms while scripted failures are immediate."""
+
+    def reach_estimate(self, query):
+        if not self.fail_plan.get(query.canonical()):
+            time.sleep(0.002)
+        return super().reach_estimate(query)
+
+
+def test_live_collect_starts_one_bounded_worker_set(tmp_path, monkeypatch):
+    started = count_thread_starts(monkeypatch)
+    client = StubClient(count=500)
+    collector, _ = live_collector(tmp_path, client, max_in_flight=3)
+    snapshots = list(collector.collect_snapshots(FIVE))
+    assert [s.country for s in snapshots] == FIVE
+    assert all(isinstance(s, AudienceSnapshot) and s.is_complete() for s in snapshots)
+    assert len(client.calls) == 5 * 28
+    assert 1 <= len(started) <= 3
+
+
+def test_warm_live_collect_starts_no_thread_and_sends_nothing(tmp_path, monkeypatch):
+    client = StubClient(count=500)
+    collector, _ = live_collector(tmp_path, client)
+    first = list(collector.collect_snapshots(FIVE))
+    started = count_thread_starts(monkeypatch)
+    assert list(collector.collect_snapshots(FIVE)) == first
+    fresh_client = StubClient(count=9999)
+    fresh, _ = live_collector(tmp_path, fresh_client)
+    assert list(fresh.collect_snapshots(FIVE)) == first
+    assert len(client.calls) == 5 * 28
+    assert fresh_client.calls == []
+    assert started == []
+
+
+def test_auth_error_stops_dispatch_and_keeps_earlier_countries_cached(tmp_path):
+    first_of_it = "iso2=IT&sex=female&age_min=15&age_max=19&parent_filter=all"
+    client = SlowStubClient(count=500, fail_plan={first_of_it: [AuthError("token revoked")]})
+    collector, _ = live_collector(tmp_path, client, max_in_flight=3)
+    with pytest.raises(AuthError):
+        collector.collect_snapshots(FIVE)
+    earlier = FIVE[:3]
+    assert len(client.calls) <= len(earlier) * 28 + 3
+    for country in earlier:
+        path = cache_file(tmp_path, country.iso2)
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + 28
+        assert [c.key for c in read_cells_csv(path)] == list(CELL_KEYS)
+    fresh_client = StubClient(count=9999)
+    fresh, _ = live_collector(tmp_path, fresh_client)
+    snapshots = list(fresh.collect_snapshots(earlier))
+    assert fresh_client.calls == []
+    assert all(s.is_complete() and s.cells[0].count == 500 for s in snapshots)
+
+
+def test_each_country_is_written_once_as_soon_as_it_resolves(tmp_path, monkeypatch):
+    writes = []
+    monkeypatch.setattr(
+        "admac.ingest.write_cells_csv", lambda path, cells, meta=None: writes.append(Path(path).name)
+    )
+    seen_on_first_query = {}
+
+    class CheckingClient(StubClient):
+        def reach_estimate(self, query):
+            if query.key == CELL_KEYS[0]:
+                seen_on_first_query[query.country_iso2] = list(writes)
+            return super().reach_estimate(query)
+
+    collector, _ = live_collector(tmp_path, CheckingClient(count=500), max_in_flight=1)
+    list(collector.collect_snapshots(FIVE))
+    names = [cache_file(tmp_path, c.iso2).name for c in FIVE]
+    assert writes == names
+    assert seen_on_first_query == {c.iso2: names[:i] for i, c in enumerate(FIVE)}
+
+
+def test_worker_set_stress_keeps_every_cell_and_writes_each_country_once(tmp_path, monkeypatch):
+    countries = [CountryRef(iso2=f"A{chr(65 + i)}") for i in range(20)]
+    writes = []
+    monkeypatch.setattr(
+        "admac.ingest.write_cells_csv",
+        lambda path, cells, meta=None: writes.append(
+            (Path(path).name, len(cells), threading.current_thread().name)
+        ),
+    )
+    client = StubClient(count=500)
+    collector, _ = live_collector(tmp_path, client, max_in_flight=8)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(
+            target=lambda: results.extend(collector.collect_snapshots(countries)), name="stage"
+        )
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert len(client.calls) == len(set(client.calls)) == 20 * 28
+    assert client.max_active <= 8
+    assert [r.country for r in results] == countries
+    assert all(isinstance(r, AudienceSnapshot) and r.is_complete() for r in results)
+    # every country written once, complete, by the worker that resolved its last query
+    assert sorted(name for name, _, _ in writes) == [cache_file(tmp_path, c.iso2).name for c in countries]
+    assert all(rows == 28 and thread != "stage" for _, rows, thread in writes)
+
+
+@pytest.mark.parametrize("error", [AuthError("token revoked"), KeyboardInterrupt()], ids=["auth", "interrupt"])
+def test_error_mid_country_still_caches_the_cells_that_arrived(tmp_path, error):
+    second_of_it = "iso2=IT&sex=female&age_min=15&age_max=19&parent_filter=parent_of_child_0_12m"
+    client = StubClient(count=500, fail_plan={second_of_it: [error]})
+    collector, _ = live_collector(tmp_path, client, max_in_flight=1)
+    with pytest.raises(type(error)):
+        collector.collect_snapshots([IT, CountryRef(iso2="NG")])
+    assert len(client.calls) == 2
+    assert [c.key for c in read_cells_csv(cache_file(tmp_path, "IT"))] == [CELL_KEYS[0]]
+    fresh_client = StubClient(count=500)
+    fresh, _ = live_collector(tmp_path, fresh_client)
+    fresh.collect_snapshot(IT)
+    assert len(fresh_client.calls) == 27
+
+
+def test_failed_cache_flush_keeps_the_previous_file(tmp_path, monkeypatch):
+    collector, _ = live_collector(tmp_path, StubClient(count=500))
+    collector.collect_snapshot(IT)
+    path = cache_file(tmp_path, "IT")
+    # an older file missing its last cell, so the next collect fetches and flushes
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    client = StubClient(count=600)
+    fresh, _ = live_collector(tmp_path, client)
+    with pytest.raises(OSError, match="disk full"):
+        fresh.collect_snapshot(IT)
+    monkeypatch.undo()
+    assert len(client.calls) == 1
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+def test_excluded_country_fails_before_any_request(tmp_path):
+    client = StubClient()
+    collector, _ = live_collector(tmp_path, client)
+    with pytest.raises(ExcludedCountry, match="SY"):
+        collector.collect_snapshots([IT, CountryRef(iso2="SY")])
+    assert client.calls == []
+    assert not (tmp_path / "cache").exists()
+
+
+def test_live_collect_yields_incomplete_snapshot_and_caches_what_arrived(tmp_path):
+    q = "iso2=BR&sex=male&age_min=45&age_max=49&parent_filter=all"
+    client = StubClient(fail_plan={q: [MalformedResponse("boom")]})
+    collector, _ = live_collector(tmp_path, client)
+    results = list(collector.collect_snapshots(FIVE))
+    assert isinstance(results[1], SnapshotIncomplete)
+    assert len(results[1].cells) == 27
+    assert [m.canonical() for m in results[1].missing] == [q]
+    assert all(isinstance(r, AudienceSnapshot) for i, r in enumerate(results) if i != 1)
+    assert len(read_cells_csv(cache_file(tmp_path, "BR"))) == 27
 
 
 def test_live_mode_requires_token(tmp_path, monkeypatch):
