@@ -67,9 +67,13 @@ class AgeGroup:
         return f"{self.lower}-{self.upper}"
 
 
+# The seven canonical age groups 15-19 .. 45-49, ascending.
+AGE_GRID: tuple[AgeGroup, ...] = tuple(AgeGroup(lower) for lower in AGE_GROUP_LOWERS)
+
+
 def age_grid() -> tuple[AgeGroup, ...]:
-    """The seven canonical age groups 15-19 .. 45-49, ascending."""
-    return tuple(AgeGroup(lower) for lower in AGE_GROUP_LOWERS)
+    """The seven canonical age groups 15-19 .. 45-49, ascending (AGE_GRID)."""
+    return AGE_GRID
 
 
 @dataclass(frozen=True, order=True)
@@ -154,7 +158,7 @@ class AudienceSnapshot:
     def is_complete_for(self, sex: Sex) -> bool:
         return all(
             self.cell(sex, g, f) is not None
-            for g in age_grid()
+            for g in AGE_GRID
             for f in ParentFilter
         )
 
@@ -178,7 +182,7 @@ class FertilitySchedule:
     def __post_init__(self) -> None:
         if len(self.rates) != N_AGE_GROUPS:
             raise ValueError(f"schedule needs {N_AGE_GROUPS} rates, got {len(self.rates)}")
-        for group, rate in zip(age_grid(), self.rates):
+        for group, rate in zip(AGE_GRID, self.rates):
             if not rate >= 0.0:
                 raise ValueError(f"rate for {group} must be non-negative, got {rate}")
             if rate > 1.0:

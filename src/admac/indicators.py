@@ -9,11 +9,11 @@ from enum import Enum
 from typing import Iterable
 
 from .domain import (
+    AGE_GRID,
     AudienceSnapshot,
     FertilitySchedule,
     ParentFilter,
     Sex,
-    age_grid,
 )
 from .errors import IncompleteSnapshot, ZeroExposure, ZeroSchedule
 
@@ -78,7 +78,7 @@ def schedule_from_snapshot(snapshot: AudienceSnapshot, sex: Sex) -> FertilitySch
     """Per-age-group rates from a snapshot's parent and total cells."""
     rates = []
     missing = []
-    for group in age_grid():
+    for group in AGE_GRID:
         parents = snapshot.cell(sex, group, ParentFilter.PARENTS_0_12M)
         total = snapshot.cell(sex, group, ParentFilter.ALL)
         if parents is None or total is None:
@@ -111,8 +111,7 @@ def mac(schedule: FertilitySchedule) -> float:
     is bit-identical across platforms. The value always lands in
     [17.5, 47.5], the midpoints of the first and last groups.
     """
-    grid = age_grid()
-    weighted = _kahan_sum(g.midpoint * r for g, r in zip(grid, schedule.rates))
+    weighted = _kahan_sum(g.midpoint * r for g, r in zip(AGE_GRID, schedule.rates))
     total = _kahan_sum(schedule.rates)
     if total == 0.0:
         raise ZeroSchedule(

@@ -15,7 +15,7 @@ resolves.
 from __future__ import annotations
 
 import csv
-import io
+import hashlib
 import logging
 import os
 import threading
@@ -25,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -32,13 +33,13 @@ if TYPE_CHECKING:
     import requests
 
 from .domain import (
+    AGE_GRID,
     AgeGroup,
     AudienceCell,
     AudienceSnapshot,
     CountryRef,
     ParentFilter,
     Sex,
-    age_grid,
     utc_now,
 )
 from .errors import (
@@ -68,7 +69,7 @@ CellKey = tuple[Sex, AgeGroup, ParentFilter]
 CELL_KEYS: tuple[CellKey, ...] = tuple(
     (sex, group, flt)
     for sex in (Sex.FEMALE, Sex.MALE)
-    for group in age_grid()
+    for group in AGE_GRID
     for flt in (ParentFilter.ALL, ParentFilter.PARENTS_0_12M)
 )
 
@@ -141,10 +142,13 @@ class CollectorConfig:
 # cell CSV serialization (fixtures and cache share it)
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
 def format_timestamp(dt: datetime) -> str:
+    # memoised: equal instants in different zones compare equal and give equal text
     return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
+@lru_cache(maxsize=256)
 def parse_timestamp(raw: str) -> datetime:
     dt = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     if dt.tzinfo is None:
@@ -152,66 +156,88 @@ def parse_timestamp(raw: str) -> datetime:
     return dt
 
 
-def cell_to_row(cell: AudienceCell) -> list[str]:
-    return [
-        cell.country.iso2,
-        cell.sex.value,
-        str(cell.age_group.lower),
-        str(cell.age_group.upper),
-        cell.parent_filter.value,
-        str(cell.count),
-        format_timestamp(cell.collected_at),
-    ]
+_HEADER_LINE = ",".join(CELL_COLUMNS) + "\n"
+_CANONICAL_KEYS: dict[CellKey, CellKey] = {key: key for key in CELL_KEYS}
+# The sex,age_low,age_high,parent_filter fields of each key's row.
+_KEY_FIELDS: dict[CellKey, str] = {
+    key: f"{key[0].value},{key[1].lower},{key[1].upper},{key[2].value}" for key in CELL_KEYS
+}
 
 
-def row_to_cell(row: Sequence[str], country: CountryRef | None = None) -> AudienceCell:
-    iso2, sex, age_low, age_high, flt, count, collected_at = (f.strip() for f in row)
+@lru_cache(maxsize=256)
+def _cell_key(sex: str, age_low: str, age_high: str, flt: str) -> CellKey:
+    """The CELL_KEYS entry a row's key fields name; ValueError if they name none."""
     group = AgeGroup(int(age_low))
     if int(age_high) != group.upper:
-        raise ValueError(f"age_high {age_high} does not close the {group} group")
-    if country is None or country.iso2 != iso2.upper():
-        country = CountryRef(iso2=iso2.upper())
+        raise ValueError(f"age_high {age_high.strip()} does not close the {group} group")
+    return _CANONICAL_KEYS[Sex(sex.strip().lower()), group, ParentFilter(flt.strip())]
+
+
+def _row_to_cell(row: Sequence[str], country: CountryRef | None) -> AudienceCell:
+    iso2, sex, age_low, age_high, flt, count, collected_at = row
+    iso2 = iso2.strip().upper()
+    if country is None or country.iso2 != iso2:
+        country = CountryRef(iso2=iso2)
+    sex, group, flt = _cell_key(sex, age_low, age_high, flt)
     return AudienceCell(
         country=country,
-        sex=Sex(sex.lower()),
+        sex=sex,
         age_group=group,
-        parent_filter=ParentFilter(flt),
+        parent_filter=flt,
         count=int(count),
-        collected_at=parse_timestamp(collected_at),
+        collected_at=parse_timestamp(collected_at.strip()),
     )
 
 
-def write_cells_csv(path: str | Path, cells: Sequence[AudienceCell], meta: dict[str, str] | None = None) -> None:
-    buf = io.StringIO()
-    for key, value in (meta or {}).items():
-        buf.write(f"# {key}={value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CELL_COLUMNS)
-    for cell in cells:
-        writer.writerow(cell_to_row(cell))
-    atomic_write_text(path, buf.getvalue())
+def write_cells_csv(
+    path: str | Path, cells: Sequence[AudienceCell], meta: dict[str, str] | None = None
+) -> str:
+    """Write cells as a cell CSV; returns the SHA-256 hex digest of the bytes written."""
+    lines = [f"# {key}={value}\n" for key, value in (meta or {}).items()]
+    lines.append(_HEADER_LINE)
+    lines.extend(
+        f"{c.country.iso2},{_KEY_FIELDS[c.key]},{c.count},{format_timestamp(c.collected_at)}\n"
+        for c in cells
+    )
+    text = "".join(lines)
+    atomic_write_text(path, text)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def read_cells_csv(path: str | Path, country: CountryRef | None = None) -> list[AudienceCell]:
+def read_cells_csv(
+    path: str | Path, country: CountryRef | None = None, *, drop_torn_tail: bool = False
+) -> list[AudienceCell]:
+    """The cells of a cell CSV in file order; comment and blank lines are skipped.
+
+    A malformed row raises ParseError with its file line. With
+    `drop_torn_tail`, a last line that has no line break and does not parse,
+    as a write cut short leaves it, is dropped with a warning instead. Cells
+    of one country share one CountryRef (`country`, when its code matches).
+    """
     path = Path(path)
-    lines = [
-        line for line in path.read_text(encoding="utf-8").splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
-    rows = list(csv.reader(lines))
-    if not rows:
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    numbers = [n for n, line in enumerate(lines, start=1) if line.strip() and not line.startswith("#")]
+    reader = csv.reader([lines[n - 1] for n in numbers])
+    header = next(reader, None)
+    if header is None:
         raise ParseError(f"{path} has no header row", line=1)
-    header = [h.strip().lower() for h in rows[0]]
-    if header != CELL_COLUMNS:
-        raise ParseError(f"{path} has header {rows[0]!r}; expected {CELL_COLUMNS}", line=1)
+    if [h.strip().lower() for h in header] != CELL_COLUMNS:
+        raise ParseError(f"{path} has header {header!r}; expected {CELL_COLUMNS}", line=numbers[0])
     cells = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(CELL_COLUMNS):
-            raise ParseError(f"{path}: expected {len(CELL_COLUMNS)} fields", line=lineno)
+    for row in reader:
         try:
-            cells.append(row_to_cell(row, country))
-        except (ValueError, KeyError) as exc:
+            if len(row) != len(CELL_COLUMNS):
+                raise ValueError(f"expected {len(CELL_COLUMNS)} fields")
+            cell = _row_to_cell(row, country)
+        except ValueError as exc:
+            lineno = numbers[reader.line_num - 1]
+            if drop_torn_tail and lineno == len(lines) and not text.endswith(("\n", "\r")):
+                logger.warning("%s: dropped torn last line %d (%s)", path, lineno, exc)
+                break
             raise ParseError(f"{path}: {exc}", line=lineno) from exc
+        cells.append(cell)
+        country = cell.country
     return cells
 
 
@@ -301,7 +327,8 @@ class _CellStore:
     `<ISO2>_<day>.csv`: `put` only updates memory and marks the file dirty,
     and `flush` rewrites dirty files atomically with rows in canonical query
     order, so an interrupted run leaves the old file or the new one, never
-    a torn line.
+    a torn line. A torn last line left by an older, appending version is
+    dropped on load, so its cell is fetched again and the file rewritten.
     """
 
     def __init__(self, directory: Path) -> None:
@@ -309,6 +336,7 @@ class _CellStore:
         self._lock = threading.Lock()
         self._files: dict[tuple[str, date | None], dict[CellKey, AudienceCell] | None] = {}
         self._dirty: set[tuple[str, date]] = set()
+        self._countries: dict[str, CountryRef] = {}
 
     def _path(self, iso2: str, day: date | None) -> Path:
         name = iso2 if day is None else f"{iso2}_{day.isoformat()}"
@@ -320,10 +348,14 @@ class _CellStore:
             path = self._path(iso2, day)
             cells = None
             if path.exists():
-                # one CountryRef for the file's cells rather than one per row
-                cells = {c.key: c for c in read_cells_csv(path, CountryRef(iso2=iso2))}
+                read = read_cells_csv(path, self.country(iso2), drop_torn_tail=day is not None)
+                cells = {c.key: c for c in read}
             self._files[file] = cells
         return self._files[file]
+
+    def country(self, iso2: str) -> CountryRef:
+        """The one CountryRef that all of this store's cells for `iso2` share."""
+        return self._countries.get(iso2) or self._countries.setdefault(iso2, CountryRef(iso2=iso2))
 
     def cells(self, iso2: str, day: date | None = None) -> dict[CellKey, AudienceCell] | None:
         """The file's cells by key, or None when there is no such file."""
@@ -372,6 +404,14 @@ def _query(iso2: str, key: CellKey) -> QueryDescriptor:
     )
 
 
+def _fixture_outcome(iso2: str, cells: dict[CellKey, AudienceCell], key: CellKey) -> Outcome:
+    """The fixture's cell for `key`, or the FixtureMiss naming its query."""
+    cell = cells.get(key)
+    if cell is None:
+        return FixtureMiss(f"fixture has no row for {_query(iso2, key).canonical()}")
+    return cell
+
+
 class Collector:
     """Collects audience snapshots; safe to share across threads.
 
@@ -415,10 +455,11 @@ class Collector:
 
     def fetch_cell(self, query: QueryDescriptor) -> AudienceCell:
         if self.config.mode is Mode.FIXTURE:
-            cell = self._fixture_cells(query.country_iso2).get(query.key)
-            if cell is None:
-                raise FixtureMiss(f"fixture has no row for {query.canonical()}")
-            return cell
+            iso2 = query.country_iso2
+            outcome = _fixture_outcome(iso2, self._fixture_cells(iso2), query.key)
+            if isinstance(outcome, FixtureMiss):
+                raise outcome
+            return outcome
         return self._fetch_live(query)
 
     def _fixture_cells(self, iso2: str) -> dict[CellKey, AudienceCell]:
@@ -449,7 +490,7 @@ class Collector:
                 )
                 self._sleep(delay)
         cell = AudienceCell(
-            country=CountryRef(iso2=query.country_iso2),
+            country=self._cache.country(query.country_iso2),
             sex=query.sex,
             age_group=query.age_group,
             parent_filter=query.parent_filter,
@@ -499,8 +540,8 @@ class Collector:
 
     def _fixture_snapshots(self, countries: list[CountryRef]) -> Iterator[AudienceSnapshot | SnapshotIncomplete]:
         for country in countries:
-            self._fixture_cells(country.iso2)  # no file at all: FixtureMiss, not partial data
-            yield self._assemble(country, [self._outcome(q) for q in self.build_queries(country)])
+            cells = self._fixture_cells(country.iso2)  # no file at all: FixtureMiss, not partial data
+            yield self._assemble(country, [_fixture_outcome(country.iso2, cells, key) for key in CELL_KEYS])
 
     def _resolve_live(self, countries: list[CountryRef]) -> list[Outcome]:
         """Every country's outcomes in canonical order, flattened: cache hits

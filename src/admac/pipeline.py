@@ -5,6 +5,12 @@ Every stage reads the previous stage's files from the output directory,
 writes its own atomically, and stamps a metadata header (tool version,
 seed, input digests) so any artifact can be traced to its inputs. No
 timestamps are embedded: identical config + inputs = identical bytes.
+
+`run_all` writes the snapshots as `collect` does, but hands them to
+`estimate` in memory together with the digests of the bytes written, so
+they are not read back and hashed again; a snapshot file it did not just
+write (one left by an earlier run) is still read from disk. The artifacts
+are the same bytes as when the stages run one by one.
 """
 
 from __future__ import annotations
@@ -143,14 +149,21 @@ def _collector_config(cfg: RunConfig) -> CollectorConfig:
 # collect
 # --------------------------------------------------------------------------
 
-def stage_collect(cfg: RunConfig, collector: Collector | None = None) -> list[Path]:
+# Snapshots written by collect in this process: path -> (digest of its bytes, result).
+Collected = dict[Path, tuple[str, AudienceSnapshot | SnapshotIncomplete]]
+
+
+def stage_collect(
+    cfg: RunConfig, collector: Collector | None = None, collected: Collected | None = None
+) -> list[Path]:
     """Snapshot every requested country into output_dir/snapshots/.
 
     An excluded country in the list fails the stage before any request is
     sent or snapshot written. A country whose collection comes back
     incomplete is written with the cells that did arrive; the estimate
     stage will mark the affected sexes ineligible rather than this stage
-    failing the whole run.
+    failing the whole run. Each written snapshot is also recorded in
+    `collected`, when given, for `stage_estimate`.
     """
     collector = collector or Collector(_collector_config(cfg))
     excluded = collector.config.excluded_countries
@@ -175,7 +188,9 @@ def stage_collect(cfg: RunConfig, collector: Collector | None = None) -> list[Pa
             if fixture.exists():
                 inputs[f"fixture_{iso2}"] = sha256_file(fixture)
         path = cfg.snapshots_dir / f"{iso2}.csv"
-        write_cells_csv(path, result.cells, meta=standard_metadata(seed=cfg.seed, inputs=inputs))
+        digest = write_cells_csv(path, result.cells, meta=standard_metadata(seed=cfg.seed, inputs=inputs))
+        if collected is not None:
+            collected[path] = (digest, result)
         written.append(path)
     return written
 
@@ -184,7 +199,7 @@ def stage_collect(cfg: RunConfig, collector: Collector | None = None) -> list[Pa
 # estimate
 # --------------------------------------------------------------------------
 
-def _snapshots_digest(cfg: RunConfig) -> tuple[list[Path], str]:
+def _snapshots_digest(cfg: RunConfig, collected: Collected) -> tuple[list[Path], str]:
     if not cfg.snapshots_dir.is_dir():
         raise MissingStageInput(f"{cfg.snapshots_dir} not found; run `collect` first")
     paths = sorted(cfg.snapshots_dir.glob("*.csv"))
@@ -193,29 +208,45 @@ def _snapshots_digest(cfg: RunConfig) -> tuple[list[Path], str]:
     combined = hashlib.sha256()
     for path in paths:
         combined.update(path.name.encode())
-        combined.update(bytes.fromhex(sha256_file(path)))
+        held = collected.get(path)
+        combined.update(bytes.fromhex(held[0] if held else sha256_file(path)))
     return paths, combined.hexdigest()
 
 
-def stage_estimate(cfg: RunConfig) -> Path:
-    """MAC estimates (or ineligibility reasons) for every collected country."""
-    paths, digest = _snapshots_digest(cfg)
+def _snapshot(path: Path, country: CountryRef, cells) -> AudienceSnapshot | None:
+    """The snapshot of a file's cells, or None when it has none."""
+    if not cells:
+        return None
+    try:
+        return AudienceSnapshot(
+            country=country,
+            cells=tuple(cells),
+            collected_at=max(c.collected_at for c in cells),
+        )
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> Path:
+    """MAC estimates (or ineligibility reasons) for every collected country.
+
+    Every file under snapshots/ is estimated; one recorded in `collected`
+    (by `stage_collect` in this process) is taken from memory instead of
+    being read and hashed again.
+    """
+    collected = collected or {}
+    paths, digest = _snapshots_digest(cfg, collected)
     rows: list[list[str]] = []
     for path in paths:
         iso2 = path.stem.upper()
         country = CountryRef(iso2=iso2)
-        cells = read_cells_csv(path, country)
-        if cells:
-            try:
-                snapshot = AudienceSnapshot(
-                    country=country,
-                    cells=tuple(cells),
-                    collected_at=max(c.collected_at for c in cells),
-                )
-            except ValueError as exc:
-                raise ParseError(f"{path}: {exc}") from exc
+        held = collected.get(path)
+        if held is None:
+            snapshot = _snapshot(path, country, read_cells_csv(path, country))
+        elif isinstance(held[1], AudienceSnapshot):
+            snapshot = held[1]
         else:
-            snapshot = None
+            snapshot = _snapshot(path, country, held[1].cells)
         for sex in cfg.sexes:
             if snapshot is None:
                 est = MacEstimate(
@@ -527,8 +558,10 @@ def stage_predict(cfg: RunConfig) -> list[Path]:
 # --------------------------------------------------------------------------
 
 def run_all(cfg: RunConfig, collector: Collector | None = None) -> list[Path]:
-    written = list(stage_collect(cfg, collector))
-    written.append(stage_estimate(cfg))
+    collected: Collected = {}
+    written = list(stage_collect(cfg, collector, collected))
+    written.append(stage_estimate(cfg, collected))
+    del collected  # the snapshots are not needed past estimate
     written.extend(stage_validate(cfg))
     written.extend(stage_calibrate(cfg))
     written.extend(stage_predict(cfg))

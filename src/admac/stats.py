@@ -187,14 +187,16 @@ def _two_sided_p_from_t(t: float, df: int) -> float:
     return special.t_two_sided_p(t, df)
 
 
-def ols_fit_xy(xs: Sequence[float], ys: Sequence[float]) -> CalibrationModel:
-    """Least-squares fit of y on x via the centered-moment formulas."""
+def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float, float, float]:
+    """The least-squares line of y on x via the centered-moment formulas,
+    with ols_fit_xy's input checks: (intercept, slope, x mean, y mean, s_xx).
+    """
     if len(xs) != len(ys):
         raise LengthMismatch(f"ols_fit got lengths {len(xs)} and {len(ys)}")
     n = len(xs)
     if n < 3:
         raise TooFewPoints(f"ols_fit needs n >= 3, got {n}")
-    for v in list(xs) + list(ys):
+    for v in (*xs, *ys):
         if not math.isfinite(v):
             raise NonFiniteInput(f"ols_fit got non-finite value {v!r}")
 
@@ -202,12 +204,17 @@ def ols_fit_xy(xs: Sequence[float], ys: Sequence[float]) -> CalibrationModel:
     my = math.fsum(ys) / n
     sxx = math.fsum((x - mx) ** 2 for x in xs)
     sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    tss = math.fsum((y - my) ** 2 for y in ys)
     if sxx == 0.0:
         raise DegenerateDesign("all x values are equal; slope undefined")
-
     slope = sxy / sxx
-    intercept = my - slope * mx
+    return my - slope * mx, slope, mx, my, sxx
+
+
+def ols_fit_xy(xs: Sequence[float], ys: Sequence[float]) -> CalibrationModel:
+    """Least-squares fit of y on x with the full inference block."""
+    intercept, slope, mx, my, sxx = _line_fit(xs, ys)
+    n = len(xs)
+    tss = math.fsum((y - my) ** 2 for y in ys)
     residuals = tuple(y - (intercept + slope * x) for x, y in zip(xs, ys))
     rss = math.fsum(r * r for r in residuals)
     df_resid = n - 2
@@ -327,10 +334,12 @@ def loocv(
 ) -> tuple[dict[str, float], GroupedMetrics]:
     """Leave-one-out cross-validation of the calibration regression.
 
-    For each pair the model is refitted on the remaining pairs (a genuine
+    For each pair the line is refitted on the remaining pairs (a genuine
     refit, no hat-matrix shortcut) and the held-out truth is predicted from
-    its platform MAC. Returns per-country predictions and grouped metrics
-    of prediction vs truth.
+    its platform MAC. A fold fits the coefficients only (`_line_fit`), not
+    the inference block it does not use; its prediction is bit-identical to
+    that of a full `ols_fit` on the same pairs. Returns per-country
+    predictions and grouped metrics of prediction vs truth.
 
     scope="global" fits across all pairs per fold; scope="continent"
     refits within the held-out pair's continent only, skipping continents
@@ -360,10 +369,11 @@ def loocv(
     for fold_set in fold_sets:
         if len(fold_set) < 4:
             raise TooFewPoints(f"loocv needs n >= 4, got {len(fold_set)}")
+        xs = [p.mac_fb for p in fold_set]
+        ys = [p.mac_truth for p in fold_set]
         for i, held_out in enumerate(fold_set):
-            rest = fold_set[:i] + fold_set[i + 1:]
-            model = ols_fit(rest)
-            pred = model.predict(held_out.mac_fb)
+            intercept, slope, *_ = _line_fit(xs[:i] + xs[i + 1:], ys[:i] + ys[i + 1:])
+            pred = intercept + slope * held_out.mac_fb
             predictions[held_out.country.iso2] = pred
             records.append(
                 (
@@ -392,7 +402,8 @@ def random_split_validation(
     Each run holds out `test_size` pairs drawn without replacement from a
     Mersenne-Twister generator seeded with `seed` (same seed, same splits,
     on any platform), fits on the remainder and scores MAPE on the held-out
-    set. Returns the per-run MAPEs and their mean.
+    set. Like a LOOCV fold, a run fits the coefficients only. Returns the
+    per-run MAPEs and their mean.
     """
     n = len(pairs)
     if runs < 1:
@@ -407,8 +418,8 @@ def random_split_validation(
         test_idx = set(rng.sample(range(n), test_size))
         train = [p for i, p in enumerate(pairs) if i not in test_idx]
         test = [p for i, p in enumerate(pairs) if i in test_idx]
-        model = ols_fit(train)
+        intercept, slope, *_ = _line_fit([p.mac_fb for p in train], [p.mac_truth for p in train])
         per_run.append(
-            mape([model.predict(p.mac_fb) for p in test], [p.mac_truth for p in test])
+            mape([intercept + slope * p.mac_fb for p in test], [p.mac_truth for p in test])
         )
     return RandomSplitResult(mean_mape=statistics.fmean(per_run), per_run=tuple(per_run))

@@ -11,7 +11,7 @@ import pytest
 
 import admac
 from admac.cli import main
-from admac.fileio import read_csv
+from admac.fileio import read_csv, sha256_file
 
 
 def run_cli(*args):
@@ -58,6 +58,44 @@ def test_all_equals_stage_sequence(tmp_path):
     for command in ("collect", "estimate", "validate", "calibrate", "predict"):
         assert run_cli(command, "--out", staged, "--seed", 3) == 0
     assert outputs_of(combined) == outputs_of(staged)
+
+
+def test_all_equals_stage_sequence_with_a_stale_snapshot(tmp_path):
+    # `all` hands its snapshots to estimate in memory; one left by an earlier
+    # run is still read, hashed and estimated, as the estimate command does
+    assert run_cli("collect", "--out", tmp_path / "earlier", "--countries", "IT", "--seed", 42) == 0
+    text = (tmp_path / "earlier" / "snapshots" / "IT.csv").read_text(encoding="utf-8")
+    combined = tmp_path / "combined"
+    staged = tmp_path / "staged"
+    for out in (combined, staged):
+        (out / "snapshots").mkdir(parents=True)
+        (out / "snapshots" / "ZZ.csv").write_text(text.replace("\nIT,", "\nZZ,"), encoding="utf-8")
+    assert run_cli("all", "--out", combined, "--seed", 42) == 0
+    for command in ("collect", "estimate", "validate", "calibrate", "predict"):
+        assert run_cli(command, "--out", staged, "--seed", 42) == 0
+    assert outputs_of(combined) == outputs_of(staged)
+    _, _, rows = read_csv(combined / "estimates.csv")
+    assert [row[0] for row in rows].count("ZZ") == 2
+
+
+def test_estimate_from_memory_equals_estimate_from_files(tmp_path):
+    from admac.pipeline import RunConfig, stage_collect, stage_estimate
+    from conftest import full_fixture_rows, write_fixture
+
+    fixtures = tmp_path / "fixtures"
+    write_fixture(fixtures, "IT", full_fixture_rows())
+    write_fixture(fixtures, "FR", full_fixture_rows()[:-1])  # one cell missing
+    write_fixture(fixtures, "NG", [])  # no cells at all
+    cfg = RunConfig(output_dir=tmp_path / "out", fixture_dir=fixtures, seed=3)
+    collected = {}
+    stage_collect(cfg, collected=collected)
+    assert sorted(p.name for p in collected) == ["FR.csv", "IT.csv", "NG.csv"]
+    for path, (digest, _) in collected.items():
+        assert digest == sha256_file(path)
+    in_memory = stage_estimate(cfg, collected).read_bytes()
+    from_files = stage_estimate(cfg).read_bytes()
+    assert in_memory == from_files
+    assert in_memory.count(b",false,incomplete_snapshot") == 3
 
 
 def test_stage_requires_prior_stage(tmp_path, capsys):

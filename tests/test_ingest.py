@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
+import logging
 import os
 import sys
 import threading
 import time
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ from admac.errors import (
     ExcludedCountry,
     FixtureMiss,
     MalformedResponse,
+    ParseError,
     RateLimited,
     SnapshotIncomplete,
 )
@@ -27,9 +32,10 @@ from admac.ingest import (
     CollectorConfig,
     Mode,
     QueryDescriptor,
+    fixture_countries,
+    format_timestamp,
     read_cells_csv,
     write_cells_csv,
-    fixture_countries,
 )
 from conftest import full_fixture_rows, make_snapshot, write_fixture
 
@@ -231,6 +237,95 @@ def test_cells_csv_roundtrip(tmp_path):
     assert path.read_text().startswith("# seed=1\n" + ",".join(CELL_COLUMNS))
     cells = read_cells_csv(path)
     assert tuple(cells) == snapshot.cells
+
+
+def test_write_cells_csv_matches_csv_writer_and_returns_its_digest(tmp_path):
+    snapshot = make_snapshot()
+    path = tmp_path / "cells.csv"
+    digest = write_cells_csv(path, snapshot.cells, meta={"seed": "1", "tool": "admac x"})
+    buf = io.StringIO()
+    buf.write("# seed=1\n# tool=admac x\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CELL_COLUMNS)
+    for c in snapshot.cells:
+        writer.writerow([
+            c.country.iso2, c.sex.value, c.age_group.lower, c.age_group.upper,
+            c.parent_filter.value, c.count, "2024-06-01T00:00:00Z",
+        ])
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_format_timestamp_memo_gives_utc_text_for_any_zone():
+    utc = datetime(2024, 6, 1, 10, 30, tzinfo=timezone.utc)
+    cest = utc.astimezone(timezone(timedelta(hours=2)))
+    assert format_timestamp(utc) == format_timestamp(cest) == "2024-06-01T10:30:00Z"
+    assert format_timestamp(cest.replace(microsecond=5)) == "2024-06-01T10:30:00.000005Z"
+
+
+def test_cells_of_one_file_share_one_country_ref(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_cells_csv(path, make_snapshot().cells)
+    cells = read_cells_csv(path)
+    assert len(cells) == 28 and all(c.country is cells[0].country for c in cells)
+
+
+VALID_ROW = "IT,female,15,19,all,100,2024-06-01T00:00:00Z"
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        "IT,female,16,20,all,100,2024-06-01T00:00:00Z",  # age_low not a group start
+        "IT,female,15,20,all,100,2024-06-01T00:00:00Z",  # age_high does not close the group
+        "IT,other,15,19,all,100,2024-06-01T00:00:00Z",  # sex
+        "IT,female,15,19,parents,100,2024-06-01T00:00:00Z",  # parent filter
+        "IT,female,15,19,all,-5,2024-06-01T00:00:00Z",  # negative count
+        "IT,female,15,19,all,100,2024-06-31T00:00:00Z",  # no such day
+        "IT,female,15,19,all,100",  # field count
+    ],
+    ids=["age_low", "age_high", "sex", "filter", "negative_count", "bad_timestamp", "fields"],
+)
+def test_bad_row_raises_parse_error_with_its_line_after_memos_are_warm(tmp_path, bad_row):
+    good = tmp_path / "good.csv"
+    good.write_text(f"{','.join(CELL_COLUMNS)}\n{VALID_ROW}\n", encoding="utf-8")
+    assert len(read_cells_csv(good)) == 1  # fills the key and timestamp memos
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"# seed=1\n{','.join(CELL_COLUMNS)}\n{VALID_ROW}\n\n{bad_row}\n", encoding="utf-8")
+    for _ in range(2):  # a failed parse is never memoised
+        with pytest.raises(ParseError) as caught:
+            read_cells_csv(bad)
+        assert caught.value.line == 5
+        assert str(bad) in str(caught.value)
+
+
+def test_naive_timestamp_reads_as_utc_with_memos_warm(tmp_path):
+    path = tmp_path / "cells.csv"
+    path.write_text(
+        f"{','.join(CELL_COLUMNS)}\n{VALID_ROW}\n{VALID_ROW.replace('all', 'parent_of_child_0_12m')[:-1]}\n",
+        encoding="utf-8",
+    )
+    first, second = read_cells_csv(path)
+    assert first.collected_at == second.collected_at == datetime(2024, 6, 1, tzinfo=timezone.utc)
+
+
+def test_fixture_run_all_reads_each_fixture_once_and_no_snapshot(tmp_path, monkeypatch):
+    from admac import ingest, pipeline
+
+    reads = []
+    original = ingest.read_cells_csv
+
+    def counting(path, *args, **kwargs):
+        reads.append(Path(path).name)
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(ingest, "read_cells_csv", counting)
+    monkeypatch.setattr(pipeline, "read_cells_csv", counting)
+    cfg = pipeline.RunConfig(output_dir=tmp_path / "out", seed=42)
+    pipeline.run_all(cfg)
+    fixtures = fixture_countries(cfg.fixture_dir)
+    assert sorted(reads) == [f"{iso2}.csv" for iso2 in fixtures]
+    assert len(list(cfg.snapshots_dir.glob("*.csv"))) == len(fixtures)
 
 
 # --- live mode -----------------------------------------------------------------
@@ -494,6 +589,60 @@ def test_live_collect_yields_incomplete_snapshot_and_caches_what_arrived(tmp_pat
     assert [m.canonical() for m in results[1].missing] == [q]
     assert all(isinstance(r, AudienceSnapshot) for i, r in enumerate(results) if i != 1)
     assert len(read_cells_csv(cache_file(tmp_path, "BR"))) == 27
+
+
+def test_fetched_cells_of_a_country_share_one_country_ref(tmp_path):
+    collector, _ = live_collector(tmp_path, StubClient(count=500))
+    for snapshot in collector.collect_snapshots([IT, CountryRef(iso2="NG")]):
+        assert len(snapshot.cells) == 28
+        assert all(c.country is snapshot.cells[0].country for c in snapshot.cells)
+
+
+def _tear_last_line(path):
+    """Cut the file inside its last row, as an interrupted append leaves it."""
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: text.rstrip("\n").rfind(",")], encoding="utf-8")
+
+
+def test_torn_last_cache_line_is_dropped_and_refetched(tmp_path, caplog):
+    countries = [CountryRef(iso2="FR"), IT]
+    collector, _ = live_collector(tmp_path, StubClient(count=500))
+    list(collector.collect_snapshots(countries))
+    path = cache_file(tmp_path, "IT")
+    _tear_last_line(path)
+    client = StubClient(count=500)
+    fresh, _ = live_collector(tmp_path, client)
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+        snapshots = list(fresh.collect_snapshots(countries))
+    assert all(isinstance(s, AudienceSnapshot) and s.is_complete() for s in snapshots)
+    assert client.calls == ["iso2=IT&sex=male&age_min=45&age_max=49&parent_filter=parent_of_child_0_12m"]
+    assert any(str(path) in r.getMessage() and "line 29" in r.getMessage() for r in caplog.records)
+    assert path.read_text(encoding="utf-8").endswith("\n")
+    assert [c.key for c in read_cells_csv(path)] == list(CELL_KEYS)
+
+
+def test_bad_cache_line_with_a_line_break_still_raises(tmp_path):
+    collector, _ = live_collector(tmp_path, StubClient(count=500))
+    collector.collect_snapshot(IT)
+    path = cache_file(tmp_path, "IT")
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for i in (5, len(lines) - 1):  # a middle line, and a last line that was fully written
+        broken = lines[:i] + [lines[i].replace(",500,", ",many,")] + lines[i + 1:]
+        path.write_text("".join(broken), encoding="utf-8")
+        client = StubClient(count=500)
+        fresh, _ = live_collector(tmp_path, client)
+        with pytest.raises(ParseError) as caught:
+            fresh.collect_snapshot(IT)
+        assert caught.value.line == i + 1
+        assert client.calls == []
+
+
+def test_torn_last_fixture_line_still_raises(fixture_dir):
+    path = write_fixture(fixture_dir, "IT", full_fixture_rows())
+    _tear_last_line(path)
+    with pytest.raises(ParseError) as caught:
+        fixture_collector(fixture_dir).collect_snapshot(IT)
+    assert caught.value.line == 29
 
 
 def test_live_mode_requires_token(tmp_path, monkeypatch):

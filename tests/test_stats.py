@@ -17,6 +17,7 @@ from admac.errors import (
     ZeroTruth,
 )
 from admac.stats import (
+    _line_fit,
     average_ranks,
     cv_percent,
     mape,
@@ -201,6 +202,34 @@ def test_ols_errors():
         ols_fit_xy([1, 2, 3], [1, 2])
     with pytest.raises(NonFiniteInput):
         ols_fit_xy([1, 2, math.nan], [1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "xs, ys, error",
+    [
+        ([1, 2], [1, 2], TooFewPoints),
+        ([1, 2, 3], [1, 2], LengthMismatch),
+        ([1, 2, math.nan], [1, 2, 3], NonFiniteInput),
+        ([1, 2, 3], [1, math.inf, 3], NonFiniteInput),
+        ([2, 2, 2], [1, 2, 3], DegenerateDesign),
+    ],
+    ids=["n<3", "lengths", "nan_x", "inf_y", "equal_x"],
+)
+def test_line_fit_raises_what_ols_fit_xy_raises(xs, ys, error):
+    with pytest.raises(error) as full:
+        ols_fit_xy(xs, ys)
+    with pytest.raises(error) as line:
+        _line_fit(xs, ys)
+    assert str(line.value) == str(full.value)
+
+
+def test_line_fit_gives_the_ols_fit_xy_coefficients_exactly():
+    rng = random.Random(29)
+    for _ in range(20):
+        xs, ys = _random_dataset(rng)
+        model = ols_fit_xy(xs, ys)
+        my = math.fsum(ys) / len(ys)
+        assert _line_fit(xs, ys) == (model.intercept, model.slope, model.x_mean, my, model.s_xx)
 
 
 def _random_dataset(rng, n=None):

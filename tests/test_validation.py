@@ -11,8 +11,10 @@ from admac.errors import TooFewPoints
 from admac.groundtruth import ValidationPair
 from admac.stats import (
     GroupedMetrics,
+    continent_label,
     grouped_metrics,
     loocv,
+    ols_fit,
     random_split_validation,
 )
 from oracles import ols_predict_lstsq
@@ -73,6 +75,26 @@ def test_loocv_matches_per_fold_refit_oracle():
             [p.mac_fb for p in rest], [p.mac_truth for p in rest], held_out.mac_fb
         )
         assert predictions[held_out.country.iso2] == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("scope", ["global", "continent"])
+def test_loocv_predictions_equal_full_ols_fit_exactly(scope):
+    rng = random.Random(303)
+    pairs, continent_of = random_pairs(rng, 60)
+    predictions, _ = loocv(pairs, continent_of, scope=scope)
+    if scope == "global":
+        fold_sets = [pairs]
+    else:
+        by_label = {}
+        for p in pairs:
+            by_label.setdefault(continent_label(continent_of[p.country.iso2]), []).append(p)
+        fold_sets = [group for _, group in sorted(by_label.items()) if len(group) >= 4]
+    expected = {}
+    for fold_set in fold_sets:
+        for i, held_out in enumerate(fold_set):
+            model = ols_fit(fold_set[:i] + fold_set[i + 1:])
+            expected[held_out.country.iso2] = model.predict(held_out.mac_fb)
+    assert predictions == expected  # bit-identical, not approximately equal
 
 
 def test_loocv_group_sizes_partition_overall():
@@ -182,3 +204,19 @@ def test_random_split_needs_enough_points():
     with pytest.raises(TooFewPoints):
         random_split_validation(pairs, runs=10, test_size=10, seed=0)
     assert random_split_validation(pairs, runs=3, test_size=9, seed=0).per_run
+
+
+def test_random_split_runs_equal_full_ols_fit_exactly():
+    from admac.stats import mape
+
+    rng = random.Random(77)
+    pairs, _ = random_pairs(rng, 40)
+    result = random_split_validation(pairs, runs=10, test_size=10, seed=5)
+    draws = random.Random(5)
+    expected = []
+    for _ in range(10):
+        test_idx = set(draws.sample(range(len(pairs)), 10))
+        model = ols_fit([p for i, p in enumerate(pairs) if i not in test_idx])
+        test = [p for i, p in enumerate(pairs) if i in test_idx]
+        expected.append(mape([model.predict(p.mac_fb) for p in test], [p.mac_truth for p in test]))
+    assert list(result.per_run) == expected
