@@ -1,13 +1,17 @@
 """Core value types: the age grid, countries, audience cells and schedules.
 
-Everything here is an immutable value object; instances can be shared freely
-between threads.
+Every record here is immutable, so instances can be shared freely between
+threads. Records are named tuples: equality, hashing and ordering are those
+of the tuple of their fields (so a record also equals a plain tuple of the
+same values). A record with invariants checks them in `__new__` and raises
+ValueError. `AudienceSnapshot` is a small read-only `__slots__` class
+instead, because it also holds an index of its cells by key.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from collections import namedtuple
 from datetime import datetime, timezone
 from enum import Enum
 
@@ -41,18 +45,17 @@ class Continent(str, Enum):
     SOUTH_AMERICA = "SouthAmerica"
 
 
-@dataclass(frozen=True, order=True)
-class AgeGroup:
+class AgeGroup(namedtuple("AgeGroup", "lower width")):
     """A 5-year reproductive age band, e.g. 15-19."""
 
-    lower: int
-    width: int = GROUP_WIDTH
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lower not in AGE_GROUP_LOWERS:
-            raise ValueError(f"age group must start at one of {AGE_GROUP_LOWERS}, got {self.lower}")
-        if self.width != GROUP_WIDTH:
-            raise ValueError(f"age groups are {GROUP_WIDTH} years wide, got {self.width}")
+    def __new__(cls, lower: int, width: int = GROUP_WIDTH) -> AgeGroup:
+        if lower not in AGE_GROUP_LOWERS:
+            raise ValueError(f"age group must start at one of {AGE_GROUP_LOWERS}, got {lower}")
+        if width != GROUP_WIDTH:
+            raise ValueError(f"age groups are {GROUP_WIDTH} years wide, got {width}")
+        return tuple.__new__(cls, (lower, width))
 
     @property
     def upper(self) -> int:
@@ -76,17 +79,15 @@ def age_grid() -> tuple[AgeGroup, ...]:
     return AGE_GRID
 
 
-@dataclass(frozen=True, order=True)
-class CountryRef:
+class CountryRef(namedtuple("CountryRef", "iso2 continent")):
     """A country keyed by ISO-3166 alpha-2 code."""
 
-    iso2: str
-    name: str = ""
-    continent: Continent | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.iso2) != 2 or not self.iso2.isalpha() or not self.iso2.isupper():
-            raise ValueError(f"iso2 must be a 2-letter uppercase code, got {self.iso2!r}")
+    def __new__(cls, iso2: str, continent: Continent | None = None) -> CountryRef:
+        if len(iso2) != 2 or not iso2.isalpha() or not iso2.isupper():
+            raise ValueError(f"iso2 must be a 2-letter uppercase code, got {iso2!r}")
+        return tuple.__new__(cls, (iso2, continent))
 
 
 # The platform never reports an audience below this; a count of exactly
@@ -94,22 +95,25 @@ class CountryRef:
 LOWER_BOUND_COUNT = 20
 
 
-@dataclass(frozen=True)
-class AudienceCell:
+class AudienceCell(namedtuple("AudienceCell", "country sex age_group parent_filter count collected_at")):
     """One audience count for (country, sex, age group, parent filter)."""
 
-    country: CountryRef
-    sex: Sex
-    age_group: AgeGroup
-    parent_filter: ParentFilter
-    count: int
-    collected_at: datetime
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError(f"audience count must be non-negative, got {self.count}")
-        if self.collected_at.tzinfo is None:
+    def __new__(
+        cls,
+        country: CountryRef,
+        sex: Sex,
+        age_group: AgeGroup,
+        parent_filter: ParentFilter,
+        count: int,
+        collected_at: datetime,
+    ) -> AudienceCell:
+        if count < 0:
+            raise ValueError(f"audience count must be non-negative, got {count}")
+        if collected_at.tzinfo is None:
             raise ValueError("collected_at must be timezone-aware (UTC)")
+        return tuple.__new__(cls, (country, sex, age_group, parent_filter, count, collected_at))
 
     @property
     def at_lower_bound(self) -> bool:
@@ -125,29 +129,43 @@ def utc_now() -> datetime:
     return datetime.now(timezone.utc)
 
 
-@dataclass(frozen=True)
 class AudienceSnapshot:
-    """All cells collected for one country in one pass.
+    """All cells collected for one country in one pass; read-only.
 
     A complete snapshot holds 7 age groups x 2 sexes x 2 filters = 28 cells.
     Partial snapshots are representable (collection can fail per cell); use
     :meth:`is_complete` / :meth:`is_complete_for` before deriving indicators.
+    Snapshots compare equal when country, cells and collected_at are equal.
     """
 
-    country: CountryRef
-    cells: tuple[AudienceCell, ...]
-    collected_at: datetime
-    _by_key: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("country", "cells", "collected_at", "_by_key")
 
-    def __post_init__(self) -> None:
+    def __init__(self, country: CountryRef, cells: tuple[AudienceCell, ...], collected_at: datetime) -> None:
         by_key = {}
-        for cell in self.cells:
-            if cell.country.iso2 != self.country.iso2:
-                raise ValueError(f"cell for {cell.country.iso2} in snapshot for {self.country.iso2}")
+        for cell in cells:
+            if cell.country.iso2 != country.iso2:
+                raise ValueError(f"cell for {cell.country.iso2} in snapshot for {country.iso2}")
             if cell.key in by_key:
-                raise ValueError(f"duplicate cell {cell.key} in snapshot for {self.country.iso2}")
+                raise ValueError(f"duplicate cell {cell.key} in snapshot for {country.iso2}")
             by_key[cell.key] = cell
-        object.__setattr__(self, "_by_key", by_key)
+        for name, value in zip(self.__slots__, (country, cells, collected_at, by_key)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"AudienceSnapshot is read-only; cannot change {name}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return (self.country, self.cells, self.collected_at)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AudienceSnapshot):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def cell(self, sex: Sex, group: AgeGroup, parent_filter: ParentFilter) -> AudienceCell | None:
         return self._by_key.get((sex, group, parent_filter))
@@ -166,8 +184,7 @@ class AudienceSnapshot:
         return all(self.is_complete_for(sex) for sex in Sex)
 
 
-@dataclass(frozen=True)
-class FertilitySchedule:
+class FertilitySchedule(namedtuple("FertilitySchedule", "country sex rates")):
     """Per-age-group fertility proxy rates for one (country, sex).
 
     Rates are parents-with-infant over total audience, one per age group in
@@ -175,18 +192,17 @@ class FertilitySchedule:
     counts; it is admitted but flagged so the data error stays visible.
     """
 
-    country: CountryRef
-    sex: Sex
-    rates: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.rates) != N_AGE_GROUPS:
-            raise ValueError(f"schedule needs {N_AGE_GROUPS} rates, got {len(self.rates)}")
-        for group, rate in zip(AGE_GRID, self.rates):
+    def __new__(cls, country: CountryRef, sex: Sex, rates: tuple[float, ...]) -> FertilitySchedule:
+        if len(rates) != N_AGE_GROUPS:
+            raise ValueError(f"schedule needs {N_AGE_GROUPS} rates, got {len(rates)}")
+        for group, rate in zip(AGE_GRID, rates):
             if not rate >= 0.0:
                 raise ValueError(f"rate for {group} must be non-negative, got {rate}")
             if rate > 1.0:
                 logger.warning(
                     "%s/%s: rate %.6g for ages %s exceeds 1; numerator larger than exposure",
-                    self.country.iso2, self.sex.value, rate, group,
+                    country.iso2, sex.value, rate, group,
                 )
+        return tuple.__new__(cls, (country, sex, rates))

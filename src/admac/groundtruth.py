@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -23,16 +22,14 @@ TRUTH_COLUMNS = ["iso2", "sex", "mac", "period"]
 CONTINENT_COLUMNS = ["iso2", "continent"]
 
 
-@dataclass(frozen=True)
-class GroundTruthRecord:
+class GroundTruthRecord(NamedTuple):
     country: CountryRef
     sex: Sex
     mac: float
     period: str
 
 
-@dataclass(frozen=True)
-class ValidationPair:
+class ValidationPair(NamedTuple):
     """A country's platform-derived MAC joined with its reference MAC."""
 
     country: CountryRef

@@ -4,7 +4,7 @@ eligibility rule applied."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import Iterable
 
@@ -38,19 +38,24 @@ class LowerBoundPolicy(str, Enum):
     PARENTS_ONLY = "parents-only"
 
 
-@dataclass(frozen=True)
-class MacEstimate:
-    country: object
-    sex: Sex
-    mac: float | None
-    eligible: bool
-    ineligibility_reason: IneligibilityReason | None = None
+class MacEstimate(namedtuple("MacEstimate", "country sex mac eligible ineligibility_reason")):
+    """One (country, sex) MAC, or the reason it is ineligible."""
 
-    def __post_init__(self) -> None:
-        if self.eligible and self.ineligibility_reason is not None:
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        country: object,
+        sex: Sex,
+        mac: float | None,
+        eligible: bool,
+        ineligibility_reason: IneligibilityReason | None = None,
+    ) -> MacEstimate:
+        if eligible and ineligibility_reason is not None:
             raise ValueError("eligible estimate cannot carry an ineligibility reason")
-        if not self.eligible and self.ineligibility_reason is None:
+        if not eligible and ineligibility_reason is None:
             raise ValueError("ineligible estimate must carry a reason")
+        return tuple.__new__(cls, (country, sex, mac, eligible, ineligibility_reason))
 
 
 def asfr(parents_count: int, total_count: int) -> float:

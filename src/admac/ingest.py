@@ -20,9 +20,7 @@ import logging
 import os
 import threading
 import time
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from datetime import date, datetime, timezone
 from enum import Enum
 from functools import lru_cache
@@ -79,22 +77,20 @@ class Mode(str, Enum):
     FIXTURE = "fixture"
 
 
-@dataclass(frozen=True)
-class QueryDescriptor:
+class QueryDescriptor(namedtuple("QueryDescriptor", "country_iso2 sex age_min age_max parent_filter")):
     """One reach query; its canonical serialization doubles as a cache key."""
 
-    country_iso2: str
-    sex: Sex
-    age_min: int
-    age_max: int
-    parent_filter: ParentFilter
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        group = AgeGroup(self.age_min)  # raises if not a canonical lower bound
-        if self.age_max != group.upper:
+    def __new__(
+        cls, country_iso2: str, sex: Sex, age_min: int, age_max: int, parent_filter: ParentFilter
+    ) -> QueryDescriptor:
+        group = AgeGroup(age_min)  # raises if not a canonical lower bound
+        if age_max != group.upper:
             raise ValueError(
-                f"(age_min, age_max) must match a 5-year group, got ({self.age_min}, {self.age_max})"
+                f"(age_min, age_max) must match a 5-year group, got ({age_min}, {age_max})"
             )
+        return tuple.__new__(cls, (country_iso2, sex, age_min, age_max, parent_filter))
 
     @property
     def age_group(self) -> AgeGroup:
@@ -117,25 +113,36 @@ class QueryDescriptor:
         return f"{self.canonical()}&date={day.isoformat()}"
 
 
-@dataclass(frozen=True)
-class CollectorConfig:
-    mode: Mode = Mode.FIXTURE
-    fixture_dir: Path | None = None
-    cache_dir: Path | None = None
-    max_in_flight: int = 4
-    base_backoff: float = 0.5
-    max_retries: int = 3
-    excluded_countries: frozenset[str] = DEFAULT_EXCLUDED
+class CollectorConfig(
+    namedtuple(
+        "CollectorConfig",
+        "mode fixture_dir cache_dir max_in_flight base_backoff max_retries excluded_countries",
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_in_flight < 1:
-            raise ConfigError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.mode is Mode.FIXTURE and self.fixture_dir is None:
+    def __new__(
+        cls,
+        mode: Mode = Mode.FIXTURE,
+        fixture_dir: Path | None = None,
+        cache_dir: Path | None = None,
+        max_in_flight: int = 4,
+        base_backoff: float = 0.5,
+        max_retries: int = 3,
+        excluded_countries: frozenset[str] = DEFAULT_EXCLUDED,
+    ) -> CollectorConfig:
+        if max_in_flight < 1:
+            raise ConfigError(f"max_in_flight must be >= 1, got {max_in_flight}")
+        if max_retries < 0:
+            raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
+        if mode is Mode.FIXTURE and fixture_dir is None:
             raise ConfigError("fixture mode needs fixture_dir")
-        if self.mode is Mode.LIVE and self.cache_dir is None:
+        if mode is Mode.LIVE and cache_dir is None:
             raise ConfigError("live mode needs cache_dir (responses are written through)")
+        return tuple.__new__(
+            cls,
+            (mode, fixture_dir, cache_dir, max_in_flight, base_backoff, max_retries, excluded_countries),
+        )
 
 
 # --------------------------------------------------------------------------
@@ -205,17 +212,29 @@ def write_cells_csv(
 
 
 def read_cells_csv(
-    path: str | Path, country: CountryRef | None = None, *, drop_torn_tail: bool = False
+    path: str | Path,
+    country: CountryRef | None = None,
+    *,
+    drop_torn_tail: bool = False,
+    data: bytes | None = None,
 ) -> list[AudienceCell]:
     """The cells of a cell CSV in file order; comment and blank lines are skipped.
 
-    A malformed row raises ParseError with its file line. With
-    `drop_torn_tail`, a last line that has no line break and does not parse,
-    as a write cut short leaves it, is dropped with a warning instead. Cells
-    of one country share one CountryRef (`country`, when its code matches).
+    `data` is the file's bytes when the caller has already read them.
+    Bytes that are not UTF-8, or a malformed row, raise ParseError with the
+    file line. With `drop_torn_tail`, a last line that has no line break and
+    does not parse, as a write cut short leaves it, is dropped with a
+    warning instead. Cells of one country share one CountryRef (`country`,
+    when its code matches).
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    if data is None:
+        data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path} is not valid UTF-8: {exc}", line=line) from exc
     lines = text.splitlines()
     numbers = [n for n, line in enumerate(lines, start=1) if line.strip() and not line.startswith("#")]
     reader = csv.reader([lines[n - 1] for n in numbers])
@@ -335,6 +354,7 @@ class _CellStore:
         self.directory = directory
         self._lock = threading.Lock()
         self._files: dict[tuple[str, date | None], dict[CellKey, AudienceCell] | None] = {}
+        self._digests: dict[tuple[str, date | None], str] = {}
         self._dirty: set[tuple[str, date]] = set()
         self._countries: dict[str, CountryRef] = {}
 
@@ -348,7 +368,9 @@ class _CellStore:
             path = self._path(iso2, day)
             cells = None
             if path.exists():
-                read = read_cells_csv(path, self.country(iso2), drop_torn_tail=day is not None)
+                data = path.read_bytes()
+                self._digests[file] = hashlib.sha256(data).hexdigest()
+                read = read_cells_csv(path, self.country(iso2), drop_torn_tail=day is not None, data=data)
                 cells = {c.key: c for c in read}
             self._files[file] = cells
         return self._files[file]
@@ -361,6 +383,11 @@ class _CellStore:
         """The file's cells by key, or None when there is no such file."""
         with self._lock:
             return self._load(iso2, day)
+
+    def digest(self, iso2: str, day: date | None = None) -> str | None:
+        """SHA-256 hex digest of the file's bytes as loaded, or None when none were."""
+        with self._lock:
+            return self._digests.get((iso2, day))
 
     def put(self, cell: AudienceCell, day: date) -> None:
         iso2 = cell.country.iso2
@@ -461,6 +488,11 @@ class Collector:
                 raise outcome
             return outcome
         return self._fetch_live(query)
+
+    def fixture_digest(self, iso2: str) -> str | None:
+        """SHA-256 of the fixture file this collector read for `iso2`, or None
+        when it read none."""
+        return self._fixtures.digest(iso2) if self._fixtures else None
 
     def _fixture_cells(self, iso2: str) -> dict[CellKey, AudienceCell]:
         assert self._fixtures is not None
@@ -593,6 +625,8 @@ class Collector:
             except BaseException:
                 stop.set()
                 raise
+
+        from concurrent.futures import ThreadPoolExecutor  # only live collect needs it
 
         workers = min(self.config.max_in_flight, len(misses))
         pool = ThreadPoolExecutor(max_workers=workers)

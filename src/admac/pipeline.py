@@ -18,10 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, fields
-from importlib.resources import files
 from pathlib import Path
-from typing import get_type_hints
 
 from .domain import AudienceSnapshot, Continent, CountryRef, Sex
 from .errors import (
@@ -82,36 +79,54 @@ RANDOM_SPLIT_TEST_SIZE = 10
 
 def packaged_data_path(*parts: str) -> Path:
     """Path of a bundled data file (continent map, demo fixtures, demo truth)."""
-    return Path(str(files("admac").joinpath("data", *parts)))
+    return Path(__file__).parent.joinpath("data", *parts)
 
 
-@dataclass
 class RunConfig:
-    """One pipeline run, fully determined by these fields plus the fixtures."""
+    """One pipeline run, fully determined by these fields plus the fixtures.
 
-    output_dir: Path
-    mode: Mode = Mode.FIXTURE
-    fixture_dir: Path = field(default_factory=lambda: packaged_data_path("fixtures"))
-    cache_dir: Path | None = None
-    truth_path: Path = field(default_factory=lambda: packaged_data_path("ground_truth.csv"))
-    continent_map_path: Path = field(default_factory=lambda: packaged_data_path("continents.csv"))
-    sexes: tuple[Sex, ...] = (Sex.FEMALE, Sex.MALE)
-    seed: int = 0
-    lower_bound_policy: LowerBoundPolicy = LowerBoundPolicy.ANY
-    loocv_scope: str = "global"
-    countries: tuple[str, ...] | None = None
+    The three input paths default to the bundled demo data; live mode's
+    cache_dir defaults to output_dir/cache.
+    """
 
-    def __post_init__(self) -> None:
-        self.output_dir = Path(self.output_dir)
-        self.fixture_dir = Path(self.fixture_dir)
-        self.truth_path = Path(self.truth_path)
-        self.continent_map_path = Path(self.continent_map_path)
-        if self.cache_dir is None and self.mode is Mode.LIVE:
-            self.cache_dir = self.output_dir / "cache"
-        if not self.sexes:
+    __slots__ = (
+        "output_dir", "mode", "fixture_dir", "cache_dir", "truth_path", "continent_map_path",
+        "sexes", "seed", "lower_bound_policy", "loocv_scope", "countries",
+    )
+
+    def __init__(
+        self,
+        output_dir: Path,
+        mode: Mode = Mode.FIXTURE,
+        fixture_dir: Path | None = None,
+        cache_dir: Path | None = None,
+        truth_path: Path | None = None,
+        continent_map_path: Path | None = None,
+        sexes: tuple[Sex, ...] = (Sex.FEMALE, Sex.MALE),
+        seed: int = 0,
+        lower_bound_policy: LowerBoundPolicy = LowerBoundPolicy.ANY,
+        loocv_scope: str = "global",
+        countries: tuple[str, ...] | None = None,
+    ) -> None:
+        if not sexes:
             raise ConfigError("at least one sex must be requested")
-        if self.loocv_scope not in ("global", "continent"):
-            raise ConfigError(f"loocv_scope must be 'global' or 'continent', got {self.loocv_scope!r}")
+        if loocv_scope not in ("global", "continent"):
+            raise ConfigError(f"loocv_scope must be 'global' or 'continent', got {loocv_scope!r}")
+        self.output_dir = Path(output_dir)
+        self.mode = mode
+        self.fixture_dir = packaged_data_path("fixtures") if fixture_dir is None else Path(fixture_dir)
+        if cache_dir is None and mode is Mode.LIVE:
+            cache_dir = self.output_dir / "cache"
+        self.cache_dir = cache_dir
+        self.truth_path = packaged_data_path("ground_truth.csv") if truth_path is None else Path(truth_path)
+        self.continent_map_path = (
+            packaged_data_path("continents.csv") if continent_map_path is None else Path(continent_map_path)
+        )
+        self.sexes = sexes
+        self.seed = seed
+        self.lower_bound_policy = lower_bound_policy
+        self.loocv_scope = loocv_scope
+        self.countries = countries
 
     # stage artifact locations -------------------------------------------------
     @property
@@ -182,11 +197,8 @@ def stage_collect(
         iso2 = country.iso2
         if isinstance(result, SnapshotIncomplete):
             logger.warning("%s: incomplete snapshot kept (%s)", iso2, result)
-        inputs = {}
-        if cfg.mode is Mode.FIXTURE:
-            fixture = cfg.fixture_dir / f"{iso2}.csv"
-            if fixture.exists():
-                inputs[f"fixture_{iso2}"] = sha256_file(fixture)
+        fixture = collector.fixture_digest(iso2)
+        inputs = {} if fixture is None else {f"fixture_{iso2}": fixture}
         path = cfg.snapshots_dir / f"{iso2}.csv"
         digest = write_cells_csv(path, result.cells, meta=standard_metadata(seed=cfg.seed, inputs=inputs))
         if collected is not None:
@@ -402,8 +414,18 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
 # calibrate
 # --------------------------------------------------------------------------
 
+# The model codec: each CalibrationModel field, in order, with the JSON type it takes.
+_MODEL_FIELDS: tuple[tuple[str, type], ...] = (
+    ("intercept", float), ("slope", float), ("se_intercept", float), ("se_slope", float),
+    ("r2", float), ("adj_r2", float), ("residual_se", float), ("f_stat", float),
+    ("df_model", int), ("df_resid", int), ("n", int),
+    ("p_slope", float), ("p_intercept", float), ("p_f", float),
+    ("residuals", tuple), ("x_mean", float), ("s_xx", float),
+)
+
+
 def _model_payload(model: CalibrationModel) -> dict:
-    payload = {f.name: getattr(model, f.name) for f in fields(CalibrationModel)}
+    payload = {name: getattr(model, name) for name, _ in _MODEL_FIELDS}
     payload["stars"] = {
         "intercept": significance_stars(model.p_intercept),
         "slope": significance_stars(model.p_slope),
@@ -473,7 +495,7 @@ def _model_field(name: str, kind, value):
         if _is_number(value):
             return float(value)
         expected = "a number"
-    else:  # tuple[float, ...]
+    else:  # tuple of floats
         if isinstance(value, list) and all(map(_is_number, value)):
             return tuple(map(float, value))
         expected = "a list of numbers"
@@ -491,12 +513,9 @@ def load_model(path: Path) -> CalibrationModel:
         raise ParseError(f"{path} is not valid JSON: {exc.msg}", line=exc.lineno) from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
-    kinds = get_type_hints(CalibrationModel)
     try:
         m = document["model"]
-        return CalibrationModel(
-            **{f.name: _model_field(f.name, kinds[f.name], m[f.name]) for f in fields(CalibrationModel)}
-        )
+        return CalibrationModel(**{name: _model_field(name, kind, m[name]) for name, kind in _MODEL_FIELDS})
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -4,9 +4,8 @@ map-ready output."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .domain import CountryRef, Sex
 from .errors import EmptyInput, UnfittedModel
@@ -16,8 +15,7 @@ from .indicators import MacEstimate
 from .stats import CalibrationModel
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     country: CountryRef
     sex: Sex
     mac_fb: float

@@ -13,8 +13,7 @@ import logging
 import math
 import random
 import statistics
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from . import special
 from .errors import (
@@ -137,8 +136,7 @@ def significance_stars(p: float | None) -> str:
     return ""
 
 
-@dataclass(frozen=True)
-class CalibrationModel:
+class CalibrationModel(NamedTuple):
     """y = intercept + slope * x with the full inference block.
 
     x_mean and s_xx are retained from the training data because leverage,
@@ -270,8 +268,7 @@ def ols_fit(pairs: Sequence["ValidationPair"]) -> CalibrationModel:
 # grouped evaluation, LOOCV, random-split validation
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MetricsCell:
+class MetricsCell(NamedTuple):
     """Spearman + MAPE for one group; rho/p are None when undefined
     (fewer than 3 observations, or a constant vector)."""
 
@@ -281,8 +278,7 @@ class MetricsCell:
     n: int
 
 
-@dataclass(frozen=True)
-class GroupedMetrics:
+class GroupedMetrics(NamedTuple):
     per_continent: dict[str, MetricsCell]
     overall: MetricsCell
 
@@ -385,8 +381,7 @@ def loocv(
     return predictions, grouped_metrics(records)
 
 
-@dataclass(frozen=True)
-class RandomSplitResult:
+class RandomSplitResult(NamedTuple):
     mean_mape: float
     per_run: tuple[float, ...]
 

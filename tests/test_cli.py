@@ -12,6 +12,7 @@ import pytest
 import admac
 from admac.cli import main
 from admac.fileio import read_csv, sha256_file
+from admac.pipeline import packaged_data_path
 
 
 def run_cli(*args):
@@ -339,11 +340,55 @@ def test_excluded_country_fails_before_any_snapshot(tmp_path, capsys):
     assert not (out / "snapshots").exists()
 
 
-def test_importing_the_cli_does_not_load_requests():
+def _loaded_by_fresh_cli_import(*modules: str) -> list[str]:
+    """Which of `modules` a fresh interpreter has loaded after `import admac.cli`."""
     src = str(Path(admac.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import admac.cli, json, sys; print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
     result = subprocess.run(
-        [sys.executable, "-c", "import admac.cli, sys; print('requests' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
     )
-    assert result.stdout.strip() == "False"
+    return json.loads(result.stdout)
+
+
+def test_importing_the_cli_does_not_load_requests():
+    assert _loaded_by_fresh_cli_import("requests") == []
+
+
+def test_importing_the_cli_loads_no_dataclasses_and_no_thread_pool():
+    assert _loaded_by_fresh_cli_import("dataclasses", "inspect", "concurrent.futures") == []
+
+
+@pytest.mark.parametrize("damaged", ["fixture", "snapshot"])
+def test_non_utf8_cell_file_reports_parse_error(tmp_path, capsys, damaged):
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    for iso2 in ("FR", "IT"):
+        shutil.copy(packaged_data_path("fixtures", f"{iso2}.csv"), fixtures)
+    out = tmp_path / "out"
+    if damaged == "fixture":
+        bad, command = fixtures / "IT.csv", "collect"
+    else:
+        assert run_cli("collect", "--fixture-dir", fixtures, "--out", out) == 0
+        bad, command = out / "snapshots" / "IT.csv", "estimate"
+    with open(bad, "ab") as handle:
+        handle.write(b"\xff")
+    capsys.readouterr()
+    assert run_cli(command, "--fixture-dir", fixtures, "--out", out) == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "ParseError"
+    assert report["command"] == command
+    assert str(bad) in report["message"] and "UTF-8" in report["message"]
+
+
+def test_fixture_collect_hashes_the_bytes_it_read(tmp_path, monkeypatch):
+    from admac import pipeline
+
+    hashed = []
+    monkeypatch.setattr(pipeline, "sha256_file", hashed.append)
+    cfg = pipeline.RunConfig(output_dir=tmp_path / "out", countries=("FR", "IT"))
+    pipeline.stage_collect(cfg)
+    assert hashed == []
+    for iso2 in ("FR", "IT"):
+        digest = sha256_file(cfg.fixture_dir / f"{iso2}.csv")
+        assert f"# input_fixture_{iso2}={digest}\n" in (cfg.snapshots_dir / f"{iso2}.csv").read_text()

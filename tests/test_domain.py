@@ -111,6 +111,19 @@ def test_partial_snapshot_reports_incomplete():
     assert partial.is_complete_for(Sex.FEMALE)
 
 
+def test_value_objects_are_read_only_hashable_and_ordered():
+    snap = make_snapshot()
+    for obj, attr in ((snap, "cells"), (snap.cells[0], "count"), (snap.country, "iso2"), (AgeGroup(15), "lower")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, attr)
+    assert snap == make_snapshot() and hash(snap) == hash(make_snapshot())
+    assert sorted([CountryRef(iso2="IT"), CountryRef(iso2="FR")]) == [CountryRef(iso2="FR"), CountryRef(iso2="IT")]
+    assert len({CountryRef(iso2="IT"), CountryRef(iso2="IT")}) == 1
+    assert sorted(reversed(age_grid())) == list(age_grid())
+
+
 def test_schedule_validates_shape_and_sign():
     country = CountryRef(iso2="IT")
     with pytest.raises(ValueError):

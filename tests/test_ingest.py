@@ -400,7 +400,7 @@ def test_fixture_collect_starts_no_thread(fixture_dir, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("fixture lookups must not start a thread pool")
 
-    monkeypatch.setattr("admac.ingest.ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
     write_fixture(fixture_dir, "IT", full_fixture_rows())
     snapshot = fixture_collector(fixture_dir).collect_snapshot(IT)
     assert len(snapshot.cells) == 28
