@@ -13,7 +13,6 @@ import hashlib
 import io
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -21,13 +20,19 @@ from ._version import __version__
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file + rename so failures never leave partial output."""
+    """Write `text` as UTF-8 via a temp file + rename so failures never leave
+    partial output. The file gets open()'s mode: 0o666 less the umask."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        fd = os.open(tmp, flags, 0o666)
+    except FileNotFoundError:  # no parent directory yet
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, flags, 0o666)
+    try:
+        with open(fd, "wb") as handle:
+            handle.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -7,9 +7,10 @@ recorded live session can be replayed as a fixture unchanged.
 
 A live collect stage resolves every requested country in one call: cache
 hits are answered inline, and the misses go to one set of at most
-`max_in_flight` worker threads for the whole stage. Each (country, day)
-cache file is written once, atomically, when that country's last query
-resolves.
+`max_in_flight` worker threads for the whole stage. A worker keeps each
+cell it fetches in that query's outcome slot only; the worker that
+resolves a country's last miss writes the country's (country, day) cache
+file from those slots, once and atomically.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from datetime import date, datetime, timezone
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     import requests
@@ -325,12 +326,11 @@ class AdsApiClient:
                 f"unexpected status {response.status_code} for {query.canonical()}"
             )
         try:
-            payload = response.json()
-            count = int(payload["audience_size"])
+            count = response.json()["audience_size"]
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResponse(f"unparseable body for {query.canonical()}: {exc}") from exc
-        if count < 0:
-            raise MalformedResponse(f"negative audience_size {count} for {query.canonical()}")
+        if type(count) is not int or count < 0:  # a bool, float or string is no count
+            raise MalformedResponse(f"audience_size {count!r} is not a count for {query.canonical()}")
         return count
 
 
@@ -343,11 +343,12 @@ class _CellStore:
     (sex, age group, filter).
 
     Fixtures are `<ISO2>.csv` and only read. The live cache is
-    `<ISO2>_<day>.csv`: `put` only updates memory and marks the file dirty,
-    and `flush` rewrites dirty files atomically with rows in canonical query
-    order, so an interrupted run leaves the old file or the new one, never
-    a torn line. A torn last line left by an older, appending version is
-    dropped on load, so its cell is fetched again and the file rewritten.
+    `<ISO2>_<day>.csv`; `write` merges cells into one such file and
+    rewrites it atomically, so an interrupted run leaves the old file or
+    the new one, never a torn line. A torn last line left by an
+    older, appending version is dropped on load, and a cache file that is
+    not valid UTF-8 is treated as absent, so the lost cells are fetched
+    again and the file rewritten whole.
     """
 
     def __init__(self, directory: Path) -> None:
@@ -355,7 +356,7 @@ class _CellStore:
         self._lock = threading.Lock()
         self._files: dict[tuple[str, date | None], dict[CellKey, AudienceCell] | None] = {}
         self._digests: dict[tuple[str, date | None], str] = {}
-        self._dirty: set[tuple[str, date]] = set()
+        self._turns: dict[tuple[str, date], threading.Lock] = {}  # one writer per file at a time
         self._countries: dict[str, CountryRef] = {}
 
     def _path(self, iso2: str, day: date | None) -> Path:
@@ -370,8 +371,13 @@ class _CellStore:
             if path.exists():
                 data = path.read_bytes()
                 self._digests[file] = hashlib.sha256(data).hexdigest()
-                read = read_cells_csv(path, self.country(iso2), drop_torn_tail=day is not None, data=data)
-                cells = {c.key: c for c in read}
+                try:
+                    read = read_cells_csv(path, self.country(iso2), drop_torn_tail=day is not None, data=data)
+                    cells = {c.key: c for c in read}
+                except ParseError as exc:
+                    if day is None or not isinstance(exc.__cause__, UnicodeDecodeError):
+                        raise
+                    logger.warning("%s is not valid UTF-8; fetching its cells again", path)
             self._files[file] = cells
         return self._files[file]
 
@@ -389,29 +395,13 @@ class _CellStore:
         with self._lock:
             return self._digests.get((iso2, day))
 
-    def put(self, cell: AudienceCell, day: date) -> None:
-        iso2 = cell.country.iso2
-        with self._lock:
-            if self._load(iso2, day) is None:
-                self._files[iso2, day] = {}
-            self._files[iso2, day][cell.key] = cell
-            self._dirty.add((iso2, day))
-
-    def flush(self, iso2: str | None = None) -> None:
-        """Rewrite the dirty files of `iso2`, or of every country when None.
-
-        The rows are taken under the lock and written outside it, so other
-        threads keep storing cells while a file is written.
-        """
-        writes = []
-        with self._lock:
-            for file in sorted(f for f in self._dirty if iso2 is None or f[0] == iso2):
-                self._dirty.discard(file)
-                cells = self._files[file]
-                assert cells is not None
-                writes.append((self._path(*file), [cells[k] for k in CELL_KEYS if k in cells]))
-        for path, rows in writes:
-            write_cells_csv(path, rows)
+    def write(self, iso2: str, day: date, cells: Iterable[AudienceCell]) -> None:
+        """Merge `cells` into the (iso2, day) file, in memory and then on disk, rewritten atomically
+        in canonical order. Writers of one file take turns, so none drops another's cells."""
+        with self._turns.setdefault((iso2, day), threading.Lock()):  # setdefault is atomic
+            with self._lock:
+                merged = self._files[iso2, day] = {**(self._load(iso2, day) or {}), **{c.key: c for c in cells}}
+            write_cells_csv(self._path(iso2, day), [merged[k] for k in CELL_KEYS if k in merged])
 
 
 # --------------------------------------------------------------------------
@@ -425,10 +415,17 @@ Outcome = AudienceCell | Exception
 
 
 def _query(iso2: str, key: CellKey) -> QueryDescriptor:
+    """The query for a CELL_KEYS entry, whose age group is canonical and needs no check."""
     sex, group, flt = key
-    return QueryDescriptor(
-        country_iso2=iso2, sex=sex, age_min=group.lower, age_max=group.upper, parent_filter=flt
-    )
+    return tuple.__new__(QueryDescriptor, (iso2, sex, group.lower, group.upper, flt))
+
+
+def _outcome(fetch: Callable[..., AudienceCell], *args) -> Outcome:
+    """`fetch(*args)`, or its per-cell failure; other errors propagate."""
+    try:
+        return fetch(*args)
+    except _CELL_ERRORS as exc:
+        return exc
 
 
 def _fixture_outcome(iso2: str, cells: dict[CellKey, AudienceCell], key: CellKey) -> Outcome:
@@ -445,14 +442,16 @@ class Collector:
     `collect_snapshots` checks every requested country before it sends a
     request. Fixture lookups are in-memory and run inline, one country at
     a time, starting no thread. In live mode, cache hits are answered
-    inline as well, and the misses of the whole call go to one worker set:
-    min(max_in_flight, misses) threads, each pulling the next query from a
-    shared iterator, so at most max_in_flight requests are in flight. Each
-    (country, day) cache file is rewritten atomically once, as soon as that
-    country's last query resolves; an error or an interrupt that ends the
-    call stops the workers and flushes whatever is still pending. Snapshots
-    are assembled in canonical query order, so completion order never
-    affects output.
+    inline through `fetch_cell`, all for the day the call looked up, and
+    the misses of the whole call go to one worker set of min(max_in_flight,
+    misses) threads. A worker settles the query it finished and takes the
+    next in one round-trip on the set's lock, sends a miss straight to the
+    client and keeps the cell only in its outcome slot. The worker that
+    resolves a country's last miss writes the country's cache file for
+    that day from those slots, when a miss returned a cell, before it
+    sends its next query. An error or an interrupt that ends the call stops
+    the workers, then writes every country that received a new cell and was
+    not yet written. Snapshots are assembled in canonical query order.
     """
 
     def __init__(
@@ -480,14 +479,21 @@ class Collector:
         self._check_served(country)
         return [_query(country.iso2, key) for key in CELL_KEYS]
 
-    def fetch_cell(self, query: QueryDescriptor) -> AudienceCell:
+    def fetch_cell(self, query: QueryDescriptor, day: date | None = None) -> AudienceCell:
+        """The query's cell; live, from the `day` cache file (default: today) or fetched into it."""
+        iso2 = query.country_iso2
         if self.config.mode is Mode.FIXTURE:
-            iso2 = query.country_iso2
             outcome = _fixture_outcome(iso2, self._fixture_cells(iso2), query.key)
             if isinstance(outcome, FixtureMiss):
                 raise outcome
             return outcome
-        return self._fetch_live(query)
+        assert self._cache is not None
+        day = day or self._clock().date()
+        cell = (self._cache.cells(iso2, day) or {}).get(query.key)
+        if cell is None:
+            cell = self._request(iso2, query.key)
+            self._cache.write(iso2, day, [cell])
+        return cell
 
     def fixture_digest(self, iso2: str) -> str | None:
         """SHA-256 of the fixture file this collector read for `iso2`, or None
@@ -501,12 +507,10 @@ class Collector:
             raise FixtureMiss(f"no fixture file for {iso2} under {self._fixtures.directory}")
         return cells
 
-    def _fetch_live(self, query: QueryDescriptor) -> AudienceCell:
+    def _request(self, iso2: str, key: CellKey) -> AudienceCell:
+        """The cell for `key` from the client; throttled attempts are retried with backoff."""
         assert self._client is not None and self._cache is not None
-        today = self._clock().date()
-        cached = self._cache.cells(query.country_iso2, today)
-        if cached is not None and query.key in cached:
-            return cached[query.key]
+        query = _query(iso2, key)
         attempts = self.config.max_retries + 1
         for attempt in range(1, attempts + 1):
             try:
@@ -521,23 +525,7 @@ class Collector:
                     query.canonical(), attempt, self.config.max_retries, delay,
                 )
                 self._sleep(delay)
-        cell = AudienceCell(
-            country=self._cache.country(query.country_iso2),
-            sex=query.sex,
-            age_group=query.age_group,
-            parent_filter=query.parent_filter,
-            count=count,
-            collected_at=self._clock(),
-        )
-        self._cache.put(cell, today)
-        return cell
-
-    def _outcome(self, query: QueryDescriptor) -> Outcome:
-        """The query's cell, or its per-cell failure; other errors propagate."""
-        try:
-            return self.fetch_cell(query)
-        except _CELL_ERRORS as exc:
-            return exc
+        return AudienceCell(self._cache.country(iso2), *key, count=count, collected_at=self._clock())
 
     def collect_snapshot(self, country: CountryRef) -> AudienceSnapshot:
         """All 28 cells for a country, or SnapshotIncomplete with what came back.
@@ -579,49 +567,52 @@ class Collector:
         """Every country's outcomes in canonical order, flattened: cache hits
         inline, misses on one worker set."""
         assert self._cache is not None
-        today = self._clock().date()
+        day = self._clock().date()
         outcomes: list = [None] * (len(countries) * len(CELL_KEYS))
         misses: list[int] = []
         for i, country in enumerate(countries):
-            cached = self._cache.cells(country.iso2, today) or {}
+            cached = self._cache.cells(country.iso2, day) or {}
             for j, key in enumerate(CELL_KEYS, start=i * len(CELL_KEYS)):
                 if key in cached:
-                    outcomes[j] = self._outcome(_query(country.iso2, key))
+                    outcomes[j] = _outcome(self.fetch_cell, _query(country.iso2, key), day)
                 else:
                     misses.append(j)
-        try:
-            if misses:
-                self._fetch_misses(countries, misses, outcomes)
-        finally:
-            self._cache.flush()
+        if misses:
+            self._fetch_misses(countries, day, misses, outcomes)
         return outcomes
 
-    def _fetch_misses(self, countries: list[CountryRef], misses: list[int], outcomes: list) -> None:
-        """Fill outcomes[i] for every i in misses with at most max_in_flight
-        requests in flight, flushing each country's cache file as soon as its
-        last miss resolves. The first error that is not a per-cell failure
-        stops the workers taking new queries and is raised here."""
+    def _fetch_misses(self, countries: list[CountryRef], day: date, misses: list[int], outcomes: list) -> None:
+        """Fill outcomes[i] for every i in misses on one worker set, writing each country's `day`
+        cache file from its outcome slots (see the class docstring); other errors propagate."""
         assert self._cache is not None
         n = len(CELL_KEYS)
         pending = Counter(i // n for i in misses)
         todo = iter(misses)
+        fetched: set[int] = set()  # countries that received a new cell
         lock = threading.Lock()
         stop = threading.Event()
 
+        def write(c: int) -> None:
+            cells = [o for o in outcomes[c * n:(c + 1) * n] if isinstance(o, AudienceCell)]
+            self._cache.write(countries[c].iso2, day, cells)
+
         def work() -> None:
+            i = None  # the miss this worker just resolved
             try:
-                while not stop.is_set():
+                while True:
                     with lock:
-                        i = next(todo, None)
+                        if i is not None:
+                            pending[i // n] -= 1
+                            if isinstance(outcomes[i], AudienceCell):
+                                fetched.add(i // n)
+                        # i's country, when i was its last miss and the country has a new cell
+                        last = i // n if i is not None and not pending[i // n] and i // n in fetched else None
+                        i = None if stop.is_set() else next(todo, None)
+                    if last is not None:
+                        write(last)
                     if i is None:
                         return
-                    country = countries[i // n]
-                    outcomes[i] = self._outcome(_query(country.iso2, CELL_KEYS[i % n]))
-                    with lock:
-                        pending[i // n] -= 1
-                        last = pending[i // n] == 0
-                    if last:
-                        self._cache.flush(country.iso2)
+                    outcomes[i] = _outcome(self._request, countries[i // n].iso2, CELL_KEYS[i % n])
             except BaseException:
                 stop.set()
                 raise
@@ -636,6 +627,8 @@ class Collector:
         finally:
             stop.set()
             pool.shutdown()
+            for c in sorted(c for c in fetched if pending[c]):  # an error or interrupt ended the call early
+                write(c)
 
     @staticmethod
     def _assemble(country: CountryRef, outcomes: Sequence[Outcome]) -> AudienceSnapshot | SnapshotIncomplete:

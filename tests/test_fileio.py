@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
+
+import pytest
 
 from admac.fileio import atomic_write_text, read_csv, sha256_file, standard_metadata, write_csv, write_json
 
@@ -24,6 +28,26 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write_text(path, "two")
     assert path.read_text() == "two"
     assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
+
+
+def test_atomic_write_creates_missing_parents_and_writes_text_byte_exact(tmp_path):
+    path = tmp_path / "a" / "b" / "out.txt"
+    text = "first\r\nGröße ≥ 5 — ✓\nlast"
+    atomic_write_text(path, text)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_atomic_write_gives_the_mode_open_would(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "atomic.txt", "x")
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8") as handle:
+            handle.write("x")
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE((tmp_path / "atomic.txt").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode) == 0o666 & ~umask
 
 
 def test_write_json_embeds_metadata(tmp_path):

@@ -24,6 +24,7 @@ from admac.errors import (
     RateLimited,
     SnapshotIncomplete,
 )
+from admac import ingest
 from admac.ingest import (
     AdsApiClient,
     CELL_COLUMNS,
@@ -32,6 +33,7 @@ from admac.ingest import (
     CollectorConfig,
     Mode,
     QueryDescriptor,
+    _CellStore,
     fixture_countries,
     format_timestamp,
     read_cells_csv,
@@ -570,6 +572,102 @@ def test_failed_cache_flush_keeps_the_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
+def test_collect_across_utc_midnight_writes_each_country_to_the_day_it_looked_up(tmp_path):
+    before_midnight = datetime(2024, 6, 2, 23, 59, 59, tzinfo=timezone.utc)
+    readings = []
+
+    def clock():
+        readings.append(None)
+        return before_midnight if len(readings) <= 20 else before_midnight + timedelta(seconds=2)
+
+    config = CollectorConfig(mode=Mode.LIVE, cache_dir=tmp_path / "cache", max_in_flight=1)
+    collector = Collector(config, client=StubClient(count=500), clock=clock, sleep=lambda s: None)
+    snapshots = list(collector.collect_snapshots([IT, CountryRef(iso2="NG")]))
+    assert all(isinstance(s, AudienceSnapshot) and s.is_complete() for s in snapshots)
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["IT_2024-06-02.csv", "NG_2024-06-02.csv"]
+    for path in (tmp_path / "cache").iterdir():
+        assert [c.key for c in read_cells_csv(path)] == list(CELL_KEYS)
+
+
+def test_partly_cached_collect_across_utc_midnight_answers_hits_for_the_day_it_looked_up(tmp_path):
+    before_midnight = datetime(2024, 6, 2, 23, 59, 59, tzinfo=timezone.utc)
+    readings = []
+
+    def clock():
+        readings.append(None)
+        return before_midnight if len(readings) == 1 else before_midnight + timedelta(seconds=2)
+
+    seeded, _ = live_collector(tmp_path, StubClient(count=500))
+    seeded.collect_snapshot(IT)
+    path = tmp_path / "cache" / "IT_2024-06-02.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-3]), encoding="utf-8")  # the last 3 cells are missing
+    client = StubClient(count=500)
+    config = CollectorConfig(mode=Mode.LIVE, cache_dir=tmp_path / "cache")
+    collector = Collector(config, client=client, clock=clock, sleep=lambda s: None)
+    assert collector.collect_snapshot(IT).is_complete()
+    assert len(client.calls) == 3
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
+    assert [c.key for c in read_cells_csv(path)] == list(CELL_KEYS)
+
+
+def test_concurrent_fetch_cell_misses_of_one_country_keep_every_cell(tmp_path, monkeypatch):
+    original = ingest.write_cells_csv
+
+    def write_cells_csv(path, cells):
+        cells = list(cells)
+        time.sleep(0.001 * (len(CELL_KEYS) - len(cells)))  # an older merge lands later
+        original(path, cells)
+
+    monkeypatch.setattr(ingest, "write_cells_csv", write_cells_csv)
+    client = StubClient(count=500)
+    client.delay = 0.005
+    collector, _ = live_collector(tmp_path, client)
+    queries = collector.build_queries(IT)
+    threads = [threading.Thread(target=collector.fetch_cell, args=(q,)) for q in queries]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(client.calls) == 28
+    assert [c.key for c in read_cells_csv(cache_file(tmp_path, "IT"))] == list(CELL_KEYS)
+    again = StubClient(count=500)
+    live_collector(tmp_path, again)[0].collect_snapshot(IT)
+    assert again.calls == []
+
+
+def test_country_whose_misses_all_fail_gets_no_cache_write(tmp_path):
+    queries = live_collector(tmp_path, StubClient())[0].build_queries(IT)
+    failing = lambda: StubClient(fail_plan={q.canonical(): [MalformedResponse("bad")] for q in queries})
+    (result,) = live_collector(tmp_path, failing())[0].collect_snapshots([IT])
+    assert isinstance(result, SnapshotIncomplete)
+    assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+    live_collector(tmp_path, StubClient(count=500))[0].collect_snapshot(IT)
+    path = cache_file(tmp_path, "IT")
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-3]), encoding="utf-8")
+    before = path.stat().st_ino, path.read_bytes()
+    (result,) = live_collector(tmp_path, failing())[0].collect_snapshots([IT])
+    assert isinstance(result, SnapshotIncomplete) and len(result.cells) == 25
+    assert (path.stat().st_ino, path.read_bytes()) == before
+
+
+def test_cold_collect_reads_the_store_once_per_country_and_sends_each_query_once(tmp_path, monkeypatch):
+    reads = []
+    original = _CellStore.cells
+
+    def cells(store, iso2, day=None):
+        reads.append(iso2)
+        return original(store, iso2, day)
+
+    monkeypatch.setattr(_CellStore, "cells", cells)
+    client = StubClient(count=500)
+    collector, _ = live_collector(tmp_path, client)
+    assert all(s.is_complete() for s in collector.collect_snapshots(FIVE))
+    assert reads == [c.iso2 for c in FIVE]
+    assert sorted(client.calls) == sorted(q.canonical() for c in FIVE for q in collector.build_queries(c))
+
+
 def test_excluded_country_fails_before_any_request(tmp_path):
     client = StubClient()
     collector, _ = live_collector(tmp_path, client)
@@ -635,6 +733,24 @@ def test_bad_cache_line_with_a_line_break_still_raises(tmp_path):
             fresh.collect_snapshot(IT)
         assert caught.value.line == i + 1
         assert client.calls == []
+
+
+def test_non_utf8_cache_file_is_refetched_and_rewritten_whole(tmp_path, caplog):
+    collector, _ = live_collector(tmp_path, StubClient(count=500))
+    collector.collect_snapshot(IT)
+    path = cache_file(tmp_path, "IT")
+    with path.open("ab") as handle:
+        handle.write(b"\xff")
+    client = StubClient(count=500)
+    fresh, _ = live_collector(tmp_path, client)
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+        assert fresh.collect_snapshot(IT).is_complete()
+    assert len(client.calls) == 28
+    assert any(str(path) in r.getMessage() and "UTF-8" in r.getMessage() for r in caplog.records)
+    assert [c.key for c in read_cells_csv(path)] == list(CELL_KEYS)
+    again = StubClient(count=500)
+    live_collector(tmp_path, again)[0].collect_snapshot(IT)
+    assert again.calls == []
 
 
 def test_torn_last_fixture_line_still_raises(fixture_dir):
@@ -703,7 +819,10 @@ def test_client_maps_statuses(status, exc):
 
 
 def test_client_rejects_bad_payloads():
-    for payload in ({"weird": 1}, {"audience_size": "soon"}, ValueError("not json"), {"audience_size": -4}):
+    for payload in (
+        {"weird": 1}, {"audience_size": "soon"}, ValueError("not json"), {"audience_size": -4},
+        {"audience_size": "12"}, {"audience_size": True}, {"audience_size": 12.7},
+    ):
         client = AdsApiClient(token="tok", session=FakeSession(FakeResponse(200, payload)))
         with pytest.raises(MalformedResponse):
             client.reach_estimate(_query())
