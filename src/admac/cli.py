@@ -17,7 +17,8 @@ from pathlib import Path
 
 from ._version import __version__
 from .domain import Sex
-from .errors import AdmacError, ConfigError
+from .errors import AdmacError, ConfigError, ParseError
+from .fileio import decode_utf8
 from .indicators import LowerBoundPolicy
 from .ingest import Mode
 from .pipeline import (
@@ -87,8 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
 def read_config_file(path: Path) -> dict[str, str]:
     if not path.exists():
         raise ConfigError(f"config file {path} not found")
+    try:
+        text = decode_utf8(path, path.read_bytes())
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from exc
     values: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -17,8 +17,6 @@ from enum import Enum
 
 logger = logging.getLogger(__name__)
 
-AGE_LOWER = 15
-AGE_UPPER = 49
 GROUP_WIDTH = 5
 AGE_GROUP_LOWERS = (15, 20, 25, 30, 35, 40, 45)
 N_AGE_GROUPS = len(AGE_GROUP_LOWERS)
@@ -135,12 +133,12 @@ class AudienceSnapshot:
     A complete snapshot holds 7 age groups x 2 sexes x 2 filters = 28 cells.
     Partial snapshots are representable (collection can fail per cell); use
     :meth:`is_complete` / :meth:`is_complete_for` before deriving indicators.
-    Snapshots compare equal when country, cells and collected_at are equal.
+    Snapshots compare equal when country and cells are equal.
     """
 
-    __slots__ = ("country", "cells", "collected_at", "_by_key")
+    __slots__ = ("country", "cells", "_by_key")
 
-    def __init__(self, country: CountryRef, cells: tuple[AudienceCell, ...], collected_at: datetime) -> None:
+    def __init__(self, country: CountryRef, cells: tuple[AudienceCell, ...]) -> None:
         by_key = {}
         for cell in cells:
             if cell.country.iso2 != country.iso2:
@@ -148,7 +146,7 @@ class AudienceSnapshot:
             if cell.key in by_key:
                 raise ValueError(f"duplicate cell {cell.key} in snapshot for {country.iso2}")
             by_key[cell.key] = cell
-        for name, value in zip(self.__slots__, (country, cells, collected_at, by_key)):
+        for name, value in zip(self.__slots__, (country, cells, by_key)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value=None) -> None:
@@ -157,7 +155,7 @@ class AudienceSnapshot:
     __delattr__ = __setattr__
 
     def _values(self) -> tuple:
-        return (self.country, self.cells, self.collected_at)
+        return (self.country, self.cells)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AudienceSnapshot):

@@ -57,13 +57,9 @@ class SnapshotIncomplete(AdmacError):
 class ParseError(AdmacError):
     """Input file is structurally unreadable (bad header, encoding, ...)."""
 
-    def __init__(self, message: str, line: int | None = None, column: str | None = None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", column {column})" if column else ")")
-        super().__init__(message + loc)
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.line = line
-        self.column = column
 
 
 # --- stats -------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Every artifact the pipeline writes starts with `# key=value` comment lines
 (tool version, seed, input digests) followed by a regular CSV header or a
-JSON document with a "metadata" member. Readers here skip those comments,
-so stage outputs can be fed back in as stage inputs.
+JSON document with a "metadata" member. `read_table` is the one reader of
+every CSV input file, stage artifacts and the bundled data alike.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ._version import __version__
+from .errors import ParseError
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -81,36 +82,63 @@ def write_csv(
     atomic_write_text(path, buf.getvalue())
 
 
-def read_csv(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Counterpart of write_csv; returns (metadata, header, rows)."""
-    meta, header, numbered = read_csv_numbered(path)
-    return meta, header, [row for _, row in numbered]
+def decode_utf8(path: str | Path, data: bytes) -> str:
+    """`data` as text; bytes that are not UTF-8 raise ParseError naming `path` and the line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path} is not valid UTF-8: {exc}", line=line) from exc
 
 
-def read_csv_numbered(path: str | Path) -> tuple[dict[str, str], list[str], list[tuple[int, list[str]]]]:
-    """read_csv, with each data row paired with its 1-based line number in the file."""
+def read_table(
+    path: str | Path, columns: list[str] | None = None, *, data: bytes | None = None
+) -> tuple[dict[str, str], list[str], list[tuple[int, list[str]]], bool]:
+    """The one reader of CSV input files: (metadata, header, rows, torn_tail).
+
+    `data` is the file's bytes when the caller has already read them.
+    `# key=value` lines fill the metadata; other `#` lines and blank lines
+    are skipped. Each data row comes with its 1-based line number in the
+    file. With `columns`, the header must equal them once stripped and
+    lower-cased. `torn_tail` is true when the last data row ends the file
+    without a line break, as a write cut short leaves it. Bytes that are
+    not UTF-8, a row the csv module rejects, and (with `columns`) an empty
+    file or a wrong header raise ParseError.
+    """
+    if data is None:
+        data = Path(path).read_bytes()
     meta: dict[str, str] = {}
-    data_lines: list[str] = []
-    line_numbers: list[int] = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    meta[key.strip()] = value.strip()
-                continue
-            data_lines.append(line)
-            line_numbers.append(lineno)
-    reader = csv.reader(data_lines)
+    kept: list[tuple[int, str]] = []
+    for lineno, line in enumerate(io.StringIO(decode_utf8(path, data), newline=""), start=1):
+        if line.startswith("#"):
+            key, eq, value = line[1:].partition("=")
+            if eq:
+                meta[key.strip()] = value.strip()
+        elif line.strip():
+            kept.append((lineno, line))
+    reader = csv.reader(line for _, line in kept)
     rows: list[tuple[int, list[str]]] = []
     consumed = 0
-    for row in reader:
-        rows.append((line_numbers[consumed], row))
-        consumed = reader.line_num  # a quoted field may span several lines
-    if not rows:
-        return meta, [], []
-    return meta, rows[0][1], rows[1:]
+    try:
+        for row in reader:
+            rows.append((kept[consumed][0], row))
+            consumed = reader.line_num  # a quoted field may span several lines
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}", line=kept[reader.line_num - 1][0]) from exc
+    header = rows[0][1] if rows else []
+    if columns is not None:
+        if not rows:
+            raise ParseError(f"{path} has no header row; expected {','.join(columns)}", line=1)
+        if [h.strip().lower() for h in header] != columns:
+            raise ParseError(f"{path} has header {header!r}; expected {columns}", line=rows[0][0])
+    torn_tail = len(rows) > 1 and not kept[-1][1].endswith(("\n", "\r"))
+    return meta, header, rows[1:], torn_tail
+
+
+def read_csv(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
+    """Counterpart of write_csv; returns (metadata, header, rows)."""
+    meta, header, rows, _ = read_table(path)
+    return meta, header, [row for _, row in rows]
 
 
 def write_json(path: str | Path, meta: dict[str, str], payload: dict) -> None:

@@ -3,14 +3,13 @@ produces validation pairs."""
 
 from __future__ import annotations
 
-import csv
 import logging
 import re
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .domain import Continent, CountryRef, Sex
-from .errors import ParseError
+from .fileio import read_table
 
 logger = logging.getLogger(__name__)
 
@@ -44,29 +43,11 @@ class JoinResult(NamedTuple):
     unmatched_truth: list[GroundTruthRecord]
 
 
-def _open_csv(path: Path, expected_header: list[str]):
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
-        raise ParseError(f"{path} is empty; expected header {','.join(expected_header)}", line=1)
-    header = [h.strip().lower() for h in rows[0]]
-    if header != expected_header:
-        raise ParseError(
-            f"{path} has header {rows[0]!r}; expected {expected_header}", line=1
-        )
-    return rows[1:]
-
-
-def load_continent_map(path: str | Path) -> dict[str, Continent]:
+def load_continent_map(path: str | Path, *, data: bytes | None = None) -> dict[str, Continent]:
     """Bundled-style `iso2,continent` CSV into a lookup dict."""
-    path = Path(path)
+    _, _, rows, _ = read_table(path, CONTINENT_COLUMNS, data=data)
     mapping: dict[str, Continent] = {}
-    for lineno, row in enumerate(_open_csv(path, CONTINENT_COLUMNS), start=2):
-        if not row or all(not f.strip() for f in row):
-            continue
+    for lineno, row in rows:
         if len(row) != 2:
             logger.warning("%s:%d: expected 2 fields, got %d; skipped", path, lineno, len(row))
             continue
@@ -81,6 +62,8 @@ def load_continent_map(path: str | Path) -> dict[str, Continent]:
 def load_ground_truth(
     path: str | Path,
     continent_map: dict[str, Continent] | None = None,
+    *,
+    data: bytes | None = None,
 ) -> list[GroundTruthRecord]:
     """Load `iso2,sex,mac,period` reference rows.
 
@@ -88,12 +71,10 @@ def load_ground_truth(
     out-of-range MAC, bad iso2) are reported with their line number and
     skipped; a structurally broken file raises ParseError.
     """
-    path = Path(path)
     continent_map = continent_map or {}
+    _, _, rows, _ = read_table(path, TRUTH_COLUMNS, data=data)
     records: list[GroundTruthRecord] = []
-    for lineno, row in enumerate(_open_csv(path, TRUTH_COLUMNS), start=2):
-        if not row or all(not f.strip() for f in row):
-            continue
+    for lineno, row in rows:
         if len(row) != 4:
             logger.warning("%s:%d: expected 4 fields, got %d; skipped", path, lineno, len(row))
             continue

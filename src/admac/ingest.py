@@ -15,7 +15,6 @@ file from those slots, once and atomically.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import logging
 import os
@@ -51,7 +50,7 @@ from .errors import (
     RateLimited,
     SnapshotIncomplete,
 )
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_table
 
 logger = logging.getLogger(__name__)
 
@@ -79,7 +78,7 @@ class Mode(str, Enum):
 
 
 class QueryDescriptor(namedtuple("QueryDescriptor", "country_iso2 sex age_min age_max parent_filter")):
-    """One reach query; its canonical serialization doubles as a cache key."""
+    """One reach query."""
 
     __slots__ = ()
 
@@ -109,9 +108,6 @@ class QueryDescriptor(namedtuple("QueryDescriptor", "country_iso2 sex age_min ag
             f"&age_min={self.age_min}&age_max={self.age_max}"
             f"&parent_filter={self.parent_filter.value}"
         )
-
-    def cache_key(self, day: date) -> str:
-        return f"{self.canonical()}&date={day.isoformat()}"
 
 
 class CollectorConfig(
@@ -219,40 +215,24 @@ def read_cells_csv(
     drop_torn_tail: bool = False,
     data: bytes | None = None,
 ) -> list[AudienceCell]:
-    """The cells of a cell CSV in file order; comment and blank lines are skipped.
+    """The cells of a cell CSV in file order, read with `fileio.read_table`.
 
-    `data` is the file's bytes when the caller has already read them.
-    Bytes that are not UTF-8, or a malformed row, raise ParseError with the
-    file line. With `drop_torn_tail`, a last line that has no line break and
-    does not parse, as a write cut short leaves it, is dropped with a
-    warning instead. Cells of one country share one CountryRef (`country`,
-    when its code matches).
+    `data` is the file's bytes when the caller has already read them. A
+    malformed row raises ParseError with its file line. With
+    `drop_torn_tail`, a last line that has no line break and does not
+    parse, as a write cut short leaves it, is dropped with a warning
+    instead. Cells of one country share one CountryRef (`country`, when
+    its code matches).
     """
-    path = Path(path)
-    if data is None:
-        data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path} is not valid UTF-8: {exc}", line=line) from exc
-    lines = text.splitlines()
-    numbers = [n for n, line in enumerate(lines, start=1) if line.strip() and not line.startswith("#")]
-    reader = csv.reader([lines[n - 1] for n in numbers])
-    header = next(reader, None)
-    if header is None:
-        raise ParseError(f"{path} has no header row", line=1)
-    if [h.strip().lower() for h in header] != CELL_COLUMNS:
-        raise ParseError(f"{path} has header {header!r}; expected {CELL_COLUMNS}", line=numbers[0])
+    _, _, rows, torn_tail = read_table(path, CELL_COLUMNS, data=data)
     cells = []
-    for row in reader:
+    for lineno, row in rows:
         try:
             if len(row) != len(CELL_COLUMNS):
                 raise ValueError(f"expected {len(CELL_COLUMNS)} fields")
             cell = _row_to_cell(row, country)
         except ValueError as exc:
-            lineno = numbers[reader.line_num - 1]
-            if drop_torn_tail and lineno == len(lines) and not text.endswith(("\n", "\r")):
+            if drop_torn_tail and torn_tail and lineno == rows[-1][0]:
                 logger.warning("%s: dropped torn last line %d (%s)", path, lineno, exc)
                 break
             raise ParseError(f"{path}: {exc}", line=lineno) from exc
@@ -643,8 +623,4 @@ class Collector:
                 cells=cells,
                 missing=[_query(country.iso2, key) for key, _ in failures],
             )
-        return AudienceSnapshot(
-            country=country,
-            cells=tuple(cells),
-            collected_at=max(c.collected_at for c in cells),
-        )
+        return AudienceSnapshot(country=country, cells=tuple(cells))

@@ -29,7 +29,7 @@ from .errors import (
     SnapshotIncomplete,
     TooFewPoints,
 )
-from .fileio import read_csv_numbered, sha256_file, standard_metadata, write_csv, write_json
+from .fileio import decode_utf8, read_table, standard_metadata, write_csv, write_json
 from .groundtruth import GroundTruthRecord, load_continent_map, load_ground_truth, join_pairs
 from .indicators import (
     IneligibilityReason,
@@ -211,30 +211,12 @@ def stage_collect(
 # estimate
 # --------------------------------------------------------------------------
 
-def _snapshots_digest(cfg: RunConfig, collected: Collected) -> tuple[list[Path], str]:
-    if not cfg.snapshots_dir.is_dir():
-        raise MissingStageInput(f"{cfg.snapshots_dir} not found; run `collect` first")
-    paths = sorted(cfg.snapshots_dir.glob("*.csv"))
-    if not paths:
-        raise MissingStageInput(f"no snapshots under {cfg.snapshots_dir}; run `collect` first")
-    combined = hashlib.sha256()
-    for path in paths:
-        combined.update(path.name.encode())
-        held = collected.get(path)
-        combined.update(bytes.fromhex(held[0] if held else sha256_file(path)))
-    return paths, combined.hexdigest()
-
-
 def _snapshot(path: Path, country: CountryRef, cells) -> AudienceSnapshot | None:
     """The snapshot of a file's cells, or None when it has none."""
     if not cells:
         return None
     try:
-        return AudienceSnapshot(
-            country=country,
-            cells=tuple(cells),
-            collected_at=max(c.collected_at for c in cells),
-        )
+        return AudienceSnapshot(country=country, cells=tuple(cells))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -243,22 +225,31 @@ def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> Path:
     """MAC estimates (or ineligibility reasons) for every collected country.
 
     Every file under snapshots/ is estimated; one recorded in `collected`
-    (by `stage_collect` in this process) is taken from memory instead of
-    being read and hashed again.
+    (by `stage_collect` in this process) is taken from memory, any other
+    is read once, both to hash and to parse.
     """
     collected = collected or {}
-    paths, digest = _snapshots_digest(cfg, collected)
+    if not cfg.snapshots_dir.is_dir():
+        raise MissingStageInput(f"{cfg.snapshots_dir} not found; run `collect` first")
+    paths = sorted(cfg.snapshots_dir.glob("*.csv"))
+    if not paths:
+        raise MissingStageInput(f"no snapshots under {cfg.snapshots_dir}; run `collect` first")
+    combined = hashlib.sha256()
     rows: list[list[str]] = []
     for path in paths:
         iso2 = path.stem.upper()
         country = CountryRef(iso2=iso2)
         held = collected.get(path)
         if held is None:
-            snapshot = _snapshot(path, country, read_cells_csv(path, country))
+            data = path.read_bytes()
+            digest = hashlib.sha256(data).hexdigest()
+            snapshot = _snapshot(path, country, read_cells_csv(path, country, data=data))
         elif isinstance(held[1], AudienceSnapshot):
-            snapshot = held[1]
+            digest, snapshot = held
         else:
-            snapshot = _snapshot(path, country, held[1].cells)
+            digest, snapshot = held[0], _snapshot(path, country, held[1].cells)
+        combined.update(path.name.encode())
+        combined.update(bytes.fromhex(digest))
         for sex in cfg.sexes:
             if snapshot is None:
                 est = MacEstimate(
@@ -276,22 +267,15 @@ def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> Path:
                     "" if est.ineligibility_reason is None else est.ineligibility_reason.value,
                 ]
             )
-    meta = standard_metadata(seed=cfg.seed, inputs={"snapshots": digest})
+    meta = standard_metadata(seed=cfg.seed, inputs={"snapshots": combined.hexdigest()})
     meta["lower_bound_policy"] = cfg.lower_bound_policy.value
     write_csv(cfg.estimates_path, meta, ESTIMATE_COLUMNS, rows)
     return cfg.estimates_path
 
 
-def load_estimates(path: Path) -> list[MacEstimate]:
+def load_estimates(path: Path, *, data: bytes | None = None) -> list[MacEstimate]:
     """Read estimates.csv back; a malformed row raises ParseError with its line."""
-    if not Path(path).exists():
-        raise MissingStageInput(f"{path} not found; run `estimate` first")
-    try:
-        _, header, rows = read_csv_numbered(path)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
-    if header != ESTIMATE_COLUMNS:
-        raise MissingStageInput(f"{path} is not an estimates file (header {header!r})")
+    _, _, rows, _ = read_table(path, ESTIMATE_COLUMNS, data=data)
     estimates = []
     for lineno, row in rows:
         if len(row) != len(ESTIMATE_COLUMNS):
@@ -320,27 +304,31 @@ def load_estimates(path: Path) -> list[MacEstimate]:
 # validate
 # --------------------------------------------------------------------------
 
-def _stage_inputs(cfg: RunConfig) -> dict[str, str]:
-    if not cfg.estimates_path.exists():
-        raise MissingStageInput(f"{cfg.estimates_path} not found; run `estimate` first")
-    for path, what in ((cfg.truth_path, "ground truth"), (cfg.continent_map_path, "continent map")):
-        if not Path(path).exists():
-            raise MissingStageInput(f"{what} file {path} not found")
-    return {
-        "estimates": sha256_file(cfg.estimates_path),
-        "truth": sha256_file(cfg.truth_path),
-        "continents": sha256_file(cfg.continent_map_path),
-    }
+def _read_input(path: Path, missing: str) -> tuple[bytes, str]:
+    """A stage input's bytes and their SHA-256 hex digest; MissingStageInput(`missing`) when absent."""
+    if not path.exists():
+        raise MissingStageInput(missing)
+    data = path.read_bytes()
+    return data, hashlib.sha256(data).hexdigest()
 
 
 def _load_stage_data(
     cfg: RunConfig,
-) -> tuple[dict[str, Continent], list[MacEstimate], list[GroundTruthRecord]]:
-    """The continent map, estimates and truth table, each read once per stage."""
-    continent_map = load_continent_map(cfg.continent_map_path)
-    estimates = load_estimates(cfg.estimates_path)
-    truth = load_ground_truth(cfg.truth_path, continent_map)
-    return continent_map, estimates, truth
+) -> tuple[dict[str, str], dict[str, Continent], list[MacEstimate], list[GroundTruthRecord]]:
+    """The digests of the estimates, truth table and continent map, and their
+    contents: each file is read once per stage, to hash and to parse."""
+    inputs: dict[str, str] = {}
+    estimates_data, inputs["estimates"] = _read_input(
+        cfg.estimates_path, f"{cfg.estimates_path} not found; run `estimate` first"
+    )
+    truth_data, inputs["truth"] = _read_input(cfg.truth_path, f"ground truth file {cfg.truth_path} not found")
+    continents_data, inputs["continents"] = _read_input(
+        cfg.continent_map_path, f"continent map file {cfg.continent_map_path} not found"
+    )
+    continent_map = load_continent_map(cfg.continent_map_path, data=continents_data)
+    estimates = load_estimates(cfg.estimates_path, data=estimates_data)
+    truth = load_ground_truth(cfg.truth_path, continent_map, data=truth_data)
+    return inputs, continent_map, estimates, truth
 
 
 def _pairs_for_sex(
@@ -382,8 +370,7 @@ def _write_metrics(path: Path, meta: dict[str, str], direct: GroupedMetrics, cv:
 
 def stage_validate(cfg: RunConfig) -> list[Path]:
     """Spearman/MAPE of platform vs truth, direct and under LOOCV, by continent."""
-    inputs = _stage_inputs(cfg)
-    continent_map, estimates, truth = _load_stage_data(cfg)
+    inputs, continent_map, estimates, truth = _load_stage_data(cfg)
     written = []
     for sex in cfg.sexes:
         join = _pairs_for_sex(sex, continent_map, estimates, truth)
@@ -437,8 +424,7 @@ def _model_payload(model: CalibrationModel) -> dict:
 def stage_calibrate(cfg: RunConfig) -> list[Path]:
     """Fit mac_truth = b0 + b1 * mac_fb per sex; report inference and the
     seeded random-split out-of-sample exercise."""
-    inputs = _stage_inputs(cfg)
-    continent_map, estimates, truth = _load_stage_data(cfg)
+    inputs, continent_map, estimates, truth = _load_stage_data(cfg)
     written = []
     for sex in cfg.sexes:
         join = _pairs_for_sex(sex, continent_map, estimates, truth)
@@ -502,17 +488,12 @@ def _model_field(name: str, kind, value):
     raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
-def load_model(path: Path) -> CalibrationModel:
-    """Read model_<sex>.json back; a malformed file raises ParseError."""
-    if not Path(path).exists():
-        raise MissingStageInput(f"{path} not found; run `calibrate` first")
+def load_model(path: Path, data: bytes) -> CalibrationModel:
+    """Read model_<sex>.json back from its bytes; a malformed file raises ParseError."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
+        document = json.loads(decode_utf8(path, data))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc.msg}", line=exc.lineno) from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
     try:
         m = document["model"]
         return CalibrationModel(**{name: _model_field(name, kind, m[name]) for name, kind in _MODEL_FIELDS})
@@ -528,15 +509,16 @@ def load_model(path: Path) -> CalibrationModel:
 
 def stage_predict(cfg: RunConfig) -> list[Path]:
     """Fill the gaps: predicted MAC for eligible countries without truth."""
-    inputs = _stage_inputs(cfg)
-    _, estimates, truth = _load_stage_data(cfg)
+    inputs, _, estimates, truth = _load_stage_data(cfg)
 
     all_rows = []
     by_sex = {}
     for sex in cfg.sexes:
         model_file = cfg.model_path(sex)
-        model = load_model(model_file)
-        inputs[f"model_{sex.value}"] = sha256_file(model_file)
+        data, inputs[f"model_{sex.value}"] = _read_input(
+            model_file, f"{model_file} not found; run `calibrate` first"
+        )
+        model = load_model(model_file, data)
         sex_estimates = [e for e in estimates if e.sex == sex]
         sex_truth = [t for t in truth if t.sex == sex]
         predictions = predict_missing(model, sex_estimates, sex_truth)

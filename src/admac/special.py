@@ -115,17 +115,6 @@ def t_two_sided_p(t: float, df: float) -> float:
     return 0.0 if p < P_FLOOR else p
 
 
-def f_cdf(f: float, d1: float, d2: float) -> float:
-    """F distribution function P(F <= f) with (d1, d2) degrees of freedom."""
-    if d1 <= 0 or d2 <= 0:
-        raise DomainError(f"f_cdf requires d1, d2 > 0, got ({d1}, {d2})")
-    if f < 0:
-        raise DomainError(f"f_cdf requires f >= 0, got {f}")
-    if math.isinf(f):
-        return 1.0
-    return betainc(0.5 * d1, 0.5 * d2, d1 * f / (d1 * f + d2))
-
-
 def f_sf(f: float, d1: float, d2: float) -> float:
     """Upper tail P(F >= f), evaluated directly for accuracy in the far tail."""
     if d1 <= 0 or d2 <= 0:

@@ -179,12 +179,6 @@ class CalibrationModel(NamedTuple):
         return center - half, center + half
 
 
-def _two_sided_p_from_t(t: float, df: int) -> float:
-    if math.isinf(t):
-        return 0.0
-    return special.t_two_sided_p(t, df)
-
-
 def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float, float, float]:
     """The least-squares line of y on x via the centered-moment formulas,
     with ols_fit_xy's input checks: (intercept, slope, x mean, y mean, s_xx).
@@ -250,9 +244,9 @@ def ols_fit_xy(xs: Sequence[float], ys: Sequence[float]) -> CalibrationModel:
         df_model=1,
         df_resid=df_resid,
         n=n,
-        p_slope=_two_sided_p_from_t(t_slope, df_resid),
-        p_intercept=_two_sided_p_from_t(t_intercept, df_resid),
-        p_f=0.0 if math.isinf(f_stat) else special.f_sf(f_stat, 1, df_resid),
+        p_slope=special.t_two_sided_p(t_slope, df_resid),
+        p_intercept=special.t_two_sided_p(t_intercept, df_resid),
+        p_f=special.f_sf(f_stat, 1, df_resid),
         residuals=residuals,
         x_mean=mx,
         s_xx=sxx,

@@ -47,7 +47,7 @@ def make_snapshot(
         for group, total, parent in zip(age_grid(), totals, parents):
             cells.append(make_cell(iso2, sex, group, ParentFilter.ALL, total))
             cells.append(make_cell(iso2, sex, group, ParentFilter.PARENTS_0_12M, parent))
-    return AudienceSnapshot(country=CountryRef(iso2=iso2), cells=tuple(cells), collected_at=TS)
+    return AudienceSnapshot(country=CountryRef(iso2=iso2), cells=tuple(cells))
 
 
 def write_fixture(fixture_dir: Path, iso2: str, rows) -> Path:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -381,14 +382,109 @@ def test_non_utf8_cell_file_reports_parse_error(tmp_path, capsys, damaged):
     assert str(bad) in report["message"] and "UTF-8" in report["message"]
 
 
+def _patch_everywhere(monkeypatch, original, replacement) -> None:
+    """Rebind every admac module-level name that refers to `original`."""
+    for name, module in list(sys.modules.items()):
+        if name == "admac" or name.startswith("admac."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def test_fixture_collect_hashes_the_bytes_it_read(tmp_path, monkeypatch):
     from admac import pipeline
 
     hashed = []
-    monkeypatch.setattr(pipeline, "sha256_file", hashed.append)
+    _patch_everywhere(monkeypatch, sha256_file, hashed.append)
     cfg = pipeline.RunConfig(output_dir=tmp_path / "out", countries=("FR", "IT"))
     pipeline.stage_collect(cfg)
     assert hashed == []
     for iso2 in ("FR", "IT"):
         digest = sha256_file(cfg.fixture_dir / f"{iso2}.csv")
         assert f"# input_fixture_{iso2}={digest}\n" in (cfg.snapshots_dir / f"{iso2}.csv").read_text()
+
+
+def test_stages_hash_the_bytes_they_parsed(tmp_path, monkeypatch):
+    from admac import pipeline
+
+    cfg = pipeline.RunConfig(output_dir=tmp_path / "out", seed=42)
+    pipeline.stage_collect(cfg)
+
+    def second_read(path):
+        raise AssertionError(f"{path} read a second time to hash it")
+
+    _patch_everywhere(monkeypatch, sha256_file, second_read)
+    written = [pipeline.stage_estimate(cfg)]
+    written += pipeline.stage_validate(cfg) + pipeline.stage_calibrate(cfg) + pipeline.stage_predict(cfg)
+    assert len(written) == 7  # estimates, two metrics, two models, predictions and the map
+    snapshots = hashlib.sha256()
+    for path in sorted(cfg.snapshots_dir.glob("*.csv")):
+        snapshots.update(path.name.encode() + hashlib.sha256(path.read_bytes()).digest())
+    sources = {
+        "estimates": cfg.estimates_path,
+        "truth": cfg.truth_path,
+        "continents": cfg.continent_map_path,
+        "model_female": cfg.model_path(admac.Sex.FEMALE),
+        "model_male": cfg.model_path(admac.Sex.MALE),
+    }
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in sources.items()}
+    digests["snapshots"] = snapshots.hexdigest()
+    for path in written:
+        if path.suffix == ".csv":
+            meta = read_csv(path)[0]
+        else:
+            meta = json.loads(path.read_text(encoding="utf-8"))["metadata"]
+        stamped = {key[len("input_"):]: value for key, value in meta.items() if key.startswith("input_")}
+        assert stamped and all(digests[name] == digest for name, digest in stamped.items()), path
+
+
+def test_non_utf8_config_file_reports_config_error(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_bytes(b"seed=1\n\xff\n")
+    assert run_cli("all", "--config", config, "--out", tmp_path / "out") == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "ConfigError"
+    assert str(config) in report["message"] and "(line 2)" in report["message"]
+    assert not (tmp_path / "out").exists()
+
+
+# SHA-256 of the demo artifacts of `admac all --seed 42` that involve no libm
+# special function; the models, predictions and map carry p-values and
+# t quantiles, whose last bits may differ between C libraries.
+DEMO_SEED_42_DIGESTS = {
+    "snapshots/AR.csv": "83bca4226239930db844307afc9c48f229ee917f9a1b9f75e425ffe25fdf3426",
+    "snapshots/AU.csv": "558f711e2e37847409eae95f4b083eed90391e1d1009e0404b7b156fd9dbb6a9",
+    "snapshots/BR.csv": "fbecb7fbaafe6011d2a45d8ee5689f6dec665a5dc40946128feb2105939faeec",
+    "snapshots/CA.csv": "44fea86d91bf011a3a8213a0c876b1a7b91dbe1b5017540bf45a50add4582fbe",
+    "snapshots/CL.csv": "91fd9c8e0819fbf98114cbb85d2ddb5c12d2c2c4bdc6b0ccf76baa603582f254",
+    "snapshots/CO.csv": "f9d06bf8ff5c1b5bd3bd3ff8026285b87e3a5ff6dcb3bf83158ab524fd016192",
+    "snapshots/DE.csv": "ca84a336e1f4d5e2da71eafc42468a4b5fc5ad6d311b0e078e187584667cedf0",
+    "snapshots/EG.csv": "eeb4d6cef83f1eae8d8a4c198d7673590f36be5a0e7772bbfaadc6696aa539c3",
+    "snapshots/ES.csv": "c46c3cb6828cc695764fa3762bee181545b4b3509a4b74bc62dc8ace11b02fad",
+    "snapshots/FR.csv": "d8d8f01977d1f1adcb1711fab4aa09d5309b85ed2a56243b72b456ecdc6d9443",
+    "snapshots/IN.csv": "141ada3d529c929c5aa8c12b94bf7769fa14b812f80750f8767c8260bd099037",
+    "snapshots/IT.csv": "b8ae962a1317463bf499da85b2757b12057ffdbcd4a0006390db8c0c490ddf58",
+    "snapshots/JP.csv": "1feff58132fca00ba60c76863c8f489bc6d42addd60d3f326b9f4c8acc8e5826",
+    "snapshots/KE.csv": "da3d75bdf4ab594c0762b3cb9e24e11f88298dad0e2e3abe5eb3d897526acfa7",
+    "snapshots/MX.csv": "11eac9fb5638a87531376c921fd994793aa9decabebe73344f6809b5871985af",
+    "snapshots/NG.csv": "f6f030576bdc86019b4115092c09c2e4694d2033948a0beeabb0d6ecf211ab81",
+    "snapshots/NZ.csv": "7985f331e04e2a32884396e6c5dc79834cb10ede128d64941f0844f8d4bd2dbb",
+    "snapshots/PL.csv": "e0d7bc861e999da92021aac2937cc420dd68e654cb88f4a0ea7341a04518ef60",
+    "snapshots/TR.csv": "0969b2113b2e3184d543c01feabe284d26dcc99a145625b75bcd6634f1247eda",
+    "snapshots/US.csv": "1662c17a08cc0202ecb410f2217b8c76cdea024e641f16ced7a34c0ef4812a7d",
+    "snapshots/ZA.csv": "656a33599de64efc70cd2b7c83b90f021cd26c7eb14875f02b5e2529b5617d95",
+    "estimates.csv": "7e02bd575236c9136e09fb239521c2bb496083adb448dec6a7a1741c0d47bfcc",
+    "metrics_female.csv": "a9b5e7a1de67495f9581edf8891ad7efdd366b06a1c1d59656ecb72e896691cb",
+    "metrics_male.csv": "9d8109b9af7ffc65ebe2c16bb974db5b38d24b04cd0e511d33c84a3b14296ed9",
+}
+
+
+def test_demo_output_is_pinned(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("all", "--seed", 42, "--out", out) == 0
+    pinned = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in outputs_of(out).items()
+        if name.startswith(("snapshots/", "estimates", "metrics_"))
+    }
+    assert pinned == DEMO_SEED_42_DIGESTS

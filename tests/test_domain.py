@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import datetime
 
 import pytest
 
@@ -14,7 +14,7 @@ from admac.domain import (
     Sex,
     age_grid,
 )
-from conftest import TS, make_cell, make_snapshot
+from conftest import make_cell, make_snapshot
 
 
 def test_age_grid_is_the_seven_canonical_groups():
@@ -80,17 +80,13 @@ def test_cell_rejects_negative_count_and_naive_timestamp():
 def test_snapshot_rejects_duplicate_cells():
     cell = make_cell("IT", Sex.FEMALE, AgeGroup(15), ParentFilter.ALL, 100)
     with pytest.raises(ValueError, match="duplicate"):
-        AudienceSnapshot(
-            country=CountryRef(iso2="IT"),
-            cells=(cell, cell),
-            collected_at=datetime(2024, 6, 1, tzinfo=timezone.utc),
-        )
+        AudienceSnapshot(country=CountryRef(iso2="IT"), cells=(cell, cell))
 
 
 def test_snapshot_rejects_foreign_cells():
     cell = make_cell("FR", Sex.FEMALE, AgeGroup(15), ParentFilter.ALL, 100)
     with pytest.raises(ValueError, match="FR"):
-        AudienceSnapshot(country=CountryRef(iso2="IT"), cells=(cell,), collected_at=TS)
+        AudienceSnapshot(country=CountryRef(iso2="IT"), cells=(cell,))
 
 
 def test_complete_snapshot_has_28_cells_and_lookup_works():
@@ -104,9 +100,7 @@ def test_complete_snapshot_has_28_cells_and_lookup_works():
 
 def test_partial_snapshot_reports_incomplete():
     snap = make_snapshot()
-    partial = AudienceSnapshot(
-        country=snap.country, cells=snap.cells[:-1], collected_at=snap.collected_at
-    )
+    partial = AudienceSnapshot(country=snap.country, cells=snap.cells[:-1])
     assert not partial.is_complete_for(Sex.MALE)
     assert partial.is_complete_for(Sex.FEMALE)
 

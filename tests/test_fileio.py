@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
 import stat
 
 import pytest
 
+from admac.errors import ParseError
 from admac.fileio import atomic_write_text, read_csv, sha256_file, standard_metadata, write_csv, write_json
+from admac.groundtruth import load_continent_map, load_ground_truth
+from admac.ingest import read_cells_csv
+from admac.pipeline import load_estimates
 
 
 def test_csv_metadata_roundtrip(tmp_path):
@@ -71,3 +76,66 @@ def test_read_csv_on_empty_file(tmp_path):
     path.write_text("# tool=admac 0.1.0\n")
     meta, header, rows = read_csv(path)
     assert meta and header == [] and rows == []
+
+
+# --- the CSV loaders share one reader ---------------------------------------------
+
+# loader, its columns, and two valid data rows
+CSV_LOADERS = {
+    "cells": (
+        read_cells_csv,
+        ["iso2", "sex", "age_low", "age_high", "parent_filter", "count", "collected_at"],
+        ["IT,female,15,19,all,100,2024-06-01T00:00:00Z",
+         "IT,female,15,19,parent_of_child_0_12m,5,2024-06-01T00:00:00Z"],
+    ),
+    "truth": (load_ground_truth, ["iso2", "sex", "mac", "period"], ["IT,male,35.1,2006-2015", "FR,male,33.9,2006-2015"]),
+    "continents": (load_continent_map, ["iso2", "continent"], ["IT,Europe", "NG,Africa"]),
+    "estimates": (
+        load_estimates,
+        ["iso2", "sex", "mac", "eligible", "reason"],
+        ["IT,female,29.5,true,", "IT,male,,false,lower_bound_cell"],
+    ),
+}
+
+
+def _write_loader_input(tmp_path, text: str | bytes):
+    path = tmp_path / "input.csv"
+    if isinstance(text, str):
+        text = text.encode("utf-8")
+    path.write_bytes(text)
+    return path
+
+
+# a third line that no loader can read: not UTF-8, or a field over the csv module's size limit
+BAD_THIRD_LINES = {"non_utf8": b"\xff\n", "oversized_field": b"x" * (csv.field_size_limit() + 1) + b"\n"}
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_LOADERS))
+@pytest.mark.parametrize(
+    "case",
+    ["non_utf8", "oversized_field", "empty", "wrong_header", "comments_and_blank_lines", "header_case_and_spaces"],
+)
+def test_csv_loader_contract(tmp_path, kind, case):
+    load, columns, (first, second) = CSV_LOADERS[kind]
+    plain = "\n".join([",".join(columns), first, second]) + "\n"
+    if case in BAD_THIRD_LINES:
+        path = _write_loader_input(tmp_path, f"{','.join(columns)}\n{first}\n".encode() + BAD_THIRD_LINES[case])
+        with pytest.raises(ParseError) as caught:
+            load(path)
+        assert caught.value.line == 3
+        assert str(path) in str(caught.value)
+    elif case == "empty":
+        with pytest.raises(ParseError):
+            load(_write_loader_input(tmp_path, ""))
+    elif case == "wrong_header":
+        with pytest.raises(ParseError) as caught:
+            load(_write_loader_input(tmp_path, plain.replace("iso2", "country", 1)))
+        assert caught.value.line == 1
+    else:
+        expected = load(_write_loader_input(tmp_path, plain))
+        assert len(expected) == 2
+        if case == "comments_and_blank_lines":
+            text = f"# tool=admac x\n\n# a note\n{','.join(columns)}\n\n{first}\n# seed=1\n  \n{second}\n\n"
+        else:
+            text = "\n".join([" , ".join(c.upper() for c in columns), first, second]) + "\n"
+        assert load(_write_loader_input(tmp_path, text)) == expected

@@ -62,7 +62,6 @@ def test_schedule_from_incomplete_snapshot_raises():
     partial = AudienceSnapshot(
         country=snap.country,
         cells=tuple(c for c in snap.cells if not (c.sex is Sex.FEMALE and c.age_group.lower == 30)),
-        collected_at=snap.collected_at,
     )
     with pytest.raises(IncompleteSnapshot, match="30-34"):
         schedule_from_snapshot(partial, Sex.FEMALE)
@@ -175,7 +174,6 @@ def test_incomplete_snapshot_reported_as_reason():
     partial = AudienceSnapshot(
         country=snap.country,
         cells=tuple(c for c in snap.cells if not (c.sex is Sex.FEMALE and c.age_group.lower == 45)),
-        collected_at=snap.collected_at,
     )
     est = estimate_country(partial, Sex.FEMALE)
     assert not est.eligible
@@ -187,7 +185,6 @@ def test_lower_bound_check_runs_before_completeness():
     partial = AudienceSnapshot(
         country=snap.country,
         cells=tuple(c for c in snap.cells if not (c.sex is Sex.FEMALE and c.age_group.lower == 45)),
-        collected_at=snap.collected_at,
     )
     est = estimate_country(partial, Sex.FEMALE)
     assert est.ineligibility_reason is IneligibilityReason.LOWER_BOUND_CELL

@@ -145,7 +145,6 @@ def test_query_canonical_serialization_stable():
         parent_filter=ParentFilter.PARENTS_0_12M,
     )
     assert q.canonical() == "iso2=IT&sex=male&age_min=30&age_max=34&parent_filter=parent_of_child_0_12m"
-    assert q.cache_key(FIXED_NOW.date()) == q.canonical() + "&date=2024-06-02"
 
 
 # --- fixture mode -----------------------------------------------------------
@@ -204,7 +203,7 @@ def test_collect_snapshot_complete(fixture_dir):
     snapshot = collector.collect_snapshot(IT)
     assert len(snapshot.cells) == 28
     assert snapshot.is_complete()
-    assert snapshot.collected_at == datetime(2024, 6, 1, tzinfo=timezone.utc)
+    assert {c.collected_at for c in snapshot.cells} == {datetime(2024, 6, 1, tzinfo=timezone.utc)}
 
 
 def test_collect_snapshot_missing_cell_is_incomplete(fixture_dir):

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from admac.errors import DomainError
-from admac.special import betainc, f_cdf, f_sf, t_cdf, t_quantile, t_two_sided_p
+from admac.special import betainc, f_sf, t_cdf, t_quantile, t_two_sided_p
 from oracles import f_cdf_quad, t_cdf_quad
 
 
@@ -87,24 +87,27 @@ def test_two_sided_p_far_tail_avoids_cancellation():
 
 
 def test_f_cdf_against_quadrature():
+    # the F distribution function is 1 - f_sf
     for d1, d2 in ((1, 5), (1, 79), (1, 136), (5, 1000), (79, 79)):
         for f in (0.05, 0.5, 1.0, 3.84, 12.0):
-            assert f_cdf(f, d1, d2) == pytest.approx(f_cdf_quad(f, d1, d2), abs=1e-10)
+            assert 1.0 - f_sf(f, d1, d2) == pytest.approx(f_cdf_quad(f, d1, d2), abs=1e-10)
 
 
 def test_f_cdf_edges_and_errors():
-    assert f_cdf(0.0, 3, 7) == 0.0
-    assert f_cdf(math.inf, 3, 7) == 1.0
+    assert f_sf(0.0, 3, 7) == 1.0
+    assert f_sf(math.inf, 3, 7) == 0.0
     with pytest.raises(DomainError):
-        f_cdf(-0.5, 3, 7)
+        f_sf(-0.5, 3, 7)
     with pytest.raises(DomainError):
-        f_cdf(1.0, 0, 7)
+        f_sf(1.0, 0, 7)
 
 
 def test_f_sf_complements_cdf():
+    # f_sf evaluates the mirrored beta tail; the direct one is the F distribution function
     for d1, d2 in ((1, 79), (2, 30)):
         for f in (0.3, 1.7, 9.9):
-            assert f_sf(f, d1, d2) == pytest.approx(1.0 - f_cdf(f, d1, d2), abs=1e-12)
+            cdf = betainc(0.5 * d1, 0.5 * d2, d1 * f / (d1 * f + d2))
+            assert f_sf(f, d1, d2) == pytest.approx(1.0 - cdf, abs=1e-12)
     assert f_sf(164.4, 1, 79) == pytest.approx(scipy_stats.f.sf(164.4, 1, 79), rel=1e-9)
 
 
