@@ -1,16 +1,13 @@
 """Audience collection: live ads-reach API client, fixture replay, per-day
 cache, retry with exponential backoff and bounded request concurrency.
 
-Fixture files and cache files share one CSV schema
-(`iso2,sex,age_low,age_high,parent_filter,count,collected_at`), so a
-recorded live session can be replayed as a fixture unchanged.
-
-A live collect stage resolves every requested country in one call: cache
-hits are answered inline, and the misses go to one set of at most
-`max_in_flight` worker threads for the whole stage. A worker keeps each
-cell it fetches in that query's outcome slot only; the worker that
-resolves a country's last miss writes the country's (country, day) cache
-file from those slots, once and atomically.
+Fixtures (`<ISO2>.csv`) and cache files (`<ISO2>_<day>.csv`) share one CSV
+schema (`iso2,sex,age_low,age_high,parent_filter,count,collected_at`) and
+one store, so a recorded live session can be replayed as a fixture
+unchanged. A collect stage answers every hit from the store; live misses
+go to one set of at most `MAX_IN_FLIGHT` worker threads for the whole
+stage, and a throttled query is retried `MAX_RETRIES` times, waiting
+`BASE_BACKOFF_S` seconds and then twice as long each time.
 """
 
 from __future__ import annotations
@@ -58,6 +55,10 @@ CELL_COLUMNS = ["iso2", "sex", "age_low", "age_high", "parent_filter", "count", 
 
 # The platform does not expose audience data for these countries.
 DEFAULT_EXCLUDED = frozenset({"CU", "IR", "KP", "SY", "SD"})
+
+MAX_IN_FLIGHT = 4  # live requests in flight at once
+BASE_BACKOFF_S = 0.5  # wait before the first retry of a throttled query; doubles per retry
+MAX_RETRIES = 3  # retries of one throttled query before it fails
 
 TOKEN_ENV_VAR = "ADS_API_TOKEN"
 
@@ -110,36 +111,17 @@ class QueryDescriptor(namedtuple("QueryDescriptor", "country_iso2 sex age_min ag
         )
 
 
-class CollectorConfig(
-    namedtuple(
-        "CollectorConfig",
-        "mode fixture_dir cache_dir max_in_flight base_backoff max_retries excluded_countries",
-    )
-):
+class CollectorConfig(namedtuple("CollectorConfig", "mode fixture_dir cache_dir")):
     __slots__ = ()
 
     def __new__(
-        cls,
-        mode: Mode = Mode.FIXTURE,
-        fixture_dir: Path | None = None,
-        cache_dir: Path | None = None,
-        max_in_flight: int = 4,
-        base_backoff: float = 0.5,
-        max_retries: int = 3,
-        excluded_countries: frozenset[str] = DEFAULT_EXCLUDED,
+        cls, mode: Mode = Mode.FIXTURE, fixture_dir: Path | None = None, cache_dir: Path | None = None
     ) -> CollectorConfig:
-        if max_in_flight < 1:
-            raise ConfigError(f"max_in_flight must be >= 1, got {max_in_flight}")
-        if max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
         if mode is Mode.FIXTURE and fixture_dir is None:
             raise ConfigError("fixture mode needs fixture_dir")
         if mode is Mode.LIVE and cache_dir is None:
             raise ConfigError("live mode needs cache_dir (responses are written through)")
-        return tuple.__new__(
-            cls,
-            (mode, fixture_dir, cache_dir, max_in_flight, base_backoff, max_retries, excluded_countries),
-        )
+        return tuple.__new__(cls, (mode, fixture_dir, cache_dir))
 
 
 # --------------------------------------------------------------------------
@@ -241,9 +223,17 @@ def read_cells_csv(
     return cells
 
 
+def file_country(path: Path) -> CountryRef:
+    """The country an `<ISO2>.csv` file is named for; ParseError naming the file otherwise."""
+    try:
+        return CountryRef(iso2=path.stem.upper())
+    except ValueError as exc:
+        raise ParseError(f"{path}: file name is not <ISO2>.csv ({exc})") from None
+
+
 def fixture_countries(fixture_dir: str | Path) -> list[str]:
-    """ISO2 codes that have a fixture file, ascending."""
-    return sorted(p.stem.upper() for p in Path(fixture_dir).glob("*.csv"))
+    """ISO2 codes that have a fixture file, ascending; a file named otherwise raises ParseError."""
+    return sorted(file_country(p).iso2 for p in Path(fixture_dir).glob("*.csv"))
 
 
 # --------------------------------------------------------------------------
@@ -388,8 +378,8 @@ class _CellStore:
 # collector
 # --------------------------------------------------------------------------
 
-# Per-cell failures: they leave a snapshot incomplete instead of ending the run.
-_CELL_ERRORS = (FixtureMiss, RateLimited, MalformedResponse)
+# Per-cell live failures: they leave a snapshot incomplete instead of ending the run.
+_CELL_ERRORS = (RateLimited, MalformedResponse)
 
 Outcome = AudienceCell | Exception
 
@@ -400,36 +390,19 @@ def _query(iso2: str, key: CellKey) -> QueryDescriptor:
     return tuple.__new__(QueryDescriptor, (iso2, sex, group.lower, group.upper, flt))
 
 
-def _outcome(fetch: Callable[..., AudienceCell], *args) -> Outcome:
-    """`fetch(*args)`, or its per-cell failure; other errors propagate."""
-    try:
-        return fetch(*args)
-    except _CELL_ERRORS as exc:
-        return exc
-
-
-def _fixture_outcome(iso2: str, cells: dict[CellKey, AudienceCell], key: CellKey) -> Outcome:
-    """The fixture's cell for `key`, or the FixtureMiss naming its query."""
-    cell = cells.get(key)
-    if cell is None:
-        return FixtureMiss(f"fixture has no row for {_query(iso2, key).canonical()}")
-    return cell
-
-
 class Collector:
     """Collects audience snapshots; safe to share across threads.
 
-    `collect_snapshots` checks every requested country before it sends a
-    request. Fixture lookups are in-memory and run inline, one country at
-    a time, starting no thread. In live mode, cache hits are answered
-    inline through `fetch_cell`, all for the day the call looked up, and
-    the misses of the whole call go to one worker set of min(max_in_flight,
-    misses) threads. A worker settles the query it finished and takes the
-    next in one round-trip on the set's lock, sends a miss straight to the
-    client and keeps the cell only in its outcome slot. The worker that
-    resolves a country's last miss writes the country's cache file for
-    that day from those slots, when a miss returned a cell, before it
-    sends its next query. An error or an interrupt that ends the call stops
+    One `_CellStore` answers every lookup: the fixture directory (day None)
+    or the live cache, for the UTC day the call looked up. A collect checks
+    every requested country first, then answers the hits from the store on
+    the calling thread. A fixture miss is a per-cell FixtureMiss. The live
+    misses of the whole call go to one worker set of min(MAX_IN_FLIGHT,
+    misses) threads; a worker settles the query it finished and takes the
+    next in one round-trip on the set's lock, and keeps each cell only in
+    its outcome slot. The worker that resolves a country's last miss writes
+    the country's cache file from those slots, once and atomically, when a
+    miss returned a cell. An error or an interrupt that ends the call stops
     the workers, then writes every country that received a new cell and was
     not yet written. Snapshots are assembled in canonical query order.
     """
@@ -444,14 +417,14 @@ class Collector:
         self.config = config
         self._clock = clock
         self._sleep = sleep
-        self._fixtures = _CellStore(Path(config.fixture_dir)) if config.fixture_dir else None
-        self._cache = _CellStore(Path(config.cache_dir)) if config.cache_dir else None
-        if config.mode is Mode.LIVE and client is None:
+        live = config.mode is Mode.LIVE
+        self._store = _CellStore(Path(config.cache_dir if live else config.fixture_dir))
+        if live and client is None:
             client = AdsApiClient(token=os.environ.get(TOKEN_ENV_VAR, ""))
         self._client = client
 
     def _check_served(self, country: CountryRef) -> None:
-        if country.iso2 in self.config.excluded_countries:
+        if country.iso2 in DEFAULT_EXCLUDED:
             raise ExcludedCountry(f"platform provides no data for {country.iso2}")
 
     def build_queries(self, country: CountryRef) -> list[QueryDescriptor]:
@@ -459,53 +432,48 @@ class Collector:
         self._check_served(country)
         return [_query(country.iso2, key) for key in CELL_KEYS]
 
+    def _cells(self, iso2: str, day: date | None) -> dict[CellKey, AudienceCell]:
+        """The cells of `iso2`'s store file; no fixture file at all raises FixtureMiss."""
+        cells = self._store.cells(iso2, day)
+        if cells is None and day is None:
+            raise FixtureMiss(f"no fixture file for {iso2} under {self._store.directory}")
+        return cells or {}
+
     def fetch_cell(self, query: QueryDescriptor, day: date | None = None) -> AudienceCell:
-        """The query's cell; live, from the `day` cache file (default: today) or fetched into it."""
+        """The query's cell: from its fixture, or live from the `day` cache file (default:
+        today) or fetched into it."""
         iso2 = query.country_iso2
-        if self.config.mode is Mode.FIXTURE:
-            outcome = _fixture_outcome(iso2, self._fixture_cells(iso2), query.key)
-            if isinstance(outcome, FixtureMiss):
-                raise outcome
-            return outcome
-        assert self._cache is not None
-        day = day or self._clock().date()
-        cell = (self._cache.cells(iso2, day) or {}).get(query.key)
+        day = (day or self._clock().date()) if self.config.mode is Mode.LIVE else None
+        cell = self._cells(iso2, day).get(query.key)
         if cell is None:
+            if day is None:
+                raise FixtureMiss(f"fixture has no row for {query.canonical()}")
             cell = self._request(iso2, query.key)
-            self._cache.write(iso2, day, [cell])
+            self._store.write(iso2, day, [cell])
         return cell
 
     def fixture_digest(self, iso2: str) -> str | None:
-        """SHA-256 of the fixture file this collector read for `iso2`, or None
-        when it read none."""
-        return self._fixtures.digest(iso2) if self._fixtures else None
-
-    def _fixture_cells(self, iso2: str) -> dict[CellKey, AudienceCell]:
-        assert self._fixtures is not None
-        cells = self._fixtures.cells(iso2)
-        if cells is None:
-            raise FixtureMiss(f"no fixture file for {iso2} under {self._fixtures.directory}")
-        return cells
+        """SHA-256 of the fixture file this collector read for `iso2`, or None when it read none."""
+        return self._store.digest(iso2)
 
     def _request(self, iso2: str, key: CellKey) -> AudienceCell:
         """The cell for `key` from the client; throttled attempts are retried with backoff."""
-        assert self._client is not None and self._cache is not None
+        assert self._client is not None
         query = _query(iso2, key)
-        attempts = self.config.max_retries + 1
-        for attempt in range(1, attempts + 1):
+        for attempt in range(1, MAX_RETRIES + 2):
             try:
                 count = self._client.reach_estimate(query)
                 break
             except RateLimited:
-                if attempt == attempts:
+                if attempt > MAX_RETRIES:
                     raise
-                delay = self.config.base_backoff * 2 ** (attempt - 1)
+                delay = BASE_BACKOFF_S * 2 ** (attempt - 1)
                 logger.info(
                     "throttled on %s; retry %d/%d after %.2fs",
-                    query.canonical(), attempt, self.config.max_retries, delay,
+                    query.canonical(), attempt, MAX_RETRIES, delay,
                 )
                 self._sleep(delay)
-        return AudienceCell(self._cache.country(iso2), *key, count=count, collected_at=self._clock())
+        return AudienceCell(self._store.country(iso2), *key, count=count, collected_at=self._clock())
 
     def collect_snapshot(self, country: CountryRef) -> AudienceSnapshot:
         """All 28 cells for a country, or SnapshotIncomplete with what came back.
@@ -525,46 +493,31 @@ class Collector:
 
         A country whose cells did not all arrive yields (not raises) a
         SnapshotIncomplete holding the cells that did. An excluded country
-        raises ExcludedCountry before any request is sent. Live mode fetches
-        everything before the first snapshot is yielded; fixture mode reads
-        one country per snapshot.
+        raises ExcludedCountry before any request is sent, and one with no
+        fixture file FixtureMiss; both before the first snapshot is yielded.
         """
         countries = list(countries)
         for country in countries:
             self._check_served(country)
-        if self.config.mode is Mode.FIXTURE:
-            return self._fixture_snapshots(countries)
-        outcomes = self._resolve_live(countries)
+        day = self._clock().date() if self.config.mode is Mode.LIVE else None
         n = len(CELL_KEYS)
-        return (self._assemble(c, outcomes[i * n:(i + 1) * n]) for i, c in enumerate(countries))
-
-    def _fixture_snapshots(self, countries: list[CountryRef]) -> Iterator[AudienceSnapshot | SnapshotIncomplete]:
-        for country in countries:
-            cells = self._fixture_cells(country.iso2)  # no file at all: FixtureMiss, not partial data
-            yield self._assemble(country, [_fixture_outcome(country.iso2, cells, key) for key in CELL_KEYS])
-
-    def _resolve_live(self, countries: list[CountryRef]) -> list[Outcome]:
-        """Every country's outcomes in canonical order, flattened: cache hits
-        inline, misses on one worker set."""
-        assert self._cache is not None
-        day = self._clock().date()
-        outcomes: list = [None] * (len(countries) * len(CELL_KEYS))
+        outcomes: list = [None] * (len(countries) * n)
         misses: list[int] = []
         for i, country in enumerate(countries):
-            cached = self._cache.cells(country.iso2, day) or {}
-            for j, key in enumerate(CELL_KEYS, start=i * len(CELL_KEYS)):
-                if key in cached:
-                    outcomes[j] = _outcome(self.fetch_cell, _query(country.iso2, key), day)
-                else:
+            cells = self._cells(country.iso2, day)
+            for j, key in enumerate(CELL_KEYS, start=i * n):
+                outcomes[j] = cell = cells.get(key)
+                if cell is None and day is None:
+                    outcomes[j] = FixtureMiss(f"fixture has no row for {_query(country.iso2, key).canonical()}")
+                elif cell is None:
                     misses.append(j)
         if misses:
             self._fetch_misses(countries, day, misses, outcomes)
-        return outcomes
+        return (self._assemble(c, outcomes[i * n:(i + 1) * n]) for i, c in enumerate(countries))
 
     def _fetch_misses(self, countries: list[CountryRef], day: date, misses: list[int], outcomes: list) -> None:
         """Fill outcomes[i] for every i in misses on one worker set, writing each country's `day`
         cache file from its outcome slots (see the class docstring); other errors propagate."""
-        assert self._cache is not None
         n = len(CELL_KEYS)
         pending = Counter(i // n for i in misses)
         todo = iter(misses)
@@ -574,7 +527,7 @@ class Collector:
 
         def write(c: int) -> None:
             cells = [o for o in outcomes[c * n:(c + 1) * n] if isinstance(o, AudienceCell)]
-            self._cache.write(countries[c].iso2, day, cells)
+            self._store.write(countries[c].iso2, day, cells)
 
         def work() -> None:
             i = None  # the miss this worker just resolved
@@ -592,14 +545,17 @@ class Collector:
                         write(last)
                     if i is None:
                         return
-                    outcomes[i] = _outcome(self._request, countries[i // n].iso2, CELL_KEYS[i % n])
+                    try:
+                        outcomes[i] = self._request(countries[i // n].iso2, CELL_KEYS[i % n])
+                    except _CELL_ERRORS as exc:
+                        outcomes[i] = exc
             except BaseException:
                 stop.set()
                 raise
 
         from concurrent.futures import ThreadPoolExecutor  # only live collect needs it
 
-        workers = min(self.config.max_in_flight, len(misses))
+        workers = min(MAX_IN_FLIGHT, len(misses))
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
             for future in [pool.submit(work) for _ in range(workers)]:

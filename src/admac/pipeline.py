@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from pathlib import Path
 
 from .domain import AudienceSnapshot, Continent, CountryRef, Sex
@@ -38,9 +39,11 @@ from .indicators import (
     estimate_country,
 )
 from .ingest import (
+    DEFAULT_EXCLUDED,
     Collector,
     CollectorConfig,
     Mode,
+    file_country,
     fixture_countries,
     read_cells_csv,
     write_cells_csv,
@@ -112,6 +115,11 @@ class RunConfig:
             raise ConfigError("at least one sex must be requested")
         if loocv_scope not in ("global", "continent"):
             raise ConfigError(f"loocv_scope must be 'global' or 'continent', got {loocv_scope!r}")
+        for iso2 in countries or ():
+            try:
+                CountryRef(iso2=iso2.upper())
+            except ValueError as exc:
+                raise ConfigError(f"countries: {exc}") from None
         self.output_dir = Path(output_dir)
         self.mode = mode
         self.fixture_dir = packaged_data_path("fixtures") if fixture_dir is None else Path(fixture_dir)
@@ -164,8 +172,8 @@ def _collector_config(cfg: RunConfig) -> CollectorConfig:
 # collect
 # --------------------------------------------------------------------------
 
-# Snapshots written by collect in this process: path -> (digest of its bytes, result).
-Collected = dict[Path, tuple[str, AudienceSnapshot | SnapshotIncomplete]]
+# Snapshots written by collect in this process: path -> (digest of its bytes, snapshot).
+Collected = dict[Path, tuple[str, AudienceSnapshot]]
 
 
 def stage_collect(
@@ -177,15 +185,14 @@ def stage_collect(
     sent or snapshot written. A country whose collection comes back
     incomplete is written with the cells that did arrive; the estimate
     stage will mark the affected sexes ineligible rather than this stage
-    failing the whole run. Each written snapshot is also recorded in
-    `collected`, when given, for `stage_estimate`.
+    failing the whole run. Each written snapshot, partial or not, is also
+    recorded in `collected`, when given, for `stage_estimate`.
     """
     collector = collector or Collector(_collector_config(cfg))
-    excluded = collector.config.excluded_countries
     if cfg.countries is not None:
         wanted = {c.upper() for c in cfg.countries}
     elif cfg.mode is Mode.FIXTURE:
-        wanted = {c for c in fixture_countries(cfg.fixture_dir) if c not in excluded}
+        wanted = {c for c in fixture_countries(cfg.fixture_dir) if c not in DEFAULT_EXCLUDED}
     else:
         raise ConfigError("live mode needs an explicit country list")
     if not wanted:
@@ -197,6 +204,7 @@ def stage_collect(
         iso2 = country.iso2
         if isinstance(result, SnapshotIncomplete):
             logger.warning("%s: incomplete snapshot kept (%s)", iso2, result)
+            result = AudienceSnapshot(country=country, cells=tuple(result.cells))
         fixture = collector.fixture_digest(iso2)
         inputs = {} if fixture is None else {f"fixture_{iso2}": fixture}
         path = cfg.snapshots_dir / f"{iso2}.csv"
@@ -210,16 +218,6 @@ def stage_collect(
 # --------------------------------------------------------------------------
 # estimate
 # --------------------------------------------------------------------------
-
-def _snapshot(path: Path, country: CountryRef, cells) -> AudienceSnapshot | None:
-    """The snapshot of a file's cells, or None when it has none."""
-    if not cells:
-        return None
-    try:
-        return AudienceSnapshot(country=country, cells=tuple(cells))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
 
 def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> Path:
     """MAC estimates (or ineligibility reasons) for every collected country.
@@ -237,30 +235,24 @@ def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> Path:
     combined = hashlib.sha256()
     rows: list[list[str]] = []
     for path in paths:
-        iso2 = path.stem.upper()
-        country = CountryRef(iso2=iso2)
+        country = file_country(path)
         held = collected.get(path)
         if held is None:
             data = path.read_bytes()
             digest = hashlib.sha256(data).hexdigest()
-            snapshot = _snapshot(path, country, read_cells_csv(path, country, data=data))
-        elif isinstance(held[1], AudienceSnapshot):
-            digest, snapshot = held
+            try:
+                snapshot = AudienceSnapshot(country, tuple(read_cells_csv(path, country, data=data)))
+            except ValueError as exc:
+                raise ParseError(f"{path}: {exc}") from exc
         else:
-            digest, snapshot = held[0], _snapshot(path, country, held[1].cells)
+            digest, snapshot = held
         combined.update(path.name.encode())
         combined.update(bytes.fromhex(digest))
         for sex in cfg.sexes:
-            if snapshot is None:
-                est = MacEstimate(
-                    country=country, sex=sex, mac=None, eligible=False,
-                    ineligibility_reason=IneligibilityReason.INCOMPLETE_SNAPSHOT,
-                )
-            else:
-                est = estimate_country(snapshot, sex, cfg.lower_bound_policy)
+            est = estimate_country(snapshot, sex, cfg.lower_bound_policy)
             rows.append(
                 [
-                    iso2,
+                    country.iso2,
                     sex.value,
                     "" if est.mac is None else str(est.mac),
                     "true" if est.eligible else "false",
@@ -467,24 +459,25 @@ def stage_calibrate(cfg: RunConfig) -> list[Path]:
     return written
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _model_field(name: str, kind, value):
-    """One CalibrationModel field from its JSON value; ValueError on a wrong type."""
+    """One CalibrationModel field from its JSON value; ValueError on a wrong type or a
+    non-finite number (f_stat alone may be +inf, as a perfect fit makes it)."""
     if kind is int:
         if type(value) is int:
             return value
         expected = "an integer"
     elif kind is float:
-        if _is_number(value):
+        if _is_finite(value) or (name == "f_stat" and value == math.inf):
             return float(value)
-        expected = "a number"
+        expected = "a finite number"
     else:  # tuple of floats
-        if isinstance(value, list) and all(map(_is_number, value)):
+        if isinstance(value, list) and all(map(_is_finite, value)):
             return tuple(map(float, value))
-        expected = "a list of numbers"
+        expected = "a list of finite numbers"
     raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
@@ -496,11 +489,18 @@ def load_model(path: Path, data: bytes) -> CalibrationModel:
         raise ParseError(f"{path} is not valid JSON: {exc.msg}", line=exc.lineno) from exc
     try:
         m = document["model"]
-        return CalibrationModel(**{name: _model_field(name, kind, m[name]) for name, kind in _MODEL_FIELDS})
+        model = CalibrationModel(**{name: _model_field(name, kind, m[name]) for name, kind in _MODEL_FIELDS})
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed model: {exc}") from exc
+    # every fit satisfies these (see stats.ols_fit_xy), and predict divides by n and s_xx
+    if not (model.n >= 3 and model.df_resid == model.n - 2 and model.s_xx > 0 and model.residual_se >= 0):
+        raise ParseError(
+            f"{path}: malformed model: no fit gives n={model.n}, df_resid={model.df_resid}, "
+            f"s_xx={model.s_xx}, residual_se={model.residual_se}"
+        )
+    return model
 
 
 # --------------------------------------------------------------------------

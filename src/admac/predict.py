@@ -3,13 +3,12 @@ map-ready output."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .domain import CountryRef, Sex
 from .errors import EmptyInput, UnfittedModel
-from .fileio import atomic_write_text
+from .fileio import write_json
 from .groundtruth import GroundTruthRecord
 from .indicators import MacEstimate
 from .stats import CalibrationModel
@@ -119,9 +118,4 @@ def emit_choropleth(
             }
         )
     features.sort(key=lambda f: f["id"])
-    collection = {
-        "type": "FeatureCollection",
-        "metadata": meta or {},
-        "features": features,
-    }
-    atomic_write_text(path, json.dumps(collection, indent=2, sort_keys=True) + "\n")
+    write_json(path, meta or {}, {"type": "FeatureCollection", "features": features})

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,8 +13,9 @@ import pytest
 
 import admac
 from admac.cli import main
-from admac.fileio import read_csv, sha256_file
-from admac.pipeline import packaged_data_path
+from admac.fileio import read_csv, sha256_file, write_json
+from admac.pipeline import _model_payload, load_model, packaged_data_path
+from admac.stats import ols_fit_xy
 
 
 def run_cli(*args):
@@ -315,8 +317,21 @@ def demo_out(tmp_path_factory):
         ("n", None),
         ("residuals", [0.1, "x"]),
         ("residuals", 0.1),
+        # values no fit produces; json writes and reads NaN and Infinity
+        ("s_xx", 0),
+        ("n", 0),
+        ("s_xx", -5),
+        ("residual_se", -1),
+        ("slope", math.nan),
+        ("f_stat", math.nan),
+        ("residuals", [0.1, math.nan]),
+        ("x_mean", math.inf),
     ],
-    ids=["string_slope", "bool_intercept", "float_df", "null_n", "string_residual", "scalar_residuals"],
+    ids=[
+        "string_slope", "bool_intercept", "float_df", "null_n", "string_residual", "scalar_residuals",
+        "zero_s_xx", "zero_n", "negative_s_xx", "negative_residual_se", "nan_slope", "nan_f_stat",
+        "nan_residual", "infinite_x_mean",
+    ],
 )
 def test_wrongly_typed_model_reports_parse_error(tmp_path, capsys, demo_out, key, value):
     out = tmp_path / "out"
@@ -332,6 +347,14 @@ def test_wrongly_typed_model_reports_parse_error(tmp_path, capsys, demo_out, key
     assert key in report["message"]
 
 
+def test_perfect_fit_model_with_infinite_f_stat_loads(tmp_path):
+    model = ols_fit_xy([1.0, 2.0, 3.0, 4.0], [3.0, 5.0, 7.0, 9.0])
+    assert model.f_stat == math.inf and model.residual_se == 0.0
+    path = tmp_path / "model_male.json"
+    write_json(path, {}, {"model": _model_payload(model)})
+    assert load_model(path, path.read_bytes()) == model
+
+
 def test_excluded_country_fails_before_any_snapshot(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("collect", "--out", out, "--countries", "AR,IT,SY") == 1
@@ -339,6 +362,52 @@ def test_excluded_country_fails_before_any_snapshot(tmp_path, capsys):
     assert report["error"] == "ExcludedCountry"
     assert "SY" in report["message"]
     assert not (out / "snapshots").exists()
+
+
+def test_missing_fixture_fails_before_any_snapshot(tmp_path, capsys):
+    # every requested country is looked up before the first snapshot is written
+    out = tmp_path / "out"
+    assert run_cli("collect", "--out", out, "--countries", "IT,ZZ") == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "FixtureMiss"
+    assert "ZZ" in report["message"]
+    assert not (out / "snapshots").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config_file"])
+def test_country_code_that_is_not_two_letters_reports_config_error(tmp_path, capsys, source):
+    if source == "flag":
+        args = ("--countries", "IT,I1")
+    else:
+        config = tmp_path / "run.conf"
+        config.write_text("countries=IT,I1\n", encoding="utf-8")
+        args = ("--config", config)
+    out = tmp_path / "out"
+    assert run_cli("collect", "--out", out, *args) == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "ConfigError"
+    assert "'I1'" in report["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("misnamed", ["fixture", "snapshot"])
+def test_cell_file_not_named_for_a_country_reports_parse_error(tmp_path, capsys, misnamed):
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    shutil.copy(packaged_data_path("fixtures", "IT.csv"), fixtures)
+    out = tmp_path / "out"
+    if misnamed == "fixture":
+        bad, command = fixtures / "I1.csv", "collect"
+    else:
+        assert run_cli("collect", "--fixture-dir", fixtures, "--out", out) == 0
+        bad, command = out / "snapshots" / "I1.csv", "estimate"
+    shutil.copy(fixtures / "IT.csv", bad)
+    capsys.readouterr()
+    assert run_cli(command, "--fixture-dir", fixtures, "--out", out) == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "ParseError"
+    assert report["command"] == command
+    assert str(bad) in report["message"]
 
 
 def _loaded_by_fresh_cli_import(*modules: str) -> list[str]:

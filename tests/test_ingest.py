@@ -79,15 +79,13 @@ class StubClient:
                 self.active -= 1
 
 
-def live_collector(tmp_path, client, max_retries=3, base_backoff=0.25, max_in_flight=4):
+def live_collector(tmp_path, client, monkeypatch=None, **constants):
+    """A live collector on a fixed clock that records its sleeps; `constants`
+    (e.g. MAX_IN_FLIGHT=3) are set on the ingest module for the test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(ingest, name, value)
     sleeps = []
-    config = CollectorConfig(
-        mode=Mode.LIVE,
-        cache_dir=tmp_path / "cache",
-        max_retries=max_retries,
-        base_backoff=base_backoff,
-        max_in_flight=max_in_flight,
-    )
+    config = CollectorConfig(mode=Mode.LIVE, cache_dir=tmp_path / "cache")
     collector = Collector(config, client=client, clock=lambda: FIXED_NOW, sleep=sleeps.append)
     return collector, sleeps
 
@@ -99,8 +97,7 @@ def test_config_validation():
         CollectorConfig(mode=Mode.FIXTURE)
     with pytest.raises(ConfigError):
         CollectorConfig(mode=Mode.LIVE)
-    with pytest.raises(ConfigError):
-        CollectorConfig(mode=Mode.FIXTURE, fixture_dir=".", max_in_flight=0)
+    assert CollectorConfig._fields == ("mode", "fixture_dir", "cache_dir")
 
 
 def test_build_queries_shape_and_order(fixture_dir):
@@ -350,23 +347,23 @@ def test_live_snapshot_and_cache_idempotence(tmp_path):
     assert third == snapshot
 
 
-def test_live_retry_backoff_sequence(tmp_path):
+def test_live_retry_backoff_sequence(tmp_path, monkeypatch):
     q = "iso2=IT&sex=female&age_min=15&age_max=19&parent_filter=all"
     client = StubClient(count=777, fail_plan={q: [RateLimited("x"), RateLimited("x")]})
-    collector, sleeps = live_collector(tmp_path, client, max_retries=3, base_backoff=0.25)
+    collector, sleeps = live_collector(tmp_path, client, monkeypatch, MAX_RETRIES=3, BASE_BACKOFF_S=0.25)
     snapshot = collector.collect_snapshot(IT)
     assert snapshot.cell(Sex.FEMALE, age_grid()[0], ParentFilter.ALL).count == 777
     assert sleeps == [0.25, 0.5]
 
 
-def test_live_retries_exhausted_surface_incomplete(tmp_path):
+def test_live_retries_exhausted_surface_incomplete(tmp_path, monkeypatch):
     q = "iso2=IT&sex=female&age_min=15&age_max=19&parent_filter=all"
     client = StubClient(fail_plan={q: [RateLimited("x")] * 10})
-    collector, sleeps = live_collector(tmp_path, client, max_retries=2, base_backoff=0.1)
+    collector, sleeps = live_collector(tmp_path, client, monkeypatch, MAX_RETRIES=2, BASE_BACKOFF_S=0.1)
     with pytest.raises(SnapshotIncomplete) as excinfo:
         collector.collect_snapshot(IT)
     assert len(excinfo.value.cells) == 27
-    # attempts = max_retries + 1, delays double per retry
+    # attempts = MAX_RETRIES + 1, delays double per retry
     assert client.calls.count(q) == 3
     assert sleeps == [0.1, 0.2]
 
@@ -388,10 +385,10 @@ def test_live_malformed_response_counts_as_missing_cell(tmp_path):
     assert len(excinfo.value.cells) == 27
 
 
-def test_live_concurrency_is_bounded(tmp_path):
+def test_live_concurrency_is_bounded(tmp_path, monkeypatch):
     client = StubClient(count=500)
     client.delay = 0.005
-    collector, _ = live_collector(tmp_path, client, max_in_flight=3)
+    collector, _ = live_collector(tmp_path, client, monkeypatch, MAX_IN_FLIGHT=3)
     collector.collect_snapshot(IT)
     assert client.max_active <= 3
     assert client.max_active >= 2  # it does actually run in parallel
@@ -440,7 +437,7 @@ class SlowStubClient(StubClient):
 def test_live_collect_starts_one_bounded_worker_set(tmp_path, monkeypatch):
     started = count_thread_starts(monkeypatch)
     client = StubClient(count=500)
-    collector, _ = live_collector(tmp_path, client, max_in_flight=3)
+    collector, _ = live_collector(tmp_path, client, monkeypatch, MAX_IN_FLIGHT=3)
     snapshots = list(collector.collect_snapshots(FIVE))
     assert [s.country for s in snapshots] == FIVE
     assert all(isinstance(s, AudienceSnapshot) and s.is_complete() for s in snapshots)
@@ -462,10 +459,10 @@ def test_warm_live_collect_starts_no_thread_and_sends_nothing(tmp_path, monkeypa
     assert started == []
 
 
-def test_auth_error_stops_dispatch_and_keeps_earlier_countries_cached(tmp_path):
+def test_auth_error_stops_dispatch_and_keeps_earlier_countries_cached(tmp_path, monkeypatch):
     first_of_it = "iso2=IT&sex=female&age_min=15&age_max=19&parent_filter=all"
     client = SlowStubClient(count=500, fail_plan={first_of_it: [AuthError("token revoked")]})
-    collector, _ = live_collector(tmp_path, client, max_in_flight=3)
+    collector, _ = live_collector(tmp_path, client, monkeypatch, MAX_IN_FLIGHT=3)
     with pytest.raises(AuthError):
         collector.collect_snapshots(FIVE)
     earlier = FIVE[:3]
@@ -494,7 +491,7 @@ def test_each_country_is_written_once_as_soon_as_it_resolves(tmp_path, monkeypat
                 seen_on_first_query[query.country_iso2] = list(writes)
             return super().reach_estimate(query)
 
-    collector, _ = live_collector(tmp_path, CheckingClient(count=500), max_in_flight=1)
+    collector, _ = live_collector(tmp_path, CheckingClient(count=500), monkeypatch, MAX_IN_FLIGHT=1)
     list(collector.collect_snapshots(FIVE))
     names = [cache_file(tmp_path, c.iso2).name for c in FIVE]
     assert writes == names
@@ -511,7 +508,7 @@ def test_worker_set_stress_keeps_every_cell_and_writes_each_country_once(tmp_pat
         ),
     )
     client = StubClient(count=500)
-    collector, _ = live_collector(tmp_path, client, max_in_flight=8)
+    collector, _ = live_collector(tmp_path, client, monkeypatch, MAX_IN_FLIGHT=8)
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -534,10 +531,10 @@ def test_worker_set_stress_keeps_every_cell_and_writes_each_country_once(tmp_pat
 
 
 @pytest.mark.parametrize("error", [AuthError("token revoked"), KeyboardInterrupt()], ids=["auth", "interrupt"])
-def test_error_mid_country_still_caches_the_cells_that_arrived(tmp_path, error):
+def test_error_mid_country_still_caches_the_cells_that_arrived(tmp_path, monkeypatch, error):
     second_of_it = "iso2=IT&sex=female&age_min=15&age_max=19&parent_filter=parent_of_child_0_12m"
     client = StubClient(count=500, fail_plan={second_of_it: [error]})
-    collector, _ = live_collector(tmp_path, client, max_in_flight=1)
+    collector, _ = live_collector(tmp_path, client, monkeypatch, MAX_IN_FLIGHT=1)
     with pytest.raises(type(error)):
         collector.collect_snapshots([IT, CountryRef(iso2="NG")])
     assert len(client.calls) == 2
@@ -571,7 +568,7 @@ def test_failed_cache_flush_keeps_the_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
-def test_collect_across_utc_midnight_writes_each_country_to_the_day_it_looked_up(tmp_path):
+def test_collect_across_utc_midnight_writes_each_country_to_the_day_it_looked_up(tmp_path, monkeypatch):
     before_midnight = datetime(2024, 6, 2, 23, 59, 59, tzinfo=timezone.utc)
     readings = []
 
@@ -579,7 +576,8 @@ def test_collect_across_utc_midnight_writes_each_country_to_the_day_it_looked_up
         readings.append(None)
         return before_midnight if len(readings) <= 20 else before_midnight + timedelta(seconds=2)
 
-    config = CollectorConfig(mode=Mode.LIVE, cache_dir=tmp_path / "cache", max_in_flight=1)
+    monkeypatch.setattr(ingest, "MAX_IN_FLIGHT", 1)
+    config = CollectorConfig(mode=Mode.LIVE, cache_dir=tmp_path / "cache")
     collector = Collector(config, client=StubClient(count=500), clock=clock, sleep=lambda s: None)
     snapshots = list(collector.collect_snapshots([IT, CountryRef(iso2="NG")]))
     assert all(isinstance(s, AudienceSnapshot) and s.is_complete() for s in snapshots)
