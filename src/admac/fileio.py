@@ -20,17 +20,23 @@ from ._version import __version__
 from .errors import ParseError
 
 
+def _create(path: Path) -> int:
+    """A write descriptor on a new file at `path`, creating missing parent
+    directories. The file gets open()'s mode: 0o666 less the umask."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    try:
+        return os.open(path, flags, 0o666)
+    except FileNotFoundError:  # no parent directory yet
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return os.open(path, flags, 0o666)
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write `text` as UTF-8 via a temp file + rename so failures never leave
     partial output. The file gets open()'s mode: 0o666 less the umask."""
     path = Path(path)
     tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
-    try:
-        fd = os.open(tmp, flags, 0o666)
-    except FileNotFoundError:  # no parent directory yet
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(tmp, flags, 0o666)
+    fd = _create(tmp)
     try:
         with open(fd, "wb") as handle:
             handle.write(text.encode("utf-8"))
@@ -41,6 +47,31 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def append_lines(path: str | Path, lines: str, header: str) -> bool:
+    """Append `lines`, whole lines each ending in a line break, to `path` as
+    UTF-8 in one `os.write` on an O_APPEND descriptor. A missing file is
+    created, with `header` written first. Returns False, having written
+    nothing, when the file does not end in a line break: an append cut
+    short leaves it so, and appending after the fragment would tear a line.
+    """
+    path = Path(path)
+    try:
+        fd, created = os.open(path, os.O_RDWR | os.O_APPEND), False
+    except FileNotFoundError:
+        fd, created = _create(path), True
+    try:
+        if created:
+            lines = header + lines
+        else:
+            end = os.fstat(fd).st_size
+            if not end or os.pread(fd, 1, end - 1) != b"\n":
+                return False
+        os.write(fd, lines.encode("utf-8"))
+    finally:
+        os.close(fd)
+    return True
 
 
 def sha256_file(path: str | Path) -> str:

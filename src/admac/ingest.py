@@ -1,12 +1,13 @@
 """Audience collection: live ads-reach API client, fixture replay, per-day
 cache, retry with exponential backoff and bounded request concurrency.
 
-Fixtures (`<ISO2>.csv`) and cache files (`<ISO2>_<day>.csv`) share one CSV
-schema (`iso2,sex,age_low,age_high,parent_filter,count,collected_at`) and
-one store, so a recorded live session can be replayed as a fixture
-unchanged. A collect stage answers every hit from the store; live misses
-go to one set of at most `MAX_IN_FLIGHT` worker threads for the whole
-stage, and a throttled query is retried `MAX_RETRIES` times, waiting
+Fixtures (one `<ISO2>.csv` per country) and the live cache (one
+`<YYYY-MM-DD>.csv` per UTC day, every country's cells in it, appended to
+as countries resolve) share one CSV schema
+(`iso2,sex,age_low,age_high,parent_filter,count,collected_at`) and one
+store. A collect stage answers every hit from the store; live misses go
+to one set of at most `MAX_IN_FLIGHT` worker threads for the whole stage,
+and a throttled query is retried `MAX_RETRIES` times, waiting
 `BASE_BACKOFF_S` seconds and then twice as long each time.
 """
 
@@ -47,7 +48,7 @@ from .errors import (
     RateLimited,
     SnapshotIncomplete,
 )
-from .fileio import atomic_write_text, read_table
+from .fileio import append_lines, atomic_write_text, read_table
 
 logger = logging.getLogger(__name__)
 
@@ -159,11 +160,19 @@ def _cell_key(sex: str, age_low: str, age_high: str, flt: str) -> CellKey:
     return _CANONICAL_KEYS[Sex(sex.strip().lower()), group, ParentFilter(flt.strip())]
 
 
+@lru_cache(maxsize=1024)  # at most 26 * 26 codes are valid
+def _country_ref(iso2: str) -> CountryRef:
+    """The one CountryRef that every cell read or fetched for `iso2` shares."""
+    return CountryRef(iso2=iso2)
+
+
 def _row_to_cell(row: Sequence[str], country: CountryRef | None) -> AudienceCell:
     iso2, sex, age_low, age_high, flt, count, collected_at = row
     iso2 = iso2.strip().upper()
-    if country is None or country.iso2 != iso2:
-        country = CountryRef(iso2=iso2)
+    if country is None:
+        country = _country_ref(iso2)
+    elif iso2 != country.iso2:
+        raise ValueError(f"row names {iso2} in a file for {country.iso2}")
     sex, group, flt = _cell_key(sex, age_low, age_high, flt)
     return AudienceCell(
         country=country,
@@ -175,17 +184,20 @@ def _row_to_cell(row: Sequence[str], country: CountryRef | None) -> AudienceCell
     )
 
 
-def write_cells_csv(
-    path: str | Path, cells: Sequence[AudienceCell], meta: dict[str, str] | None = None
-) -> str:
-    """Write cells as a cell CSV; returns the SHA-256 hex digest of the bytes written."""
-    lines = [f"# {key}={value}\n" for key, value in (meta or {}).items()]
-    lines.append(_HEADER_LINE)
-    lines.extend(
+def _cell_lines(cells: Iterable[AudienceCell]) -> str:
+    """The data rows of `cells` in a cell CSV, each ending in a line break."""
+    return "".join(
         f"{c.country.iso2},{_KEY_FIELDS[c.key]},{c.count},{format_timestamp(c.collected_at)}\n"
         for c in cells
     )
-    text = "".join(lines)
+
+
+def write_cells_csv(
+    path: str | Path, cells: Iterable[AudienceCell], meta: dict[str, str] | None = None
+) -> str:
+    """Write cells as a cell CSV; returns the SHA-256 hex digest of the bytes written."""
+    comments = "".join(f"# {key}={value}\n" for key, value in (meta or {}).items())
+    text = comments + _HEADER_LINE + _cell_lines(cells)
     atomic_write_text(path, text)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -199,12 +211,13 @@ def read_cells_csv(
 ) -> list[AudienceCell]:
     """The cells of a cell CSV in file order, read with `fileio.read_table`.
 
+    `country`, when given, is the country every row must name, and all
+    cells share it; otherwise each row's CountryRef is `_country_ref`'s.
     `data` is the file's bytes when the caller has already read them. A
-    malformed row raises ParseError with its file line. With
-    `drop_torn_tail`, a last line that has no line break and does not
-    parse, as a write cut short leaves it, is dropped with a warning
-    instead. Cells of one country share one CountryRef (`country`, when
-    its code matches).
+    malformed row, or one naming another country than `country`, raises
+    ParseError with its file line. With `drop_torn_tail`, a last line
+    that has no line break and does not parse, as a write cut short
+    leaves it, is dropped with a warning instead.
     """
     _, _, rows, torn_tail = read_table(path, CELL_COLUMNS, data=data)
     cells = []
@@ -212,14 +225,12 @@ def read_cells_csv(
         try:
             if len(row) != len(CELL_COLUMNS):
                 raise ValueError(f"expected {len(CELL_COLUMNS)} fields")
-            cell = _row_to_cell(row, country)
+            cells.append(_row_to_cell(row, country))
         except ValueError as exc:
             if drop_torn_tail and torn_tail and lineno == rows[-1][0]:
                 logger.warning("%s: dropped torn last line %d (%s)", path, lineno, exc)
                 break
             raise ParseError(f"{path}: {exc}", line=lineno) from exc
-        cells.append(cell)
-        country = cell.country
     return cells
 
 
@@ -309,69 +320,98 @@ class AdsApiClient:
 # --------------------------------------------------------------------------
 
 class _CellStore:
-    """A directory of cell CSVs, each file read once into a dict keyed by
-    (sex, age group, filter).
+    """A directory of cell CSVs, each file read once into one dict per
+    country keyed by (sex, age group, filter).
 
-    Fixtures are `<ISO2>.csv` and only read. The live cache is
-    `<ISO2>_<day>.csv`; `write` merges cells into one such file and
-    rewrites it atomically, so an interrupted run leaves the old file or
-    the new one, never a torn line. A torn last line left by an
-    older, appending version is dropped on load, and a cache file that is
-    not valid UTF-8 is treated as absent, so the lost cells are fetched
-    again and the file rewritten whole.
+    Fixtures are `<ISO2>.csv` and only read. The live cache is one
+    `<YYYY-MM-DD>.csv` per UTC day holding every country's cells of that
+    day. `write` appends a country's new cells to it, in canonical order,
+    in one `os.write` of whole lines under the store lock; the header is
+    written only by the append that creates the file. On load, a torn
+    last line (no line break, does not parse) is dropped with a warning,
+    and a day file that is not valid UTF-8, or has no complete header
+    line, is treated as absent, so the lost cells are fetched again. The
+    next write to a day file that was not read whole, or that does not end
+    in a line break, rewrites it whole and atomically from every cell the
+    store holds for the day: a crash never breaks the next run.
     """
 
     def __init__(self, directory: Path) -> None:
         self.directory = directory
         self._lock = threading.Lock()
         self._files: dict[tuple[str, date | None], dict[CellKey, AudienceCell] | None] = {}
-        self._digests: dict[tuple[str, date | None], str] = {}
-        self._turns: dict[tuple[str, date], threading.Lock] = {}  # one writer per file at a time
-        self._countries: dict[str, CountryRef] = {}
+        self._digests: dict[str, str] = {}  # of fixture files
+        self._days: set[date] = set()  # day files read
+        self._rewrite: set[date] = set()  # day files whose next write rewrites them whole
 
-    def _path(self, iso2: str, day: date | None) -> Path:
-        name = iso2 if day is None else f"{iso2}_{day.isoformat()}"
+    def _path(self, name: str) -> Path:
         return self.directory / f"{name}.csv"
 
     def _load(self, iso2: str, day: date | None) -> dict[CellKey, AudienceCell] | None:
-        file = (iso2, day)
-        if file not in self._files:
-            path = self._path(iso2, day)
+        if day is not None:
+            if day not in self._days:
+                self._days.add(day)
+                for cell in self._read_day(day):
+                    self._files.setdefault((cell.country.iso2, day), {})[cell.key] = cell
+        elif (iso2, None) not in self._files:
+            path = self._path(iso2)
             cells = None
             if path.exists():
                 data = path.read_bytes()
-                self._digests[file] = hashlib.sha256(data).hexdigest()
-                try:
-                    read = read_cells_csv(path, self.country(iso2), drop_torn_tail=day is not None, data=data)
-                    cells = {c.key: c for c in read}
-                except ParseError as exc:
-                    if day is None or not isinstance(exc.__cause__, UnicodeDecodeError):
-                        raise
-                    logger.warning("%s is not valid UTF-8; fetching its cells again", path)
-            self._files[file] = cells
-        return self._files[file]
+                self._digests[iso2] = hashlib.sha256(data).hexdigest()
+                cells = {c.key: c for c in read_cells_csv(path, _country_ref(iso2), data=data)}
+            self._files[iso2, None] = cells
+        return self._files.get((iso2, day))
 
-    def country(self, iso2: str) -> CountryRef:
-        """The one CountryRef that all of this store's cells for `iso2` share."""
-        return self._countries.get(iso2) or self._countries.setdefault(iso2, CountryRef(iso2=iso2))
+    def _read_day(self, day: date) -> list[AudienceCell]:
+        """The cells of `day`'s cache file; none when it is absent or unreadable."""
+        path = self._path(day.isoformat())
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return []
+        if b"\n" not in data:  # a create cut short: no complete header line
+            logger.warning("%s has no complete header line; fetching its cells again", path)
+            return []
+        try:
+            return read_cells_csv(path, drop_torn_tail=True, data=data)
+        except ParseError as exc:
+            if not isinstance(exc.__cause__, UnicodeDecodeError):
+                raise
+            logger.warning("%s is not valid UTF-8; fetching its cells again", path)
+            self._rewrite.add(day)
+            return []
 
     def cells(self, iso2: str, day: date | None = None) -> dict[CellKey, AudienceCell] | None:
-        """The file's cells by key, or None when there is no such file."""
+        """`iso2`'s cells by key: from its fixture (day None) or from `day`'s cache file; None
+        when there are none."""
         with self._lock:
             return self._load(iso2, day)
 
-    def digest(self, iso2: str, day: date | None = None) -> str | None:
-        """SHA-256 hex digest of the file's bytes as loaded, or None when none were."""
+    def digest(self, iso2: str) -> str | None:
+        """SHA-256 hex digest of `iso2`'s fixture file as loaded, or None when none was."""
         with self._lock:
-            return self._digests.get((iso2, day))
+            return self._digests.get(iso2)
 
     def write(self, iso2: str, day: date, cells: Iterable[AudienceCell]) -> None:
-        """Merge `cells` into the (iso2, day) file, in memory and then on disk, rewritten atomically
-        in canonical order. Writers of one file take turns, so none drops another's cells."""
-        with self._turns.setdefault((iso2, day), threading.Lock()):  # setdefault is atomic
-            with self._lock:
-                merged = self._files[iso2, day] = {**(self._load(iso2, day) or {}), **{c.key: c for c in cells}}
-            write_cells_csv(self._path(iso2, day), [merged[k] for k in CELL_KEYS if k in merged])
+        """Add the `cells` this store does not hold yet to `iso2`'s cells for `day`, in memory
+        and then in the day file: appended in canonical order, or with the file rewritten
+        whole (see the class docstring)."""
+        with self._lock:
+            held = self._load(iso2, day) or {}
+            new = {c.key: c for c in cells if held.get(c.key) != c}
+            if not new:
+                return
+            self._files[iso2, day] = {**held, **new}
+            path = self._path(day.isoformat())
+            lines = _cell_lines(new[k] for k in CELL_KEYS if k in new)
+            if day in self._rewrite or not append_lines(path, lines, _HEADER_LINE):
+                write_cells_csv(path, [
+                    by_key[k]
+                    for (_, d), by_key in self._files.items() if d == day
+                    for k in CELL_KEYS if k in by_key
+                ])
+                self._rewrite.discard(day)
 
 
 # --------------------------------------------------------------------------
@@ -394,17 +434,18 @@ class Collector:
     """Collects audience snapshots; safe to share across threads.
 
     One `_CellStore` answers every lookup: the fixture directory (day None)
-    or the live cache, for the UTC day the call looked up. A collect checks
-    every requested country first, then answers the hits from the store on
-    the calling thread. A fixture miss is a per-cell FixtureMiss. The live
-    misses of the whole call go to one worker set of min(MAX_IN_FLIGHT,
-    misses) threads; a worker settles the query it finished and takes the
-    next in one round-trip on the set's lock, and keeps each cell only in
-    its outcome slot. The worker that resolves a country's last miss writes
-    the country's cache file from those slots, once and atomically, when a
-    miss returned a cell. An error or an interrupt that ends the call stops
-    the workers, then writes every country that received a new cell and was
-    not yet written. Snapshots are assembled in canonical query order.
+    or the live cache's file for the UTC day the call looked up. A collect
+    checks every requested country first, then answers the hits from the
+    store on the calling thread. A fixture miss is a per-cell FixtureMiss.
+    The live misses of the whole call go to one worker set of
+    min(MAX_IN_FLIGHT, misses) threads; a worker settles the query it
+    finished and takes the next in one round-trip on the set's lock, and
+    keeps each cell only in its outcome slot. The worker that resolves a
+    country's last miss appends the country's new cells from those slots
+    to the day file, once, when a miss returned a cell. An error or an
+    interrupt that ends the call stops the workers, then writes every
+    country that received a new cell and was not yet written. Snapshots
+    are assembled in canonical query order.
     """
 
     def __init__(
@@ -473,7 +514,7 @@ class Collector:
                     query.canonical(), attempt, MAX_RETRIES, delay,
                 )
                 self._sleep(delay)
-        return AudienceCell(self._store.country(iso2), *key, count=count, collected_at=self._clock())
+        return AudienceCell(_country_ref(iso2), *key, count=count, collected_at=self._clock())
 
     def collect_snapshot(self, country: CountryRef) -> AudienceSnapshot:
         """All 28 cells for a country, or SnapshotIncomplete with what came back.
@@ -516,8 +557,9 @@ class Collector:
         return (self._assemble(c, outcomes[i * n:(i + 1) * n]) for i, c in enumerate(countries))
 
     def _fetch_misses(self, countries: list[CountryRef], day: date, misses: list[int], outcomes: list) -> None:
-        """Fill outcomes[i] for every i in misses on one worker set, writing each country's `day`
-        cache file from its outcome slots (see the class docstring); other errors propagate."""
+        """Fill outcomes[i] for every i in misses on one worker set, writing each country's new
+        cells to the `day` cache file from its outcome slots (see the class docstring); other
+        errors propagate."""
         n = len(CELL_KEYS)
         pending = Counter(i // n for i in misses)
         todo = iter(misses)

@@ -410,6 +410,23 @@ def test_cell_file_not_named_for_a_country_reports_parse_error(tmp_path, capsys,
     assert str(bad) in report["message"]
 
 
+def test_fixture_row_naming_another_country_reports_parse_error(tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    lines = packaged_data_path("fixtures", "IT.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    row = max(i for i, line in enumerate(lines) if line.startswith("IT,"))
+    lines[row] = "FR," + lines[row][3:]
+    bad = fixtures / "IT.csv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("collect", "--fixture-dir", fixtures, "--out", out) == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "ParseError"
+    assert str(bad) in report["message"] and "FR" in report["message"]
+    assert f"(line {row + 1})" in report["message"]
+    assert not (out / "snapshots").exists()
+
+
 def _loaded_by_fresh_cli_import(*modules: str) -> list[str]:
     """Which of `modules` a fresh interpreter has loaded after `import admac.cli`."""
     src = str(Path(admac.__file__).resolve().parents[1])

@@ -8,7 +8,7 @@ import stat
 import pytest
 
 from admac.errors import ParseError
-from admac.fileio import atomic_write_text, read_csv, sha256_file, standard_metadata, write_csv, write_json
+from admac.fileio import append_lines, atomic_write_text, read_csv, sha256_file, standard_metadata, write_csv, write_json
 from admac.groundtruth import load_continent_map, load_ground_truth
 from admac.ingest import read_cells_csv
 from admac.pipeline import load_estimates
@@ -33,6 +33,28 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write_text(path, "two")
     assert path.read_text() == "two"
     assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
+
+
+def test_append_lines_writes_the_header_once_and_never_after_a_fragment(tmp_path):
+    path = tmp_path / "a" / "day.csv"
+    assert append_lines(path, "1\n", "h\n")
+    assert append_lines(path, "2\n3\n", "h\n")
+    assert path.read_text() == "h\n1\n2\n3\n"
+    for fragment in ("h\n1\n2", ""):  # an append, or the create, cut short
+        path.write_text(fragment)
+        assert not append_lines(path, "4\n", "h\n")
+        assert path.read_text() == fragment
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_append_lines_closes_its_descriptor_on_every_path(tmp_path):
+    path = tmp_path / "day.csv"
+    before = len(os.listdir("/proc/self/fd"))
+    append_lines(path, "1\n", "h\n")  # creates
+    append_lines(path, "2\n", "h\n")  # appends
+    path.write_text("h\n1")
+    append_lines(path, "3\n", "h\n")  # refuses
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_atomic_write_creates_missing_parents_and_writes_text_byte_exact(tmp_path):

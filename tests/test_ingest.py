@@ -404,13 +404,31 @@ def test_fixture_collect_starts_no_thread(fixture_dir, monkeypatch):
     assert len(snapshot.cells) == 28
 
 
-# --- live mode: one worker set per collect, one atomic cache write per country
+# --- live mode: one worker set per collect, one append per country to the day file
 
 FIVE = [CountryRef(iso2=c) for c in ("AR", "BR", "DE", "IT", "NG")]
 
 
-def cache_file(tmp_path, iso2):
-    return tmp_path / "cache" / f"{iso2}_{FIXED_NOW.date().isoformat()}.csv"
+def cache_file(tmp_path):
+    """The day file of FIXED_NOW's UTC day."""
+    return tmp_path / "cache" / f"{FIXED_NOW.date().isoformat()}.csv"
+
+
+def cached_keys(path, iso2):
+    """The keys of `iso2`'s rows in the cache file at `path`, in file order."""
+    return [c.key for c in read_cells_csv(path) if c.country.iso2 == iso2]
+
+
+def record_store_writes(monkeypatch, record):
+    """Call `record(iso2, cells)` on every `_CellStore.write`, then write as usual."""
+    original = _CellStore.write
+
+    def write(store, iso2, day, cells):
+        cells = list(cells)
+        record(iso2, cells)
+        original(store, iso2, day, cells)
+
+    monkeypatch.setattr(_CellStore, "write", write)
 
 
 def count_thread_starts(monkeypatch):
@@ -467,10 +485,9 @@ def test_auth_error_stops_dispatch_and_keeps_earlier_countries_cached(tmp_path, 
         collector.collect_snapshots(FIVE)
     earlier = FIVE[:3]
     assert len(client.calls) <= len(earlier) * 28 + 3
+    path = cache_file(tmp_path)
     for country in earlier:
-        path = cache_file(tmp_path, country.iso2)
-        assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + 28
-        assert [c.key for c in read_cells_csv(path)] == list(CELL_KEYS)
+        assert cached_keys(path, country.iso2) == list(CELL_KEYS)
     fresh_client = StubClient(count=9999)
     fresh, _ = live_collector(tmp_path, fresh_client)
     snapshots = list(fresh.collect_snapshots(earlier))
@@ -480,9 +497,7 @@ def test_auth_error_stops_dispatch_and_keeps_earlier_countries_cached(tmp_path, 
 
 def test_each_country_is_written_once_as_soon_as_it_resolves(tmp_path, monkeypatch):
     writes = []
-    monkeypatch.setattr(
-        "admac.ingest.write_cells_csv", lambda path, cells, meta=None: writes.append(Path(path).name)
-    )
+    record_store_writes(monkeypatch, lambda iso2, cells: writes.append(iso2))
     seen_on_first_query = {}
 
     class CheckingClient(StubClient):
@@ -493,7 +508,7 @@ def test_each_country_is_written_once_as_soon_as_it_resolves(tmp_path, monkeypat
 
     collector, _ = live_collector(tmp_path, CheckingClient(count=500), monkeypatch, MAX_IN_FLIGHT=1)
     list(collector.collect_snapshots(FIVE))
-    names = [cache_file(tmp_path, c.iso2).name for c in FIVE]
+    names = [c.iso2 for c in FIVE]
     assert writes == names
     assert seen_on_first_query == {c.iso2: names[:i] for i, c in enumerate(FIVE)}
 
@@ -501,11 +516,8 @@ def test_each_country_is_written_once_as_soon_as_it_resolves(tmp_path, monkeypat
 def test_worker_set_stress_keeps_every_cell_and_writes_each_country_once(tmp_path, monkeypatch):
     countries = [CountryRef(iso2=f"A{chr(65 + i)}") for i in range(20)]
     writes = []
-    monkeypatch.setattr(
-        "admac.ingest.write_cells_csv",
-        lambda path, cells, meta=None: writes.append(
-            (Path(path).name, len(cells), threading.current_thread().name)
-        ),
+    record_store_writes(
+        monkeypatch, lambda iso2, cells: writes.append((iso2, len(cells), threading.current_thread().name))
     )
     client = StubClient(count=500)
     collector, _ = live_collector(tmp_path, client, monkeypatch, MAX_IN_FLIGHT=8)
@@ -526,8 +538,9 @@ def test_worker_set_stress_keeps_every_cell_and_writes_each_country_once(tmp_pat
     assert [r.country for r in results] == countries
     assert all(isinstance(r, AudienceSnapshot) and r.is_complete() for r in results)
     # every country written once, complete, by the worker that resolved its last query
-    assert sorted(name for name, _, _ in writes) == [cache_file(tmp_path, c.iso2).name for c in countries]
+    assert sorted(iso2 for iso2, _, _ in writes) == [c.iso2 for c in countries]
     assert all(rows == 28 and thread != "stage" for _, rows, thread in writes)
+    assert all(cached_keys(cache_file(tmp_path), c.iso2) == list(CELL_KEYS) for c in countries)
 
 
 @pytest.mark.parametrize("error", [AuthError("token revoked"), KeyboardInterrupt()], ids=["auth", "interrupt"])
@@ -538,7 +551,7 @@ def test_error_mid_country_still_caches_the_cells_that_arrived(tmp_path, monkeyp
     with pytest.raises(type(error)):
         collector.collect_snapshots([IT, CountryRef(iso2="NG")])
     assert len(client.calls) == 2
-    assert [c.key for c in read_cells_csv(cache_file(tmp_path, "IT"))] == [CELL_KEYS[0]]
+    assert [(c.country.iso2, c.key) for c in read_cells_csv(cache_file(tmp_path))] == [("IT", CELL_KEYS[0])]
     fresh_client = StubClient(count=500)
     fresh, _ = live_collector(tmp_path, fresh_client)
     fresh.collect_snapshot(IT)
@@ -548,24 +561,31 @@ def test_error_mid_country_still_caches_the_cells_that_arrived(tmp_path, monkeyp
 def test_failed_cache_flush_keeps_the_previous_file(tmp_path, monkeypatch):
     collector, _ = live_collector(tmp_path, StubClient(count=500))
     collector.collect_snapshot(IT)
-    path = cache_file(tmp_path, "IT")
-    # an older file missing its last cell, so the next collect fetches and flushes
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join(lines[:-1]), encoding="utf-8")
-    before = path.read_bytes()
+    path = cache_file(tmp_path)
+    text = path.read_text(encoding="utf-8")
 
-    def failing_replace(src, dst):
+    def disk_full(*args):
         raise OSError("disk full")
 
-    monkeypatch.setattr(os, "replace", failing_replace)
-    client = StubClient(count=600)
-    fresh, _ = live_collector(tmp_path, client)
-    with pytest.raises(OSError, match="disk full"):
-        fresh.collect_snapshot(IT)
-    monkeypatch.undo()
-    assert len(client.calls) == 1
-    assert path.read_bytes() == before
-    assert [p.name for p in path.parent.iterdir()] == [path.name]
+    # an older file missing its last cell, so the next collect fetches and appends it; and one
+    # whose last line is torn, so the next collect fetches that cell and rewrites the file whole
+    missing_last, torn_last = text[: text.rstrip("\n").rfind("\n") + 1], text[: text.rstrip("\n").rfind(",")]
+    for damaged, failing in ((missing_last, "write"), (torn_last, "replace")):
+        path.write_text(damaged, encoding="utf-8")
+        before = path.read_bytes()
+        monkeypatch.setattr(os, failing, disk_full)
+        client = StubClient(count=600)
+        fresh, _ = live_collector(tmp_path, client)
+        with pytest.raises(OSError, match="disk full"):
+            fresh.collect_snapshot(IT)
+        monkeypatch.undo()
+        assert len(client.calls) == 1
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+        # the previous cells still load: only the lost one is fetched again
+        again = StubClient(count=600)
+        live_collector(tmp_path, again)[0].collect_snapshot(IT)
+        assert len(again.calls) == 1
 
 
 def test_collect_across_utc_midnight_writes_each_country_to_the_day_it_looked_up(tmp_path, monkeypatch):
@@ -581,9 +601,9 @@ def test_collect_across_utc_midnight_writes_each_country_to_the_day_it_looked_up
     collector = Collector(config, client=StubClient(count=500), clock=clock, sleep=lambda s: None)
     snapshots = list(collector.collect_snapshots([IT, CountryRef(iso2="NG")]))
     assert all(isinstance(s, AudienceSnapshot) and s.is_complete() for s in snapshots)
-    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["IT_2024-06-02.csv", "NG_2024-06-02.csv"]
-    for path in (tmp_path / "cache").iterdir():
-        assert [c.key for c in read_cells_csv(path)] == list(CELL_KEYS)
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["2024-06-02.csv"]
+    for iso2 in ("IT", "NG"):
+        assert cached_keys(tmp_path / "cache" / "2024-06-02.csv", iso2) == list(CELL_KEYS)
 
 
 def test_partly_cached_collect_across_utc_midnight_answers_hits_for_the_day_it_looked_up(tmp_path):
@@ -596,7 +616,7 @@ def test_partly_cached_collect_across_utc_midnight_answers_hits_for_the_day_it_l
 
     seeded, _ = live_collector(tmp_path, StubClient(count=500))
     seeded.collect_snapshot(IT)
-    path = tmp_path / "cache" / "IT_2024-06-02.csv"
+    path = tmp_path / "cache" / "2024-06-02.csv"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines[:-3]), encoding="utf-8")  # the last 3 cells are missing
     client = StubClient(count=500)
@@ -609,14 +629,8 @@ def test_partly_cached_collect_across_utc_midnight_answers_hits_for_the_day_it_l
 
 
 def test_concurrent_fetch_cell_misses_of_one_country_keep_every_cell(tmp_path, monkeypatch):
-    original = ingest.write_cells_csv
-
-    def write_cells_csv(path, cells):
-        cells = list(cells)
-        time.sleep(0.001 * (len(CELL_KEYS) - len(cells)))  # an older merge lands later
-        original(path, cells)
-
-    monkeypatch.setattr(ingest, "write_cells_csv", write_cells_csv)
+    # an earlier query's write lands later
+    record_store_writes(monkeypatch, lambda iso2, cells: time.sleep(0.001 * (28 - CELL_KEYS.index(cells[0].key))))
     client = StubClient(count=500)
     client.delay = 0.005
     collector, _ = live_collector(tmp_path, client)
@@ -627,7 +641,8 @@ def test_concurrent_fetch_cell_misses_of_one_country_keep_every_cell(tmp_path, m
     for thread in threads:
         thread.join()
     assert len(client.calls) == 28
-    assert [c.key for c in read_cells_csv(cache_file(tmp_path, "IT"))] == list(CELL_KEYS)
+    keys = cached_keys(cache_file(tmp_path), "IT")  # in the order the writes landed
+    assert sorted(keys, key=CELL_KEYS.index) == list(CELL_KEYS)
     again = StubClient(count=500)
     live_collector(tmp_path, again)[0].collect_snapshot(IT)
     assert again.calls == []
@@ -640,7 +655,7 @@ def test_country_whose_misses_all_fail_gets_no_cache_write(tmp_path):
     assert isinstance(result, SnapshotIncomplete)
     assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
     live_collector(tmp_path, StubClient(count=500))[0].collect_snapshot(IT)
-    path = cache_file(tmp_path, "IT")
+    path = cache_file(tmp_path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines[:-3]), encoding="utf-8")
     before = path.stat().st_ino, path.read_bytes()
@@ -683,7 +698,76 @@ def test_live_collect_yields_incomplete_snapshot_and_caches_what_arrived(tmp_pat
     assert len(results[1].cells) == 27
     assert [m.canonical() for m in results[1].missing] == [q]
     assert all(isinstance(r, AudienceSnapshot) for i, r in enumerate(results) if i != 1)
-    assert len(read_cells_csv(cache_file(tmp_path, "BR"))) == 27
+    assert len(cached_keys(cache_file(tmp_path), "BR")) == 27
+
+
+def test_cold_live_collect_creates_one_cache_file_and_a_warm_one_sends_nothing(tmp_path, monkeypatch):
+    rewrites = []
+    original = ingest.atomic_write_text
+    monkeypatch.setattr(ingest, "atomic_write_text", lambda path, text: (rewrites.append(path), original(path, text)))
+    collector, _ = live_collector(tmp_path, StubClient(count=500))
+    first = list(collector.collect_snapshots(FIVE))
+    path = cache_file(tmp_path)
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+    assert rewrites == []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == ",".join(CELL_COLUMNS) and lines.count(lines[0]) == 1
+    assert all(cached_keys(path, c.iso2) == list(CELL_KEYS) for c in FIVE)
+    warm = StubClient(count=9999)
+    assert list(live_collector(tmp_path, warm)[0].collect_snapshots(FIVE)) == first
+    assert warm.calls == []
+
+
+def test_day_file_whose_last_append_was_cut_short_is_dropped_then_repaired(tmp_path, monkeypatch, caplog):
+    collector, _ = live_collector(tmp_path, StubClient(count=500), monkeypatch, MAX_IN_FLIGHT=1)
+    list(collector.collect_snapshots(FIVE))  # one worker: NG's 28 rows are the last append
+    monkeypatch.undo()
+    path = cache_file(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    torn = len(lines) - 9  # 0-based index of NG's 20th row: the append was cut inside it
+    path.write_text("".join(lines[:torn]) + lines[torn][:10], encoding="utf-8")
+    inode = path.stat().st_ino
+    client = StubClient(count=500)
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+        assert all(s.is_complete() for s in live_collector(tmp_path, client)[0].collect_snapshots(FIVE))
+    assert client.calls == [ingest._query("NG", key).canonical() for key in CELL_KEYS[19:]]
+    assert any(str(path) in r.getMessage() and f"line {torn + 1}" in r.getMessage() for r in caplog.records)
+    assert path.stat().st_ino != inode  # rewritten whole, not appended to
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n") and text.count(",".join(CELL_COLUMNS)) == 1
+    assert all(cached_keys(path, c.iso2) == list(CELL_KEYS) for c in FIVE)
+    again = StubClient(count=500)
+    assert all(s.is_complete() for s in live_collector(tmp_path, again)[0].collect_snapshots(FIVE))
+    assert again.calls == []
+
+
+def test_append_to_a_day_file_without_a_final_line_break_rewrites_it_whole(tmp_path, monkeypatch):
+    live_collector(tmp_path, StubClient(count=500))[0].collect_snapshot(IT)
+    path = cache_file(tmp_path)
+    path.write_text(path.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")  # the last row still parses
+    rewrites = []
+    original = ingest.atomic_write_text
+    monkeypatch.setattr(ingest, "atomic_write_text", lambda path, text: (rewrites.append(path), original(path, text)))
+    client = StubClient(count=500)
+    live_collector(tmp_path, client)[0].collect_snapshot(CountryRef(iso2="NG"))
+    assert len(client.calls) == 28
+    assert rewrites == [path]
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n") and text.count(",".join(CELL_COLUMNS)) == 1
+    assert cached_keys(path, "IT") == cached_keys(path, "NG") == list(CELL_KEYS)
+
+
+@pytest.mark.parametrize("left", ["", "iso2,sex,age"], ids=["empty", "torn_header"])
+def test_day_file_cut_short_at_its_creation_is_refetched_and_rewritten(tmp_path, caplog, left):
+    path = cache_file(tmp_path)
+    path.parent.mkdir()
+    path.write_text(left, encoding="utf-8")
+    client = StubClient(count=500)
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+        assert live_collector(tmp_path, client)[0].collect_snapshot(IT).is_complete()
+    assert len(client.calls) == 28
+    assert any(str(path) in r.getMessage() for r in caplog.records)
+    assert cached_keys(path, "IT") == list(CELL_KEYS)
 
 
 def test_fetched_cells_of_a_country_share_one_country_ref(tmp_path):
@@ -699,11 +783,12 @@ def _tear_last_line(path):
     path.write_text(text[: text.rstrip("\n").rfind(",")], encoding="utf-8")
 
 
-def test_torn_last_cache_line_is_dropped_and_refetched(tmp_path, caplog):
+def test_torn_last_cache_line_is_dropped_and_refetched(tmp_path, monkeypatch, caplog):
     countries = [CountryRef(iso2="FR"), IT]
-    collector, _ = live_collector(tmp_path, StubClient(count=500))
-    list(collector.collect_snapshots(countries))
-    path = cache_file(tmp_path, "IT")
+    collector, _ = live_collector(tmp_path, StubClient(count=500), monkeypatch, MAX_IN_FLIGHT=1)
+    list(collector.collect_snapshots(countries))  # one worker: IT's cells are the last 28 lines
+    monkeypatch.undo()
+    path = cache_file(tmp_path)
     _tear_last_line(path)
     client = StubClient(count=500)
     fresh, _ = live_collector(tmp_path, client)
@@ -711,15 +796,15 @@ def test_torn_last_cache_line_is_dropped_and_refetched(tmp_path, caplog):
         snapshots = list(fresh.collect_snapshots(countries))
     assert all(isinstance(s, AudienceSnapshot) and s.is_complete() for s in snapshots)
     assert client.calls == ["iso2=IT&sex=male&age_min=45&age_max=49&parent_filter=parent_of_child_0_12m"]
-    assert any(str(path) in r.getMessage() and "line 29" in r.getMessage() for r in caplog.records)
+    assert any(str(path) in r.getMessage() and "line 57" in r.getMessage() for r in caplog.records)
     assert path.read_text(encoding="utf-8").endswith("\n")
-    assert [c.key for c in read_cells_csv(path)] == list(CELL_KEYS)
+    assert all(cached_keys(path, c.iso2) == list(CELL_KEYS) for c in countries)
 
 
 def test_bad_cache_line_with_a_line_break_still_raises(tmp_path):
     collector, _ = live_collector(tmp_path, StubClient(count=500))
     collector.collect_snapshot(IT)
-    path = cache_file(tmp_path, "IT")
+    path = cache_file(tmp_path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     for i in (5, len(lines) - 1):  # a middle line, and a last line that was fully written
         broken = lines[:i] + [lines[i].replace(",500,", ",many,")] + lines[i + 1:]
@@ -732,22 +817,30 @@ def test_bad_cache_line_with_a_line_break_still_raises(tmp_path):
         assert client.calls == []
 
 
-def test_non_utf8_cache_file_is_refetched_and_rewritten_whole(tmp_path, caplog):
+def test_non_utf8_cache_file_is_refetched_and_rewritten_whole(tmp_path, monkeypatch, caplog):
     collector, _ = live_collector(tmp_path, StubClient(count=500))
     collector.collect_snapshot(IT)
-    path = cache_file(tmp_path, "IT")
-    with path.open("ab") as handle:
-        handle.write(b"\xff")
-    client = StubClient(count=500)
-    fresh, _ = live_collector(tmp_path, client)
-    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
-        assert fresh.collect_snapshot(IT).is_complete()
-    assert len(client.calls) == 28
-    assert any(str(path) in r.getMessage() and "UTF-8" in r.getMessage() for r in caplog.records)
-    assert [c.key for c in read_cells_csv(path)] == list(CELL_KEYS)
-    again = StubClient(count=500)
-    live_collector(tmp_path, again)[0].collect_snapshot(IT)
-    assert again.calls == []
+    path = cache_file(tmp_path)
+    good = path.read_bytes()
+    rewrites = []
+    original = ingest.atomic_write_text
+    monkeypatch.setattr(ingest, "atomic_write_text", lambda path, text: (rewrites.append(path), original(path, text)))
+    # a bad byte at the end, and one inside a file that still ends in a line break
+    for damaged in (good + b"\xff", good.replace(b"female", b"f\xffmale", 1)):
+        path.write_bytes(damaged)
+        rewrites.clear()
+        client = StubClient(count=500)
+        fresh, _ = live_collector(tmp_path, client)
+        with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+            assert fresh.collect_snapshot(IT).is_complete()
+        assert len(client.calls) == 28
+        assert any(str(path) in r.getMessage() and "UTF-8" in r.getMessage() for r in caplog.records)
+        assert [c.key for c in read_cells_csv(path)] == list(CELL_KEYS)
+        fresh.collect_snapshot(CountryRef(iso2="NG"))  # appended: only the first write rewrites
+        assert rewrites == [path]
+        again = StubClient(count=500)
+        live_collector(tmp_path, again)[0].collect_snapshot(IT)
+        assert again.calls == []
 
 
 def test_torn_last_fixture_line_still_raises(fixture_dir):
