@@ -49,29 +49,28 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def append_lines(path: str | Path, lines: str, header: str) -> bool:
+def append_lines(path: str | Path, lines: str, header: str) -> None:
     """Append `lines`, whole lines each ending in a line break, to `path` as
-    UTF-8 in one `os.write` on an O_APPEND descriptor. A missing file is
-    created, with `header` written first. Returns False, having written
-    nothing, when the file does not end in a line break: an append cut
-    short leaves it so, and appending after the fragment would tear a line.
+    UTF-8 on an O_APPEND descriptor; an empty or missing file (created) gets
+    `header` first. Every byte is written, or none: a write that fails part
+    way cuts the file back to where the append began, then raises.
     """
     path = Path(path)
     try:
-        fd, created = os.open(path, os.O_RDWR | os.O_APPEND), False
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
     except FileNotFoundError:
-        fd, created = _create(path), True
+        fd = _create(path)
     try:
-        if created:
-            lines = header + lines
-        else:
-            end = os.fstat(fd).st_size
-            if not end or os.pread(fd, 1, end - 1) != b"\n":
-                return False
-        os.write(fd, lines.encode("utf-8"))
+        start = os.lseek(fd, 0, os.SEEK_END)
+        data = memoryview((("" if start else header) + lines).encode("utf-8"))
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        except BaseException:
+            os.ftruncate(fd, start)
+            raise
     finally:
         os.close(fd)
-    return True
 
 
 def sha256_file(path: str | Path) -> str:
@@ -124,17 +123,17 @@ def decode_utf8(path: str | Path, data: bytes) -> str:
 
 def read_table(
     path: str | Path, columns: list[str] | None = None, *, data: bytes | None = None
-) -> tuple[dict[str, str], list[str], list[tuple[int, list[str]]], bool]:
-    """The one reader of CSV input files: (metadata, header, rows, torn_tail).
+) -> tuple[dict[str, str], list[str], list[tuple[int, list[str]]]]:
+    """The one reader of CSV input files: (metadata, header, rows).
 
     `data` is the file's bytes when the caller has already read them.
     `# key=value` lines fill the metadata; other `#` lines and blank lines
     are skipped. Each data row comes with its 1-based line number in the
     file. With `columns`, the header must equal them once stripped and
-    lower-cased. `torn_tail` is true when the last data row ends the file
-    without a line break, as a write cut short leaves it. Bytes that are
-    not UTF-8, a row the csv module rejects, and (with `columns`) an empty
-    file or a wrong header raise ParseError.
+    lower-cased. A last line without a line break is read like any other;
+    the live cache cuts such a torn tail off before it calls this. Bytes
+    that are not UTF-8, a row the csv module rejects, and (with `columns`)
+    an empty file or a wrong header raise ParseError.
     """
     if data is None:
         data = Path(path).read_bytes()
@@ -162,13 +161,12 @@ def read_table(
             raise ParseError(f"{path} has no header row; expected {','.join(columns)}", line=1)
         if [h.strip().lower() for h in header] != columns:
             raise ParseError(f"{path} has header {header!r}; expected {columns}", line=rows[0][0])
-    torn_tail = len(rows) > 1 and not kept[-1][1].endswith(("\n", "\r"))
-    return meta, header, rows[1:], torn_tail
+    return meta, header, rows[1:]
 
 
 def read_csv(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
     """Counterpart of write_csv; returns (metadata, header, rows)."""
-    meta, header, rows, _ = read_table(path)
+    meta, header, rows = read_table(path)
     return meta, header, [row for _, row in rows]
 
 

@@ -45,7 +45,7 @@ class JoinResult(NamedTuple):
 
 def load_continent_map(path: str | Path, *, data: bytes | None = None) -> dict[str, Continent]:
     """Bundled-style `iso2,continent` CSV into a lookup dict."""
-    _, _, rows, _ = read_table(path, CONTINENT_COLUMNS, data=data)
+    _, _, rows = read_table(path, CONTINENT_COLUMNS, data=data)
     mapping: dict[str, Continent] = {}
     for lineno, row in rows:
         if len(row) != 2:
@@ -72,7 +72,7 @@ def load_ground_truth(
     skipped; a structurally broken file raises ParseError.
     """
     continent_map = continent_map or {}
-    _, _, rows, _ = read_table(path, TRUTH_COLUMNS, data=data)
+    _, _, rows = read_table(path, TRUTH_COLUMNS, data=data)
     records: list[GroundTruthRecord] = []
     for lineno, row in rows:
         if len(row) != 4:

@@ -3,9 +3,9 @@ cache, retry with exponential backoff and bounded request concurrency.
 
 Fixtures (one `<ISO2>.csv` per country) and the live cache (one
 `<YYYY-MM-DD>.csv` per UTC day, every country's cells in it, appended to
-as countries resolve) share one CSV schema
-(`iso2,sex,age_low,age_high,parent_filter,count,collected_at`) and one
-store. A collect stage answers every hit from the store; live misses go
+as countries resolve; read, it keeps only its whole lines) share one CSV
+schema (`iso2,sex,age_low,age_high,parent_filter,count,collected_at`) and
+one store. A collect stage answers every hit from the store; live misses go
 to one set of at most `MAX_IN_FLIGHT` worker threads for the whole stage,
 and a throttled query is retried `MAX_RETRIES` times, waiting
 `BASE_BACKOFF_S` seconds and then twice as long each time.
@@ -203,23 +203,17 @@ def write_cells_csv(
 
 
 def read_cells_csv(
-    path: str | Path,
-    country: CountryRef | None = None,
-    *,
-    drop_torn_tail: bool = False,
-    data: bytes | None = None,
+    path: str | Path, country: CountryRef | None = None, *, data: bytes | None = None
 ) -> list[AudienceCell]:
     """The cells of a cell CSV in file order, read with `fileio.read_table`.
 
     `country`, when given, is the country every row must name, and all
     cells share it; otherwise each row's CountryRef is `_country_ref`'s.
-    `data` is the file's bytes when the caller has already read them. A
-    malformed row, or one naming another country than `country`, raises
-    ParseError with its file line. With `drop_torn_tail`, a last line
-    that has no line break and does not parse, as a write cut short
-    leaves it, is dropped with a warning instead.
+    `data` is the file's bytes when the caller has already read them (the
+    live cache passes only its whole lines). A malformed row, or one naming
+    another country than `country`, raises ParseError with its file line.
     """
-    _, _, rows, torn_tail = read_table(path, CELL_COLUMNS, data=data)
+    _, _, rows = read_table(path, CELL_COLUMNS, data=data)
     cells = []
     for lineno, row in rows:
         try:
@@ -227,9 +221,6 @@ def read_cells_csv(
                 raise ValueError(f"expected {len(CELL_COLUMNS)} fields")
             cells.append(_row_to_cell(row, country))
         except ValueError as exc:
-            if drop_torn_tail and torn_tail and lineno == rows[-1][0]:
-                logger.warning("%s: dropped torn last line %d (%s)", path, lineno, exc)
-                break
             raise ParseError(f"{path}: {exc}", line=lineno) from exc
     return cells
 
@@ -326,14 +317,11 @@ class _CellStore:
     Fixtures are `<ISO2>.csv` and only read. The live cache is one
     `<YYYY-MM-DD>.csv` per UTC day holding every country's cells of that
     day. `write` appends a country's new cells to it, in canonical order,
-    in one `os.write` of whole lines under the store lock; the header is
-    written only by the append that creates the file. On load, a torn
-    last line (no line break, does not parse) is dropped with a warning,
-    and a day file that is not valid UTF-8, or has no complete header
-    line, is treated as absent, so the lost cells are fetched again. The
-    next write to a day file that was not read whole, or that does not end
-    in a line break, rewrites it whole and atomically from every cell the
-    store holds for the day: a crash never breaks the next run.
+    as whole lines under the store lock; the header is written only into
+    an empty file. One rule repairs what a crash leaves, where a day file
+    is read: it keeps its whole lines. Bytes after the last line break are
+    cut off in place, and a file with no complete line or that is not
+    UTF-8 is removed, each with a warning; the lost cells are fetched again.
     """
 
     def __init__(self, directory: Path) -> None:
@@ -342,7 +330,6 @@ class _CellStore:
         self._files: dict[tuple[str, date | None], dict[CellKey, AudienceCell] | None] = {}
         self._digests: dict[str, str] = {}  # of fixture files
         self._days: set[date] = set()  # day files read
-        self._rewrite: set[date] = set()  # day files whose next write rewrites them whole
 
     def _path(self, name: str) -> Path:
         return self.directory / f"{name}.csv"
@@ -364,23 +351,26 @@ class _CellStore:
         return self._files.get((iso2, day))
 
     def _read_day(self, day: date) -> list[AudienceCell]:
-        """The cells of `day`'s cache file; none when it is absent or unreadable."""
+        """The cells of `day`'s cache file, kept to its whole lines (see the class docstring)."""
         path = self._path(day.isoformat())
         try:
             data = path.read_bytes()
         except FileNotFoundError:
             return []
-        if b"\n" not in data:  # a create cut short: no complete header line
-            logger.warning("%s has no complete header line; fetching its cells again", path)
-            return []
+        end = data.rfind(b"\n") + 1
         try:
-            return read_cells_csv(path, drop_torn_tail=True, data=data)
-        except ParseError as exc:
-            if not isinstance(exc.__cause__, UnicodeDecodeError):
+            cells = read_cells_csv(path, data=data[:end])
+        except ParseError as exc:  # with no complete line, it has no header row
+            if end and not isinstance(exc.__cause__, UnicodeDecodeError):
                 raise
-            logger.warning("%s is not valid UTF-8; fetching its cells again", path)
-            self._rewrite.add(day)
+            logger.warning("%s; removed it, its cells are fetched again", exc)
+            path.unlink()
             return []
+        if end < len(data):
+            line = data.count(b"\n", 0, end) + 1
+            logger.warning("%s: cut off torn last line %d; its cell is fetched again", path, line)
+            os.truncate(path, end)
+        return cells
 
     def cells(self, iso2: str, day: date | None = None) -> dict[CellKey, AudienceCell] | None:
         """`iso2`'s cells by key: from its fixture (day None) or from `day`'s cache file; None
@@ -394,24 +384,15 @@ class _CellStore:
             return self._digests.get(iso2)
 
     def write(self, iso2: str, day: date, cells: Iterable[AudienceCell]) -> None:
-        """Add the `cells` this store does not hold yet to `iso2`'s cells for `day`, in memory
-        and then in the day file: appended in canonical order, or with the file rewritten
-        whole (see the class docstring)."""
+        """Append the `cells` this store does not hold yet to `iso2`'s cells for `day`: to the
+        day file in canonical order, then, once that succeeded, in memory."""
         with self._lock:
             held = self._load(iso2, day) or {}
             new = {c.key: c for c in cells if held.get(c.key) != c}
-            if not new:
-                return
-            self._files[iso2, day] = {**held, **new}
-            path = self._path(day.isoformat())
-            lines = _cell_lines(new[k] for k in CELL_KEYS if k in new)
-            if day in self._rewrite or not append_lines(path, lines, _HEADER_LINE):
-                write_cells_csv(path, [
-                    by_key[k]
-                    for (_, d), by_key in self._files.items() if d == day
-                    for k in CELL_KEYS if k in by_key
-                ])
-                self._rewrite.discard(day)
+            if new:
+                lines = _cell_lines(new[k] for k in CELL_KEYS if k in new)
+                append_lines(self._path(day.isoformat()), lines, _HEADER_LINE)
+                self._files[iso2, day] = {**held, **new}
 
 
 # --------------------------------------------------------------------------

@@ -266,9 +266,12 @@ def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> Path:
 
 
 def load_estimates(path: Path, *, data: bytes | None = None) -> list[MacEstimate]:
-    """Read estimates.csv back; a malformed row raises ParseError with its line."""
-    _, _, rows, _ = read_table(path, ESTIMATE_COLUMNS, data=data)
-    estimates = []
+    """Read estimates.csv back. A row `stage_estimate` never writes raises ParseError with its
+    line: a malformed one, a repeated (iso2, sex), an eligible one whose mac is empty or not
+    finite, and an ineligible one with a mac."""
+    _, _, rows = read_table(path, ESTIMATE_COLUMNS, data=data)
+    estimates: list[MacEstimate] = []
+    seen: set[tuple[str, Sex]] = set()
     for lineno, row in rows:
         if len(row) != len(ESTIMATE_COLUMNS):
             raise ParseError(
@@ -278,17 +281,25 @@ def load_estimates(path: Path, *, data: bytes | None = None) -> list[MacEstimate
         try:
             if eligible not in ("true", "false"):
                 raise ValueError(f"eligible must be true or false, got {eligible!r}")
-            estimates.append(
-                MacEstimate(
-                    country=CountryRef(iso2=iso2),
-                    sex=Sex(sex),
-                    mac=float(mac_raw) if mac_raw else None,
-                    eligible=eligible == "true",
-                    ineligibility_reason=IneligibilityReason(reason) if reason else None,
-                )
+            mac = float(mac_raw) if mac_raw else None
+            if eligible == "true" and (mac is None or not math.isfinite(mac)):
+                raise ValueError(f"an eligible row needs a finite mac, got {mac_raw!r}")
+            if eligible == "false" and mac_raw:
+                raise ValueError(f"an ineligible row has no mac, got {mac_raw!r}")
+            est = MacEstimate(
+                country=CountryRef(iso2=iso2),
+                sex=Sex(sex),
+                mac=mac,
+                eligible=eligible == "true",
+                ineligibility_reason=IneligibilityReason(reason) if reason else None,
             )
+            key = (est.country.iso2, est.sex)
+            if key in seen:
+                raise ValueError(f"a second row for ({key[0]}, {key[1].value})")
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from exc
+        seen.add(key)
+        estimates.append(est)
     return estimates
 
 

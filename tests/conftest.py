@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import errno
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,6 +50,19 @@ def make_snapshot(
             cells.append(make_cell(iso2, sex, group, ParentFilter.ALL, total))
             cells.append(make_cell(iso2, sex, group, ParentFilter.PARENTS_0_12M, parent))
     return AudienceSnapshot(country=CountryRef(iso2=iso2), cells=tuple(cells))
+
+
+def fail_writes_part_way(monkeypatch) -> None:
+    """Make `os.write` write half of its first buffer, then fail as a full disk does."""
+    original, calls = os.write, []
+
+    def write(fd, data):
+        calls.append(fd)
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return original(fd, bytes(data[: len(data) // 2]))
+
+    monkeypatch.setattr(os, "write", write)
 
 
 def write_fixture(fixture_dir: Path, iso2: str, rows) -> Path:

@@ -257,14 +257,25 @@ def _rewrite_first_eligible_row(path: Path, edit) -> None:
     path.write_text("".join(lines), encoding="utf-8")
 
 
+def _with_mac(mac: str):
+    return lambda line: ",".join(line.split(",")[:2] + [mac] + line.split(",")[3:])
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         lambda line: line.replace(line.split(",")[2], "abc"),
         lambda line: line.replace(",true,\n", ",true,,extra\n"),
         lambda line: line.replace(",true,\n", ",yes,\n"),
+        lambda line: line + line,
+        _with_mac(""),
+        _with_mac("nan"),
+        lambda line: line.replace(",true,\n", ",false,lower_bound_cell\n"),
     ],
-    ids=["mac_not_a_number", "sixth_field", "eligible_not_boolean"],
+    ids=[
+        "mac_not_a_number", "sixth_field", "eligible_not_boolean",
+        "duplicate_row", "eligible_without_mac", "eligible_nan_mac", "ineligible_with_mac",
+    ],
 )
 def test_malformed_estimates_row_reports_parse_error(tmp_path, capsys, edit):
     out = tmp_path / "out"

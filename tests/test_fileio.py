@@ -12,6 +12,7 @@ from admac.fileio import append_lines, atomic_write_text, read_csv, sha256_file,
 from admac.groundtruth import load_continent_map, load_ground_truth
 from admac.ingest import read_cells_csv
 from admac.pipeline import load_estimates
+from conftest import fail_writes_part_way
 
 
 def test_csv_metadata_roundtrip(tmp_path):
@@ -35,25 +36,37 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
 
 
-def test_append_lines_writes_the_header_once_and_never_after_a_fragment(tmp_path):
+def test_append_lines_writes_the_header_once_and_never_after_a_fragment(tmp_path, monkeypatch):
     path = tmp_path / "a" / "day.csv"
-    assert append_lines(path, "1\n", "h\n")
-    assert append_lines(path, "2\n3\n", "h\n")
+    append_lines(path, "1\n", "h\n")
+    append_lines(path, "2\n3\n", "h\n")
     assert path.read_text() == "h\n1\n2\n3\n"
-    for fragment in ("h\n1\n2", ""):  # an append, or the create, cut short
-        path.write_text(fragment)
-        assert not append_lines(path, "4\n", "h\n")
-        assert path.read_text() == fragment
+    # an append, or the create, that fails part way is cut back to where it began
+    for existing in ("h\n1\n", None):
+        if existing is None:
+            path.unlink()
+        else:
+            path.write_text(existing)
+        fail_writes_part_way(monkeypatch)
+        with pytest.raises(OSError):
+            append_lines(path, "4\n5\n", "h\n")
+        monkeypatch.undo()
+        assert path.read_text() == (existing or "")
+        append_lines(path, "6\n", "h\n")  # an emptied file gets its header again
+        assert path.read_text() == (existing or "h\n") + "6\n"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-def test_append_lines_closes_its_descriptor_on_every_path(tmp_path):
+def test_append_lines_closes_its_descriptor_on_every_path(tmp_path, monkeypatch):
     path = tmp_path / "day.csv"
     before = len(os.listdir("/proc/self/fd"))
     append_lines(path, "1\n", "h\n")  # creates
     append_lines(path, "2\n", "h\n")  # appends
-    path.write_text("h\n1")
-    append_lines(path, "3\n", "h\n")  # refuses
+    fail_writes_part_way(monkeypatch)
+    with pytest.raises(OSError):
+        append_lines(path, "3\n4\n", "h\n")  # fails part way
+    monkeypatch.undo()
+    assert path.read_text() == "h\n1\n2\n"
     assert len(os.listdir("/proc/self/fd")) == before
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import logging
 import os
 import sys
@@ -25,6 +26,7 @@ from admac.errors import (
     SnapshotIncomplete,
 )
 from admac import ingest
+from admac.cli import main
 from admac.ingest import (
     AdsApiClient,
     CELL_COLUMNS,
@@ -39,7 +41,7 @@ from admac.ingest import (
     read_cells_csv,
     write_cells_csv,
 )
-from conftest import full_fixture_rows, make_snapshot, write_fixture
+from conftest import fail_writes_part_way, full_fixture_rows, make_snapshot, write_fixture
 
 IT = CountryRef(iso2="IT")
 FIXED_NOW = datetime(2024, 6, 2, 12, 0, tzinfo=timezone.utc)
@@ -567,20 +569,19 @@ def test_failed_cache_flush_keeps_the_previous_file(tmp_path, monkeypatch):
     def disk_full(*args):
         raise OSError("disk full")
 
-    # an older file missing its last cell, so the next collect fetches and appends it; and one
-    # whose last line is torn, so the next collect fetches that cell and rewrites the file whole
+    # an older file missing its last cell, and one whose last line is torn, so the load cuts it
+    # back to the same whole lines: either way the next collect fetches that cell and appends it
     missing_last, torn_last = text[: text.rstrip("\n").rfind("\n") + 1], text[: text.rstrip("\n").rfind(",")]
-    for damaged, failing in ((missing_last, "write"), (torn_last, "replace")):
+    for damaged in (missing_last, torn_last):
         path.write_text(damaged, encoding="utf-8")
-        before = path.read_bytes()
-        monkeypatch.setattr(os, failing, disk_full)
+        monkeypatch.setattr(os, "write", disk_full)
         client = StubClient(count=600)
         fresh, _ = live_collector(tmp_path, client)
         with pytest.raises(OSError, match="disk full"):
             fresh.collect_snapshot(IT)
         monkeypatch.undo()
         assert len(client.calls) == 1
-        assert path.read_bytes() == before
+        assert path.read_text(encoding="utf-8") == missing_last
         assert [p.name for p in path.parent.iterdir()] == [path.name]
         # the previous cells still load: only the lost one is fetched again
         again = StubClient(count=600)
@@ -732,7 +733,7 @@ def test_day_file_whose_last_append_was_cut_short_is_dropped_then_repaired(tmp_p
         assert all(s.is_complete() for s in live_collector(tmp_path, client)[0].collect_snapshots(FIVE))
     assert client.calls == [ingest._query("NG", key).canonical() for key in CELL_KEYS[19:]]
     assert any(str(path) in r.getMessage() and f"line {torn + 1}" in r.getMessage() for r in caplog.records)
-    assert path.stat().st_ino != inode  # rewritten whole, not appended to
+    assert path.stat().st_ino == inode  # cut back in place, then appended to
     text = path.read_text(encoding="utf-8")
     assert text.endswith("\n") and text.count(",".join(CELL_COLUMNS)) == 1
     assert all(cached_keys(path, c.iso2) == list(CELL_KEYS) for c in FIVE)
@@ -741,17 +742,19 @@ def test_day_file_whose_last_append_was_cut_short_is_dropped_then_repaired(tmp_p
     assert again.calls == []
 
 
-def test_append_to_a_day_file_without_a_final_line_break_rewrites_it_whole(tmp_path, monkeypatch):
+def test_day_file_whose_last_row_parses_without_a_line_break_drops_that_row(tmp_path, caplog):
     live_collector(tmp_path, StubClient(count=500))[0].collect_snapshot(IT)
     path = cache_file(tmp_path)
     path.write_text(path.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")  # the last row still parses
-    rewrites = []
-    original = ingest.atomic_write_text
-    monkeypatch.setattr(ingest, "atomic_write_text", lambda path, text: (rewrites.append(path), original(path, text)))
+    inode = path.stat().st_ino
     client = StubClient(count=500)
-    live_collector(tmp_path, client)[0].collect_snapshot(CountryRef(iso2="NG"))
-    assert len(client.calls) == 28
-    assert rewrites == [path]
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+        list(live_collector(tmp_path, client)[0].collect_snapshots([IT, CountryRef(iso2="NG")]))
+    assert sorted(client.calls) == sorted(
+        [ingest._query("IT", CELL_KEYS[-1]).canonical()] + [ingest._query("NG", key).canonical() for key in CELL_KEYS]
+    )
+    assert any(str(path) in r.getMessage() and "line 29" in r.getMessage() for r in caplog.records)
+    assert path.stat().st_ino == inode  # cut back in place, then appended to
     text = path.read_text(encoding="utf-8")
     assert text.endswith("\n") and text.count(",".join(CELL_COLUMNS)) == 1
     assert cached_keys(path, "IT") == cached_keys(path, "NG") == list(CELL_KEYS)
@@ -801,6 +804,55 @@ def test_torn_last_cache_line_is_dropped_and_refetched(tmp_path, monkeypatch, ca
     assert all(cached_keys(path, c.iso2) == list(CELL_KEYS) for c in countries)
 
 
+def test_day_file_cut_inside_its_last_timestamp_refetches_that_cell(tmp_path, caplog):
+    live_collector(tmp_path, StubClient(count=500))[0].collect_snapshot(IT)
+    path = cache_file(tmp_path)
+    text = path.read_text(encoding="utf-8")
+    torn = text[: text.rfind("T")]  # the date alone still parses, as midnight
+    assert torn.endswith(",500,2024-06-02")
+    path.write_text(torn, encoding="utf-8")
+    client = StubClient(count=500)
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+        snapshot = live_collector(tmp_path, client)[0].collect_snapshot(IT)
+    assert client.calls == [ingest._query("IT", CELL_KEYS[-1]).canonical()]
+    assert any(str(path) in r.getMessage() and "line 29" in r.getMessage() for r in caplog.records)
+    assert all(c.collected_at == FIXED_NOW for c in snapshot.cells)
+    assert path.read_text(encoding="utf-8") == text  # cut back to its 28 whole lines, then appended to
+    again = StubClient(count=500)
+    live_collector(tmp_path, again)[0].collect_snapshot(IT)
+    assert again.calls == []
+
+
+def test_append_that_fails_part_way_leaves_the_file_at_its_last_line_break(tmp_path, monkeypatch, capsys):
+    NG = CountryRef(iso2="NG")
+    live_collector(tmp_path, StubClient(count=500))[0].collect_snapshot(IT)
+    path = cache_file(tmp_path)
+    before = path.read_bytes()
+    fail_writes_part_way(monkeypatch)
+    client = StubClient(count=500)
+    with pytest.raises(OSError):
+        live_collector(tmp_path, client)[0].collect_snapshots([IT, NG])
+    monkeypatch.undo()
+    assert len(client.calls) == 28
+    assert path.read_bytes() == before
+    again = StubClient(count=500)
+    assert all(s.is_complete() for s in live_collector(tmp_path, again)[0].collect_snapshots([IT, NG]))
+    assert sorted(again.calls) == sorted(ingest._query("NG", key).canonical() for key in CELL_KEYS)
+    # through the CLI: the one-line JSON report, and the day file as it was
+    monkeypatch.setattr(ingest, "AdsApiClient", lambda token: StubClient(count=500))
+    cache = tmp_path / "cli-cache"
+    args = ["collect", "--mode", "live", "--cache-dir", str(cache), "--out", str(tmp_path / "out"), "--countries"]
+    assert main(args + ["IT"]) == 0
+    (day,) = cache.iterdir()
+    before = day.read_bytes()
+    capsys.readouterr()
+    fail_writes_part_way(monkeypatch)
+    assert main(args + ["IT,NG"]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["error"] == "OSError"
+    assert day.read_bytes() == before
+
+
 def test_bad_cache_line_with_a_line_break_still_raises(tmp_path):
     collector, _ = live_collector(tmp_path, StubClient(count=500))
     collector.collect_snapshot(IT)
@@ -817,29 +869,27 @@ def test_bad_cache_line_with_a_line_break_still_raises(tmp_path):
         assert client.calls == []
 
 
-def test_non_utf8_cache_file_is_refetched_and_rewritten_whole(tmp_path, monkeypatch, caplog):
+def test_non_utf8_cache_file_is_cut_back_or_removed_and_refetched(tmp_path, caplog):
     collector, _ = live_collector(tmp_path, StubClient(count=500))
     collector.collect_snapshot(IT)
     path = cache_file(tmp_path)
     good = path.read_bytes()
-    rewrites = []
-    original = ingest.atomic_write_text
-    monkeypatch.setattr(ingest, "atomic_write_text", lambda path, text: (rewrites.append(path), original(path, text)))
-    # a bad byte at the end, and one inside a file that still ends in a line break
-    for damaged in (good + b"\xff", good.replace(b"female", b"f\xffmale", 1)):
+    # a bad byte after the last line break is a torn tail: cut off, no cell lost; one inside a
+    # file that still ends in a line break loses the whole day file: removed, every cell refetched
+    for damaged, lost, says in ((good + b"\xff", 0, "line 30"), (good.replace(b"female", b"f\xffmale", 1), 28, "UTF-8")):
         path.write_bytes(damaged)
-        rewrites.clear()
+        caplog.clear()
         client = StubClient(count=500)
         fresh, _ = live_collector(tmp_path, client)
         with caplog.at_level(logging.WARNING, logger="admac.ingest"):
             assert fresh.collect_snapshot(IT).is_complete()
-        assert len(client.calls) == 28
-        assert any(str(path) in r.getMessage() and "UTF-8" in r.getMessage() for r in caplog.records)
-        assert [c.key for c in read_cells_csv(path)] == list(CELL_KEYS)
-        fresh.collect_snapshot(CountryRef(iso2="NG"))  # appended: only the first write rewrites
-        assert rewrites == [path]
+        assert len(client.calls) == lost
+        assert any(str(path) in r.getMessage() and says in r.getMessage() for r in caplog.records)
+        assert path.read_bytes() == good
+        fresh.collect_snapshot(CountryRef(iso2="NG"))  # appended to the repaired file
+        assert cached_keys(path, "IT") == cached_keys(path, "NG") == list(CELL_KEYS)
         again = StubClient(count=500)
-        live_collector(tmp_path, again)[0].collect_snapshot(IT)
+        live_collector(tmp_path, again)[0].collect_snapshots([IT, CountryRef(iso2="NG")])
         assert again.calls == []
 
 
