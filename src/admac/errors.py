@@ -43,6 +43,10 @@ class MalformedResponse(AdmacError):
     """Live API returned something the client cannot interpret."""
 
 
+class UpstreamUnavailable(AdmacError):
+    """Live API could not be reached (a transport failure); ends the collect."""
+
+
 class SnapshotIncomplete(AdmacError):
     """Collection finished without all 28 cells; carries what was obtained."""
 

@@ -1,14 +1,15 @@
 """Audience collection: live ads-reach API client, fixture replay, per-day
-cache, retry with exponential backoff and bounded request concurrency.
+cache and retry with exponential backoff.
 
 Fixtures (one `<ISO2>.csv` per country) and the live cache (one
 `<YYYY-MM-DD>.csv` per UTC day, every country's cells in it, appended to
-as countries resolve; read, it keeps only its whole lines) share one CSV
-schema (`iso2,sex,age_low,age_high,parent_filter,count,collected_at`) and
-one store. A collect stage answers every hit from the store; live misses go
-to one set of at most `MAX_IN_FLIGHT` worker threads for the whole stage,
-and a throttled query is retried `MAX_RETRIES` times, waiting
-`BASE_BACKOFF_S` seconds and then twice as long each time.
+country by country in the order requested; read, it keeps only its whole
+lines) share one CSV schema
+(`iso2,sex,age_low,age_high,parent_filter,count,collected_at`) and one
+store. A collect stage answers every hit from the store; live misses are
+sent one at a time from the calling thread, and a throttled query is
+retried `MAX_RETRIES` times, waiting `BASE_BACKOFF_S` seconds and then
+twice as long each time.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import logging
 import os
 import threading
 import time
-from collections import Counter, namedtuple
+from collections import namedtuple
 from datetime import date, datetime, timezone
 from enum import Enum
 from functools import lru_cache
+from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -47,6 +49,7 @@ from .errors import (
     ParseError,
     RateLimited,
     SnapshotIncomplete,
+    UpstreamUnavailable,
 )
 from .fileio import append_lines, atomic_write_text, read_table
 
@@ -57,7 +60,6 @@ CELL_COLUMNS = ["iso2", "sex", "age_low", "age_high", "parent_filter", "count", 
 # The platform does not expose audience data for these countries.
 DEFAULT_EXCLUDED = frozenset({"CU", "IR", "KP", "SY", "SD"})
 
-MAX_IN_FLIGHT = 4  # live requests in flight at once
 BASE_BACKOFF_S = 0.5  # wait before the first retry of a throttled query; doubles per retry
 MAX_RETRIES = 3  # retries of one throttled query before it fails
 
@@ -249,7 +251,8 @@ class AdsApiClient:
     upstream API changes shape, this class changes and the pipeline does
     not. The wire contract used: GET {base_url}/reach_estimate with the
     query's fields as parameters and a bearer token, answering
-    {"audience_size": <int>}.
+    {"audience_size": <int>}. A transport failure raises
+    UpstreamUnavailable, which is not a per-cell error: it ends the collect.
 
     `requests` is imported only when no `session` is injected, so fixture
     runs and tests with a fake session never load it.
@@ -288,7 +291,7 @@ class AdsApiClient:
                 timeout=self._timeout,
             )
         except OSError as exc:  # requests.RequestException subclasses OSError
-            raise MalformedResponse(f"transport failure for {query.canonical()}: {exc}") from exc
+            raise UpstreamUnavailable(f"transport failure for {query.canonical()}: {exc}") from exc
         if response.status_code in (401, 403):
             raise AuthError(f"token rejected ({response.status_code})")
         if response.status_code == 429:
@@ -418,15 +421,11 @@ class Collector:
     or the live cache's file for the UTC day the call looked up. A collect
     checks every requested country first, then answers the hits from the
     store on the calling thread. A fixture miss is a per-cell FixtureMiss.
-    The live misses of the whole call go to one worker set of
-    min(MAX_IN_FLIGHT, misses) threads; a worker settles the query it
-    finished and takes the next in one round-trip on the set's lock, and
-    keeps each cell only in its outcome slot. The worker that resolves a
-    country's last miss appends the country's new cells from those slots
-    to the day file, once, when a miss returned a cell. An error or an
-    interrupt that ends the call stops the workers, then writes every
-    country that received a new cell and was not yet written. Snapshots
-    are assembled in canonical query order.
+    The live misses of the whole call are sent one at a time, in canonical
+    order, on the calling thread, and each fetched cell is kept only in its
+    outcome slot. Once a country's misses are done, or an error or an
+    interrupt ends the call inside that country, its new cells are appended
+    to the day file, once. Snapshots are assembled in canonical query order.
     """
 
     def __init__(
@@ -538,56 +537,21 @@ class Collector:
         return (self._assemble(c, outcomes[i * n:(i + 1) * n]) for i, c in enumerate(countries))
 
     def _fetch_misses(self, countries: list[CountryRef], day: date, misses: list[int], outcomes: list) -> None:
-        """Fill outcomes[i] for every i in misses on one worker set, writing each country's new
-        cells to the `day` cache file from its outcome slots (see the class docstring); other
-        errors propagate."""
+        """Fill outcomes[i] for every i in misses, one request at a time in canonical order, and
+        append each country's new cells to the `day` cache file once its misses are done or an
+        error ends the call inside it; errors other than per-cell ones propagate."""
         n = len(CELL_KEYS)
-        pending = Counter(i // n for i in misses)
-        todo = iter(misses)
-        fetched: set[int] = set()  # countries that received a new cell
-        lock = threading.Lock()
-        stop = threading.Event()
-
-        def write(c: int) -> None:
-            cells = [o for o in outcomes[c * n:(c + 1) * n] if isinstance(o, AudienceCell)]
-            self._store.write(countries[c].iso2, day, cells)
-
-        def work() -> None:
-            i = None  # the miss this worker just resolved
+        for c, group in groupby(misses, key=lambda i: i // n):
+            iso2 = countries[c].iso2
             try:
-                while True:
-                    with lock:
-                        if i is not None:
-                            pending[i // n] -= 1
-                            if isinstance(outcomes[i], AudienceCell):
-                                fetched.add(i // n)
-                        # i's country, when i was its last miss and the country has a new cell
-                        last = i // n if i is not None and not pending[i // n] and i // n in fetched else None
-                        i = None if stop.is_set() else next(todo, None)
-                    if last is not None:
-                        write(last)
-                    if i is None:
-                        return
+                for i in group:
                     try:
-                        outcomes[i] = self._request(countries[i // n].iso2, CELL_KEYS[i % n])
+                        outcomes[i] = self._request(iso2, CELL_KEYS[i % n])
                     except _CELL_ERRORS as exc:
                         outcomes[i] = exc
-            except BaseException:
-                stop.set()
-                raise
-
-        from concurrent.futures import ThreadPoolExecutor  # only live collect needs it
-
-        workers = min(MAX_IN_FLIGHT, len(misses))
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            for future in [pool.submit(work) for _ in range(workers)]:
-                future.result()
-        finally:
-            stop.set()
-            pool.shutdown()
-            for c in sorted(c for c in fetched if pending[c]):  # an error or interrupt ended the call early
-                write(c)
+            finally:
+                cells = [o for o in outcomes[c * n:(c + 1) * n] if isinstance(o, AudienceCell)]
+                self._store.write(iso2, day, cells)
 
     @staticmethod
     def _assemble(country: CountryRef, outcomes: Sequence[Outcome]) -> AudienceSnapshot | SnapshotIncomplete:

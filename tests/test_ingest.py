@@ -6,7 +6,6 @@ import io
 import json
 import logging
 import os
-import sys
 import threading
 import time
 from datetime import datetime, timedelta, timezone
@@ -24,6 +23,7 @@ from admac.errors import (
     ParseError,
     RateLimited,
     SnapshotIncomplete,
+    UpstreamUnavailable,
 )
 from admac import ingest
 from admac.cli import main
@@ -83,7 +83,7 @@ class StubClient:
 
 def live_collector(tmp_path, client, monkeypatch=None, **constants):
     """A live collector on a fixed clock that records its sleeps; `constants`
-    (e.g. MAX_IN_FLIGHT=3) are set on the ingest module for the test."""
+    (e.g. MAX_RETRIES=2) are set on the ingest module for the test."""
     for name, value in constants.items():
         monkeypatch.setattr(ingest, name, value)
     sleeps = []
@@ -387,26 +387,23 @@ def test_live_malformed_response_counts_as_missing_cell(tmp_path):
     assert len(excinfo.value.cells) == 27
 
 
-def test_live_concurrency_is_bounded(tmp_path, monkeypatch):
+def test_live_concurrency_is_bounded(tmp_path):
     client = StubClient(count=500)
     client.delay = 0.005
-    collector, _ = live_collector(tmp_path, client, monkeypatch, MAX_IN_FLIGHT=3)
+    collector, _ = live_collector(tmp_path, client)
     collector.collect_snapshot(IT)
-    assert client.max_active <= 3
-    assert client.max_active >= 2  # it does actually run in parallel
+    assert client.max_active == 1  # requests never overlap
 
 
 def test_fixture_collect_starts_no_thread(fixture_dir, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("fixture lookups must not start a thread pool")
-
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
+    started = count_thread_starts(monkeypatch)
     write_fixture(fixture_dir, "IT", full_fixture_rows())
     snapshot = fixture_collector(fixture_dir).collect_snapshot(IT)
     assert len(snapshot.cells) == 28
+    assert started == []
 
 
-# --- live mode: one worker set per collect, one append per country to the day file
+# --- live mode: one request at a time, one append per country to the day file
 
 FIVE = [CountryRef(iso2=c) for c in ("AR", "BR", "DE", "IT", "NG")]
 
@@ -445,24 +442,32 @@ def count_thread_starts(monkeypatch):
     return started
 
 
-class SlowStubClient(StubClient):
-    """StubClient whose answers take a few ms while scripted failures are immediate."""
-
-    def reach_estimate(self, query):
-        if not self.fail_plan.get(query.canonical()):
-            time.sleep(0.002)
-        return super().reach_estimate(query)
-
-
-def test_live_collect_starts_one_bounded_worker_set(tmp_path, monkeypatch):
+def test_cold_live_collect_starts_no_thread(tmp_path, monkeypatch):
     started = count_thread_starts(monkeypatch)
     client = StubClient(count=500)
-    collector, _ = live_collector(tmp_path, client, monkeypatch, MAX_IN_FLIGHT=3)
+    collector, _ = live_collector(tmp_path, client)
     snapshots = list(collector.collect_snapshots(FIVE))
     assert [s.country for s in snapshots] == FIVE
     assert all(isinstance(s, AudienceSnapshot) and s.is_complete() for s in snapshots)
     assert len(client.calls) == 5 * 28
-    assert 1 <= len(started) <= 3
+    assert started == []
+
+
+def test_cold_live_collects_write_identical_day_files_in_the_requested_order(tmp_path):
+    class SlowFirstCountryClient(StubClient):
+        def reach_estimate(self, query):
+            if query.country_iso2 == FIVE[0].iso2:
+                time.sleep(0.002)
+            return super().reach_estimate(query)
+
+    runs = [tmp_path / "first", tmp_path / "second"]
+    for run in runs:
+        collector, _ = live_collector(run, SlowFirstCountryClient(count=500))
+        assert all(s.is_complete() for s in collector.collect_snapshots(FIVE))
+    first, second = (cache_file(run).read_bytes() for run in runs)
+    assert first == second
+    blocks = [c.country.iso2 for c in read_cells_csv(cache_file(runs[0]))]
+    assert blocks == [c.iso2 for c in FIVE for _ in CELL_KEYS]
 
 
 def test_warm_live_collect_starts_no_thread_and_sends_nothing(tmp_path, monkeypatch):
@@ -479,14 +484,14 @@ def test_warm_live_collect_starts_no_thread_and_sends_nothing(tmp_path, monkeypa
     assert started == []
 
 
-def test_auth_error_stops_dispatch_and_keeps_earlier_countries_cached(tmp_path, monkeypatch):
+def test_auth_error_stops_dispatch_and_keeps_earlier_countries_cached(tmp_path):
     first_of_it = "iso2=IT&sex=female&age_min=15&age_max=19&parent_filter=all"
-    client = SlowStubClient(count=500, fail_plan={first_of_it: [AuthError("token revoked")]})
-    collector, _ = live_collector(tmp_path, client, monkeypatch, MAX_IN_FLIGHT=3)
+    client = StubClient(count=500, fail_plan={first_of_it: [AuthError("token revoked")]})
+    collector, _ = live_collector(tmp_path, client)
     with pytest.raises(AuthError):
         collector.collect_snapshots(FIVE)
     earlier = FIVE[:3]
-    assert len(client.calls) <= len(earlier) * 28 + 3
+    assert len(client.calls) == len(earlier) * 28 + 1
     path = cache_file(tmp_path)
     for country in earlier:
         assert cached_keys(path, country.iso2) == list(CELL_KEYS)
@@ -508,48 +513,22 @@ def test_each_country_is_written_once_as_soon_as_it_resolves(tmp_path, monkeypat
                 seen_on_first_query[query.country_iso2] = list(writes)
             return super().reach_estimate(query)
 
-    collector, _ = live_collector(tmp_path, CheckingClient(count=500), monkeypatch, MAX_IN_FLIGHT=1)
+    collector, _ = live_collector(tmp_path, CheckingClient(count=500))
     list(collector.collect_snapshots(FIVE))
     names = [c.iso2 for c in FIVE]
     assert writes == names
     assert seen_on_first_query == {c.iso2: names[:i] for i, c in enumerate(FIVE)}
 
 
-def test_worker_set_stress_keeps_every_cell_and_writes_each_country_once(tmp_path, monkeypatch):
-    countries = [CountryRef(iso2=f"A{chr(65 + i)}") for i in range(20)]
-    writes = []
-    record_store_writes(
-        monkeypatch, lambda iso2, cells: writes.append((iso2, len(cells), threading.current_thread().name))
-    )
-    client = StubClient(count=500)
-    collector, _ = live_collector(tmp_path, client, monkeypatch, MAX_IN_FLIGHT=8)
-    results = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runner = threading.Thread(
-            target=lambda: results.extend(collector.collect_snapshots(countries)), name="stage"
-        )
-        runner.start()
-        runner.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not runner.is_alive()
-    assert len(client.calls) == len(set(client.calls)) == 20 * 28
-    assert client.max_active <= 8
-    assert [r.country for r in results] == countries
-    assert all(isinstance(r, AudienceSnapshot) and r.is_complete() for r in results)
-    # every country written once, complete, by the worker that resolved its last query
-    assert sorted(iso2 for iso2, _, _ in writes) == [c.iso2 for c in countries]
-    assert all(rows == 28 and thread != "stage" for _, rows, thread in writes)
-    assert all(cached_keys(cache_file(tmp_path), c.iso2) == list(CELL_KEYS) for c in countries)
-
-
-@pytest.mark.parametrize("error", [AuthError("token revoked"), KeyboardInterrupt()], ids=["auth", "interrupt"])
-def test_error_mid_country_still_caches_the_cells_that_arrived(tmp_path, monkeypatch, error):
+@pytest.mark.parametrize(
+    "error",
+    [AuthError("token revoked"), KeyboardInterrupt(), UpstreamUnavailable("transport failure")],
+    ids=["auth", "interrupt", "upstream"],
+)
+def test_error_mid_country_still_caches_the_cells_that_arrived(tmp_path, error):
     second_of_it = "iso2=IT&sex=female&age_min=15&age_max=19&parent_filter=parent_of_child_0_12m"
     client = StubClient(count=500, fail_plan={second_of_it: [error]})
-    collector, _ = live_collector(tmp_path, client, monkeypatch, MAX_IN_FLIGHT=1)
+    collector, _ = live_collector(tmp_path, client)
     with pytest.raises(type(error)):
         collector.collect_snapshots([IT, CountryRef(iso2="NG")])
     assert len(client.calls) == 2
@@ -589,7 +568,7 @@ def test_failed_cache_flush_keeps_the_previous_file(tmp_path, monkeypatch):
         assert len(again.calls) == 1
 
 
-def test_collect_across_utc_midnight_writes_each_country_to_the_day_it_looked_up(tmp_path, monkeypatch):
+def test_collect_across_utc_midnight_writes_each_country_to_the_day_it_looked_up(tmp_path):
     before_midnight = datetime(2024, 6, 2, 23, 59, 59, tzinfo=timezone.utc)
     readings = []
 
@@ -597,7 +576,6 @@ def test_collect_across_utc_midnight_writes_each_country_to_the_day_it_looked_up
         readings.append(None)
         return before_midnight if len(readings) <= 20 else before_midnight + timedelta(seconds=2)
 
-    monkeypatch.setattr(ingest, "MAX_IN_FLIGHT", 1)
     config = CollectorConfig(mode=Mode.LIVE, cache_dir=tmp_path / "cache")
     collector = Collector(config, client=StubClient(count=500), clock=clock, sleep=lambda s: None)
     snapshots = list(collector.collect_snapshots([IT, CountryRef(iso2="NG")]))
@@ -719,10 +697,9 @@ def test_cold_live_collect_creates_one_cache_file_and_a_warm_one_sends_nothing(t
     assert warm.calls == []
 
 
-def test_day_file_whose_last_append_was_cut_short_is_dropped_then_repaired(tmp_path, monkeypatch, caplog):
-    collector, _ = live_collector(tmp_path, StubClient(count=500), monkeypatch, MAX_IN_FLIGHT=1)
-    list(collector.collect_snapshots(FIVE))  # one worker: NG's 28 rows are the last append
-    monkeypatch.undo()
+def test_day_file_whose_last_append_was_cut_short_is_dropped_then_repaired(tmp_path, caplog):
+    collector, _ = live_collector(tmp_path, StubClient(count=500))
+    list(collector.collect_snapshots(FIVE))  # NG's 28 rows are the last append
     path = cache_file(tmp_path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     torn = len(lines) - 9  # 0-based index of NG's 20th row: the append was cut inside it
@@ -786,11 +763,10 @@ def _tear_last_line(path):
     path.write_text(text[: text.rstrip("\n").rfind(",")], encoding="utf-8")
 
 
-def test_torn_last_cache_line_is_dropped_and_refetched(tmp_path, monkeypatch, caplog):
+def test_torn_last_cache_line_is_dropped_and_refetched(tmp_path, caplog):
     countries = [CountryRef(iso2="FR"), IT]
-    collector, _ = live_collector(tmp_path, StubClient(count=500), monkeypatch, MAX_IN_FLIGHT=1)
-    list(collector.collect_snapshots(countries))  # one worker: IT's cells are the last 28 lines
-    monkeypatch.undo()
+    collector, _ = live_collector(tmp_path, StubClient(count=500))
+    list(collector.collect_snapshots(countries))  # IT's cells are the last 28 lines
     path = cache_file(tmp_path)
     _tear_last_line(path)
     client = StubClient(count=500)
@@ -976,15 +952,37 @@ def test_client_requires_token():
 class RaisingSession:
     def __init__(self, exc):
         self.exc = exc
+        self.calls = 0
 
     def get(self, url, params=None, headers=None, timeout=None):
+        self.calls += 1
         raise self.exc
 
 
-def test_client_maps_transport_errors_to_malformed_response():
+def test_client_maps_transport_errors_to_upstream_unavailable():
     requests = pytest.importorskip("requests")
     assert issubclass(requests.RequestException, OSError)
     for exc in (ConnectionError("reset by peer"), requests.ConnectionError("refused")):
         client = AdsApiClient(token="tok", session=RaisingSession(exc))
-        with pytest.raises(MalformedResponse, match="transport failure"):
+        with pytest.raises(UpstreamUnavailable, match="transport failure"):
             client.reach_estimate(_query())
+
+
+def test_live_collect_ends_at_the_first_transport_failure_and_a_rerun_succeeds(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ADS_API_TOKEN", "tok")
+    out = tmp_path / "out"
+    args = ["collect", "--mode", "live", "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]
+    args += ["--countries", "IT,NG"]
+    down = RaisingSession(ConnectionError("name resolution failed"))
+    monkeypatch.setattr(ingest, "AdsApiClient", lambda token: AdsApiClient(token, session=down))
+    assert main(args) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    report = json.loads(line)
+    assert report["error"] == "UpstreamUnavailable" and "transport failure" in report["message"]
+    assert down.calls == 1
+    assert not (out / "snapshots").exists()
+    healthy = FakeSession(FakeResponse(200, {"audience_size": 500}))
+    monkeypatch.setattr(ingest, "AdsApiClient", lambda token: AdsApiClient(token, session=healthy))
+    assert main(args) == 0
+    assert len(healthy.requests) == 2 * 28
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == ["IT.csv", "NG.csv"]
