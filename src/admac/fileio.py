@@ -164,12 +164,6 @@ def read_table(
     return meta, header, rows[1:]
 
 
-def read_csv(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Counterpart of write_csv; returns (metadata, header, rows)."""
-    meta, header, rows = read_table(path)
-    return meta, header, [row for _, row in rows]
-
-
 def write_json(path: str | Path, meta: dict[str, str], payload: dict) -> None:
     document = {"metadata": meta, **payload}
     atomic_write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")

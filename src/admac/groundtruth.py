@@ -139,21 +139,16 @@ def join_pairs(
     """Inner join of platform estimates with reference records on (iso2, sex).
 
     Duplicate truth rows resolve to the most recent period (ties broken on
-    content); duplicate estimate rows keep the smallest value. Both
-    resolutions are logged. Output pairs are ordered by (iso2, sex) and the
-    whole join is invariant under permutation of either input.
+    content), with a warning; a second estimate for one (iso2, sex) raises
+    ValueError. Output pairs are ordered by (iso2, sex) and the whole join
+    is invariant under permutation of either input.
     """
     est_by_key: dict[tuple[str, Sex], tuple[CountryRef, Sex, float]] = {}
     for est in estimates:
-        country, sex, mac_fb = est
+        country, sex, _ = est
         key = (country.iso2, sex)
-        prev = est_by_key.get(key)
-        if prev is not None:
-            logger.warning(
-                "join ambiguity: duplicate estimate for (%s, %s)", key[0], key[1].value
-            )
-            if prev[2] <= mac_fb:
-                continue
+        if key in est_by_key:
+            raise ValueError(f"a second estimate for ({key[0]}, {key[1].value})")
         est_by_key[key] = est
     truth_by_key = _resolve_truth_duplicates(truth)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import threading
 import time
 from collections import namedtuple
 from datetime import date, datetime, timezone
@@ -320,16 +319,16 @@ class _CellStore:
     Fixtures are `<ISO2>.csv` and only read. The live cache is one
     `<YYYY-MM-DD>.csv` per UTC day holding every country's cells of that
     day. `write` appends a country's new cells to it, in canonical order,
-    as whole lines under the store lock; the header is written only into
-    an empty file. One rule repairs what a crash leaves, where a day file
-    is read: it keeps its whole lines. Bytes after the last line break are
-    cut off in place, and a file with no complete line or that is not
-    UTF-8 is removed, each with a warning; the lost cells are fetched again.
+    as whole lines; the header is written only into an empty file. One
+    rule repairs what a crash or other damage leaves, where a day file is
+    read: it keeps its whole lines. Bytes after the last line break are cut
+    off in place, and a file whose whole lines do not parse is removed,
+    each with a warning naming the file and line; the lost cells are
+    fetched again.
     """
 
     def __init__(self, directory: Path) -> None:
         self.directory = directory
-        self._lock = threading.Lock()
         self._files: dict[tuple[str, date | None], dict[CellKey, AudienceCell] | None] = {}
         self._digests: dict[str, str] = {}  # of fixture files
         self._days: set[date] = set()  # day files read
@@ -363,9 +362,7 @@ class _CellStore:
         end = data.rfind(b"\n") + 1
         try:
             cells = read_cells_csv(path, data=data[:end])
-        except ParseError as exc:  # with no complete line, it has no header row
-            if end and not isinstance(exc.__cause__, UnicodeDecodeError):
-                raise
+        except ParseError as exc:  # bad bytes, a bad row or header, or no complete line
             logger.warning("%s; removed it, its cells are fetched again", exc)
             path.unlink()
             return []
@@ -378,24 +375,21 @@ class _CellStore:
     def cells(self, iso2: str, day: date | None = None) -> dict[CellKey, AudienceCell] | None:
         """`iso2`'s cells by key: from its fixture (day None) or from `day`'s cache file; None
         when there are none."""
-        with self._lock:
-            return self._load(iso2, day)
+        return self._load(iso2, day)
 
     def digest(self, iso2: str) -> str | None:
         """SHA-256 hex digest of `iso2`'s fixture file as loaded, or None when none was."""
-        with self._lock:
-            return self._digests.get(iso2)
+        return self._digests.get(iso2)
 
     def write(self, iso2: str, day: date, cells: Iterable[AudienceCell]) -> None:
         """Append the `cells` this store does not hold yet to `iso2`'s cells for `day`: to the
         day file in canonical order, then, once that succeeded, in memory."""
-        with self._lock:
-            held = self._load(iso2, day) or {}
-            new = {c.key: c for c in cells if held.get(c.key) != c}
-            if new:
-                lines = _cell_lines(new[k] for k in CELL_KEYS if k in new)
-                append_lines(self._path(day.isoformat()), lines, _HEADER_LINE)
-                self._files[iso2, day] = {**held, **new}
+        held = self._load(iso2, day) or {}
+        new = {c.key: c for c in cells if held.get(c.key) != c}
+        if new:
+            lines = _cell_lines(new[k] for k in CELL_KEYS if k in new)
+            append_lines(self._path(day.isoformat()), lines, _HEADER_LINE)
+            self._files[iso2, day] = {**held, **new}
 
 
 # --------------------------------------------------------------------------
@@ -415,7 +409,7 @@ def _query(iso2: str, key: CellKey) -> QueryDescriptor:
 
 
 class Collector:
-    """Collects audience snapshots; safe to share across threads.
+    """Collects audience snapshots; `collect_snapshots` is its entry point.
 
     One `_CellStore` answers every lookup: the fixture directory (day None)
     or the live cache's file for the UTC day the call looked up. A collect
@@ -443,15 +437,6 @@ class Collector:
         if live and client is None:
             client = AdsApiClient(token=os.environ.get(TOKEN_ENV_VAR, ""))
         self._client = client
-
-    def _check_served(self, country: CountryRef) -> None:
-        if country.iso2 in DEFAULT_EXCLUDED:
-            raise ExcludedCountry(f"platform provides no data for {country.iso2}")
-
-    def build_queries(self, country: CountryRef) -> list[QueryDescriptor]:
-        """All 28 descriptors for a country: sex, then age, then filter."""
-        self._check_served(country)
-        return [_query(country.iso2, key) for key in CELL_KEYS]
 
     def _cells(self, iso2: str, day: date | None) -> dict[CellKey, AudienceCell]:
         """The cells of `iso2`'s store file; no fixture file at all raises FixtureMiss."""
@@ -496,17 +481,6 @@ class Collector:
                 self._sleep(delay)
         return AudienceCell(_country_ref(iso2), *key, count=count, collected_at=self._clock())
 
-    def collect_snapshot(self, country: CountryRef) -> AudienceSnapshot:
-        """All 28 cells for a country, or SnapshotIncomplete with what came back.
-
-        A country with no fixture file at all is a configuration problem,
-        not partial data, and raises FixtureMiss directly.
-        """
-        (result,) = self.collect_snapshots([country])
-        if isinstance(result, SnapshotIncomplete):
-            raise result
-        return result
-
     def collect_snapshots(
         self, countries: Sequence[CountryRef]
     ) -> Iterator[AudienceSnapshot | SnapshotIncomplete]:
@@ -519,7 +493,8 @@ class Collector:
         """
         countries = list(countries)
         for country in countries:
-            self._check_served(country)
+            if country.iso2 in DEFAULT_EXCLUDED:
+                raise ExcludedCountry(f"platform provides no data for {country.iso2}")
         day = self._clock().date() if self.config.mode is Mode.LIVE else None
         n = len(CELL_KEYS)
         outcomes: list = [None] * (len(countries) * n)

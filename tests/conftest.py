@@ -15,6 +15,7 @@ from admac.domain import (
     Sex,
     age_grid,
 )
+from admac.fileio import read_table
 
 TS = datetime(2024, 6, 1, tzinfo=timezone.utc)
 
@@ -50,6 +51,12 @@ def make_snapshot(
             cells.append(make_cell(iso2, sex, group, ParentFilter.ALL, total))
             cells.append(make_cell(iso2, sex, group, ParentFilter.PARENTS_0_12M, parent))
     return AudienceSnapshot(country=CountryRef(iso2=iso2), cells=tuple(cells))
+
+
+def read_csv(path):
+    """A CSV artifact as (metadata, header, rows), each row without its line number."""
+    meta, header, rows = read_table(path)
+    return meta, header, [row for _, row in rows]
 
 
 def fail_writes_part_way(monkeypatch) -> None:

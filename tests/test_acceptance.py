@@ -19,7 +19,6 @@ import pytest
 
 from admac.cli import main as cli_main
 from admac.domain import Continent, CountryRef, FertilitySchedule, Sex
-from admac.fileio import read_csv
 from admac.groundtruth import ValidationPair
 from admac.indicators import mac
 from admac.pipeline import packaged_data_path
@@ -33,6 +32,7 @@ from admac.stats import (
     random_split_validation,
     spearman,
 )
+from conftest import read_csv
 from oracles import (
     counting_ranks,
     f_cdf_quad,

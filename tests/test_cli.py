@@ -13,9 +13,10 @@ import pytest
 
 import admac
 from admac.cli import main
-from admac.fileio import read_csv, sha256_file, write_json
+from admac.fileio import sha256_file, write_json
 from admac.pipeline import _model_payload, load_model, packaged_data_path
 from admac.stats import ols_fit_xy
+from conftest import read_csv
 
 
 def run_cli(*args):

@@ -8,11 +8,11 @@ import stat
 import pytest
 
 from admac.errors import ParseError
-from admac.fileio import append_lines, atomic_write_text, read_csv, sha256_file, standard_metadata, write_csv, write_json
+from admac.fileio import append_lines, atomic_write_text, sha256_file, standard_metadata, write_csv, write_json
 from admac.groundtruth import load_continent_map, load_ground_truth
 from admac.ingest import read_cells_csv
 from admac.pipeline import load_estimates
-from conftest import fail_writes_part_way
+from conftest import fail_writes_part_way, read_csv
 
 
 def test_csv_metadata_roundtrip(tmp_path):

@@ -159,14 +159,15 @@ def test_join_matches_bruteforce_oracle(est_keys, truth_keys, rnd):
         _truth(iso2, sex, mac=30.0 + i, period=period)
         for i, (iso2, sex, period) in enumerate(truth_keys)
     ]
+    if len(set(est_keys)) < len(est_keys):
+        with pytest.raises(ValueError, match="a second estimate"):
+            join_pairs(estimates, truth)
+        return
     result = join_pairs(estimates, truth)
 
-    # brute-force oracle: group every row per key, then apply the stated
-    # resolution rules (latest period / smallest estimate) by sorting
-    est_groups: dict = {}
-    for country, sex, mac_fb in estimates:
-        est_groups.setdefault((country.iso2, sex), []).append(mac_fb)
-    est_resolved = {key: min(values) for key, values in est_groups.items()}
+    # brute-force oracle: one estimate per key; group truth rows per key,
+    # then apply the stated resolution rule (latest period) by sorting
+    est_resolved = {(country.iso2, sex): mac_fb for country, sex, mac_fb in estimates}
     truth_groups: dict = {}
     for rec in truth:
         truth_groups.setdefault((rec.country.iso2, rec.sex), []).append(rec)
@@ -186,7 +187,7 @@ def test_join_matches_bruteforce_oracle(est_keys, truth_keys, rnd):
     assert len(result.pairs) + len(result.unmatched_estimates) == len(est_resolved)
     assert len(result.pairs) + len(result.unmatched_truth) == len(truth_resolved)
 
-    # permutation invariance, duplicates and all
+    # permutation invariance, duplicate truth rows and all
     est_shuffled = list(estimates)
     truth_shuffled = list(truth)
     rnd.shuffle(est_shuffled)

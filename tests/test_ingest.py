@@ -81,6 +81,14 @@ class StubClient:
                 self.active -= 1
 
 
+def collect_one(collector, country):
+    """`country`'s snapshot from `collect_snapshots`; one that is incomplete is raised."""
+    (result,) = collector.collect_snapshots([country])
+    if isinstance(result, SnapshotIncomplete):
+        raise result
+    return result
+
+
 def live_collector(tmp_path, client, monkeypatch=None, **constants):
     """A live collector on a fixed clock that records its sleeps; `constants`
     (e.g. MAX_RETRIES=2) are set on the ingest module for the test."""
@@ -102,16 +110,13 @@ def test_config_validation():
     assert CollectorConfig._fields == ("mode", "fixture_dir", "cache_dir")
 
 
-def test_build_queries_shape_and_order(fixture_dir):
-    write_fixture(fixture_dir, "IT", full_fixture_rows())
-    collector = fixture_collector(fixture_dir)
-    queries = collector.build_queries(IT)
-    assert len(queries) == 28
-    first = queries[0]
-    assert (first.sex, first.age_min, first.parent_filter) == (Sex.FEMALE, 15, ParentFilter.ALL)
-    assert queries[1].parent_filter is ParentFilter.PARENTS_0_12M
+def test_cell_keys_shape_and_order():
+    assert len(CELL_KEYS) == 28
+    sex, group, flt = CELL_KEYS[0]
+    assert (sex, group.lower, flt) == (Sex.FEMALE, 15, ParentFilter.ALL)
+    assert CELL_KEYS[1][2] is ParentFilter.PARENTS_0_12M
     # sex blocks, ascending ages within each, all-then-parents within each age
-    keys = [(q.sex.value, q.age_min, q.parent_filter.value) for q in queries]
+    keys = [(sex.value, group.lower, flt.value) for sex, group, flt in CELL_KEYS]
     assert keys == sorted(keys, key=lambda k: (k[0] != "female", k[1], k[2] != "all"))
     assert len(set(keys)) == 28
 
@@ -120,9 +125,7 @@ def test_excluded_country_rejected(fixture_dir):
     write_fixture(fixture_dir, "CU", full_fixture_rows())
     collector = fixture_collector(fixture_dir)
     with pytest.raises(ExcludedCountry):
-        collector.build_queries(CountryRef(iso2="CU"))
-    with pytest.raises(ExcludedCountry):
-        collector.collect_snapshot(CountryRef(iso2="CU"))
+        collector.collect_snapshots([CountryRef(iso2="CU")])
 
 
 def test_query_descriptor_validates_age_pair():
@@ -193,13 +196,13 @@ def test_fixture_miss_for_absent_file(fixture_dir):
     fixture_dir.mkdir(parents=True)
     collector = fixture_collector(fixture_dir)
     with pytest.raises(FixtureMiss):
-        collector.collect_snapshot(IT)
+        collect_one(collector, IT)
 
 
 def test_collect_snapshot_complete(fixture_dir):
     write_fixture(fixture_dir, "IT", full_fixture_rows())
     collector = fixture_collector(fixture_dir)
-    snapshot = collector.collect_snapshot(IT)
+    snapshot = collect_one(collector, IT)
     assert len(snapshot.cells) == 28
     assert snapshot.is_complete()
     assert {c.collected_at for c in snapshot.cells} == {datetime(2024, 6, 1, tzinfo=timezone.utc)}
@@ -210,15 +213,15 @@ def test_collect_snapshot_missing_cell_is_incomplete(fixture_dir):
     write_fixture(fixture_dir, "IT", rows[:-1])
     collector = fixture_collector(fixture_dir)
     with pytest.raises(SnapshotIncomplete) as excinfo:
-        collector.collect_snapshot(IT)
+        collect_one(collector, IT)
     assert len(excinfo.value.cells) == 27
     assert len(excinfo.value.missing) == 1
 
 
 def test_fixture_mode_is_deterministic(fixture_dir):
     write_fixture(fixture_dir, "IT", full_fixture_rows())
-    first = fixture_collector(fixture_dir).collect_snapshot(IT)
-    second = fixture_collector(fixture_dir).collect_snapshot(IT)
+    first = collect_one(fixture_collector(fixture_dir), IT)
+    second = collect_one(fixture_collector(fixture_dir), IT)
     assert first == second
 
 
@@ -333,18 +336,18 @@ def test_fixture_run_all_reads_each_fixture_once_and_no_snapshot(tmp_path, monke
 def test_live_snapshot_and_cache_idempotence(tmp_path):
     client = StubClient(count=4321)
     collector, _ = live_collector(tmp_path, client)
-    snapshot = collector.collect_snapshot(IT)
+    snapshot = collect_one(collector, IT)
     assert len(snapshot.cells) == 28
     assert all(c.count == 4321 for c in snapshot.cells)
     assert len(client.calls) == 28
     # same day, same config: served from the write-through cache
-    again = collector.collect_snapshot(IT)
+    again = collect_one(collector, IT)
     assert len(client.calls) == 28
     assert again == snapshot
     # a fresh collector reading the same cache dir also stays offline
     fresh_client = StubClient(count=9999)
     fresh, _ = live_collector(tmp_path, fresh_client)
-    third = fresh.collect_snapshot(IT)
+    third = collect_one(fresh, IT)
     assert fresh_client.calls == []
     assert third == snapshot
 
@@ -353,7 +356,7 @@ def test_live_retry_backoff_sequence(tmp_path, monkeypatch):
     q = "iso2=IT&sex=female&age_min=15&age_max=19&parent_filter=all"
     client = StubClient(count=777, fail_plan={q: [RateLimited("x"), RateLimited("x")]})
     collector, sleeps = live_collector(tmp_path, client, monkeypatch, MAX_RETRIES=3, BASE_BACKOFF_S=0.25)
-    snapshot = collector.collect_snapshot(IT)
+    snapshot = collect_one(collector, IT)
     assert snapshot.cell(Sex.FEMALE, age_grid()[0], ParentFilter.ALL).count == 777
     assert sleeps == [0.25, 0.5]
 
@@ -363,7 +366,7 @@ def test_live_retries_exhausted_surface_incomplete(tmp_path, monkeypatch):
     client = StubClient(fail_plan={q: [RateLimited("x")] * 10})
     collector, sleeps = live_collector(tmp_path, client, monkeypatch, MAX_RETRIES=2, BASE_BACKOFF_S=0.1)
     with pytest.raises(SnapshotIncomplete) as excinfo:
-        collector.collect_snapshot(IT)
+        collect_one(collector, IT)
     assert len(excinfo.value.cells) == 27
     # attempts = MAX_RETRIES + 1, delays double per retry
     assert client.calls.count(q) == 3
@@ -375,7 +378,7 @@ def test_live_auth_error_propagates(tmp_path):
     client = StubClient(fail_plan={q: [AuthError("bad token")]})
     collector, _ = live_collector(tmp_path, client)
     with pytest.raises(AuthError):
-        collector.collect_snapshot(IT)
+        collect_one(collector, IT)
 
 
 def test_live_malformed_response_counts_as_missing_cell(tmp_path):
@@ -383,7 +386,7 @@ def test_live_malformed_response_counts_as_missing_cell(tmp_path):
     client = StubClient(fail_plan={q: [MalformedResponse("boom")]})
     collector, _ = live_collector(tmp_path, client)
     with pytest.raises(SnapshotIncomplete) as excinfo:
-        collector.collect_snapshot(IT)
+        collect_one(collector, IT)
     assert len(excinfo.value.cells) == 27
 
 
@@ -391,14 +394,14 @@ def test_live_concurrency_is_bounded(tmp_path):
     client = StubClient(count=500)
     client.delay = 0.005
     collector, _ = live_collector(tmp_path, client)
-    collector.collect_snapshot(IT)
+    collect_one(collector, IT)
     assert client.max_active == 1  # requests never overlap
 
 
 def test_fixture_collect_starts_no_thread(fixture_dir, monkeypatch):
     started = count_thread_starts(monkeypatch)
     write_fixture(fixture_dir, "IT", full_fixture_rows())
-    snapshot = fixture_collector(fixture_dir).collect_snapshot(IT)
+    snapshot = collect_one(fixture_collector(fixture_dir), IT)
     assert len(snapshot.cells) == 28
     assert started == []
 
@@ -535,13 +538,13 @@ def test_error_mid_country_still_caches_the_cells_that_arrived(tmp_path, error):
     assert [(c.country.iso2, c.key) for c in read_cells_csv(cache_file(tmp_path))] == [("IT", CELL_KEYS[0])]
     fresh_client = StubClient(count=500)
     fresh, _ = live_collector(tmp_path, fresh_client)
-    fresh.collect_snapshot(IT)
+    collect_one(fresh, IT)
     assert len(fresh_client.calls) == 27
 
 
 def test_failed_cache_flush_keeps_the_previous_file(tmp_path, monkeypatch):
     collector, _ = live_collector(tmp_path, StubClient(count=500))
-    collector.collect_snapshot(IT)
+    collect_one(collector, IT)
     path = cache_file(tmp_path)
     text = path.read_text(encoding="utf-8")
 
@@ -557,14 +560,14 @@ def test_failed_cache_flush_keeps_the_previous_file(tmp_path, monkeypatch):
         client = StubClient(count=600)
         fresh, _ = live_collector(tmp_path, client)
         with pytest.raises(OSError, match="disk full"):
-            fresh.collect_snapshot(IT)
+            collect_one(fresh, IT)
         monkeypatch.undo()
         assert len(client.calls) == 1
         assert path.read_text(encoding="utf-8") == missing_last
         assert [p.name for p in path.parent.iterdir()] == [path.name]
         # the previous cells still load: only the lost one is fetched again
         again = StubClient(count=600)
-        live_collector(tmp_path, again)[0].collect_snapshot(IT)
+        collect_one(live_collector(tmp_path, again)[0], IT)
         assert len(again.calls) == 1
 
 
@@ -594,46 +597,25 @@ def test_partly_cached_collect_across_utc_midnight_answers_hits_for_the_day_it_l
         return before_midnight if len(readings) == 1 else before_midnight + timedelta(seconds=2)
 
     seeded, _ = live_collector(tmp_path, StubClient(count=500))
-    seeded.collect_snapshot(IT)
+    collect_one(seeded, IT)
     path = tmp_path / "cache" / "2024-06-02.csv"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines[:-3]), encoding="utf-8")  # the last 3 cells are missing
     client = StubClient(count=500)
     config = CollectorConfig(mode=Mode.LIVE, cache_dir=tmp_path / "cache")
     collector = Collector(config, client=client, clock=clock, sleep=lambda s: None)
-    assert collector.collect_snapshot(IT).is_complete()
+    assert collect_one(collector, IT).is_complete()
     assert len(client.calls) == 3
     assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
     assert [c.key for c in read_cells_csv(path)] == list(CELL_KEYS)
 
 
-def test_concurrent_fetch_cell_misses_of_one_country_keep_every_cell(tmp_path, monkeypatch):
-    # an earlier query's write lands later
-    record_store_writes(monkeypatch, lambda iso2, cells: time.sleep(0.001 * (28 - CELL_KEYS.index(cells[0].key))))
-    client = StubClient(count=500)
-    client.delay = 0.005
-    collector, _ = live_collector(tmp_path, client)
-    queries = collector.build_queries(IT)
-    threads = [threading.Thread(target=collector.fetch_cell, args=(q,)) for q in queries]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert len(client.calls) == 28
-    keys = cached_keys(cache_file(tmp_path), "IT")  # in the order the writes landed
-    assert sorted(keys, key=CELL_KEYS.index) == list(CELL_KEYS)
-    again = StubClient(count=500)
-    live_collector(tmp_path, again)[0].collect_snapshot(IT)
-    assert again.calls == []
-
-
 def test_country_whose_misses_all_fail_gets_no_cache_write(tmp_path):
-    queries = live_collector(tmp_path, StubClient())[0].build_queries(IT)
-    failing = lambda: StubClient(fail_plan={q.canonical(): [MalformedResponse("bad")] for q in queries})
+    failing = lambda: StubClient(fail_plan={ingest._query("IT", k).canonical(): [MalformedResponse("bad")] for k in CELL_KEYS})
     (result,) = live_collector(tmp_path, failing())[0].collect_snapshots([IT])
     assert isinstance(result, SnapshotIncomplete)
     assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
-    live_collector(tmp_path, StubClient(count=500))[0].collect_snapshot(IT)
+    collect_one(live_collector(tmp_path, StubClient(count=500))[0], IT)
     path = cache_file(tmp_path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines[:-3]), encoding="utf-8")
@@ -656,7 +638,7 @@ def test_cold_collect_reads_the_store_once_per_country_and_sends_each_query_once
     collector, _ = live_collector(tmp_path, client)
     assert all(s.is_complete() for s in collector.collect_snapshots(FIVE))
     assert reads == [c.iso2 for c in FIVE]
-    assert sorted(client.calls) == sorted(q.canonical() for c in FIVE for q in collector.build_queries(c))
+    assert sorted(client.calls) == sorted(ingest._query(c.iso2, key).canonical() for c in FIVE for key in CELL_KEYS)
 
 
 def test_excluded_country_fails_before_any_request(tmp_path):
@@ -720,7 +702,7 @@ def test_day_file_whose_last_append_was_cut_short_is_dropped_then_repaired(tmp_p
 
 
 def test_day_file_whose_last_row_parses_without_a_line_break_drops_that_row(tmp_path, caplog):
-    live_collector(tmp_path, StubClient(count=500))[0].collect_snapshot(IT)
+    collect_one(live_collector(tmp_path, StubClient(count=500))[0], IT)
     path = cache_file(tmp_path)
     path.write_text(path.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")  # the last row still parses
     inode = path.stat().st_ino
@@ -744,7 +726,7 @@ def test_day_file_cut_short_at_its_creation_is_refetched_and_rewritten(tmp_path,
     path.write_text(left, encoding="utf-8")
     client = StubClient(count=500)
     with caplog.at_level(logging.WARNING, logger="admac.ingest"):
-        assert live_collector(tmp_path, client)[0].collect_snapshot(IT).is_complete()
+        assert collect_one(live_collector(tmp_path, client)[0], IT).is_complete()
     assert len(client.calls) == 28
     assert any(str(path) in r.getMessage() for r in caplog.records)
     assert cached_keys(path, "IT") == list(CELL_KEYS)
@@ -781,7 +763,7 @@ def test_torn_last_cache_line_is_dropped_and_refetched(tmp_path, caplog):
 
 
 def test_day_file_cut_inside_its_last_timestamp_refetches_that_cell(tmp_path, caplog):
-    live_collector(tmp_path, StubClient(count=500))[0].collect_snapshot(IT)
+    collect_one(live_collector(tmp_path, StubClient(count=500))[0], IT)
     path = cache_file(tmp_path)
     text = path.read_text(encoding="utf-8")
     torn = text[: text.rfind("T")]  # the date alone still parses, as midnight
@@ -789,19 +771,19 @@ def test_day_file_cut_inside_its_last_timestamp_refetches_that_cell(tmp_path, ca
     path.write_text(torn, encoding="utf-8")
     client = StubClient(count=500)
     with caplog.at_level(logging.WARNING, logger="admac.ingest"):
-        snapshot = live_collector(tmp_path, client)[0].collect_snapshot(IT)
+        snapshot = collect_one(live_collector(tmp_path, client)[0], IT)
     assert client.calls == [ingest._query("IT", CELL_KEYS[-1]).canonical()]
     assert any(str(path) in r.getMessage() and "line 29" in r.getMessage() for r in caplog.records)
     assert all(c.collected_at == FIXED_NOW for c in snapshot.cells)
     assert path.read_text(encoding="utf-8") == text  # cut back to its 28 whole lines, then appended to
     again = StubClient(count=500)
-    live_collector(tmp_path, again)[0].collect_snapshot(IT)
+    collect_one(live_collector(tmp_path, again)[0], IT)
     assert again.calls == []
 
 
 def test_append_that_fails_part_way_leaves_the_file_at_its_last_line_break(tmp_path, monkeypatch, capsys):
     NG = CountryRef(iso2="NG")
-    live_collector(tmp_path, StubClient(count=500))[0].collect_snapshot(IT)
+    collect_one(live_collector(tmp_path, StubClient(count=500))[0], IT)
     path = cache_file(tmp_path)
     before = path.read_bytes()
     fail_writes_part_way(monkeypatch)
@@ -829,25 +811,50 @@ def test_append_that_fails_part_way_leaves_the_file_at_its_last_line_break(tmp_p
     assert day.read_bytes() == before
 
 
-def test_bad_cache_line_with_a_line_break_still_raises(tmp_path):
-    collector, _ = live_collector(tmp_path, StubClient(count=500))
-    collector.collect_snapshot(IT)
+TWO = [IT, CountryRef(iso2="NG")]
+TWO_QUERIES = [ingest._query(c.iso2, key).canonical() for c in TWO for key in CELL_KEYS]
+
+
+def test_bad_cache_line_with_a_line_break_is_removed_and_refetched(tmp_path, caplog):
+    first = list(live_collector(tmp_path, StubClient(count=100))[0].collect_snapshots(TWO))
     path = cache_file(tmp_path)
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    for i in (5, len(lines) - 1):  # a middle line, and a last line that was fully written
-        broken = lines[:i] + [lines[i].replace(",500,", ",many,")] + lines[i + 1:]
+    good = path.read_bytes()
+    lines = good.decode("utf-8").splitlines(keepends=True)
+    assert len(lines) == 1 + len(TWO_QUERIES)
+    for i in range(1, len(lines)):  # each data line, the last (fully written) one included
+        broken = lines[:i] + [lines[i].replace(",100,", ",1x00,")] + lines[i + 1:]
         path.write_text("".join(broken), encoding="utf-8")
+        caplog.clear()
+        client = StubClient(count=100)
+        with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+            assert list(live_collector(tmp_path, client)[0].collect_snapshots(TWO)) == first
+        assert client.calls == TWO_QUERIES
+        assert any(str(path) in r.getMessage() and f"line {i + 1}" in r.getMessage() for r in caplog.records)
+        assert path.read_bytes() == good
+        again = StubClient(count=100)
+        assert list(live_collector(tmp_path, again)[0].collect_snapshots(TWO)) == first
+        assert again.calls == []
+
+
+def test_day_file_cut_at_any_byte_refetches_exactly_the_lost_cells(tmp_path):
+    first = list(live_collector(tmp_path, StubClient(count=500))[0].collect_snapshots(TWO))
+    path = cache_file(tmp_path)
+    good = path.read_bytes()
+    for offset in range(len(good) + 1):
+        path.write_bytes(good[:offset])
+        kept = max(good.count(b"\n", 0, offset) - 1, 0)  # whole data lines after the header
         client = StubClient(count=500)
-        fresh, _ = live_collector(tmp_path, client)
-        with pytest.raises(ParseError) as caught:
-            fresh.collect_snapshot(IT)
-        assert caught.value.line == i + 1
-        assert client.calls == []
+        assert list(live_collector(tmp_path, client)[0].collect_snapshots(TWO)) == first
+        assert client.calls == TWO_QUERIES[kept:]
+        assert path.read_bytes() == good
+        again = StubClient(count=500)
+        assert list(live_collector(tmp_path, again)[0].collect_snapshots(TWO)) == first
+        assert again.calls == []
 
 
 def test_non_utf8_cache_file_is_cut_back_or_removed_and_refetched(tmp_path, caplog):
     collector, _ = live_collector(tmp_path, StubClient(count=500))
-    collector.collect_snapshot(IT)
+    collect_one(collector, IT)
     path = cache_file(tmp_path)
     good = path.read_bytes()
     # a bad byte after the last line break is a torn tail: cut off, no cell lost; one inside a
@@ -858,11 +865,11 @@ def test_non_utf8_cache_file_is_cut_back_or_removed_and_refetched(tmp_path, capl
         client = StubClient(count=500)
         fresh, _ = live_collector(tmp_path, client)
         with caplog.at_level(logging.WARNING, logger="admac.ingest"):
-            assert fresh.collect_snapshot(IT).is_complete()
+            assert collect_one(fresh, IT).is_complete()
         assert len(client.calls) == lost
         assert any(str(path) in r.getMessage() and says in r.getMessage() for r in caplog.records)
         assert path.read_bytes() == good
-        fresh.collect_snapshot(CountryRef(iso2="NG"))  # appended to the repaired file
+        collect_one(fresh, CountryRef(iso2="NG"))  # appended to the repaired file
         assert cached_keys(path, "IT") == cached_keys(path, "NG") == list(CELL_KEYS)
         again = StubClient(count=500)
         live_collector(tmp_path, again)[0].collect_snapshots([IT, CountryRef(iso2="NG")])
@@ -873,7 +880,7 @@ def test_torn_last_fixture_line_still_raises(fixture_dir):
     path = write_fixture(fixture_dir, "IT", full_fixture_rows())
     _tear_last_line(path)
     with pytest.raises(ParseError) as caught:
-        fixture_collector(fixture_dir).collect_snapshot(IT)
+        collect_one(fixture_collector(fixture_dir), IT)
     assert caught.value.line == 29
 
 
