@@ -1,5 +1,5 @@
-"""Audience collection: live ads-reach API client, fixture replay, per-day
-cache and retry with exponential backoff.
+"""Audience collection: live ads-reach API client (stdlib `urllib`, no
+redirects), fixture replay, per-day cache and retry with exponential backoff.
 
 Fixtures (one `<ISO2>.csv` per country) and the live cache (one
 `<YYYY-MM-DD>.csv` per UTC day, every country's cells in it, appended to
@@ -15,8 +15,10 @@ twice as long each time.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import os
+import re
 import time
 from collections import namedtuple
 from datetime import date, datetime, timezone
@@ -24,10 +26,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import groupby
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
-
-if TYPE_CHECKING:
-    import requests
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .domain import (
     AGE_GRID,
@@ -61,8 +60,10 @@ DEFAULT_EXCLUDED = frozenset({"CU", "IR", "KP", "SY", "SD"})
 
 BASE_BACKOFF_S = 0.5  # wait before the first retry of a throttled query; doubles per retry
 MAX_RETRIES = 3  # retries of one throttled query before it fails
+REQUEST_TIMEOUT_S = 30.0  # socket timeout of each live request
 
 TOKEN_ENV_VAR = "ADS_API_TOKEN"
+_BEARER_TOKEN = re.compile(r"[A-Za-z0-9._~+/-]+=*")  # RFC 6750 b64token
 
 CellKey = tuple[Sex, AgeGroup, ParentFilter]
 
@@ -243,6 +244,40 @@ def fixture_countries(fixture_dir: str | Path) -> list[str]:
 # live client boundary
 # --------------------------------------------------------------------------
 
+class _Reply(namedtuple("_Reply", "status_code body")):
+    def json(self) -> object:
+        return json.loads(self.body)
+
+
+class _UrllibSession:
+    """`AdsApiClient`'s default session: one `urllib.request` GET per call, on a new connection,
+    through the proxies the environment names. It follows no redirect (urllib would send the
+    token on to the host named), and a reply that breaks off raises ConnectionError."""
+
+    def __init__(self) -> None:
+        import urllib.request  # here, not at module level: it is slow to import
+
+        class NoRedirect(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args: object) -> None:  # the 3xx is answered as it is
+                return None
+
+        self._open = urllib.request.build_opener(NoRedirect).open
+
+    def get(self, url: str, params: dict, headers: dict, timeout: float) -> _Reply:
+        import http.client
+        import urllib.request
+
+        request = urllib.request.Request(f"{url}?{urllib.parse.urlencode(params)}", headers=headers)
+        try:
+            with self._open(request, timeout=timeout) as reply:
+                return _Reply(reply.status, reply.read())
+        except urllib.error.HTTPError as reply:  # every status but 2xx, read and closed
+            with reply:
+                return _Reply(reply.code, reply.read())
+        except http.client.HTTPException as exc:  # a bad status line, an incomplete read
+            raise ConnectionError(f"broken reply: {exc!r}") from exc
+
+
 class AdsApiClient:
     """The single boundary to the ads-reach HTTP API.
 
@@ -253,27 +288,20 @@ class AdsApiClient:
     {"audience_size": <int>}. A transport failure raises
     UpstreamUnavailable, which is not a per-cell error: it ends the collect.
 
-    `requests` is imported only when no `session` is injected, so fixture
-    runs and tests with a fake session never load it.
+    `session` (default `_UrllibSession`) has `get(url, params=, headers=, timeout=)`
+    returning an object with `.status_code` and `.json()`.
     """
 
     def __init__(
-        self,
-        token: str,
-        base_url: str = "https://ads-api.example.com/v1",
-        session: requests.Session | None = None,
-        timeout: float = 30.0,
+        self, token: str, base_url: str = "https://ads-api.example.com/v1", session: object = None
     ) -> None:
         if not token:
             raise AuthError(f"no API token; set {TOKEN_ENV_VAR} or pass one explicitly")
+        if not _BEARER_TOKEN.fullmatch(token):
+            raise AuthError("API token is not a bearer token (letters, digits, -._~+/, then any =)")
         self._token = token
         self._base_url = base_url.rstrip("/")
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
-        self._timeout = timeout
+        self._session = session if session is not None else _UrllibSession()
 
     def reach_estimate(self, query: QueryDescriptor) -> int:
         try:
@@ -287,9 +315,9 @@ class AdsApiClient:
                     "parent_filter": query.parent_filter.value,
                 },
                 headers={"Authorization": f"Bearer {self._token}"},
-                timeout=self._timeout,
+                timeout=REQUEST_TIMEOUT_S,
             )
-        except OSError as exc:  # requests.RequestException subclasses OSError
+        except OSError as exc:
             raise UpstreamUnavailable(f"transport failure for {query.canonical()}: {exc}") from exc
         if response.status_code in (401, 403):
             raise AuthError(f"token rejected ({response.status_code})")
@@ -301,7 +329,7 @@ class AdsApiClient:
             )
         try:
             count = response.json()["audience_size"]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise MalformedResponse(f"unparseable body for {query.canonical()}: {exc}") from exc
         if type(count) is not int or count < 0:  # a bool, float or string is no count
             raise MalformedResponse(f"audience_size {count!r} is not a count for {query.canonical()}")

@@ -498,6 +498,8 @@ def load_model(path: Path, data: bytes) -> CalibrationModel:
         document = json.loads(decode_utf8(path, data))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} is not valid JSON: nested too deeply") from exc
     try:
         m = document["model"]
         model = CalibrationModel(**{name: _model_field(name, kind, m[name]) for name, kind in _MODEL_FIELDS})

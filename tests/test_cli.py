@@ -300,7 +300,13 @@ def _drop_slope(text: str) -> str:
     return json.dumps(document)
 
 
-@pytest.mark.parametrize("edit", [_truncate, _drop_slope], ids=["truncated", "missing_key"])
+def _nest_too_deep(text: str) -> str:
+    return "[" * 100_000
+
+
+@pytest.mark.parametrize(
+    "edit", [_truncate, _drop_slope, _nest_too_deep], ids=["truncated", "missing_key", "nested_too_deep"]
+)
 def test_malformed_model_reports_parse_error(tmp_path, capsys, edit):
     out = tmp_path / "out"
     assert run_cli("all", "--out", out) == 0
@@ -311,6 +317,7 @@ def test_malformed_model_reports_parse_error(tmp_path, capsys, edit):
     report = _one_line_report(capsys)
     assert report["error"] == "ParseError"
     assert report["command"] == "predict"
+    assert str(model) in report["message"]
 
 
 @pytest.fixture(scope="module")
@@ -451,7 +458,8 @@ def _loaded_by_fresh_cli_import(*modules: str) -> list[str]:
 
 
 def test_importing_the_cli_does_not_load_requests():
-    assert _loaded_by_fresh_cli_import("requests") == []
+    # nor the stdlib HTTP stack: only a live run without an injected session imports it
+    assert _loaded_by_fresh_cli_import("requests", "urllib.request", "http.client") == []
 
 
 def test_importing_the_cli_loads_no_dataclasses_and_no_thread_pool():

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import http.client
+import http.server
 import io
 import json
 import logging
 import os
+import socket
 import threading
 import time
+import urllib.error
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -967,12 +971,116 @@ class RaisingSession:
 
 
 def test_client_maps_transport_errors_to_upstream_unavailable():
-    requests = pytest.importorskip("requests")
-    assert issubclass(requests.RequestException, OSError)
-    for exc in (ConnectionError("reset by peer"), requests.ConnectionError("refused")):
+    for exc in (
+        ConnectionError("reset by peer"), TimeoutError("timed out"),
+        urllib.error.URLError(ConnectionRefusedError("refused")), http.client.RemoteDisconnected("closed"),
+    ):
         client = AdsApiClient(token="tok", session=RaisingSession(exc))
         with pytest.raises(UpstreamUnavailable, match="transport failure"):
             client.reach_estimate(_query())
+
+
+# --- the default session on the wire ------------------------------------------
+
+class _Upstream(http.server.BaseHTTPRequestHandler):
+    """Records each GET's path and Authorization header, then answers with the server's
+    `reply`: (status, headers, body), or raw bytes written as they are."""
+
+    def do_GET(self):
+        self.server.seen.append((self.path, self.headers["Authorization"]))
+        reply = self.server.reply
+        if isinstance(reply, bytes):
+            self.wfile.write(reply)
+            return
+        status, headers, body = reply
+        self.send_response(status)
+        for name, value in {**headers, "Content-Length": str(len(body))}.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def upstream(monkeypatch):
+    """A local HTTP server for `_Upstream`, reached with no proxy; shut down and joined after."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Upstream)
+    server.daemon_threads = False  # so server_close joins every handler thread
+    server.seen, server.reply = [], (200, {}, b"")
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def _wire_client(server, token="tok", port=None):
+    return AdsApiClient(token=token, base_url=f"http://127.0.0.1:{port or server.server_port}/v1")
+
+
+def test_default_session_sends_the_query_and_reads_the_count(upstream):
+    upstream.reply = (200, {"Content-Type": "application/json"}, b'{"audience_size": 123456}')
+    assert _wire_client(upstream).reach_estimate(_query()) == 123456
+    path = "/v1/reach_estimate?country=IT&sex=female&age_min=25&age_max=29&parent_filter=all"
+    assert upstream.seen == [(path, "Bearer tok")]
+
+
+@pytest.mark.parametrize(
+    "status,body,exc",
+    [
+        (401, b"{}", AuthError), (403, b"{}", AuthError), (429, b"{}", RateLimited),
+        (500, b"{}", MalformedResponse), (200, b"<html>", MalformedResponse),
+        (200, b"[" * 100_000, MalformedResponse),
+    ],
+    ids=["401", "403", "429", "500", "not_json", "nested_too_deep"],
+)
+def test_default_session_maps_statuses_and_bodies(upstream, status, body, exc):
+    upstream.reply = (status, {}, body)
+    with pytest.raises(exc):
+        _wire_client(upstream).reach_estimate(_query())
+    assert len(upstream.seen) == 1
+
+
+def test_default_session_follows_no_redirect(upstream):
+    # another host name for the same server: a followed redirect would reach it again
+    elsewhere = f"http://localhost:{upstream.server_port}/v1/reach_estimate"
+    upstream.reply = (302, {"Location": elsewhere}, b"")
+    with pytest.raises(MalformedResponse, match="unexpected status 302"):
+        _wire_client(upstream).reach_estimate(_query())
+    assert len(upstream.seen) == 1
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"garbage\r\n\r\n", b"", b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{", None],
+    ids=["garbage_status_line", "closed_without_reply", "incomplete_body", "closed_port"],
+)
+def test_default_session_maps_broken_replies_to_upstream_unavailable(upstream, raw):
+    port = None
+    if raw is None:
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            port = closed.getsockname()[1]
+    upstream.reply = raw
+    with pytest.raises(UpstreamUnavailable, match="transport failure"):
+        _wire_client(upstream, port=port).reach_estimate(_query())
+
+
+@pytest.mark.parametrize("token", ["tok\n", "Bearer tok", "to k", "t\u00f6k", "=tok", "tok=a"])
+def test_bad_token_raises_auth_error_before_anything_is_sent(upstream, token):
+    with pytest.raises(AuthError, match="not a bearer token"):
+        _wire_client(upstream, token=token).reach_estimate(_query())
+    assert upstream.seen == []
+    AdsApiClient(token="A-._~+/9==", session=FakeSession(None))  # every b64token character passes
 
 
 def test_live_collect_ends_at_the_first_transport_failure_and_a_rerun_succeeds(tmp_path, monkeypatch, capsys):
