@@ -47,15 +47,6 @@ class UpstreamUnavailable(AdmacError):
     """Live API could not be reached (a transport failure); ends the collect."""
 
 
-class SnapshotIncomplete(AdmacError):
-    """Collection finished without all 28 cells; carries what was obtained."""
-
-    def __init__(self, message: str, cells=(), missing=()):
-        super().__init__(message)
-        self.cells = tuple(cells)
-        self.missing = tuple(missing)
-
-
 # --- groundtruth -------------------------------------------------------------
 
 class ParseError(AdmacError):

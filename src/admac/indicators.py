@@ -3,7 +3,6 @@ eligibility rule applied."""
 
 from __future__ import annotations
 
-import logging
 from collections import namedtuple
 from enum import Enum
 from typing import Iterable
@@ -16,8 +15,6 @@ from .domain import (
     Sex,
 )
 from .errors import IncompleteSnapshot, ZeroExposure, ZeroSchedule
-
-logger = logging.getLogger(__name__)
 
 
 class IneligibilityReason(str, Enum):
@@ -62,7 +59,7 @@ def asfr(parents_count: int, total_count: int) -> float:
     """Fertility-proxy rate: parents of an infant over the exposed audience.
 
     A value above 1 is possible only through inconsistent counts; it is
-    returned as-is with a logged diagnostic rather than clamped.
+    returned as-is, not clamped (`FertilitySchedule` logs it).
     """
     if parents_count < 0:
         raise ValueError(f"parents_count must be non-negative, got {parents_count}")
@@ -70,13 +67,7 @@ def asfr(parents_count: int, total_count: int) -> float:
         raise ValueError(f"total_count must be non-negative, got {total_count}")
     if total_count == 0:
         raise ZeroExposure("exposure population is zero")
-    rate = parents_count / total_count
-    if rate > 1.0:
-        logger.warning(
-            "rate %.6g exceeds 1 (parents=%d, total=%d); upstream counts inconsistent",
-            rate, parents_count, total_count,
-        )
-    return rate
+    return parents_count / total_count
 
 
 def schedule_from_snapshot(snapshot: AudienceSnapshot, sex: Sex) -> FertilitySchedule:

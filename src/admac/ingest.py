@@ -24,9 +24,8 @@ from collections import namedtuple
 from datetime import date, datetime, timezone
 from enum import Enum
 from functools import lru_cache
-from itertools import groupby
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .domain import (
     AGE_GRID,
@@ -46,7 +45,6 @@ from .errors import (
     MalformedResponse,
     ParseError,
     RateLimited,
-    SnapshotIncomplete,
     UpstreamUnavailable,
 )
 from .fileio import append_lines, atomic_write_text, read_table
@@ -209,19 +207,28 @@ def read_cells_csv(
 ) -> list[AudienceCell]:
     """The cells of a cell CSV in file order, read with `fileio.read_table`.
 
-    `country`, when given, is the country every row must name, and all
-    cells share it; otherwise each row's CountryRef is `_country_ref`'s.
+    `country`, when given, is the country every row must name, once per
+    cell, and all cells share it; otherwise each row's CountryRef is
+    `_country_ref`'s (a day file, where a later row for a cell wins).
     `data` is the file's bytes when the caller has already read them (the
-    live cache passes only its whole lines). A malformed row, or one naming
-    another country than `country`, raises ParseError with its file line.
+    live cache passes only its whole lines). A malformed row, one naming
+    another country than `country` or a second row for one of its cells
+    raises ParseError with its file line.
     """
     _, _, rows = read_table(path, CELL_COLUMNS, data=data)
     cells = []
+    seen: set[CellKey] = set()
     for lineno, row in rows:
         try:
             if len(row) != len(CELL_COLUMNS):
                 raise ValueError(f"expected {len(CELL_COLUMNS)} fields")
-            cells.append(_row_to_cell(row, country))
+            cell = _row_to_cell(row, country)
+            if country is not None:
+                key = cell.key
+                if key in seen:
+                    raise ValueError(f"a second row for cell {_KEY_FIELDS[key]}")
+                seen.add(key)
+            cells.append(cell)
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from exc
     return cells
@@ -230,7 +237,7 @@ def read_cells_csv(
 def file_country(path: Path) -> CountryRef:
     """The country an `<ISO2>.csv` file is named for; ParseError naming the file otherwise."""
     try:
-        return CountryRef(iso2=path.stem.upper())
+        return CountryRef(iso2=path.stem)
     except ValueError as exc:
         raise ParseError(f"{path}: file name is not <ISO2>.csv ({exc})") from None
 
@@ -364,7 +371,9 @@ class _CellStore:
     def _path(self, name: str) -> Path:
         return self.directory / f"{name}.csv"
 
-    def _load(self, iso2: str, day: date | None) -> dict[CellKey, AudienceCell] | None:
+    def cells(self, iso2: str, day: date | None = None) -> dict[CellKey, AudienceCell] | None:
+        """`iso2`'s cells by key: from its fixture (day None) or from `day`'s cache file; None
+        when there are none."""
         if day is not None:
             if day not in self._days:
                 self._days.add(day)
@@ -372,12 +381,12 @@ class _CellStore:
                     self._files.setdefault((cell.country.iso2, day), {})[cell.key] = cell
         elif (iso2, None) not in self._files:
             path = self._path(iso2)
-            cells = None
+            held = None
             if path.exists():
                 data = path.read_bytes()
                 self._digests[iso2] = hashlib.sha256(data).hexdigest()
-                cells = {c.key: c for c in read_cells_csv(path, _country_ref(iso2), data=data)}
-            self._files[iso2, None] = cells
+                held = {c.key: c for c in read_cells_csv(path, _country_ref(iso2), data=data)}
+            self._files[iso2, None] = held
         return self._files.get((iso2, day))
 
     def _read_day(self, day: date) -> list[AudienceCell]:
@@ -400,19 +409,15 @@ class _CellStore:
             os.truncate(path, end)
         return cells
 
-    def cells(self, iso2: str, day: date | None = None) -> dict[CellKey, AudienceCell] | None:
-        """`iso2`'s cells by key: from its fixture (day None) or from `day`'s cache file; None
-        when there are none."""
-        return self._load(iso2, day)
-
     def digest(self, iso2: str) -> str | None:
         """SHA-256 hex digest of `iso2`'s fixture file as loaded, or None when none was."""
         return self._digests.get(iso2)
 
     def write(self, iso2: str, day: date, cells: Iterable[AudienceCell]) -> None:
-        """Append the `cells` this store does not hold yet to `iso2`'s cells for `day`: to the
-        day file in canonical order, then, once that succeeded, in memory."""
-        held = self._load(iso2, day) or {}
+        """Append the `cells` this store does not hold yet to `iso2`'s cells for `day`, looked up
+        with `cells` before: to the day file in canonical order, then, once that succeeded, in
+        memory."""
+        held = self._files.get((iso2, day), {})
         new = {c.key: c for c in cells if held.get(c.key) != c}
         if new:
             lines = _cell_lines(new[k] for k in CELL_KEYS if k in new)
@@ -427,8 +432,6 @@ class _CellStore:
 # Per-cell live failures: they leave a snapshot incomplete instead of ending the run.
 _CELL_ERRORS = (RateLimited, MalformedResponse)
 
-Outcome = AudienceCell | Exception
-
 
 def _query(iso2: str, key: CellKey) -> QueryDescriptor:
     """The query for a CELL_KEYS entry, whose age group is canonical and needs no check."""
@@ -441,13 +444,13 @@ class Collector:
 
     One `_CellStore` answers every lookup: the fixture directory (day None)
     or the live cache's file for the UTC day the call looked up. A collect
-    checks every requested country first, then answers the hits from the
-    store on the calling thread. A fixture miss is a per-cell FixtureMiss.
-    The live misses of the whole call are sent one at a time, in canonical
-    order, on the calling thread, and each fetched cell is kept only in its
-    outcome slot. Once a country's misses are done, or an error or an
-    interrupt ends the call inside that country, its new cells are appended
-    to the day file, once. Snapshots are assembled in canonical query order.
+    checks every requested country for exclusion, then looks each one up
+    in the store, then goes through the countries one at a time, each in
+    canonical query order, on the calling thread: a held cell is taken, a
+    fixture miss is a per-cell FixtureMiss, and a live miss is sent. Once
+    a country's cells are done, or an error or an interrupt ends the call
+    inside that country, its fetched cells are appended to the day file,
+    once.
     """
 
     def __init__(
@@ -509,64 +512,48 @@ class Collector:
                 self._sleep(delay)
         return AudienceCell(_country_ref(iso2), *key, count=count, collected_at=self._clock())
 
-    def collect_snapshots(
-        self, countries: Sequence[CountryRef]
-    ) -> Iterator[AudienceSnapshot | SnapshotIncomplete]:
+    def collect_snapshots(self, countries: Sequence[CountryRef]) -> list[AudienceSnapshot]:
         """Each country's snapshot, in the order given.
 
-        A country whose cells did not all arrive yields (not raises) a
-        SnapshotIncomplete holding the cells that did. An excluded country
-        raises ExcludedCountry before any request is sent, and one with no
-        fixture file FixtureMiss; both before the first snapshot is yielded.
+        A country whose cells did not all arrive gets a snapshot of the cells
+        that did, and a warning naming its first failure. An excluded country
+        raises ExcludedCountry, one with no fixture file FixtureMiss and a bad
+        fixture ParseError; each before any request is sent or cell written.
         """
-        countries = list(countries)
         for country in countries:
             if country.iso2 in DEFAULT_EXCLUDED:
                 raise ExcludedCountry(f"platform provides no data for {country.iso2}")
         day = self._clock().date() if self.config.mode is Mode.LIVE else None
-        n = len(CELL_KEYS)
-        outcomes: list = [None] * (len(countries) * n)
-        misses: list[int] = []
-        for i, country in enumerate(countries):
-            cells = self._cells(country.iso2, day)
-            for j, key in enumerate(CELL_KEYS, start=i * n):
-                outcomes[j] = cell = cells.get(key)
-                if cell is None and day is None:
-                    outcomes[j] = FixtureMiss(f"fixture has no row for {_query(country.iso2, key).canonical()}")
-                elif cell is None:
-                    misses.append(j)
-        if misses:
-            self._fetch_misses(countries, day, misses, outcomes)
-        return (self._assemble(c, outcomes[i * n:(i + 1) * n]) for i, c in enumerate(countries))
-
-    def _fetch_misses(self, countries: list[CountryRef], day: date, misses: list[int], outcomes: list) -> None:
-        """Fill outcomes[i] for every i in misses, one request at a time in canonical order, and
-        append each country's new cells to the `day` cache file once its misses are done or an
-        error ends the call inside it; errors other than per-cell ones propagate."""
-        n = len(CELL_KEYS)
-        for c, group in groupby(misses, key=lambda i: i // n):
-            iso2 = countries[c].iso2
+        stored = [self._cells(c.iso2, day) for c in countries]
+        snapshots, incomplete = [], []
+        for country, held in zip(countries, stored):
+            iso2 = country.iso2
+            cells: list[AudienceCell] = []
+            fetched: list[AudienceCell] = []
+            failures: list[Exception] = []
             try:
-                for i in group:
-                    try:
-                        outcomes[i] = self._request(iso2, CELL_KEYS[i % n])
-                    except _CELL_ERRORS as exc:
-                        outcomes[i] = exc
+                for key in CELL_KEYS:
+                    cell = held.get(key)
+                    if cell is None and day is None:
+                        failures.append(FixtureMiss(f"fixture has no row for {_query(iso2, key).canonical()}"))
+                        continue
+                    if cell is None:
+                        try:
+                            cell = self._request(iso2, key)
+                        except _CELL_ERRORS as exc:
+                            failures.append(exc)
+                            continue
+                        fetched.append(cell)
+                    cells.append(cell)
             finally:
-                cells = [o for o in outcomes[c * n:(c + 1) * n] if isinstance(o, AudienceCell)]
-                self._store.write(iso2, day, cells)
-
-    @staticmethod
-    def _assemble(country: CountryRef, outcomes: Sequence[Outcome]) -> AudienceSnapshot | SnapshotIncomplete:
-        """The snapshot from one country's outcomes in canonical order, or
-        SnapshotIncomplete with the cells that did arrive."""
-        cells = [o for o in outcomes if isinstance(o, AudienceCell)]
-        failures = [(key, o) for key, o in zip(CELL_KEYS, outcomes) if not isinstance(o, AudienceCell)]
-        if failures:
-            return SnapshotIncomplete(
-                f"{country.iso2}: {len(failures)} of {len(outcomes)} cells failed "
-                f"(first: {failures[0][1]})",
-                cells=cells,
-                missing=[_query(country.iso2, key) for key, _ in failures],
+                if fetched:
+                    self._store.write(iso2, day, fetched)
+            if failures:
+                incomplete.append((iso2, len(failures), failures[0]))
+            snapshots.append(AudienceSnapshot(country=country, cells=tuple(cells)))
+        for iso2, failed, first in incomplete:  # only once every snapshot is made
+            logger.warning(
+                "%s: incomplete snapshot kept (%d of %d cells failed, first: %s)",
+                iso2, failed, len(CELL_KEYS), first,
             )
-        return AudienceSnapshot(country=country, cells=tuple(cells))
+        return snapshots

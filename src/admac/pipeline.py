@@ -27,7 +27,6 @@ from .errors import (
     EmptyInput,
     MissingStageInput,
     ParseError,
-    SnapshotIncomplete,
     TooFewPoints,
 )
 from .fileio import decode_utf8, read_table, standard_metadata, write_csv, write_json
@@ -200,17 +199,14 @@ def stage_collect(
 
     countries = [CountryRef(iso2=iso2) for iso2 in sorted(wanted)]
     written: list[Path] = []
-    for country, result in zip(countries, collector.collect_snapshots(countries)):
-        iso2 = country.iso2
-        if isinstance(result, SnapshotIncomplete):
-            logger.warning("%s: incomplete snapshot kept (%s)", iso2, result)
-            result = AudienceSnapshot(country=country, cells=tuple(result.cells))
+    for snapshot in collector.collect_snapshots(countries):
+        iso2 = snapshot.country.iso2
         fixture = collector.fixture_digest(iso2)
         inputs = {} if fixture is None else {f"fixture_{iso2}": fixture}
         path = cfg.snapshots_dir / f"{iso2}.csv"
-        digest = write_cells_csv(path, result.cells, meta=standard_metadata(seed=cfg.seed, inputs=inputs))
+        digest = write_cells_csv(path, snapshot.cells, meta=standard_metadata(seed=cfg.seed, inputs=inputs))
         if collected is not None:
-            collected[path] = (digest, result)
+            collected[path] = (digest, snapshot)
         written.append(path)
     return written
 

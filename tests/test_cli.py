@@ -411,39 +411,48 @@ def test_country_code_that_is_not_two_letters_reports_config_error(tmp_path, cap
 
 @pytest.mark.parametrize("misnamed", ["fixture", "snapshot"])
 def test_cell_file_not_named_for_a_country_reports_parse_error(tmp_path, capsys, misnamed):
-    fixtures = tmp_path / "fixtures"
-    fixtures.mkdir()
-    shutil.copy(packaged_data_path("fixtures", "IT.csv"), fixtures)
-    out = tmp_path / "out"
-    if misnamed == "fixture":
-        bad, command = fixtures / "I1.csv", "collect"
-    else:
-        assert run_cli("collect", "--fixture-dir", fixtures, "--out", out) == 0
-        bad, command = out / "snapshots" / "I1.csv", "estimate"
-    shutil.copy(fixtures / "IT.csv", bad)
-    capsys.readouterr()
-    assert run_cli(command, "--fixture-dir", fixtures, "--out", out) == 1
-    report = _one_line_report(capsys)
-    assert report["error"] == "ParseError"
-    assert report["command"] == command
-    assert str(bad) in report["message"]
+    # "it.csv" beside "IT.csv": a name must be the upper-case code itself
+    for name in ("I1", "it"):
+        fixtures = tmp_path / name / "fixtures"
+        fixtures.mkdir(parents=True)
+        shutil.copy(packaged_data_path("fixtures", "IT.csv"), fixtures)
+        out = tmp_path / name / "out"
+        if misnamed == "fixture":
+            bad, command = fixtures / f"{name}.csv", "collect"
+        else:
+            assert run_cli("collect", "--fixture-dir", fixtures, "--out", out) == 0
+            bad, command = out / "snapshots" / f"{name}.csv", "estimate"
+        shutil.copy(fixtures / "IT.csv", bad)
+        capsys.readouterr()
+        assert run_cli(command, "--fixture-dir", fixtures, "--out", out) == 1
+        report = _one_line_report(capsys)
+        assert report["error"] == "ParseError"
+        assert report["command"] == command
+        assert str(bad) in report["message"]
 
 
 def test_fixture_row_naming_another_country_reports_parse_error(tmp_path, capsys):
-    fixtures = tmp_path / "fixtures"
-    fixtures.mkdir()
     lines = packaged_data_path("fixtures", "IT.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    first = min(i for i, line in enumerate(lines) if line.startswith("IT,"))
     row = max(i for i, line in enumerate(lines) if line.startswith("IT,"))
-    lines[row] = "FR," + lines[row][3:]
-    bad = fixtures / "IT.csv"
-    bad.write_text("".join(lines), encoding="utf-8")
-    out = tmp_path / "out"
-    assert run_cli("collect", "--fixture-dir", fixtures, "--out", out) == 1
-    report = _one_line_report(capsys)
-    assert report["error"] == "ParseError"
-    assert str(bad) in report["message"] and "FR" in report["message"]
-    assert f"(line {row + 1})" in report["message"]
-    assert not (out / "snapshots").exists()
+    key, timestamp = lines[first].split(",")[:5], lines[first].split(",")[6]
+    cases = {
+        "FR": "FR," + lines[row][3:],
+        # a second row for the first row's cell, with another count
+        ",".join(key[1:]): ",".join(key + ["999", timestamp]),
+    }
+    for case, (named, bad_line) in enumerate(cases.items()):
+        fixtures = tmp_path / str(case) / "fixtures"
+        fixtures.mkdir(parents=True)
+        bad = fixtures / "IT.csv"
+        bad.write_text("".join(lines[:row] + [bad_line] + lines[row + 1:]), encoding="utf-8")
+        out = tmp_path / str(case) / "out"
+        assert run_cli("collect", "--fixture-dir", fixtures, "--out", out) == 1
+        report = _one_line_report(capsys)
+        assert report["error"] == "ParseError"
+        assert str(bad) in report["message"] and named in report["message"]
+        assert f"(line {row + 1})" in report["message"]
+        assert not (out / "snapshots").exists()
 
 
 def _loaded_by_fresh_cli_import(*modules: str) -> list[str]:

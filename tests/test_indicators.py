@@ -41,9 +41,16 @@ def test_asfr_basics():
 
 
 def test_asfr_above_one_admitted_with_warning(caplog):
+    assert asfr(1500, 1000) == 1.5
+    parents = [5_000] * 7
+    parents[2] = 150_000  # ages 25-29: more parents than people
+    snap = make_snapshot(female_totals=[100_000] * 7, female_parents=parents)
     with caplog.at_level("WARNING"):
-        assert asfr(1500, 1000) == 1.5
-    assert "exceeds 1" in caplog.text
+        est = estimate_country(snap, Sex.FEMALE)
+    assert est.eligible
+    assert [r.getMessage() for r in caplog.records if "exceeds 1" in r.getMessage()] == [
+        "IT/female: rate 1.5 for ages 25-29 exceeds 1; numerator larger than exposure"
+    ]
 
 
 # --- schedules -----------------------------------------------------------

@@ -26,7 +26,6 @@ from admac.errors import (
     MalformedResponse,
     ParseError,
     RateLimited,
-    SnapshotIncomplete,
     UpstreamUnavailable,
 )
 from admac import ingest
@@ -86,11 +85,24 @@ class StubClient:
 
 
 def collect_one(collector, country):
-    """`country`'s snapshot from `collect_snapshots`; one that is incomplete is raised."""
-    (result,) = collector.collect_snapshots([country])
-    if isinstance(result, SnapshotIncomplete):
-        raise result
-    return result
+    """`country`'s snapshot from `collect_snapshots`, complete or not."""
+    (snapshot,) = collector.collect_snapshots([country])
+    return snapshot
+
+
+def absent_keys(snapshot):
+    """The CELL_KEYS that `snapshot` holds no cell for, in canonical order."""
+    return [k for k in CELL_KEYS if snapshot.cell(*k) is None]
+
+
+def incomplete_warnings(caplog):
+    """The messages of the collector's incomplete-snapshot warnings, in order."""
+    return [r.getMessage() for r in caplog.records if "incomplete snapshot kept" in r.getMessage()]
+
+
+def canonical(iso2, key):
+    """The canonical text of the query for `iso2`'s cell `key`."""
+    return ingest._query(iso2, key).canonical()
 
 
 def live_collector(tmp_path, client, monkeypatch=None, **constants):
@@ -212,14 +224,19 @@ def test_collect_snapshot_complete(fixture_dir):
     assert {c.collected_at for c in snapshot.cells} == {datetime(2024, 6, 1, tzinfo=timezone.utc)}
 
 
-def test_collect_snapshot_missing_cell_is_incomplete(fixture_dir):
+def test_collect_snapshot_missing_cell_is_incomplete(fixture_dir, caplog):
     rows = full_fixture_rows()
     write_fixture(fixture_dir, "IT", rows[:-1])
     collector = fixture_collector(fixture_dir)
-    with pytest.raises(SnapshotIncomplete) as excinfo:
-        collect_one(collector, IT)
-    assert len(excinfo.value.cells) == 27
-    assert len(excinfo.value.missing) == 1
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+        snapshot = collect_one(collector, IT)
+    assert not snapshot.is_complete()
+    assert len(snapshot.cells) == 27
+    assert absent_keys(snapshot) == [CELL_KEYS[-1]]
+    assert incomplete_warnings(caplog) == [
+        "IT: incomplete snapshot kept (1 of 28 cells failed, first: "
+        f"fixture has no row for {canonical('IT', CELL_KEYS[-1])})"
+    ]
 
 
 def test_fixture_mode_is_deterministic(fixture_dir):
@@ -365,13 +382,16 @@ def test_live_retry_backoff_sequence(tmp_path, monkeypatch):
     assert sleeps == [0.25, 0.5]
 
 
-def test_live_retries_exhausted_surface_incomplete(tmp_path, monkeypatch):
+def test_live_retries_exhausted_surface_incomplete(tmp_path, monkeypatch, caplog):
     q = "iso2=IT&sex=female&age_min=15&age_max=19&parent_filter=all"
-    client = StubClient(fail_plan={q: [RateLimited("x")] * 10})
+    client = StubClient(fail_plan={q: [RateLimited(f"throttled on {q}")] * 10})
     collector, sleeps = live_collector(tmp_path, client, monkeypatch, MAX_RETRIES=2, BASE_BACKOFF_S=0.1)
-    with pytest.raises(SnapshotIncomplete) as excinfo:
-        collect_one(collector, IT)
-    assert len(excinfo.value.cells) == 27
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+        snapshot = collect_one(collector, IT)
+    assert not snapshot.is_complete()
+    assert len(snapshot.cells) == 27
+    assert absent_keys(snapshot) == [CELL_KEYS[0]]
+    assert incomplete_warnings(caplog) == [f"IT: incomplete snapshot kept (1 of 28 cells failed, first: throttled on {q})"]
     # attempts = MAX_RETRIES + 1, delays double per retry
     assert client.calls.count(q) == 3
     assert sleeps == [0.1, 0.2]
@@ -385,13 +405,18 @@ def test_live_auth_error_propagates(tmp_path):
         collect_one(collector, IT)
 
 
-def test_live_malformed_response_counts_as_missing_cell(tmp_path):
+def test_live_malformed_response_counts_as_missing_cell(tmp_path, caplog):
     q = "iso2=IT&sex=male&age_min=45&age_max=49&parent_filter=all"
-    client = StubClient(fail_plan={q: [MalformedResponse("boom")]})
+    client = StubClient(fail_plan={q: [MalformedResponse(f"unparseable body for {q}")]})
     collector, _ = live_collector(tmp_path, client)
-    with pytest.raises(SnapshotIncomplete) as excinfo:
-        collect_one(collector, IT)
-    assert len(excinfo.value.cells) == 27
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+        snapshot = collect_one(collector, IT)
+    assert not snapshot.is_complete()
+    assert len(snapshot.cells) == 27
+    assert [canonical("IT", k) for k in absent_keys(snapshot)] == [q]
+    assert incomplete_warnings(caplog) == [
+        f"IT: incomplete snapshot kept (1 of 28 cells failed, first: unparseable body for {q})"
+    ]
 
 
 def test_live_concurrency_is_bounded(tmp_path):
@@ -509,6 +534,14 @@ def test_auth_error_stops_dispatch_and_keeps_earlier_countries_cached(tmp_path):
     assert all(s.is_complete() and s.cells[0].count == 500 for s in snapshots)
 
 
+def test_collect_ended_by_an_error_warns_of_no_incomplete_snapshot(tmp_path, caplog):
+    down = {canonical("AR", CELL_KEYS[0]): [MalformedResponse("bad")], canonical("IT", CELL_KEYS[0]): [UpstreamUnavailable("down")]}
+    collector, _ = live_collector(tmp_path, StubClient(fail_plan=down))
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"), pytest.raises(UpstreamUnavailable):
+        collector.collect_snapshots(FIVE)
+    assert incomplete_warnings(caplog) == []  # no snapshot is kept
+
+
 def test_each_country_is_written_once_as_soon_as_it_resolves(tmp_path, monkeypatch):
     writes = []
     record_store_writes(monkeypatch, lambda iso2, cells: writes.append(iso2))
@@ -614,18 +647,31 @@ def test_partly_cached_collect_across_utc_midnight_answers_hits_for_the_day_it_l
     assert [c.key for c in read_cells_csv(path)] == list(CELL_KEYS)
 
 
-def test_country_whose_misses_all_fail_gets_no_cache_write(tmp_path):
-    failing = lambda: StubClient(fail_plan={ingest._query("IT", k).canonical(): [MalformedResponse("bad")] for k in CELL_KEYS})
-    (result,) = live_collector(tmp_path, failing())[0].collect_snapshots([IT])
-    assert isinstance(result, SnapshotIncomplete)
+def test_country_whose_misses_all_fail_gets_no_cache_write(tmp_path, caplog):
+    failing = lambda: StubClient(fail_plan={canonical("IT", k): [MalformedResponse(f"bad {canonical('IT', k)}")] for k in CELL_KEYS})
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+        snapshot = collect_one(live_collector(tmp_path, failing())[0], IT)
+    assert not snapshot.is_complete()
+    assert len(snapshot.cells) == 0
+    assert absent_keys(snapshot) == list(CELL_KEYS)
+    assert incomplete_warnings(caplog) == [
+        f"IT: incomplete snapshot kept (28 of 28 cells failed, first: bad {canonical('IT', CELL_KEYS[0])})"
+    ]
     assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
     collect_one(live_collector(tmp_path, StubClient(count=500))[0], IT)
     path = cache_file(tmp_path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines[:-3]), encoding="utf-8")
     before = path.stat().st_ino, path.read_bytes()
-    (result,) = live_collector(tmp_path, failing())[0].collect_snapshots([IT])
-    assert isinstance(result, SnapshotIncomplete) and len(result.cells) == 25
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+        snapshot = collect_one(live_collector(tmp_path, failing())[0], IT)
+    assert not snapshot.is_complete()
+    assert len(snapshot.cells) == 25
+    assert absent_keys(snapshot) == list(CELL_KEYS[-3:])
+    assert incomplete_warnings(caplog) == [
+        f"IT: incomplete snapshot kept (3 of 28 cells failed, first: bad {canonical('IT', CELL_KEYS[-3])})"
+    ]
     assert (path.stat().st_ino, path.read_bytes()) == before
 
 
@@ -654,15 +700,20 @@ def test_excluded_country_fails_before_any_request(tmp_path):
     assert not (tmp_path / "cache").exists()
 
 
-def test_live_collect_yields_incomplete_snapshot_and_caches_what_arrived(tmp_path):
+def test_live_collect_yields_incomplete_snapshot_and_caches_what_arrived(tmp_path, caplog):
     q = "iso2=BR&sex=male&age_min=45&age_max=49&parent_filter=all"
-    client = StubClient(fail_plan={q: [MalformedResponse("boom")]})
+    client = StubClient(fail_plan={q: [MalformedResponse(f"unparseable body for {q}")]})
     collector, _ = live_collector(tmp_path, client)
-    results = list(collector.collect_snapshots(FIVE))
-    assert isinstance(results[1], SnapshotIncomplete)
-    assert len(results[1].cells) == 27
-    assert [m.canonical() for m in results[1].missing] == [q]
-    assert all(isinstance(r, AudienceSnapshot) for i, r in enumerate(results) if i != 1)
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+        snapshots = collector.collect_snapshots(FIVE)
+    assert [s.country for s in snapshots] == FIVE
+    assert not snapshots[1].is_complete()
+    assert len(snapshots[1].cells) == 27
+    assert [canonical("BR", k) for k in absent_keys(snapshots[1])] == [q]
+    assert incomplete_warnings(caplog) == [
+        f"BR: incomplete snapshot kept (1 of 28 cells failed, first: unparseable body for {q})"
+    ]
+    assert all(s.is_complete() for i, s in enumerate(snapshots) if i != 1)
     assert len(cached_keys(cache_file(tmp_path), "BR")) == 27
 
 
