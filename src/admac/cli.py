@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands mirror the pipeline stages (collect, estimate, validate,
-calibrate, predict, all). Options may also come from a `key=value` config
-file via --config; explicit flags win over the file, the file wins over
-built-in defaults. Failures print a machine-readable JSON error report to
-stderr and exit nonzero.
+calibrate, predict, all). Each run option is one entry of `OPTIONS`, given
+as a flag or as a `key=value` line of a --config file. Flags win over the
+file, the file wins over the defaults; a bad, empty or repeated value is a
+ConfigError. Every failure prints a one-line JSON error report to stderr
+and exits 1; argparse keeps exit 2 for command-line syntax only (an unknown
+flag, a missing command, a flag without a value).
 """
 
 from __future__ import annotations
@@ -40,33 +42,44 @@ STAGES = {
     "all": run_all,
 }
 
-_CONFIG_KEYS = {
-    "mode", "fixture_dir", "cache_dir", "truth", "continent_map",
-    "sexes", "seed", "lower_bound_policy", "loocv_scope", "countries", "out",
+
+def _comma_list(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _sexes(text: str) -> tuple[Sex, ...]:
+    return tuple(dict.fromkeys(Sex(part.lower()) for part in _comma_list(text)))
+
+
+# option key -> (RunConfig field, parser of its text, help); a parser raises
+# ValueError on a bad text, and the help then says what to use instead
+OPTIONS = {
+    "mode": ("mode", Mode, "fixture (default) or live"),
+    "fixture_dir": ("fixture_dir", Path, "a directory of per-country fixture CSVs"),
+    "cache_dir": ("cache_dir", Path, "the live-mode response cache directory"),
+    "truth": ("truth_path", Path, "a ground-truth CSV (iso2,sex,mac,period)"),
+    "continent_map": ("continent_map_path", Path, "a continent map CSV (iso2,continent)"),
+    "sexes": ("sexes", _sexes, "a comma list of female, male (default both)"),
+    "seed": ("seed", int, "an integer seeding all randomness (default 0)"),
+    "lower_bound_policy": (
+        "lower_bound_policy", LowerBoundPolicy,
+        "any (default) or parents-only: which floor-valued cells disqualify a country",
+    ),
+    "loocv_scope": (
+        "loocv_scope", str, "global (default) or continent: fit LOOCV folds over all pairs or per continent"
+    ),
+    "countries": ("countries", _comma_list, "a comma list of ISO2 codes (default: all fixtures)"),
+    "out": ("output_dir", Path, "the output directory (default ./out)"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="key=value config file; flags override it")
-    common.add_argument("--mode", choices=[m.value for m in Mode], help="fixture (default) or live")
-    common.add_argument("--fixture-dir", type=Path, help="directory of per-country fixture CSVs")
-    common.add_argument("--cache-dir", type=Path, help="live-mode response cache directory")
-    common.add_argument("--truth", type=Path, help="ground-truth CSV (iso2,sex,mac,period)")
-    common.add_argument("--continent-map", type=Path, help="continent map CSV (iso2,continent)")
-    common.add_argument("--sexes", help="comma list, e.g. female,male (default both)")
-    common.add_argument("--seed", type=int, help="seed for all randomness (default 0)")
     common.add_argument(
-        "--lower-bound-policy",
-        choices=[p.value for p in LowerBoundPolicy],
-        help="which floor-valued cells disqualify a country (default any)",
+        "--config", type=Path, help="file of key=value lines, a key per flag (seed, loocv_scope, ...)"
     )
-    common.add_argument(
-        "--loocv-scope", choices=["global", "continent"],
-        help="fit LOOCV folds globally (default) or within each continent",
-    )
-    common.add_argument("--countries", help="comma list of ISO2 codes (default: all fixtures)")
-    common.add_argument("--out", type=Path, help="output directory (default ./out)")
+    for key, (_, _, help_text) in OPTIONS.items():
+        common.add_argument("--" + key.replace("_", "-"), help=help_text)
     common.add_argument("-v", "--verbose", action="count", default=0)
 
     parser = argparse.ArgumentParser(
@@ -100,78 +113,28 @@ def read_config_file(path: Path) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: {key} is given a second time")
         values[key] = value
     return values
 
 
-def _parse_sexes(raw: str) -> tuple[Sex, ...]:
-    sexes = []
-    for part in raw.split(","):
-        part = part.strip().lower()
-        if not part:
-            continue
-        try:
-            sexes.append(Sex(part))
-        except ValueError:
-            raise ConfigError(f"unknown sex {part!r} (use female,male)") from None
-    if not sexes:
-        raise ConfigError("no sexes requested")
-    return tuple(dict.fromkeys(sexes))
-
-
 def make_run_config(args: argparse.Namespace) -> RunConfig:
-    file_values = read_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key: str, fallback=None):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return fallback
-
-    def pick_enum(enum_cls, flag_value, key: str, fallback: str):
-        raw = pick(flag_value, key, fallback)
+    """The RunConfig of the flags in `args` laid over the lines of their --config file."""
+    flags = vars(args)
+    texts = read_config_file(args.config) if args.config else {}
+    texts.update((key, flags[key]) for key in OPTIONS if flags[key] is not None)
+    kwargs = {"output_dir": Path("out")}
+    for key, text in texts.items():
+        field, parse, help_text = OPTIONS[key]
+        if not text.strip():
+            raise ConfigError(f"{key}: empty value")
         try:
-            return enum_cls(raw)
+            kwargs[field] = parse(text)
         except ValueError:
-            choices = ", ".join(m.value for m in enum_cls)
-            raise ConfigError(f"{key} must be one of: {choices}; got {raw!r}") from None
-
-    kwargs = {}
-    kwargs["output_dir"] = Path(pick(args.out, "out", Path("out")))
-    kwargs["mode"] = pick_enum(Mode, args.mode, "mode", Mode.FIXTURE.value)
-    fixture_dir = pick(args.fixture_dir, "fixture_dir")
-    if fixture_dir is not None:
-        kwargs["fixture_dir"] = Path(fixture_dir)
-    cache_dir = pick(args.cache_dir, "cache_dir")
-    if cache_dir is not None:
-        kwargs["cache_dir"] = Path(cache_dir)
-    truth = pick(args.truth, "truth")
-    if truth is not None:
-        kwargs["truth_path"] = Path(truth)
-    continent_map = pick(args.continent_map, "continent_map")
-    if continent_map is not None:
-        kwargs["continent_map_path"] = Path(continent_map)
-    sexes = pick(args.sexes, "sexes")
-    if sexes is not None:
-        kwargs["sexes"] = _parse_sexes(sexes)
-    seed = pick(args.seed, "seed", 0)
-    try:
-        kwargs["seed"] = int(seed)
-    except (TypeError, ValueError):
-        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
-    kwargs["lower_bound_policy"] = pick_enum(
-        LowerBoundPolicy, args.lower_bound_policy, "lower_bound_policy", LowerBoundPolicy.ANY.value
-    )
-    kwargs["loocv_scope"] = pick(args.loocv_scope, "loocv_scope", "global")
-    countries = pick(args.countries, "countries")
-    if countries is not None:
-        parsed = tuple(c.strip().upper() for c in countries.split(",") if c.strip())
-        if not parsed:
-            raise ConfigError("countries list is empty")
-        kwargs["countries"] = parsed
+            raise ConfigError(f"{key}: {text!r} is not valid; use {help_text}") from None
     return RunConfig(**kwargs)
 
 

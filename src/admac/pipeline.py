@@ -88,7 +88,8 @@ class RunConfig:
     """One pipeline run, fully determined by these fields plus the fixtures.
 
     The three input paths default to the bundled demo data; live mode's
-    cache_dir defaults to output_dir/cache.
+    cache_dir defaults to output_dir/cache. `countries`, when given, is
+    kept upper-cased, once each and sorted; an empty list is a ConfigError.
     """
 
     __slots__ = (
@@ -111,14 +112,16 @@ class RunConfig:
         countries: tuple[str, ...] | None = None,
     ) -> None:
         if not sexes:
-            raise ConfigError("at least one sex must be requested")
+            raise ConfigError("sexes: at least one must be requested")
         if loocv_scope not in ("global", "continent"):
-            raise ConfigError(f"loocv_scope must be 'global' or 'continent', got {loocv_scope!r}")
-        for iso2 in countries or ():
+            raise ConfigError(f"loocv_scope: {loocv_scope!r} is not one of: global, continent")
+        if countries is not None:
             try:
-                CountryRef(iso2=iso2.upper())
+                countries = tuple(sorted({CountryRef(iso2=iso2.upper()).iso2 for iso2 in countries}))
             except ValueError as exc:
                 raise ConfigError(f"countries: {exc}") from None
+            if not countries:
+                raise ConfigError("countries: the list is empty")
         self.output_dir = Path(output_dir)
         self.mode = mode
         self.fixture_dir = packaged_data_path("fixtures") if fixture_dir is None else Path(fixture_dir)
@@ -189,15 +192,15 @@ def stage_collect(
     """
     collector = collector or Collector(_collector_config(cfg))
     if cfg.countries is not None:
-        wanted = {c.upper() for c in cfg.countries}
+        wanted = cfg.countries
     elif cfg.mode is Mode.FIXTURE:
-        wanted = {c for c in fixture_countries(cfg.fixture_dir) if c not in DEFAULT_EXCLUDED}
+        wanted = [c for c in fixture_countries(cfg.fixture_dir) if c not in DEFAULT_EXCLUDED]
     else:
         raise ConfigError("live mode needs an explicit country list")
     if not wanted:
         raise ConfigError("no countries to collect")
 
-    countries = [CountryRef(iso2=iso2) for iso2 in sorted(wanted)]
+    countries = [CountryRef(iso2=iso2) for iso2 in wanted]
     written: list[Path] = []
     for snapshot in collector.collect_snapshots(countries):
         iso2 = snapshot.country.iso2
@@ -236,10 +239,7 @@ def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> Path:
         if held is None:
             data = path.read_bytes()
             digest = hashlib.sha256(data).hexdigest()
-            try:
-                snapshot = AudienceSnapshot(country, tuple(read_cells_csv(path, country, data=data)))
-            except ValueError as exc:
-                raise ParseError(f"{path}: {exc}") from exc
+            snapshot = AudienceSnapshot(country, tuple(read_cells_csv(path, country, data=data)))
         else:
             digest, snapshot = held
         combined.update(path.name.encode())

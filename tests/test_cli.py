@@ -393,20 +393,61 @@ def test_missing_fixture_fails_before_any_snapshot(tmp_path, capsys):
     assert not (out / "snapshots").exists()
 
 
+# case -> (option key, bad value, what the report must also say)
+BAD_OPTION_VALUES = {
+    "seed_not_an_integer": ("seed", "abc", ["'abc'", "integer"]),
+    "unknown_mode": ("mode", "bogus", ["'bogus'", "fixture", "live"]),
+    "unknown_lower_bound_policy": ("lower_bound_policy", "x", ["'x'", "any", "parents-only"]),
+    "unknown_loocv_scope": ("loocv_scope", "x", ["'x'", "global", "continent"]),
+    "unknown_sex": ("sexes", "other", ["'other'", "female", "male"]),
+    "country_not_two_letters": ("countries", "IT,I1", ["'I1'"]),
+    "no_countries": ("countries", ",", ["empty"]),
+    "empty_out": ("out", "", ["empty"]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_OPTION_VALUES)
 @pytest.mark.parametrize("source", ["flag", "config_file"])
-def test_country_code_that_is_not_two_letters_reports_config_error(tmp_path, capsys, source):
+def test_bad_option_value_reports_config_error(tmp_path, capsys, monkeypatch, source, case):
+    # one rule for both sources: exit 1, one ConfigError line naming the key, nothing written
+    key, value, said = BAD_OPTION_VALUES[case]
+    options = {"out": "out", key: value}
+    monkeypatch.chdir(tmp_path)
     if source == "flag":
-        args = ("--countries", "IT,I1")
+        args = [arg for k, v in options.items() for arg in ("--" + k.replace("_", "-"), v)]
     else:
-        config = tmp_path / "run.conf"
-        config.write_text("countries=IT,I1\n", encoding="utf-8")
-        args = ("--config", config)
-    out = tmp_path / "out"
-    assert run_cli("collect", "--out", out, *args) == 1
+        Path("run.conf").write_text("".join(f"{k} = {v}\n" for k, v in options.items()), encoding="utf-8")
+        args = ["--config", "run.conf"]
+    assert run_cli("collect", *args) == 1
     report = _one_line_report(capsys)
     assert report["error"] == "ConfigError"
-    assert "'I1'" in report["message"]
-    assert not out.exists()
+    assert report["message"].startswith(f"{key}: ")
+    assert all(part in report["message"] for part in said), report["message"]
+    assert os.listdir(tmp_path) == (["run.conf"] if source == "config_file" else [])
+
+
+def test_config_file_key_given_twice_reports_config_error(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("seed = 1\n# a comment\nseed = 2\n", encoding="utf-8")
+    assert run_cli("all", "--config", config, "--out", tmp_path / "out") == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "ConfigError"
+    assert report["message"].startswith(f"{config}:3: seed ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_command_line_syntax_errors_stay_with_argparse():
+    # a flag without a value, an unknown flag, no command: usage error, exit 2
+    for argv in (["all", "--seed"], ["all", "--volume", "11"], []):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+
+def test_run_config_keeps_countries_upper_cased_once_each_and_sorted(tmp_path):
+    from admac.pipeline import RunConfig
+
+    assert RunConfig(output_dir=tmp_path, countries=("it", "FR", "IT")).countries == ("FR", "IT")
 
 
 @pytest.mark.parametrize("misnamed", ["fixture", "snapshot"])
