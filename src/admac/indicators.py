@@ -21,6 +21,7 @@ class IneligibilityReason(str, Enum):
     LOWER_BOUND_CELL = "lower_bound_cell"
     INCOMPLETE_SNAPSHOT = "incomplete_snapshot"
     ZERO_SCHEDULE = "zero_schedule"
+    ZERO_EXPOSURE = "zero_exposure"
 
 
 class LowerBoundPolicy(str, Enum):
@@ -124,8 +125,8 @@ def estimate_country(
     """MAC for one (country, sex), or the reason none can be trusted.
 
     Ineligibility is data, not failure: floor-valued cells, incomplete
-    snapshots and all-zero schedules come back as ineligible estimates
-    carrying their reason.
+    snapshots, all-zero schedules and an age group whose exposure count is
+    zero come back as ineligible estimates carrying their reason.
     """
     cells = snapshot.cells_for(sex)
     if lower_bound_policy is LowerBoundPolicy.ANY:
@@ -143,19 +144,11 @@ def estimate_country(
     try:
         value = mac(schedule_from_snapshot(snapshot, sex))
     except IncompleteSnapshot:
-        return MacEstimate(
-            country=snapshot.country,
-            sex=sex,
-            mac=None,
-            eligible=False,
-            ineligibility_reason=IneligibilityReason.INCOMPLETE_SNAPSHOT,
-        )
+        reason = IneligibilityReason.INCOMPLETE_SNAPSHOT
     except ZeroSchedule:
-        return MacEstimate(
-            country=snapshot.country,
-            sex=sex,
-            mac=None,
-            eligible=False,
-            ineligibility_reason=IneligibilityReason.ZERO_SCHEDULE,
-        )
-    return MacEstimate(country=snapshot.country, sex=sex, mac=value, eligible=True)
+        reason = IneligibilityReason.ZERO_SCHEDULE
+    except ZeroExposure:
+        reason = IneligibilityReason.ZERO_EXPOSURE
+    else:
+        return MacEstimate(country=snapshot.country, sex=sex, mac=value, eligible=True)
+    return MacEstimate(country=snapshot.country, sex=sex, mac=None, eligible=False, ineligibility_reason=reason)

@@ -1,10 +1,14 @@
 """Stage orchestration: collect -> estimate -> validate -> calibrate ->
 predict, with plain CSV/JSON artifacts between stages.
 
-Every stage reads the previous stage's files from the output directory,
-writes its own atomically, and stamps a metadata header (tool version,
-seed, input digests) so any artifact can be traced to its inputs. No
-timestamps are embedded: identical config + inputs = identical bytes.
+Stages hand each other two files: the snapshots (collect -> estimate) and
+estimates.csv (estimate -> validate, calibrate, predict), which the last
+three read together with the truth table and continent map. Validate and
+calibrate write reports that no stage reads: predict fits the calibration
+it applies itself. Every stage writes its files atomically and stamps a
+metadata header (tool version, seed, input digests) so any artifact can be
+traced to its inputs. No timestamps are embedded: identical config +
+inputs = identical bytes.
 
 `run_all` writes the snapshots as `collect` does, but hands them to
 `estimate` in memory together with the digests of the bytes written, so
@@ -16,7 +20,6 @@ are the same bytes as when the stages run one by one.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 from pathlib import Path
@@ -29,7 +32,7 @@ from .errors import (
     ParseError,
     TooFewPoints,
 )
-from .fileio import decode_utf8, read_table, standard_metadata, write_csv, write_json
+from .fileio import read_table, standard_metadata, write_csv, write_json
 from .groundtruth import GroundTruthRecord, load_continent_map, load_ground_truth, join_pairs
 from .indicators import (
     IneligibilityReason,
@@ -368,9 +371,12 @@ def _write_metrics(path: Path, meta: dict[str, str], direct: GroupedMetrics, cv:
 
 
 def stage_validate(cfg: RunConfig) -> list[Path]:
-    """Spearman/MAPE of platform vs truth, direct and under LOOCV, by continent."""
+    """Spearman/MAPE of platform vs truth, direct and under LOOCV, by continent.
+
+    Every sex is computed before any file is written, so a sex that fails
+    leaves the metrics of an earlier run as they were."""
     inputs, continent_map, estimates, truth = _load_stage_data(cfg)
-    written = []
+    results = []
     for sex in cfg.sexes:
         join = _pairs_for_sex(sex, continent_map, estimates, truth)
         pairs = join.pairs
@@ -390,28 +396,18 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
         meta["n_pairs"] = str(len(pairs))
         meta["n_unmatched_estimates"] = str(len(join.unmatched_estimates))
         meta["n_unmatched_truth"] = str(len(join.unmatched_truth))
-        path = cfg.metrics_path(sex)
+        results.append((cfg.metrics_path(sex), meta, direct, cv))
+    for path, meta, direct, cv in results:
         _write_metrics(path, meta, direct, cv)
-        written.append(path)
-    return written
+    return [path for path, *_ in results]
 
 
 # --------------------------------------------------------------------------
 # calibrate
 # --------------------------------------------------------------------------
 
-# The model codec: each CalibrationModel field, in order, with the JSON type it takes.
-_MODEL_FIELDS: tuple[tuple[str, type], ...] = (
-    ("intercept", float), ("slope", float), ("se_intercept", float), ("se_slope", float),
-    ("r2", float), ("adj_r2", float), ("residual_se", float), ("f_stat", float),
-    ("df_model", int), ("df_resid", int), ("n", int),
-    ("p_slope", float), ("p_intercept", float), ("p_f", float),
-    ("residuals", tuple), ("x_mean", float), ("s_xx", float),
-)
-
-
 def _model_payload(model: CalibrationModel) -> dict:
-    payload = {name: getattr(model, name) for name, _ in _MODEL_FIELDS}
+    payload = model._asdict()
     payload["stars"] = {
         "intercept": significance_stars(model.p_intercept),
         "slope": significance_stars(model.p_slope),
@@ -420,19 +416,30 @@ def _model_payload(model: CalibrationModel) -> dict:
     return payload
 
 
+def _fit_for_sex(
+    stage: str, sex: Sex, continent_map: dict[str, Continent], estimates: list[MacEstimate],
+    truth: list[GroundTruthRecord],
+) -> tuple[list, CalibrationModel]:
+    """The sex's matched pairs and the calibration fitted on them; calibrate
+    and predict both fit through here, so they apply one model."""
+    pairs = _pairs_for_sex(sex, continent_map, estimates, truth).pairs
+    if len(pairs) < 3:
+        raise TooFewPoints(
+            f"{stage}/{sex.value}: regression needs at least 3 matched pairs, got {len(pairs)}"
+        )
+    return pairs, ols_fit(pairs)
+
+
 def stage_calibrate(cfg: RunConfig) -> list[Path]:
     """Fit mac_truth = b0 + b1 * mac_fb per sex; report inference and the
-    seeded random-split out-of-sample exercise."""
+    seeded random-split out-of-sample exercise in model_<sex>.json.
+
+    The model files are a report: predict fits the same model again rather
+    than reading them. Every sex is fitted before any file is written."""
     inputs, continent_map, estimates, truth = _load_stage_data(cfg)
-    written = []
+    results = []
     for sex in cfg.sexes:
-        join = _pairs_for_sex(sex, continent_map, estimates, truth)
-        pairs = join.pairs
-        if len(pairs) < 3:
-            raise TooFewPoints(
-                f"calibrate/{sex.value}: regression needs at least 3 matched pairs, got {len(pairs)}"
-            )
-        model = ols_fit(pairs)
+        pairs, model = _fit_for_sex("calibrate", sex, continent_map, estimates, truth)
         payload: dict = {
             "model": _model_payload(model),
             "sample": {
@@ -460,56 +467,10 @@ def stage_calibrate(cfg: RunConfig) -> list[Path]:
             )
         meta = standard_metadata(seed=cfg.seed, inputs=inputs)
         meta["sex"] = sex.value
-        path = cfg.model_path(sex)
+        results.append((cfg.model_path(sex), meta, payload))
+    for path, meta, payload in results:
         write_json(path, meta, payload)
-        written.append(path)
-    return written
-
-
-def _is_finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _model_field(name: str, kind, value):
-    """One CalibrationModel field from its JSON value; ValueError on a wrong type or a
-    non-finite number (f_stat alone may be +inf, as a perfect fit makes it)."""
-    if kind is int:
-        if type(value) is int:
-            return value
-        expected = "an integer"
-    elif kind is float:
-        if _is_finite(value) or (name == "f_stat" and value == math.inf):
-            return float(value)
-        expected = "a finite number"
-    else:  # tuple of floats
-        if isinstance(value, list) and all(map(_is_finite, value)):
-            return tuple(map(float, value))
-        expected = "a list of finite numbers"
-    raise ValueError(f"{name} must be {expected}, got {value!r}")
-
-
-def load_model(path: Path, data: bytes) -> CalibrationModel:
-    """Read model_<sex>.json back from its bytes; a malformed file raises ParseError."""
-    try:
-        document = json.loads(decode_utf8(path, data))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc.msg}", line=exc.lineno) from exc
-    except RecursionError as exc:
-        raise ParseError(f"{path} is not valid JSON: nested too deeply") from exc
-    try:
-        m = document["model"]
-        model = CalibrationModel(**{name: _model_field(name, kind, m[name]) for name, kind in _MODEL_FIELDS})
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: malformed model: {exc}") from exc
-    # every fit satisfies these (see stats.ols_fit_xy), and predict divides by n and s_xx
-    if not (model.n >= 3 and model.df_resid == model.n - 2 and model.s_xx > 0 and model.residual_se >= 0):
-        raise ParseError(
-            f"{path}: malformed model: no fit gives n={model.n}, df_resid={model.df_resid}, "
-            f"s_xx={model.s_xx}, residual_se={model.residual_se}"
-        )
-    return model
+    return [path for path, *_ in results]
 
 
 # --------------------------------------------------------------------------
@@ -517,17 +478,17 @@ def load_model(path: Path, data: bytes) -> CalibrationModel:
 # --------------------------------------------------------------------------
 
 def stage_predict(cfg: RunConfig) -> list[Path]:
-    """Fill the gaps: predicted MAC for eligible countries without truth."""
-    inputs, _, estimates, truth = _load_stage_data(cfg)
+    """Fill the gaps: predicted MAC for eligible countries without truth.
+
+    Each sex's model is fitted here from estimates.csv and the truth table,
+    through the same join, pair minimum and fit as calibrate; no
+    model_<sex>.json is read, so predict runs with or without calibrate."""
+    inputs, continent_map, estimates, truth = _load_stage_data(cfg)
 
     all_rows = []
     by_sex = {}
     for sex in cfg.sexes:
-        model_file = cfg.model_path(sex)
-        data, inputs[f"model_{sex.value}"] = _read_input(
-            model_file, f"{model_file} not found; run `calibrate` first"
-        )
-        model = load_model(model_file, data)
+        _, model = _fit_for_sex("predict", sex, continent_map, estimates, truth)
         sex_estimates = [e for e in estimates if e.sex == sex]
         sex_truth = [t for t in truth if t.sex == sex]
         predictions = predict_missing(model, sex_estimates, sex_truth)

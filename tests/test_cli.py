@@ -14,8 +14,8 @@ import pytest
 import admac
 from admac.cli import main
 from admac.fileio import sha256_file, write_json
-from admac.pipeline import _model_payload, load_model, packaged_data_path
-from admac.stats import ols_fit_xy
+from admac.pipeline import _model_payload, packaged_data_path
+from admac.stats import CalibrationModel, ols_fit_xy
 from conftest import read_csv
 
 
@@ -307,17 +307,21 @@ def _nest_too_deep(text: str) -> str:
 @pytest.mark.parametrize(
     "edit", [_truncate, _drop_slope, _nest_too_deep], ids=["truncated", "missing_key", "nested_too_deep"]
 )
-def test_malformed_model_reports_parse_error(tmp_path, capsys, edit):
+def test_malformed_model_reports_parse_error(tmp_path, edit):
+    # model_<sex>.json is calibrate's report; predict fits its own model and reads none
     out = tmp_path / "out"
     assert run_cli("all", "--out", out) == 0
     model = out / "model_male.json"
-    model.write_text(edit(model.read_text(encoding="utf-8")), encoding="utf-8")
-    capsys.readouterr()
-    assert run_cli("predict", "--out", out) == 1
-    report = _one_line_report(capsys)
-    assert report["error"] == "ParseError"
-    assert report["command"] == "predict"
-    assert str(model) in report["message"]
+    _assert_predict_ignores(out, edit(model.read_text(encoding="utf-8")))
+
+
+def _assert_predict_ignores(out: Path, model_text: str) -> None:
+    """Overwrite model_male.json with `model_text`; predict still exits 0 and
+    rewrites predictions.csv byte for byte."""
+    before = (out / "predictions.csv").read_bytes()
+    (out / "model_male.json").write_text(model_text, encoding="utf-8")
+    assert run_cli("predict", "--out", out) == 0
+    assert (out / "predictions.csv").read_bytes() == before
 
 
 @pytest.fixture(scope="module")
@@ -352,18 +356,12 @@ def demo_out(tmp_path_factory):
         "nan_residual", "infinite_x_mean",
     ],
 )
-def test_wrongly_typed_model_reports_parse_error(tmp_path, capsys, demo_out, key, value):
+def test_wrongly_typed_model_reports_parse_error(tmp_path, demo_out, key, value):
     out = tmp_path / "out"
     shutil.copytree(demo_out, out)
-    model = out / "model_male.json"
-    document = json.loads(model.read_text(encoding="utf-8"))
+    document = json.loads((out / "model_male.json").read_text(encoding="utf-8"))
     document["model"][key] = value
-    model.write_text(json.dumps(document), encoding="utf-8")
-    capsys.readouterr()
-    assert run_cli("predict", "--out", out) == 1
-    report = _one_line_report(capsys)
-    assert report["error"] == "ParseError"
-    assert key in report["message"]
+    _assert_predict_ignores(out, json.dumps(document))
 
 
 def test_perfect_fit_model_with_infinite_f_stat_loads(tmp_path):
@@ -371,7 +369,54 @@ def test_perfect_fit_model_with_infinite_f_stat_loads(tmp_path):
     assert model.f_stat == math.inf and model.residual_se == 0.0
     path = tmp_path / "model_male.json"
     write_json(path, {}, {"model": _model_payload(model)})
-    assert load_model(path, path.read_bytes()) == model
+    fields = json.loads(path.read_text(encoding="utf-8"))["model"]
+    assert fields.pop("stars") == {"intercept": "***", "slope": "***", "f": "***"}
+    assert fields["f_stat"] == math.inf
+    assert CalibrationModel(**{**fields, "residuals": tuple(fields["residuals"])}) == model
+
+
+def test_predict_needs_no_model_file(tmp_path):
+    full = tmp_path / "all"
+    staged = tmp_path / "staged"
+    assert run_cli("all", "--out", full, "--seed", 42) == 0
+    for command in ("collect", "estimate", "predict"):
+        assert run_cli(command, "--out", staged, "--seed", 42) == 0
+    assert not list(staged.glob("model_*.json"))
+    assert read_csv(staged / "predictions.csv")[1:] == read_csv(full / "predictions.csv")[1:]
+    assert (staged / "map.geojson").read_bytes() == (full / "map.geojson").read_bytes()
+
+
+@pytest.mark.parametrize("policy", ["any", "parents-only"])
+def test_zero_exposure_is_an_ineligible_estimate(tmp_path, policy):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(packaged_data_path("fixtures"), fixtures)
+    ar = fixtures / "AR.csv"
+    text = ar.read_text(encoding="utf-8")
+    for parent_filter, count in (("all", 1600492), ("parent_of_child_0_12m", 103545)):
+        text = text.replace(f"AR,female,30,34,{parent_filter},{count},", f"AR,female,30,34,{parent_filter},0,")
+    ar.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("all", "--fixture-dir", fixtures, "--lower-bound-policy", policy, "--out", out) == 0
+    rows = read_csv(out / "estimates.csv")[2]
+    assert ["AR", "female", "", "false", "zero_exposure"] in rows
+
+
+@pytest.mark.parametrize("command,stage", [("all", "validate"), ("calibrate", "calibrate")])
+def test_stage_writes_nothing_when_a_sex_fails(tmp_path, capsys, command, stage):
+    # two male truth rows are too few pairs for male, and male is fitted after
+    # female: metrics_female.csv and model_female.json must stay as the first run wrote them
+    out = tmp_path / "out"
+    assert run_cli("all", "--out", out, "--seed", 42) == 0
+    before = outputs_of(out)
+    lines = packaged_data_path("ground_truth.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    male = [line for line in lines if ",male," in line]
+    truth = tmp_path / "t2.csv"
+    truth.write_text("".join(line for line in lines if line not in male[2:]), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(command, "--out", out, "--seed", 42, "--truth", truth) == 1
+    report_line = _one_line_report(capsys)
+    assert report_line["error"] == "TooFewPoints" and f"{stage}/male" in report_line["message"]
+    assert outputs_of(out) == before
 
 
 def test_excluded_country_fails_before_any_snapshot(tmp_path, capsys):

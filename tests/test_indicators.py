@@ -176,6 +176,18 @@ def test_zero_parents_reported_as_zero_schedule():
     assert est.ineligibility_reason is IneligibilityReason.ZERO_SCHEDULE
 
 
+@pytest.mark.parametrize("policy", list(LowerBoundPolicy))
+def test_zero_exposure_reported_as_reason(policy):
+    # ages 30-34 have neither people nor parents: no rate, so no MAC, but not a failed run
+    snap = make_snapshot(
+        female_totals=[100_000] * 3 + [0] + [100_000] * 3, female_parents=[5_000] * 3 + [0] + [5_000] * 3
+    )
+    est = estimate_country(snap, Sex.FEMALE, policy)
+    assert not est.eligible and est.mac is None
+    assert est.ineligibility_reason is IneligibilityReason.ZERO_EXPOSURE
+    assert estimate_country(snap, Sex.MALE, policy).eligible
+
+
 def test_incomplete_snapshot_reported_as_reason():
     snap = make_snapshot()
     partial = AudienceSnapshot(
