@@ -158,8 +158,6 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(json.dumps(report), file=sys.stderr)
         return 1
-    if isinstance(written, Path):
-        written = [written]
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -43,26 +43,24 @@ class Continent(str, Enum):
     SOUTH_AMERICA = "SouthAmerica"
 
 
-class AgeGroup(namedtuple("AgeGroup", "lower width")):
-    """A 5-year reproductive age band, e.g. 15-19."""
+class AgeGroup(namedtuple("AgeGroup", "lower")):
+    """A GROUP_WIDTH-year reproductive age band, e.g. 15-19."""
 
     __slots__ = ()
 
-    def __new__(cls, lower: int, width: int = GROUP_WIDTH) -> AgeGroup:
+    def __new__(cls, lower: int) -> AgeGroup:
         if lower not in AGE_GROUP_LOWERS:
             raise ValueError(f"age group must start at one of {AGE_GROUP_LOWERS}, got {lower}")
-        if width != GROUP_WIDTH:
-            raise ValueError(f"age groups are {GROUP_WIDTH} years wide, got {width}")
-        return tuple.__new__(cls, (lower, width))
+        return tuple.__new__(cls, (lower,))
 
     @property
     def upper(self) -> int:
         """Inclusive upper bound (19 for the 15-19 group)."""
-        return self.lower + self.width - 1
+        return self.lower + GROUP_WIDTH - 1
 
     @property
     def midpoint(self) -> float:
-        return self.lower + self.width / 2
+        return self.lower + GROUP_WIDTH / 2
 
     def __str__(self) -> str:
         return f"{self.lower}-{self.upper}"
@@ -77,15 +75,15 @@ def age_grid() -> tuple[AgeGroup, ...]:
     return AGE_GRID
 
 
-class CountryRef(namedtuple("CountryRef", "iso2 continent")):
+class CountryRef(namedtuple("CountryRef", "iso2")):
     """A country keyed by ISO-3166 alpha-2 code."""
 
     __slots__ = ()
 
-    def __new__(cls, iso2: str, continent: Continent | None = None) -> CountryRef:
+    def __new__(cls, iso2: str) -> CountryRef:
         if len(iso2) != 2 or not iso2.isalpha() or not iso2.isupper():
             raise ValueError(f"iso2 must be a 2-letter uppercase code, got {iso2!r}")
-        return tuple.__new__(cls, (iso2, continent))
+        return tuple.__new__(cls, (iso2,))
 
 
 # The platform never reports an audience below this; a count of exactly

@@ -41,6 +41,7 @@ class JoinResult(NamedTuple):
     pairs: list[ValidationPair]
     unmatched_estimates: list[tuple[CountryRef, Sex, float]]
     unmatched_truth: list[GroundTruthRecord]
+    truth: list[GroundTruthRecord]  # the one record kept per (iso2, sex), matched or not
 
 
 def load_continent_map(path: str | Path, *, data: bytes | None = None) -> dict[str, Continent]:
@@ -59,19 +60,14 @@ def load_continent_map(path: str | Path, *, data: bytes | None = None) -> dict[s
     return mapping
 
 
-def load_ground_truth(
-    path: str | Path,
-    continent_map: dict[str, Continent] | None = None,
-    *,
-    data: bytes | None = None,
-) -> list[GroundTruthRecord]:
-    """Load `iso2,sex,mac,period` reference rows.
+def load_ground_truth(path: str | Path, *, data: bytes | None = None) -> list[GroundTruthRecord]:
+    """Load `iso2,sex,mac,period` reference rows, in file order, duplicates
+    included (`join_pairs` resolves them).
 
     Rows that violate the record invariants (unknown sex, unparseable or
     out-of-range MAC, bad iso2) are reported with their line number and
     skipped; a structurally broken file raises ParseError.
     """
-    continent_map = continent_map or {}
     _, _, rows = read_table(path, TRUTH_COLUMNS, data=data)
     records: list[GroundTruthRecord] = []
     for lineno, row in rows:
@@ -81,7 +77,7 @@ def load_ground_truth(
         iso2_raw, sex_raw, mac_raw, period = (f.strip() for f in row)
         iso2 = iso2_raw.upper()
         try:
-            country = CountryRef(iso2=iso2, continent=continent_map.get(iso2))
+            country = CountryRef(iso2=iso2)
         except ValueError as exc:
             logger.warning("%s:%d: %s; skipped", path, lineno, exc)
             continue
@@ -139,9 +135,11 @@ def join_pairs(
     """Inner join of platform estimates with reference records on (iso2, sex).
 
     Duplicate truth rows resolve to the most recent period (ties broken on
-    content), with a warning; a second estimate for one (iso2, sex) raises
-    ValueError. Output pairs are ordered by (iso2, sex) and the whole join
-    is invariant under permutation of either input.
+    content), with a warning; the kept records are `JoinResult.truth`, so a
+    caller that shows truth values shows the ones the pairs hold. A second
+    estimate for one (iso2, sex) raises ValueError. Every output list is
+    ordered by (iso2, sex) and the whole join is invariant under
+    permutation of either input.
     """
     est_by_key: dict[tuple[str, Sex], tuple[CountryRef, Sex, float]] = {}
     for est in estimates:
@@ -160,15 +158,9 @@ def join_pairs(
         if rec is None:
             unmatched_estimates.append(est_by_key[key])
             continue
-        # prefer the truth side's continent when the estimate side lacks one
-        if country.continent is None and rec.country.continent is not None:
-            country = rec.country
         pairs.append(
             ValidationPair(country=country, sex=sex, mac_fb=mac_fb, mac_truth=rec.mac)
         )
-    unmatched_truth = [
-        truth_by_key[key]
-        for key in sorted(truth_by_key, key=lambda k: (k[0], k[1].value))
-        if key not in est_by_key
-    ]
-    return JoinResult(pairs, unmatched_estimates, unmatched_truth)
+    kept = [truth_by_key[key] for key in sorted(truth_by_key, key=lambda k: (k[0], k[1].value))]
+    unmatched_truth = [rec for rec in kept if (rec.country.iso2, rec.sex) not in est_by_key]
+    return JoinResult(pairs, unmatched_estimates, unmatched_truth, kept)

@@ -3,9 +3,10 @@ predict, with plain CSV/JSON artifacts between stages.
 
 Stages hand each other two files: the snapshots (collect -> estimate) and
 estimates.csv (estimate -> validate, calibrate, predict), which the last
-three read together with the truth table and continent map. Validate and
-calibrate write reports that no stage reads: predict fits the calibration
-it applies itself. Every stage writes its files atomically and stamps a
+three read together with the truth table. Only validate, which scores the
+pairs by continent, reads the continent map. Validate and calibrate write
+reports that no stage reads: predict fits the calibration it applies
+itself. Every stage writes its files atomically and stamps a
 metadata header (tool version, seed, input digests) so any artifact can be
 traced to its inputs. No timestamps are embedded: identical config +
 inputs = identical bytes.
@@ -24,7 +25,7 @@ import logging
 import math
 from pathlib import Path
 
-from .domain import AudienceSnapshot, Continent, CountryRef, Sex
+from .domain import AudienceSnapshot, CountryRef, Sex
 from .errors import (
     ConfigError,
     EmptyInput,
@@ -33,7 +34,7 @@ from .errors import (
     TooFewPoints,
 )
 from .fileio import read_table, standard_metadata, write_csv, write_json
-from .groundtruth import GroundTruthRecord, load_continent_map, load_ground_truth, join_pairs
+from .groundtruth import GroundTruthRecord, JoinResult, load_continent_map, load_ground_truth, join_pairs
 from .indicators import (
     IneligibilityReason,
     LowerBoundPolicy,
@@ -221,7 +222,7 @@ def stage_collect(
 # estimate
 # --------------------------------------------------------------------------
 
-def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> Path:
+def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> list[Path]:
     """MAC estimates (or ineligibility reasons) for every collected country.
 
     Every file under snapshots/ is estimated; one recorded in `collected`
@@ -261,7 +262,7 @@ def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> Path:
     meta = standard_metadata(seed=cfg.seed, inputs={"snapshots": combined.hexdigest()})
     meta["lower_bound_policy"] = cfg.lower_bound_policy.value
     write_csv(cfg.estimates_path, meta, ESTIMATE_COLUMNS, rows)
-    return cfg.estimates_path
+    return [cfg.estimates_path]
 
 
 def load_estimates(path: Path, *, data: bytes | None = None) -> list[MacEstimate]:
@@ -314,38 +315,22 @@ def _read_input(path: Path, missing: str) -> tuple[bytes, str]:
     return data, hashlib.sha256(data).hexdigest()
 
 
-def _load_stage_data(
-    cfg: RunConfig,
-) -> tuple[dict[str, str], dict[str, Continent], list[MacEstimate], list[GroundTruthRecord]]:
-    """The digests of the estimates, truth table and continent map, and their
-    contents: each file is read once per stage, to hash and to parse."""
+def _load_stage_data(cfg: RunConfig) -> tuple[dict[str, str], list[MacEstimate], list[GroundTruthRecord]]:
+    """The digests of the estimates and truth table, and their contents:
+    each file is read once per stage, to hash and to parse."""
     inputs: dict[str, str] = {}
     estimates_data, inputs["estimates"] = _read_input(
         cfg.estimates_path, f"{cfg.estimates_path} not found; run `estimate` first"
     )
     truth_data, inputs["truth"] = _read_input(cfg.truth_path, f"ground truth file {cfg.truth_path} not found")
-    continents_data, inputs["continents"] = _read_input(
-        cfg.continent_map_path, f"continent map file {cfg.continent_map_path} not found"
-    )
-    continent_map = load_continent_map(cfg.continent_map_path, data=continents_data)
     estimates = load_estimates(cfg.estimates_path, data=estimates_data)
-    truth = load_ground_truth(cfg.truth_path, continent_map, data=truth_data)
-    return inputs, continent_map, estimates, truth
+    truth = load_ground_truth(cfg.truth_path, data=truth_data)
+    return inputs, estimates, truth
 
 
-def _pairs_for_sex(
-    sex: Sex,
-    continent_map: dict[str, Continent],
-    estimates: list[MacEstimate],
-    truth: list[GroundTruthRecord],
-):
-    triples = [
-        (CountryRef(iso2=e.country.iso2, continent=continent_map.get(e.country.iso2)), e.sex, e.mac)
-        for e in estimates
-        if e.eligible and e.sex == sex
-    ]
-    truth_for_sex = [t for t in truth if t.sex == sex]
-    return join_pairs(triples, truth_for_sex)
+def _pairs_for_sex(sex: Sex, estimates: list[MacEstimate], truth: list[GroundTruthRecord]) -> JoinResult:
+    triples = [(e.country, e.sex, e.mac) for e in estimates if e.eligible and e.sex == sex]
+    return join_pairs(triples, [t for t in truth if t.sex == sex])
 
 
 def _metric_cell_fields(cell) -> tuple[str, str, str]:
@@ -375,21 +360,23 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
 
     Every sex is computed before any file is written, so a sex that fails
     leaves the metrics of an earlier run as they were."""
-    inputs, continent_map, estimates, truth = _load_stage_data(cfg)
+    inputs, estimates, truth = _load_stage_data(cfg)
+    continents_data, inputs["continents"] = _read_input(
+        cfg.continent_map_path, f"continent map file {cfg.continent_map_path} not found"
+    )
+    continent_map = load_continent_map(cfg.continent_map_path, data=continents_data)
     results = []
     for sex in cfg.sexes:
-        join = _pairs_for_sex(sex, continent_map, estimates, truth)
+        join = _pairs_for_sex(sex, estimates, truth)
         pairs = join.pairs
         if len(pairs) < 4:
             raise TooFewPoints(
                 f"validate/{sex.value}: LOOCV needs at least 4 matched pairs, got {len(pairs)}"
             )
-        labels = {p.country.iso2: continent_label(p.country.continent) for p in pairs}
         direct = grouped_metrics(
-            (labels[p.country.iso2], p.mac_fb, p.mac_truth) for p in pairs
+            (continent_label(continent_map.get(p.country.iso2)), p.mac_fb, p.mac_truth) for p in pairs
         )
-        continent_of = {p.country.iso2: p.country.continent for p in pairs}
-        _, cv = loocv(pairs, continent_of, scope=cfg.loocv_scope)
+        _, cv = loocv(pairs, continent_map, scope=cfg.loocv_scope)
         meta = standard_metadata(seed=cfg.seed, inputs=inputs)
         meta["sex"] = sex.value
         meta["loocv_scope"] = cfg.loocv_scope
@@ -417,17 +404,16 @@ def _model_payload(model: CalibrationModel) -> dict:
 
 
 def _fit_for_sex(
-    stage: str, sex: Sex, continent_map: dict[str, Continent], estimates: list[MacEstimate],
-    truth: list[GroundTruthRecord],
-) -> tuple[list, CalibrationModel]:
-    """The sex's matched pairs and the calibration fitted on them; calibrate
+    stage: str, sex: Sex, estimates: list[MacEstimate], truth: list[GroundTruthRecord]
+) -> tuple[JoinResult, CalibrationModel]:
+    """The sex's join and the calibration fitted on its pairs; calibrate
     and predict both fit through here, so they apply one model."""
-    pairs = _pairs_for_sex(sex, continent_map, estimates, truth).pairs
-    if len(pairs) < 3:
+    join = _pairs_for_sex(sex, estimates, truth)
+    if len(join.pairs) < 3:
         raise TooFewPoints(
-            f"{stage}/{sex.value}: regression needs at least 3 matched pairs, got {len(pairs)}"
+            f"{stage}/{sex.value}: regression needs at least 3 matched pairs, got {len(join.pairs)}"
         )
-    return pairs, ols_fit(pairs)
+    return join, ols_fit(join.pairs)
 
 
 def stage_calibrate(cfg: RunConfig) -> list[Path]:
@@ -436,10 +422,11 @@ def stage_calibrate(cfg: RunConfig) -> list[Path]:
 
     The model files are a report: predict fits the same model again rather
     than reading them. Every sex is fitted before any file is written."""
-    inputs, continent_map, estimates, truth = _load_stage_data(cfg)
+    inputs, estimates, truth = _load_stage_data(cfg)
     results = []
     for sex in cfg.sexes:
-        pairs, model = _fit_for_sex("calibrate", sex, continent_map, estimates, truth)
+        join, model = _fit_for_sex("calibrate", sex, estimates, truth)
+        pairs = join.pairs
         payload: dict = {
             "model": _model_payload(model),
             "sample": {
@@ -482,17 +469,16 @@ def stage_predict(cfg: RunConfig) -> list[Path]:
 
     Each sex's model is fitted here from estimates.csv and the truth table,
     through the same join, pair minimum and fit as calibrate; no
-    model_<sex>.json is read, so predict runs with or without calibrate."""
-    inputs, continent_map, estimates, truth = _load_stage_data(cfg)
+    model_<sex>.json is read, so predict runs with or without calibrate.
+    The map's ground-truth features are the truth records that join kept."""
+    inputs, estimates, truth = _load_stage_data(cfg)
 
     all_rows = []
     by_sex = {}
     for sex in cfg.sexes:
-        _, model = _fit_for_sex("predict", sex, continent_map, estimates, truth)
-        sex_estimates = [e for e in estimates if e.sex == sex]
-        sex_truth = [t for t in truth if t.sex == sex]
-        predictions = predict_missing(model, sex_estimates, sex_truth)
-        by_sex[sex] = (predictions, sex_truth)
+        join, model = _fit_for_sex("predict", sex, estimates, truth)
+        predictions = predict_missing(model, [e for e in estimates if e.sex == sex], join.truth)
+        by_sex[sex] = (predictions, join.truth)
         for p in predictions:
             all_rows.append(
                 [
@@ -530,10 +516,10 @@ def stage_predict(cfg: RunConfig) -> list[Path]:
 
 def run_all(cfg: RunConfig, collector: Collector | None = None) -> list[Path]:
     collected: Collected = {}
-    written = list(stage_collect(cfg, collector, collected))
-    written.append(stage_estimate(cfg, collected))
+    written = stage_collect(cfg, collector, collected)
+    written += stage_estimate(cfg, collected)
     del collected  # the snapshots are not needed past estimate
-    written.extend(stage_validate(cfg))
-    written.extend(stage_calibrate(cfg))
-    written.extend(stage_predict(cfg))
+    written += stage_validate(cfg)
+    written += stage_calibrate(cfg)
+    written += stage_predict(cfg)
     return written

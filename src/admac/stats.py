@@ -26,6 +26,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    from .domain import Continent
     from .groundtruth import ValidationPair
 
 logger = logging.getLogger(__name__)
@@ -288,10 +289,8 @@ def _metrics_cell(pred: Sequence[float], truth: Sequence[float]) -> MetricsCell:
     return MetricsCell(spearman_rho=rho, spearman_p=p, mape=mape(pred, truth), n=len(pred))
 
 
-def continent_label(continent) -> str:
-    if continent is None:
-        return UNKNOWN_CONTINENT
-    return getattr(continent, "value", str(continent))
+def continent_label(continent: Continent | None) -> str:
+    return UNKNOWN_CONTINENT if continent is None else continent.value
 
 
 def grouped_metrics(
@@ -319,7 +318,7 @@ def grouped_metrics(
 
 def loocv(
     pairs: Sequence["ValidationPair"],
-    continent_of: Mapping[str, object],
+    continent_of: Mapping[str, Continent],
     scope: str = "global",
 ) -> tuple[dict[str, float], GroupedMetrics]:
     """Leave-one-out cross-validation of the calibration regression.

@@ -73,13 +73,10 @@ def _iso2(i: int) -> str:
     return chr(ord("A") + i // 26) + chr(ord("A") + i % 26)
 
 
-def as_pairs(xs, ys, continents=None):
+def as_pairs(xs, ys):
     return [
         ValidationPair(
-            country=CountryRef(
-                iso2=_iso2(i),
-                continent=continents[i] if continents else None,
-            ),
+            country=CountryRef(iso2=_iso2(i)),
             sex=Sex.MALE,
             mac_fb=x,
             mac_truth=y,
@@ -214,8 +211,8 @@ def test_criterion_7_loocv_bruteforce_equivalence():
             xs = [rng.uniform(25.0, 40.0) for _ in range(n)]
             ys = [7.0 + 0.8 * x + rng.gauss(0.0, 0.9) for x in xs]
             conts = [rng.choice(continents) for _ in range(n)]
-            pairs = as_pairs(xs, ys, continents=conts)
-            continent_of = {p.country.iso2: p.country.continent for p in pairs}
+            pairs = as_pairs(xs, ys)
+            continent_of = {p.country.iso2: cont for p, cont in zip(pairs, conts)}
             predictions, grouped = loocv(pairs, continent_of)
             assert len(predictions) == n
             for i, pair in enumerate(pairs):

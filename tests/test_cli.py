@@ -97,8 +97,8 @@ def test_estimate_from_memory_equals_estimate_from_files(tmp_path):
     assert sorted(p.name for p in collected) == ["FR.csv", "IT.csv", "NG.csv"]
     for path, (digest, _) in collected.items():
         assert digest == sha256_file(path)
-    in_memory = stage_estimate(cfg, collected).read_bytes()
-    from_files = stage_estimate(cfg).read_bytes()
+    in_memory = stage_estimate(cfg, collected)[0].read_bytes()
+    from_files = stage_estimate(cfg)[0].read_bytes()
     assert in_memory == from_files
     assert in_memory.count(b",false,incomplete_snapshot") == 3
 
@@ -386,6 +386,41 @@ def test_predict_needs_no_model_file(tmp_path):
     assert (staged / "map.geojson").read_bytes() == (full / "map.geojson").read_bytes()
 
 
+def test_only_validate_reads_the_continent_map(tmp_path, capsys):
+    absent = tmp_path / "absent.csv"
+    full = tmp_path / "all"
+    staged = tmp_path / "staged"
+    assert run_cli("all", "--out", full, "--seed", 42) == 0
+    for command in ("collect", "estimate"):
+        assert run_cli(command, "--out", staged, "--seed", 42) == 0
+    for command in ("calibrate", "predict"):
+        assert run_cli(command, "--out", staged, "--seed", 42, "--continent-map", absent) == 0
+    for name in ("model_female.json", "model_male.json", "predictions.csv", "map.geojson"):
+        text = (staged / name).read_text(encoding="utf-8")
+        assert "input_continents" not in text, name
+        assert text == (full / name).read_text(encoding="utf-8"), name
+    capsys.readouterr()
+    assert run_cli("validate", "--out", staged, "--seed", 42, "--continent-map", absent) == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "MissingStageInput" and str(absent) in report["message"]
+
+
+def test_map_shows_the_truth_row_the_join_kept(tmp_path, caplog):
+    # an older AR/male row ahead of the bundled 2006-2015 one: the join keeps the
+    # later period, and the map's ground-truth feature must show that row too
+    lines = packaged_data_path("ground_truth.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    truth = tmp_path / "truth.csv"
+    truth.write_text(lines[0] + "AR,male,40.00,1990-1995\n" + "".join(lines[1:]), encoding="utf-8")
+    assert "AR,male,33.01,2006-2015\n" in lines
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING"):
+        assert run_cli("all", "--out", out, "--seed", 42, "--truth", truth) == 0
+    assert "keeping period '2006-2015'" in caplog.text
+    features = {f["id"]: f["properties"] for f in json.loads((out / "map.geojson").read_text())["features"]}
+    assert features["AR"]["source"] == "ground_truth"
+    assert features["AR"]["mac_predicted"] == 33.01
+
+
 @pytest.mark.parametrize("policy", ["any", "parents-only"])
 def test_zero_exposure_is_an_ineligible_estimate(tmp_path, policy):
     fixtures = tmp_path / "fixtures"
@@ -615,7 +650,7 @@ def test_stages_hash_the_bytes_they_parsed(tmp_path, monkeypatch):
         raise AssertionError(f"{path} read a second time to hash it")
 
     _patch_everywhere(monkeypatch, sha256_file, second_read)
-    written = [pipeline.stage_estimate(cfg)]
+    written = pipeline.stage_estimate(cfg)
     written += pipeline.stage_validate(cfg) + pipeline.stage_calibrate(cfg) + pipeline.stage_predict(cfg)
     assert len(written) == 7  # estimates, two metrics, two models, predictions and the map
     snapshots = hashlib.sha256()

@@ -45,11 +45,6 @@ def test_non_canonical_age_group_rejected(lower):
         AgeGroup(lower)
 
 
-def test_non_standard_width_rejected():
-    with pytest.raises(ValueError):
-        AgeGroup(15, width=10)
-
-
 @pytest.mark.parametrize("iso2", ["I", "ITA", "it", "1T"])
 def test_bad_iso2_rejected(iso2):
     with pytest.raises(ValueError):

@@ -16,10 +16,8 @@ from admac.groundtruth import (
 )
 
 
-def _truth(iso2, sex=Sex.MALE, mac=33.0, period="2006-2015", continent=None):
-    return GroundTruthRecord(
-        country=CountryRef(iso2=iso2, continent=continent), sex=sex, mac=mac, period=period
-    )
+def _truth(iso2, sex=Sex.MALE, mac=33.0, period="2006-2015"):
+    return GroundTruthRecord(country=CountryRef(iso2=iso2), sex=sex, mac=mac, period=period)
 
 
 def _estimate(iso2, sex=Sex.MALE, mac=31.0):
@@ -70,13 +68,6 @@ def test_load_ground_truth_bad_header(tmp_path):
     path.write_text("country,sex,mac\nIT,male,35.1\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_ground_truth(path)
-
-
-def test_load_ground_truth_applies_continent_map(tmp_path):
-    path = tmp_path / "truth.csv"
-    path.write_text("iso2,sex,mac,period\nIT,male,35.1,2006-2015\n", encoding="utf-8")
-    records = load_ground_truth(path, {"IT": Continent.EUROPE})
-    assert records[0].country.continent is Continent.EUROPE
 
 
 def test_load_continent_map(tmp_path, caplog):

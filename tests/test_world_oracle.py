@@ -5,7 +5,10 @@ numpy and scipy.stats, and none of admac's readers:
 - every eligible MAC, from the raw cells in plain summation order;
 - each sex's calibration line, against `scipy.stats.linregress`;
 - every prediction and its 95% interval, from `t.ppf` and the leverage formula;
-- the predicted set: the eligible countries without a truth row.
+- the predicted set: the eligible countries without a truth row;
+- each metrics_<sex>.csv row but its stars, under both LOOCV scopes: rho
+  from `scipy.stats.spearmanr`, MAPE and n per continent of the bundled
+  continents.csv and overall, directly and from brute-force numpy LOOCV refits.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ N_COUNTRIES = 60
 SEXES = ("female", "male")
 AGE_LOWERS = (15, 20, 25, 30, 35, 40, 45)
 FLOOR = 20  # the platform's lower-bound count: a sex with one such cell is ineligible
+SCOPES = ("global", "continent")
 WORLD_SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "world.py"
 
 
@@ -44,12 +48,24 @@ def _data_rows(path: Path) -> list[list[str]]:
         return list(csv.reader(line for line in handle if not line.startswith("#")))[1:]
 
 
+def _run(root: Path, out: str, loocv_scope: str) -> None:
+    run_all(RunConfig(root / out, fixture_dir=root / "fixtures", truth_path=root / "truth.csv", seed=SEED,
+                      loocv_scope=loocv_scope))
+
+
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
     root = tmp_path_factory.mktemp("world")
     _generate_world(root)
-    run_all(RunConfig(root / "out", fixture_dir=root / "fixtures", truth_path=root / "truth.csv", seed=SEED))
+    _run(root, "out", "global")
     return root
+
+
+@pytest.fixture(scope="module")
+def continent_scope_out(world):
+    """The output directory of a second run over the same world with per-continent LOOCV folds."""
+    _run(world, "out-continent", "continent")
+    return world / "out-continent"
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +137,60 @@ def test_every_prediction_matches_the_leverage_formula(world, oracle):
         got = {"mac_fb": mac_fb, "mac_predicted": mac_predicted, "pi_low": pi_low, "pi_high": pi_high}
         for column, want in expected.items():
             assert float(got[column]) == pytest.approx(want, rel=1e-9), f"{iso2}/{sex} {column}"
+
+
+def _scores(pred, truth) -> tuple[float | None, float]:
+    """Spearman rho (None below 3 points) and MAPE in percent of `pred` against `truth`."""
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    rho = float(stats.spearmanr(pred, truth).statistic) if len(pred) >= 3 else None
+    return rho, float(np.mean(np.abs(pred - truth) / np.abs(truth))) * 100
+
+
+def _held_out(fold):
+    """Each (label, mac, truth) of `fold` predicted from a least-squares line refitted on all the others."""
+    x = np.array([mac for _, mac, _ in fold])
+    y = np.array([value for _, _, value in fold])
+    out = []
+    for i, (label, _, value) in enumerate(fold):
+        rest = np.arange(len(fold)) != i
+        slope, intercept = np.polyfit(x[rest], y[rest], 1)
+        out.append((label, intercept + slope * x[i], value))
+    return out
+
+
+def _expected_metrics(macs, truth, sex, scope):
+    """label -> (direct rho, direct MAPE, LOOCV rho, LOOCV MAPE, n); LOOCV's are None for a skipped continent."""
+    with open(packaged_data_path("continents.csv"), encoding="utf-8", newline="") as handle:
+        continent_of = {row["iso2"]: row["continent"] for row in csv.DictReader(handle)}
+    pairs = [(continent_of[iso2], macs[(iso2, s)], truth[(iso2, s)])
+             for iso2, s in sorted(macs) if s == sex and (iso2, s) in truth]
+    groups: dict[str, list] = {}
+    for pair in pairs:
+        groups.setdefault(pair[0], []).append(pair)
+    # continent scope refits within each continent and skips one with fewer than 4 pairs
+    folds = [pairs] if scope == "global" else [group for group in groups.values() if len(group) >= 4]
+    held = [record for fold in folds for record in _held_out(fold)]
+    expected = {}
+    for label, group in [*groups.items(), ("Overall", pairs)]:
+        cv = [record for record in held if label in ("Overall", record[0])]
+        cv_scores = _scores([p for _, p, _ in cv], [t for _, _, t in cv]) if cv else (None, None)
+        direct = _scores([m for _, m, _ in group], [t for _, _, t in group])
+        expected[label] = (*direct, *cv_scores, len(group))
+    return expected
+
+
+@pytest.mark.parametrize("scope", SCOPES)
+@pytest.mark.parametrize("sex", SEXES)
+def test_metrics_match_spearmanr_and_numpy_loocv(world, continent_scope_out, oracle, sex, scope):
+    out = world / "out" if scope == "global" else continent_scope_out
+    expected = _expected_metrics(*oracle, sex, scope)
+    rows = _data_rows(out / f"metrics_{sex}.csv")
+    assert [row[0] for row in rows] == sorted(set(expected) - {"Overall"}) + ["Overall"]
+    columns = ("metric_corr", "metric_mape", "loocv_corr", "loocv_mape", "n")
+    for label, *got, _, _ in rows:
+        for column, text, want in zip(columns, got, expected[label]):
+            where = f"{sex}/{scope} {label} {column}"
+            if want is None:
+                assert text == "", where
+            else:
+                assert float(text) == pytest.approx(want, rel=1e-9, abs=1e-12), where
