@@ -31,10 +31,8 @@ from .indicators import (
     IneligibilityReason,
     LowerBoundPolicy,
     MacEstimate,
-    asfr,
     estimate_country,
     mac,
-    schedule_from_snapshot,
 )
 from .ingest import AdsApiClient, Collector, CollectorConfig, Mode, QueryDescriptor
 from .predict import Prediction, emit_choropleth, predict_missing
@@ -69,10 +67,8 @@ __all__ = [
     "IneligibilityReason",
     "LowerBoundPolicy",
     "MacEstimate",
-    "asfr",
     "estimate_country",
     "mac",
-    "schedule_from_snapshot",
     "AdsApiClient",
     "Collector",
     "CollectorConfig",

@@ -4,8 +4,7 @@ Every record here is immutable, so instances can be shared freely between
 threads. Records are named tuples: equality, hashing and ordering are those
 of the tuple of their fields (so a record also equals a plain tuple of the
 same values). A record with invariants checks them in `__new__` and raises
-ValueError. `AudienceSnapshot` is a small read-only `__slots__` class
-instead, because it also holds an index of its cells by key.
+ValueError.
 """
 
 from __future__ import annotations
@@ -125,56 +124,31 @@ def utc_now() -> datetime:
     return datetime.now(timezone.utc)
 
 
-class AudienceSnapshot:
-    """All cells collected for one country in one pass; read-only.
+class AudienceSnapshot(namedtuple("AudienceSnapshot", "country cells")):
+    """All cells collected for one country in one pass.
 
     A complete snapshot holds 7 age groups x 2 sexes x 2 filters = 28 cells.
-    Partial snapshots are representable (collection can fail per cell); use
-    :meth:`is_complete` / :meth:`is_complete_for` before deriving indicators.
-    Snapshots compare equal when country and cells are equal.
+    Partial snapshots are representable (collection can fail per cell).
     """
 
-    __slots__ = ("country", "cells", "_by_key")
+    __slots__ = ()
 
-    def __init__(self, country: CountryRef, cells: tuple[AudienceCell, ...]) -> None:
-        by_key = {}
+    def __new__(cls, country: CountryRef, cells: tuple[AudienceCell, ...]) -> AudienceSnapshot:
+        keys = set()
         for cell in cells:
             if cell.country.iso2 != country.iso2:
                 raise ValueError(f"cell for {cell.country.iso2} in snapshot for {country.iso2}")
-            if cell.key in by_key:
+            if cell.key in keys:
                 raise ValueError(f"duplicate cell {cell.key} in snapshot for {country.iso2}")
-            by_key[cell.key] = cell
-        for name, value in zip(self.__slots__, (country, cells, by_key)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"AudienceSnapshot is read-only; cannot change {name}")
-
-    __delattr__ = __setattr__
-
-    def _values(self) -> tuple:
-        return (self.country, self.cells)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AudienceSnapshot):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
+            keys.add(cell.key)
+        return tuple.__new__(cls, (country, cells))
 
     def cell(self, sex: Sex, group: AgeGroup, parent_filter: ParentFilter) -> AudienceCell | None:
-        return self._by_key.get((sex, group, parent_filter))
-
-    def cells_for(self, sex: Sex) -> tuple[AudienceCell, ...]:
-        return tuple(c for c in self.cells if c.sex == sex)
+        return next((c for c in self.cells if c.key == (sex, group, parent_filter)), None)
 
     def is_complete_for(self, sex: Sex) -> bool:
-        return all(
-            self.cell(sex, g, f) is not None
-            for g in AGE_GRID
-            for f in ParentFilter
-        )
+        # keys are unique and each names one of the sex's 14 cells, so 14 cells is all of them
+        return sum(c.sex == sex for c in self.cells) == N_AGE_GROUPS * len(ParentFilter)
 
     def is_complete(self) -> bool:
         return all(self.is_complete_for(sex) for sex in Sex)

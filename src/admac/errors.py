@@ -9,16 +9,8 @@ class AdmacError(Exception):
 
 # --- domain / indicators ---------------------------------------------------
 
-class ZeroExposure(AdmacError):
-    """Rate requested against an exposure population of zero."""
-
-
 class ZeroSchedule(AdmacError):
     """MAC requested for a schedule whose rates sum to zero."""
-
-
-class IncompleteSnapshot(AdmacError):
-    """Snapshot lacks cells required to build a schedule for the given sex."""
 
 
 # --- ingest ------------------------------------------------------------------

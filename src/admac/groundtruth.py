@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .domain import Continent, CountryRef, Sex
+from .errors import ParseError
 from .fileio import read_table
 
 logger = logging.getLogger(__name__)
@@ -45,7 +46,11 @@ class JoinResult(NamedTuple):
 
 
 def load_continent_map(path: str | Path, *, data: bytes | None = None) -> dict[str, Continent]:
-    """Bundled-style `iso2,continent` CSV into a lookup dict."""
+    """Bundled-style `iso2,continent` CSV into a lookup dict.
+
+    A second row for one iso2 raises ParseError, since either row could be
+    the one meant.
+    """
     _, _, rows = read_table(path, CONTINENT_COLUMNS, data=data)
     mapping: dict[str, Continent] = {}
     for lineno, row in rows:
@@ -53,6 +58,8 @@ def load_continent_map(path: str | Path, *, data: bytes | None = None) -> dict[s
             logger.warning("%s:%d: expected 2 fields, got %d; skipped", path, lineno, len(row))
             continue
         iso2, cont = row[0].strip().upper(), row[1].strip()
+        if iso2 in mapping:
+            raise ParseError(f"{path}: a second row for {iso2}", line=lineno)
         try:
             mapping[iso2] = Continent(cont)
         except ValueError:

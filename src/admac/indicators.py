@@ -1,5 +1,8 @@
-"""Audience snapshots -> fertility schedules -> MAC, with the lower-bound
-eligibility rule applied."""
+"""Audience snapshots -> MAC estimates.
+
+`estimate_country` alone decides whether a (country, sex) is eligible and,
+if not, why; `mac` is the kernel it applies to the eligible ones.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +12,14 @@ from typing import Iterable
 
 from .domain import (
     AGE_GRID,
+    LOWER_BOUND_COUNT,
+    N_AGE_GROUPS,
     AudienceSnapshot,
     FertilitySchedule,
     ParentFilter,
     Sex,
 )
-from .errors import IncompleteSnapshot, ZeroExposure, ZeroSchedule
+from .errors import ZeroSchedule
 
 
 class IneligibilityReason(str, Enum):
@@ -56,39 +61,6 @@ class MacEstimate(namedtuple("MacEstimate", "country sex mac eligible ineligibil
         return tuple.__new__(cls, (country, sex, mac, eligible, ineligibility_reason))
 
 
-def asfr(parents_count: int, total_count: int) -> float:
-    """Fertility-proxy rate: parents of an infant over the exposed audience.
-
-    A value above 1 is possible only through inconsistent counts; it is
-    returned as-is, not clamped (`FertilitySchedule` logs it).
-    """
-    if parents_count < 0:
-        raise ValueError(f"parents_count must be non-negative, got {parents_count}")
-    if total_count < 0:
-        raise ValueError(f"total_count must be non-negative, got {total_count}")
-    if total_count == 0:
-        raise ZeroExposure("exposure population is zero")
-    return parents_count / total_count
-
-
-def schedule_from_snapshot(snapshot: AudienceSnapshot, sex: Sex) -> FertilitySchedule:
-    """Per-age-group rates from a snapshot's parent and total cells."""
-    rates = []
-    missing = []
-    for group in AGE_GRID:
-        parents = snapshot.cell(sex, group, ParentFilter.PARENTS_0_12M)
-        total = snapshot.cell(sex, group, ParentFilter.ALL)
-        if parents is None or total is None:
-            missing.append(str(group))
-            continue
-        rates.append(asfr(parents.count, total.count))
-    if missing:
-        raise IncompleteSnapshot(
-            f"{snapshot.country.iso2}/{sex.value}: missing cells for ages {', '.join(missing)}"
-        )
-    return FertilitySchedule(country=snapshot.country, sex=sex, rates=tuple(rates))
-
-
 def _kahan_sum(values: Iterable[float]) -> float:
     """Compensated summation; the order of `values` is preserved."""
     total = 0.0
@@ -124,31 +96,31 @@ def estimate_country(
 ) -> MacEstimate:
     """MAC for one (country, sex), or the reason none can be trusted.
 
-    Ineligibility is data, not failure: floor-valued cells, incomplete
-    snapshots, all-zero schedules and an age group whose exposure count is
-    zero come back as ineligible estimates carrying their reason.
+    Ineligibility is data, not failure. When several reasons apply, the
+    first of these wins:
+
+    1. LOWER_BOUND_CELL: a floor-valued cell that `lower_bound_policy` counts;
+    2. ZERO_EXPOSURE: an age group with both cells present and a total of 0;
+    3. INCOMPLETE_SNAPSHOT: any of the sex's 14 cells missing;
+    4. ZERO_SCHEDULE: no parents in any age group.
+
+    Otherwise each group's rate is parents over total, and the estimate is
+    `mac` of that schedule.
     """
-    cells = snapshot.cells_for(sex)
-    if lower_bound_policy is LowerBoundPolicy.ANY:
-        relevant = cells
-    else:
-        relevant = tuple(c for c in cells if c.parent_filter is ParentFilter.PARENTS_0_12M)
-    if any(c.at_lower_bound for c in relevant):
-        return MacEstimate(
-            country=snapshot.country,
-            sex=sex,
-            mac=None,
-            eligible=False,
-            ineligibility_reason=IneligibilityReason.LOWER_BOUND_CELL,
-        )
-    try:
-        value = mac(schedule_from_snapshot(snapshot, sex))
-    except IncompleteSnapshot:
-        reason = IneligibilityReason.INCOMPLETE_SNAPSHOT
-    except ZeroSchedule:
-        reason = IneligibilityReason.ZERO_SCHEDULE
-    except ZeroExposure:
+    policy = LowerBoundPolicy(lower_bound_policy)
+    parents = ParentFilter.PARENTS_0_12M
+    floor_filters = tuple(ParentFilter) if policy is LowerBoundPolicy.ANY else (parents,)
+    counts = {(c.age_group, c.parent_filter): c.count for c in snapshot.cells if c.sex == sex}
+    if any(n == LOWER_BOUND_COUNT and f in floor_filters for (_, f), n in counts.items()):
+        reason = IneligibilityReason.LOWER_BOUND_CELL
+    elif any(counts.get((g, ParentFilter.ALL)) == 0 and (g, parents) in counts for g in AGE_GRID):
         reason = IneligibilityReason.ZERO_EXPOSURE
+    elif len(counts) < N_AGE_GROUPS * len(ParentFilter):
+        reason = IneligibilityReason.INCOMPLETE_SNAPSHOT
+    elif not any(counts[(g, parents)] for g in AGE_GRID):
+        reason = IneligibilityReason.ZERO_SCHEDULE
     else:
+        rates = tuple(counts[(g, parents)] / counts[(g, ParentFilter.ALL)] for g in AGE_GRID)
+        value = mac(FertilitySchedule(country=snapshot.country, sex=sex, rates=rates))
         return MacEstimate(country=snapshot.country, sex=sex, mac=value, eligible=True)
     return MacEstimate(country=snapshot.country, sex=sex, mac=None, eligible=False, ineligibility_reason=reason)

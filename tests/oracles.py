@@ -136,3 +136,13 @@ def mac_from_raw_cells(parents, totals, reverse=False):
     """Single pass over raw cells: divide, weight, normalize."""
     rates = [p / t for p, t in zip(parents, totals)]
     return mac_weighted_mean(rates, reverse=reverse)
+
+
+def mac_exact_from_raw_cells(parents, totals):
+    """MAC of the float rates p / t in exact rational arithmetic, rounded once.
+
+    Plain-order sums drift a few ulps once the rates span several orders of
+    magnitude (a floor-valued total next to a large one); this does not.
+    """
+    rates = [Fraction(p / t) for p, t in zip(parents, totals)]
+    return float(sum(Fraction(m) * r for m, r in zip(MIDPOINTS, rates)) / sum(rates))

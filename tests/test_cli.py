@@ -405,6 +405,21 @@ def test_only_validate_reads_the_continent_map(tmp_path, capsys):
     assert report["error"] == "MissingStageInput" and str(absent) in report["message"]
 
 
+def test_repeated_continent_map_row_reports_parse_error(tmp_path, capsys):
+    # a second IT row would otherwise score Italy under Africa in metrics_<sex>.csv
+    bundled = packaged_data_path("continents.csv").read_text(encoding="utf-8")
+    continents = tmp_path / "continents.csv"
+    continents.write_text(bundled + "IT,Africa\n", encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli("all", "--out", out, "--seed", 42, "--continent-map", continents) == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "ParseError"
+    assert str(continents) in report["message"] and "IT" in report["message"]
+    assert f"(line {len(bundled.splitlines()) + 1})" in report["message"]
+    assert not list(out.glob("metrics_*.csv"))
+
+
 def test_map_shows_the_truth_row_the_join_kept(tmp_path, caplog):
     # an older AR/male row ahead of the bundled 2006-2015 one: the join keeps the
     # later period, and the map's ground-truth feature must show that row too

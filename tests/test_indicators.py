@@ -1,26 +1,28 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from admac.domain import (
+    LOWER_BOUND_COUNT,
     AudienceSnapshot,
     CountryRef,
     FertilitySchedule,
+    ParentFilter,
     Sex,
+    age_grid,
 )
-from admac.errors import IncompleteSnapshot, ZeroExposure, ZeroSchedule
+from admac.errors import ZeroSchedule
 from admac.indicators import (
     IneligibilityReason,
     LowerBoundPolicy,
-    asfr,
     estimate_country,
     mac,
-    schedule_from_snapshot,
 )
-from conftest import make_snapshot
-from oracles import mac_from_raw_cells, mac_weighted_mean
+from conftest import make_cell, make_snapshot
+from oracles import mac_exact_from_raw_cells, mac_from_raw_cells, mac_weighted_mean
 
 COUNTRY = CountryRef(iso2="IT")
 
@@ -29,19 +31,16 @@ def sched(rates):
     return FertilitySchedule(country=COUNTRY, sex=Sex.FEMALE, rates=tuple(rates))
 
 
-# --- asfr ----------------------------------------------------------------
+# --- rates (parents over total) --------------------------------------------
 
 def test_asfr_basics():
-    assert asfr(0, 1000) == 0.0
-    assert asfr(50, 1000) == 0.05
-    with pytest.raises(ZeroExposure):
-        asfr(20, 0)
-    with pytest.raises(ValueError):
-        asfr(-1, 10)
+    snap = make_snapshot(female_totals=[1_000] * 3 + [2_000] * 4, female_parents=[0, 50, 80, 100, 60, 30, 0])
+    assert estimate_country(snap, Sex.FEMALE).mac == mac(sched([0.0, 0.05, 0.08, 0.05, 0.03, 0.015, 0.0]))
+    zero = make_snapshot(female_totals=[100_000] * 6 + [0], female_parents=[5_000] * 6 + [0])
+    assert estimate_country(zero, Sex.FEMALE).ineligibility_reason is IneligibilityReason.ZERO_EXPOSURE
 
 
 def test_asfr_above_one_admitted_with_warning(caplog):
-    assert asfr(1500, 1000) == 1.5
     parents = [5_000] * 7
     parents[2] = 150_000  # ages 25-29: more parents than people
     snap = make_snapshot(female_totals=[100_000] * 7, female_parents=parents)
@@ -51,6 +50,7 @@ def test_asfr_above_one_admitted_with_warning(caplog):
     assert [r.getMessage() for r in caplog.records if "exceeds 1" in r.getMessage()] == [
         "IT/female: rate 1.5 for ages 25-29 exceeds 1; numerator larger than exposure"
     ]
+    assert est.mac == mac(sched([0.05, 0.05, 1.5, 0.05, 0.05, 0.05, 0.05]))
 
 
 # --- schedules -----------------------------------------------------------
@@ -60,8 +60,7 @@ def test_schedule_from_snapshot_divides_cellwise():
     totals = [rng.randint(10_000, 500_000) for _ in range(7)]
     parents = [rng.randint(100, 9_000) for _ in range(7)]
     snap = make_snapshot(female_totals=totals, female_parents=parents)
-    schedule = schedule_from_snapshot(snap, Sex.FEMALE)
-    assert schedule.rates == tuple(p / t for p, t in zip(parents, totals))
+    assert estimate_country(snap, Sex.FEMALE).mac == mac(sched([p / t for p, t in zip(parents, totals)]))
 
 
 def test_schedule_from_incomplete_snapshot_raises():
@@ -70,10 +69,10 @@ def test_schedule_from_incomplete_snapshot_raises():
         country=snap.country,
         cells=tuple(c for c in snap.cells if not (c.sex is Sex.FEMALE and c.age_group.lower == 30)),
     )
-    with pytest.raises(IncompleteSnapshot, match="30-34"):
-        schedule_from_snapshot(partial, Sex.FEMALE)
+    est = estimate_country(partial, Sex.FEMALE)
+    assert est.ineligibility_reason is IneligibilityReason.INCOMPLETE_SNAPSHOT
     # the other sex is untouched
-    schedule_from_snapshot(partial, Sex.MALE)
+    assert estimate_country(partial, Sex.MALE).eligible
 
 
 # --- mac -------------------------------------------------------------------
@@ -131,7 +130,7 @@ def test_mac_composition_matches_single_pass_oracle():
         totals = [rng.randint(1_000, 900_000) for _ in range(7)]
         parents = [rng.randint(21, 900) for _ in range(7)]
         snap = make_snapshot(male_totals=totals, male_parents=parents)
-        value = mac(schedule_from_snapshot(snap, Sex.MALE))
+        value = estimate_country(snap, Sex.MALE).mac
         expected = mac_from_raw_cells(parents, totals, reverse=bool(rng.getrandbits(1)))
         assert abs(value - expected) <= 1e-12 * abs(expected)
 
@@ -165,7 +164,7 @@ def test_clean_snapshot_yields_mac():
     snap = make_snapshot()
     est = estimate_country(snap, Sex.FEMALE)
     assert est.eligible and est.ineligibility_reason is None
-    assert est.mac == mac(schedule_from_snapshot(snap, Sex.FEMALE))
+    assert est.mac == mac(sched([5_000 / 100_000] * 7))
     assert 17.5 <= est.mac <= 47.5
 
 
@@ -207,3 +206,117 @@ def test_lower_bound_check_runs_before_completeness():
     )
     est = estimate_country(partial, Sex.FEMALE)
     assert est.ineligibility_reason is IneligibilityReason.LOWER_BOUND_CELL
+
+
+def test_policy_given_as_text_means_what_it_says():
+    snap = make_snapshot(female_totals=[20] + [100_000] * 6)
+    for policy in ("any", LowerBoundPolicy.ANY):
+        est = estimate_country(snap, Sex.FEMALE, policy)
+        assert est.ineligibility_reason is IneligibilityReason.LOWER_BOUND_CELL, policy
+    for policy in ("parents-only", LowerBoundPolicy.PARENTS_ONLY):
+        assert estimate_country(snap, Sex.FEMALE, policy).eligible, policy
+    with pytest.raises(ValueError):
+        estimate_country(snap, Sex.FEMALE, "none")
+
+
+# --- reason precedence -------------------------------------------------------
+
+def _without(snap, sex, cells):
+    """`snap` minus the (age lower, filter) cells of `sex`."""
+    kept = tuple(c for c in snap.cells if not (c.sex is sex and (c.age_group.lower, c.parent_filter) in cells))
+    return AudienceSnapshot(country=snap.country, cells=kept)
+
+
+ALL, PARENTS = ParentFilter.ALL, ParentFilter.PARENTS_0_12M
+
+
+@pytest.mark.parametrize(
+    "totals, parents, missing, policy, reason",
+    [
+        # a zero total in any group with both cells beats a missing cell in another
+        ([100_000] * 3 + [0] + [100_000] * 3, None, {(45, ALL)}, "any", "zero_exposure"),
+        ([100_000] * 3 + [0] + [100_000] * 3, None, {(15, PARENTS)}, "parents-only", "zero_exposure"),
+        # a floor cell the policy counts beats a missing cell
+        (None, [20] + [5_000] * 6, {(45, PARENTS)}, "parents-only", "lower_bound_cell"),
+        ([20] + [100_000] * 6, None, {(45, ALL)}, "any", "lower_bound_cell"),
+        # a floor total the policy ignores leaves the missing cell to decide
+        ([20] + [100_000] * 6, None, {(45, ALL)}, "parents-only", "incomplete_snapshot"),
+        # a zero total whose parent cell is missing is a missing cell, not zero exposure
+        ([100_000] * 3 + [0] + [100_000] * 3, None, {(30, PARENTS)}, "any", "incomplete_snapshot"),
+        # a floor total beats a zero total only when the policy counts it
+        ([20] + [0] + [100_000] * 5, None, set(), "any", "lower_bound_cell"),
+        ([20] + [0] + [100_000] * 5, None, set(), "parents-only", "zero_exposure"),
+        # zero exposure and a missing cell both beat an all-zero schedule
+        ([0] + [100_000] * 6, [0] * 7, set(), "any", "zero_exposure"),
+        (None, [0] * 7, {(45, ALL)}, "any", "incomplete_snapshot"),
+    ],
+)
+def test_reason_precedence_table(totals, parents, missing, policy, reason):
+    snap = _without(make_snapshot(female_totals=totals, female_parents=parents), Sex.FEMALE, missing)
+    est = estimate_country(snap, Sex.FEMALE, LowerBoundPolicy(policy))
+    assert est.ineligibility_reason is IneligibilityReason(reason)
+    assert not est.eligible and est.mac is None
+    assert estimate_country(snap, Sex.MALE, LowerBoundPolicy(policy)).eligible
+
+
+def _oracle_reason(counts, policy):
+    """The documented precedence, from one sex's {(age lower, filter): count}."""
+    counted = [n for (_, flt), n in counts.items() if policy is LowerBoundPolicy.ANY or flt is PARENTS]
+    if LOWER_BOUND_COUNT in counted:
+        return IneligibilityReason.LOWER_BOUND_CELL
+    if any(counts.get((g.lower, ALL)) == 0 and (g.lower, PARENTS) in counts for g in age_grid()):
+        return IneligibilityReason.ZERO_EXPOSURE
+    if len(counts) < 2 * len(age_grid()):
+        return IneligibilityReason.INCOMPLETE_SNAPSHOT
+    if not any(counts[(g.lower, PARENTS)] for g in age_grid()):
+        return IneligibilityReason.ZERO_SCHEDULE
+    return None
+
+
+def _random_snapshot(rng):
+    """Cells with missing, zero and floor counts mixed in, in random order."""
+    p_missing, p_floor, p_zero = (rng.choice((0.0, 0.02, 0.1)) for _ in range(3))
+    counts = {sex: {} for sex in Sex}
+    cells = []
+    for sex in Sex:
+        no_parents = rng.random() < 0.1
+        for group in age_grid():
+            for flt in ParentFilter:
+                if rng.random() < p_missing:
+                    continue
+                draw = rng.random()
+                if draw < p_floor:
+                    count = LOWER_BOUND_COUNT
+                elif draw < p_floor + p_zero or (no_parents and flt is PARENTS):
+                    count = 0
+                elif flt is ALL:
+                    count = rng.randint(10_000, 900_000)
+                else:
+                    count = rng.randint(LOWER_BOUND_COUNT + 1, 9_000)
+                counts[sex][(group.lower, flt)] = count
+                cells.append(make_cell(COUNTRY.iso2, sex, group, flt, count))
+    rng.shuffle(cells)
+    return AudienceSnapshot(country=COUNTRY, cells=tuple(cells)), counts
+
+
+def test_reasons_and_macs_match_oracle_on_random_snapshots():
+    rng = random.Random(24)
+    seen = {policy: [] for policy in LowerBoundPolicy}
+    for _ in range(2_000):
+        snap, counts = _random_snapshot(rng)
+        for sex in Sex:
+            for policy in LowerBoundPolicy:
+                est = estimate_country(snap, sex, policy)
+                expected = _oracle_reason(counts[sex], policy)
+                assert est.ineligibility_reason is expected, (counts[sex], policy)
+                assert est.eligible is (expected is None)
+                seen[policy].append(expected)
+                if expected is None:
+                    parents = [counts[sex][(g.lower, PARENTS)] for g in age_grid()]
+                    totals = [counts[sex][(g.lower, ALL)] for g in age_grid()]
+                    oracle = mac_exact_from_raw_cells(parents, totals)
+                    assert abs(est.mac - oracle) <= 2 * math.ulp(oracle), (est.mac, oracle)
+    # every outcome is drawn often enough to be checked under both policies
+    for outcomes in seen.values():
+        for outcome in (None, *IneligibilityReason):
+            assert outcomes.count(outcome) >= 100, outcome
