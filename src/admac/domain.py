@@ -111,11 +111,6 @@ class AudienceCell(namedtuple("AudienceCell", "country sex age_group parent_filt
         return tuple.__new__(cls, (country, sex, age_group, parent_filter, count, collected_at))
 
     @property
-    def at_lower_bound(self) -> bool:
-        """True iff the platform returned its floor value."""
-        return self.count == LOWER_BOUND_COUNT
-
-    @property
     def key(self) -> tuple[Sex, AgeGroup, ParentFilter]:
         return (self.sex, self.age_group, self.parent_filter)
 
@@ -142,16 +137,6 @@ class AudienceSnapshot(namedtuple("AudienceSnapshot", "country cells")):
                 raise ValueError(f"duplicate cell {cell.key} in snapshot for {country.iso2}")
             keys.add(cell.key)
         return tuple.__new__(cls, (country, cells))
-
-    def cell(self, sex: Sex, group: AgeGroup, parent_filter: ParentFilter) -> AudienceCell | None:
-        return next((c for c in self.cells if c.key == (sex, group, parent_filter)), None)
-
-    def is_complete_for(self, sex: Sex) -> bool:
-        # keys are unique and each names one of the sex's 14 cells, so 14 cells is all of them
-        return sum(c.sex == sex for c in self.cells) == N_AGE_GROUPS * len(ParentFilter)
-
-    def is_complete(self) -> bool:
-        return all(self.is_complete_for(sex) for sex in Sex)
 
 
 class FertilitySchedule(namedtuple("FertilitySchedule", "country sex rates")):

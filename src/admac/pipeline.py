@@ -11,11 +11,11 @@ metadata header (tool version, seed, input digests) so any artifact can be
 traced to its inputs. No timestamps are embedded: identical config +
 inputs = identical bytes.
 
-`run_all` writes the snapshots as `collect` does, but hands them to
-`estimate` in memory together with the digests of the bytes written, so
-they are not read back and hashed again; a snapshot file it did not just
-write (one left by an earlier run) is still read from disk. The artifacts
-are the same bytes as when the stages run one by one.
+Collect owns snapshots/: a collect that succeeds leaves there exactly the
+countries it collected, so every estimate reads one set of snapshots.
+`run_all` hands that set to `estimate` in memory, with the digests of the
+bytes written, rather than reading it back; the artifacts are the same
+bytes as when the stages run one by one.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ def _collector_config(cfg: RunConfig) -> CollectorConfig:
 # collect
 # --------------------------------------------------------------------------
 
-# Snapshots written by collect in this process: path -> (digest of its bytes, snapshot).
-Collected = dict[Path, tuple[str, AudienceSnapshot]]
+# One collect's snapshots in the order written: (path, digest of its bytes, snapshot).
+Collected = list[tuple[Path, str, AudienceSnapshot]]
 
 
 def stage_collect(
@@ -191,8 +191,11 @@ def stage_collect(
     sent or snapshot written. A country whose collection comes back
     incomplete is written with the cells that did arrive; the estimate
     stage will mark the affected sexes ineligible rather than this stage
-    failing the whole run. Each written snapshot, partial or not, is also
-    recorded in `collected`, when given, for `stage_estimate`.
+    failing the whole run. Only once every snapshot is written does the
+    stage remove, with one warning naming them, the snapshots/*.csv files
+    it did not write, so a collect that fails removes nothing.
+    Each written snapshot, partial or not, is also appended to `collected`,
+    when given, for `stage_estimate`.
     """
     collector = collector or Collector(_collector_config(cfg))
     if cfg.countries is not None:
@@ -213,8 +216,13 @@ def stage_collect(
         path = cfg.snapshots_dir / f"{iso2}.csv"
         digest = write_cells_csv(path, snapshot.cells, meta=standard_metadata(seed=cfg.seed, inputs=inputs))
         if collected is not None:
-            collected[path] = (digest, snapshot)
+            collected.append((path, digest, snapshot))
         written.append(path)
+    stale = sorted(set(cfg.snapshots_dir.glob("*.csv")).difference(written))
+    for path in stale:
+        path.unlink()
+    if stale:
+        logger.warning("collect: removed snapshots it did not write: %s", ", ".join(p.name for p in stale))
     return written
 
 
@@ -225,34 +233,31 @@ def stage_collect(
 def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> list[Path]:
     """MAC estimates (or ineligibility reasons) for every collected country.
 
-    Every file under snapshots/ is estimated; one recorded in `collected`
-    (by `stage_collect` in this process) is taken from memory, any other
-    is read once, both to hash and to parse.
+    The snapshots are `collected`, when given (`run_all` hands over what
+    `stage_collect` wrote), taken as they are; otherwise every file under
+    snapshots/, each read once to hash and to parse.
     """
-    collected = collected or {}
-    if not cfg.snapshots_dir.is_dir():
-        raise MissingStageInput(f"{cfg.snapshots_dir} not found; run `collect` first")
-    paths = sorted(cfg.snapshots_dir.glob("*.csv"))
-    if not paths:
+    if collected is None:
+        if not cfg.snapshots_dir.is_dir():
+            raise MissingStageInput(f"{cfg.snapshots_dir} not found; run `collect` first")
+        collected = []
+        for path in sorted(cfg.snapshots_dir.glob("*.csv")):
+            country = file_country(path)
+            data = path.read_bytes()
+            snapshot = AudienceSnapshot(country, tuple(read_cells_csv(path, country, data=data)))
+            collected.append((path, hashlib.sha256(data).hexdigest(), snapshot))
+    if not collected:
         raise MissingStageInput(f"no snapshots under {cfg.snapshots_dir}; run `collect` first")
     combined = hashlib.sha256()
     rows: list[list[str]] = []
-    for path in paths:
-        country = file_country(path)
-        held = collected.get(path)
-        if held is None:
-            data = path.read_bytes()
-            digest = hashlib.sha256(data).hexdigest()
-            snapshot = AudienceSnapshot(country, tuple(read_cells_csv(path, country, data=data)))
-        else:
-            digest, snapshot = held
+    for path, digest, snapshot in collected:
         combined.update(path.name.encode())
         combined.update(bytes.fromhex(digest))
         for sex in cfg.sexes:
             est = estimate_country(snapshot, sex, cfg.lower_bound_policy)
             rows.append(
                 [
-                    country.iso2,
+                    snapshot.country.iso2,
                     sex.value,
                     "" if est.mac is None else str(est.mac),
                     "true" if est.eligible else "false",
@@ -515,7 +520,7 @@ def stage_predict(cfg: RunConfig) -> list[Path]:
 # --------------------------------------------------------------------------
 
 def run_all(cfg: RunConfig, collector: Collector | None = None) -> list[Path]:
-    collected: Collected = {}
+    collected: Collected = []
     written = stage_collect(cfg, collector, collected)
     written += stage_estimate(cfg, collected)
     del collected  # the snapshots are not needed past estimate

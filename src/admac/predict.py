@@ -59,6 +59,21 @@ def predict_missing(
     return predictions
 
 
+def _feature(
+    country: CountryRef, sex: Sex, mac: float, low: float | None, high: float | None, source: str
+) -> dict:
+    """One geometry-free choropleth feature, keyed by iso2."""
+    properties = {
+        "iso2": country.iso2,
+        "sex": sex.value,
+        "mac_predicted": mac,
+        "interval_low": low,
+        "interval_high": high,
+        "source": source,
+    }
+    return {"type": "Feature", "id": country.iso2, "geometry": None, "properties": properties}
+
+
 def emit_choropleth(
     predictions: Sequence[Prediction],
     path: str | Path,
@@ -83,39 +98,12 @@ def emit_choropleth(
         if pred.country.iso2 in seen:
             raise ValueError(f"duplicate prediction for {pred.country.iso2}")
         seen.add(pred.country.iso2)
-        features.append(
-            {
-                "type": "Feature",
-                "id": pred.country.iso2,
-                "geometry": None,
-                "properties": {
-                    "iso2": pred.country.iso2,
-                    "sex": pred.sex.value,
-                    "mac_predicted": pred.mac_predicted,
-                    "interval_low": pred.interval_low,
-                    "interval_high": pred.interval_high,
-                    "source": "predicted",
-                },
-            }
-        )
+        low, high = pred.interval_low, pred.interval_high
+        features.append(_feature(pred.country, pred.sex, pred.mac_predicted, low, high, "predicted"))
     for rec in truth:
         if rec.country.iso2 in seen:
             continue
         seen.add(rec.country.iso2)
-        features.append(
-            {
-                "type": "Feature",
-                "id": rec.country.iso2,
-                "geometry": None,
-                "properties": {
-                    "iso2": rec.country.iso2,
-                    "sex": rec.sex.value,
-                    "mac_predicted": rec.mac,
-                    "interval_low": None,
-                    "interval_high": None,
-                    "source": "ground_truth",
-                },
-            }
-        )
+        features.append(_feature(rec.country, rec.sex, rec.mac, None, None, "ground_truth"))
     features.sort(key=lambda f: f["id"])
     write_json(path, meta or {}, {"type": "FeatureCollection", "features": features})

@@ -66,8 +66,8 @@ def test_all_equals_stage_sequence(tmp_path):
 
 
 def test_all_equals_stage_sequence_with_a_stale_snapshot(tmp_path):
-    # `all` hands its snapshots to estimate in memory; one left by an earlier
-    # run is still read, hashed and estimated, as the estimate command does
+    # collect removes a snapshot it did not write, so neither `all` nor the
+    # estimate command estimates one left by an earlier run
     assert run_cli("collect", "--out", tmp_path / "earlier", "--countries", "IT", "--seed", 42) == 0
     text = (tmp_path / "earlier" / "snapshots" / "IT.csv").read_text(encoding="utf-8")
     combined = tmp_path / "combined"
@@ -80,7 +80,9 @@ def test_all_equals_stage_sequence_with_a_stale_snapshot(tmp_path):
         assert run_cli(command, "--out", staged, "--seed", 42) == 0
     assert outputs_of(combined) == outputs_of(staged)
     _, _, rows = read_csv(combined / "estimates.csv")
-    assert [row[0] for row in rows].count("ZZ") == 2
+    assert "ZZ" not in [row[0] for row in rows]
+    for out in (combined, staged):
+        assert not (out / "snapshots" / "ZZ.csv").exists()
 
 
 def test_estimate_from_memory_equals_estimate_from_files(tmp_path):
@@ -92,15 +94,51 @@ def test_estimate_from_memory_equals_estimate_from_files(tmp_path):
     write_fixture(fixtures, "FR", full_fixture_rows()[:-1])  # one cell missing
     write_fixture(fixtures, "NG", [])  # no cells at all
     cfg = RunConfig(output_dir=tmp_path / "out", fixture_dir=fixtures, seed=3)
-    collected = {}
+    collected = []
     stage_collect(cfg, collected=collected)
-    assert sorted(p.name for p in collected) == ["FR.csv", "IT.csv", "NG.csv"]
-    for path, (digest, _) in collected.items():
+    assert [path.name for path, _, _ in collected] == ["FR.csv", "IT.csv", "NG.csv"]
+    for path, digest, _ in collected:
         assert digest == sha256_file(path)
     in_memory = stage_estimate(cfg, collected)[0].read_bytes()
     from_files = stage_estimate(cfg)[0].read_bytes()
     assert in_memory == from_files
     assert in_memory.count(b",false,incomplete_snapshot") == 3
+
+
+SIXTEEN = "AR,AU,BR,CA,CL,CO,DE,EG,ES,FR,IN,IT,JP,KE,MX,NG"
+
+
+def test_narrower_rerun_equals_a_fresh_run(tmp_path):
+    # a rerun over fewer countries estimates only those, not the earlier run's snapshots too
+    narrow, fresh = tmp_path / "narrow", tmp_path / "fresh"
+    assert run_cli("all", "--seed", 42, "--out", narrow) == 0
+    for out in (narrow, fresh):
+        assert run_cli("all", "--seed", 42, "--countries", SIXTEEN, "--out", out) == 0
+    for name in ("estimates.csv", "metrics_female.csv", "metrics_male.csv", "predictions.csv", "map.geojson"):
+        assert (narrow / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert sorted(p.name for p in (narrow / "snapshots").iterdir()) == [f"{c}.csv" for c in SIXTEEN.split(",")]
+    assert outputs_of(narrow) == outputs_of(fresh)
+
+
+def test_collect_warns_once_naming_each_snapshot_it_removes(tmp_path, caplog):
+    out = tmp_path / "out"
+    assert run_cli("collect", "--out", out, "--countries", "FR,IT,NG,PL") == 0
+    with caplog.at_level("WARNING", logger="admac.pipeline"):
+        assert run_cli("collect", "--out", out, "--countries", "IT,FR") == 0
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == ["FR.csv", "IT.csv"]
+    removals = [r.getMessage() for r in caplog.records if "removed snapshots" in r.getMessage()]
+    assert removals == ["collect: removed snapshots it did not write: NG.csv, PL.csv"]
+
+
+def test_failed_narrower_collect_keeps_the_earlier_snapshots(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("all", "--seed", 42, "--out", out) == 0
+    before = outputs_of(out)
+    capsys.readouterr()
+    assert run_cli("collect", "--seed", 42, "--out", out, "--countries", "IT,SY") == 1
+    assert _one_line_report(capsys)["error"] == "ExcludedCountry"
+    assert sum(1 for p in (out / "snapshots").iterdir()) == 21
+    assert outputs_of(out) == before
 
 
 def test_stage_requires_prior_stage(tmp_path, capsys):

@@ -14,6 +14,7 @@ from admac.domain import (
     Sex,
     age_grid,
 )
+from admac.ingest import CELL_KEYS
 from conftest import make_cell, make_snapshot
 
 
@@ -51,13 +52,6 @@ def test_bad_iso2_rejected(iso2):
         CountryRef(iso2=iso2)
 
 
-def test_lower_bound_flag_tracks_count():
-    cell20 = make_cell("IT", Sex.FEMALE, AgeGroup(15), ParentFilter.ALL, 20)
-    cell21 = make_cell("IT", Sex.FEMALE, AgeGroup(15), ParentFilter.ALL, 21)
-    assert cell20.at_lower_bound
-    assert not cell21.at_lower_bound
-
-
 def test_cell_rejects_negative_count_and_naive_timestamp():
     with pytest.raises(ValueError):
         make_cell("IT", Sex.FEMALE, AgeGroup(15), ParentFilter.ALL, -1)
@@ -86,18 +80,10 @@ def test_snapshot_rejects_foreign_cells():
 
 def test_complete_snapshot_has_28_cells_and_lookup_works():
     snap = make_snapshot()
-    assert len(snap.cells) == 28
-    assert snap.is_complete()
-    cell = snap.cell(Sex.MALE, AgeGroup(30), ParentFilter.PARENTS_0_12M)
-    assert cell is not None and cell.count == 5_000
-    assert snap.cell(Sex.MALE, AgeGroup(30), ParentFilter.ALL).count == 100_000
-
-
-def test_partial_snapshot_reports_incomplete():
-    snap = make_snapshot()
-    partial = AudienceSnapshot(country=snap.country, cells=snap.cells[:-1])
-    assert not partial.is_complete_for(Sex.MALE)
-    assert partial.is_complete_for(Sex.FEMALE)
+    by_key = {cell.key: cell for cell in snap.cells}
+    assert len(snap.cells) == 28 and set(by_key) == set(CELL_KEYS)
+    assert by_key[(Sex.MALE, AgeGroup(30), ParentFilter.PARENTS_0_12M)].count == 5_000
+    assert by_key[(Sex.MALE, AgeGroup(30), ParentFilter.ALL)].count == 100_000
 
 
 def test_value_objects_are_read_only_hashable_and_ordered():

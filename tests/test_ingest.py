@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from admac.domain import AudienceSnapshot, CountryRef, ParentFilter, Sex, age_grid
+from admac.domain import LOWER_BOUND_COUNT, AudienceSnapshot, CountryRef, ParentFilter, Sex, age_grid
 from admac.errors import (
     AuthError,
     ConfigError,
@@ -92,7 +92,13 @@ def collect_one(collector, country):
 
 def absent_keys(snapshot):
     """The CELL_KEYS that `snapshot` holds no cell for, in canonical order."""
-    return [k for k in CELL_KEYS if snapshot.cell(*k) is None]
+    held = {c.key for c in snapshot.cells}
+    return [k for k in CELL_KEYS if k not in held]
+
+
+def complete(snapshot):
+    """True iff `snapshot` holds a cell for every one of the 28 CELL_KEYS."""
+    return not absent_keys(snapshot)
 
 
 def incomplete_warnings(caplog):
@@ -176,13 +182,13 @@ def test_fixture_fetch_flags_lower_bound(fixture_dir):
         parent_filter=ParentFilter.PARENTS_0_12M,
     )
     cell = collector.fetch_cell(q20)
-    assert cell.count == 20 and cell.at_lower_bound
+    assert cell.count == LOWER_BOUND_COUNT
     q_ok = QueryDescriptor(
         country_iso2="IT", sex=Sex.FEMALE, age_min=15, age_max=19,
         parent_filter=ParentFilter.ALL,
     )
     cell = collector.fetch_cell(q_ok)
-    assert cell.count == 100_000 and not cell.at_lower_bound
+    assert cell.count == 100_000
 
 
 def test_fixture_passthrough_count(fixture_dir):
@@ -220,7 +226,7 @@ def test_collect_snapshot_complete(fixture_dir):
     collector = fixture_collector(fixture_dir)
     snapshot = collect_one(collector, IT)
     assert len(snapshot.cells) == 28
-    assert snapshot.is_complete()
+    assert complete(snapshot)
     assert {c.collected_at for c in snapshot.cells} == {datetime(2024, 6, 1, tzinfo=timezone.utc)}
 
 
@@ -230,7 +236,7 @@ def test_collect_snapshot_missing_cell_is_incomplete(fixture_dir, caplog):
     collector = fixture_collector(fixture_dir)
     with caplog.at_level(logging.WARNING, logger="admac.ingest"):
         snapshot = collect_one(collector, IT)
-    assert not snapshot.is_complete()
+    assert not complete(snapshot)
     assert len(snapshot.cells) == 27
     assert absent_keys(snapshot) == [CELL_KEYS[-1]]
     assert incomplete_warnings(caplog) == [
@@ -378,7 +384,7 @@ def test_live_retry_backoff_sequence(tmp_path, monkeypatch):
     client = StubClient(count=777, fail_plan={q: [RateLimited("x"), RateLimited("x")]})
     collector, sleeps = live_collector(tmp_path, client, monkeypatch, MAX_RETRIES=3, BASE_BACKOFF_S=0.25)
     snapshot = collect_one(collector, IT)
-    assert snapshot.cell(Sex.FEMALE, age_grid()[0], ParentFilter.ALL).count == 777
+    assert {c.key: c for c in snapshot.cells}[(Sex.FEMALE, age_grid()[0], ParentFilter.ALL)].count == 777
     assert sleeps == [0.25, 0.5]
 
 
@@ -388,7 +394,7 @@ def test_live_retries_exhausted_surface_incomplete(tmp_path, monkeypatch, caplog
     collector, sleeps = live_collector(tmp_path, client, monkeypatch, MAX_RETRIES=2, BASE_BACKOFF_S=0.1)
     with caplog.at_level(logging.WARNING, logger="admac.ingest"):
         snapshot = collect_one(collector, IT)
-    assert not snapshot.is_complete()
+    assert not complete(snapshot)
     assert len(snapshot.cells) == 27
     assert absent_keys(snapshot) == [CELL_KEYS[0]]
     assert incomplete_warnings(caplog) == [f"IT: incomplete snapshot kept (1 of 28 cells failed, first: throttled on {q})"]
@@ -411,7 +417,7 @@ def test_live_malformed_response_counts_as_missing_cell(tmp_path, caplog):
     collector, _ = live_collector(tmp_path, client)
     with caplog.at_level(logging.WARNING, logger="admac.ingest"):
         snapshot = collect_one(collector, IT)
-    assert not snapshot.is_complete()
+    assert not complete(snapshot)
     assert len(snapshot.cells) == 27
     assert [canonical("IT", k) for k in absent_keys(snapshot)] == [q]
     assert incomplete_warnings(caplog) == [
@@ -480,7 +486,7 @@ def test_cold_live_collect_starts_no_thread(tmp_path, monkeypatch):
     collector, _ = live_collector(tmp_path, client)
     snapshots = list(collector.collect_snapshots(FIVE))
     assert [s.country for s in snapshots] == FIVE
-    assert all(isinstance(s, AudienceSnapshot) and s.is_complete() for s in snapshots)
+    assert all(isinstance(s, AudienceSnapshot) and complete(s) for s in snapshots)
     assert len(client.calls) == 5 * 28
     assert started == []
 
@@ -495,7 +501,7 @@ def test_cold_live_collects_write_identical_day_files_in_the_requested_order(tmp
     runs = [tmp_path / "first", tmp_path / "second"]
     for run in runs:
         collector, _ = live_collector(run, SlowFirstCountryClient(count=500))
-        assert all(s.is_complete() for s in collector.collect_snapshots(FIVE))
+        assert all(complete(s) for s in collector.collect_snapshots(FIVE))
     first, second = (cache_file(run).read_bytes() for run in runs)
     assert first == second
     blocks = [c.country.iso2 for c in read_cells_csv(cache_file(runs[0]))]
@@ -531,7 +537,7 @@ def test_auth_error_stops_dispatch_and_keeps_earlier_countries_cached(tmp_path):
     fresh, _ = live_collector(tmp_path, fresh_client)
     snapshots = list(fresh.collect_snapshots(earlier))
     assert fresh_client.calls == []
-    assert all(s.is_complete() and s.cells[0].count == 500 for s in snapshots)
+    assert all(complete(s) and s.cells[0].count == 500 for s in snapshots)
 
 
 def test_collect_ended_by_an_error_warns_of_no_incomplete_snapshot(tmp_path, caplog):
@@ -619,7 +625,7 @@ def test_collect_across_utc_midnight_writes_each_country_to_the_day_it_looked_up
     config = CollectorConfig(mode=Mode.LIVE, cache_dir=tmp_path / "cache")
     collector = Collector(config, client=StubClient(count=500), clock=clock, sleep=lambda s: None)
     snapshots = list(collector.collect_snapshots([IT, CountryRef(iso2="NG")]))
-    assert all(isinstance(s, AudienceSnapshot) and s.is_complete() for s in snapshots)
+    assert all(isinstance(s, AudienceSnapshot) and complete(s) for s in snapshots)
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["2024-06-02.csv"]
     for iso2 in ("IT", "NG"):
         assert cached_keys(tmp_path / "cache" / "2024-06-02.csv", iso2) == list(CELL_KEYS)
@@ -641,7 +647,7 @@ def test_partly_cached_collect_across_utc_midnight_answers_hits_for_the_day_it_l
     client = StubClient(count=500)
     config = CollectorConfig(mode=Mode.LIVE, cache_dir=tmp_path / "cache")
     collector = Collector(config, client=client, clock=clock, sleep=lambda s: None)
-    assert collect_one(collector, IT).is_complete()
+    assert complete(collect_one(collector, IT))
     assert len(client.calls) == 3
     assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
     assert [c.key for c in read_cells_csv(path)] == list(CELL_KEYS)
@@ -651,7 +657,7 @@ def test_country_whose_misses_all_fail_gets_no_cache_write(tmp_path, caplog):
     failing = lambda: StubClient(fail_plan={canonical("IT", k): [MalformedResponse(f"bad {canonical('IT', k)}")] for k in CELL_KEYS})
     with caplog.at_level(logging.WARNING, logger="admac.ingest"):
         snapshot = collect_one(live_collector(tmp_path, failing())[0], IT)
-    assert not snapshot.is_complete()
+    assert not complete(snapshot)
     assert len(snapshot.cells) == 0
     assert absent_keys(snapshot) == list(CELL_KEYS)
     assert incomplete_warnings(caplog) == [
@@ -666,7 +672,7 @@ def test_country_whose_misses_all_fail_gets_no_cache_write(tmp_path, caplog):
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="admac.ingest"):
         snapshot = collect_one(live_collector(tmp_path, failing())[0], IT)
-    assert not snapshot.is_complete()
+    assert not complete(snapshot)
     assert len(snapshot.cells) == 25
     assert absent_keys(snapshot) == list(CELL_KEYS[-3:])
     assert incomplete_warnings(caplog) == [
@@ -686,7 +692,7 @@ def test_cold_collect_reads_the_store_once_per_country_and_sends_each_query_once
     monkeypatch.setattr(_CellStore, "cells", cells)
     client = StubClient(count=500)
     collector, _ = live_collector(tmp_path, client)
-    assert all(s.is_complete() for s in collector.collect_snapshots(FIVE))
+    assert all(complete(s) for s in collector.collect_snapshots(FIVE))
     assert reads == [c.iso2 for c in FIVE]
     assert sorted(client.calls) == sorted(ingest._query(c.iso2, key).canonical() for c in FIVE for key in CELL_KEYS)
 
@@ -707,13 +713,13 @@ def test_live_collect_yields_incomplete_snapshot_and_caches_what_arrived(tmp_pat
     with caplog.at_level(logging.WARNING, logger="admac.ingest"):
         snapshots = collector.collect_snapshots(FIVE)
     assert [s.country for s in snapshots] == FIVE
-    assert not snapshots[1].is_complete()
+    assert not complete(snapshots[1])
     assert len(snapshots[1].cells) == 27
     assert [canonical("BR", k) for k in absent_keys(snapshots[1])] == [q]
     assert incomplete_warnings(caplog) == [
         f"BR: incomplete snapshot kept (1 of 28 cells failed, first: unparseable body for {q})"
     ]
-    assert all(s.is_complete() for i, s in enumerate(snapshots) if i != 1)
+    assert all(complete(s) for i, s in enumerate(snapshots) if i != 1)
     assert len(cached_keys(cache_file(tmp_path), "BR")) == 27
 
 
@@ -744,7 +750,7 @@ def test_day_file_whose_last_append_was_cut_short_is_dropped_then_repaired(tmp_p
     inode = path.stat().st_ino
     client = StubClient(count=500)
     with caplog.at_level(logging.WARNING, logger="admac.ingest"):
-        assert all(s.is_complete() for s in live_collector(tmp_path, client)[0].collect_snapshots(FIVE))
+        assert all(complete(s) for s in live_collector(tmp_path, client)[0].collect_snapshots(FIVE))
     assert client.calls == [ingest._query("NG", key).canonical() for key in CELL_KEYS[19:]]
     assert any(str(path) in r.getMessage() and f"line {torn + 1}" in r.getMessage() for r in caplog.records)
     assert path.stat().st_ino == inode  # cut back in place, then appended to
@@ -752,7 +758,7 @@ def test_day_file_whose_last_append_was_cut_short_is_dropped_then_repaired(tmp_p
     assert text.endswith("\n") and text.count(",".join(CELL_COLUMNS)) == 1
     assert all(cached_keys(path, c.iso2) == list(CELL_KEYS) for c in FIVE)
     again = StubClient(count=500)
-    assert all(s.is_complete() for s in live_collector(tmp_path, again)[0].collect_snapshots(FIVE))
+    assert all(complete(s) for s in live_collector(tmp_path, again)[0].collect_snapshots(FIVE))
     assert again.calls == []
 
 
@@ -781,7 +787,7 @@ def test_day_file_cut_short_at_its_creation_is_refetched_and_rewritten(tmp_path,
     path.write_text(left, encoding="utf-8")
     client = StubClient(count=500)
     with caplog.at_level(logging.WARNING, logger="admac.ingest"):
-        assert collect_one(live_collector(tmp_path, client)[0], IT).is_complete()
+        assert complete(collect_one(live_collector(tmp_path, client)[0], IT))
     assert len(client.calls) == 28
     assert any(str(path) in r.getMessage() for r in caplog.records)
     assert cached_keys(path, "IT") == list(CELL_KEYS)
@@ -810,7 +816,7 @@ def test_torn_last_cache_line_is_dropped_and_refetched(tmp_path, caplog):
     fresh, _ = live_collector(tmp_path, client)
     with caplog.at_level(logging.WARNING, logger="admac.ingest"):
         snapshots = list(fresh.collect_snapshots(countries))
-    assert all(isinstance(s, AudienceSnapshot) and s.is_complete() for s in snapshots)
+    assert all(isinstance(s, AudienceSnapshot) and complete(s) for s in snapshots)
     assert client.calls == ["iso2=IT&sex=male&age_min=45&age_max=49&parent_filter=parent_of_child_0_12m"]
     assert any(str(path) in r.getMessage() and "line 57" in r.getMessage() for r in caplog.records)
     assert path.read_text(encoding="utf-8").endswith("\n")
@@ -849,7 +855,7 @@ def test_append_that_fails_part_way_leaves_the_file_at_its_last_line_break(tmp_p
     assert len(client.calls) == 28
     assert path.read_bytes() == before
     again = StubClient(count=500)
-    assert all(s.is_complete() for s in live_collector(tmp_path, again)[0].collect_snapshots([IT, NG]))
+    assert all(complete(s) for s in live_collector(tmp_path, again)[0].collect_snapshots([IT, NG]))
     assert sorted(again.calls) == sorted(ingest._query("NG", key).canonical() for key in CELL_KEYS)
     # through the CLI: the one-line JSON report, and the day file as it was
     monkeypatch.setattr(ingest, "AdsApiClient", lambda token: StubClient(count=500))
@@ -920,7 +926,7 @@ def test_non_utf8_cache_file_is_cut_back_or_removed_and_refetched(tmp_path, capl
         client = StubClient(count=500)
         fresh, _ = live_collector(tmp_path, client)
         with caplog.at_level(logging.WARNING, logger="admac.ingest"):
-            assert collect_one(fresh, IT).is_complete()
+            assert complete(collect_one(fresh, IT))
         assert len(client.calls) == lost
         assert any(str(path) in r.getMessage() and says in r.getMessage() for r in caplog.records)
         assert path.read_bytes() == good
