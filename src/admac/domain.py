@@ -90,14 +90,14 @@ class CountryRef(namedtuple("CountryRef", "iso2")):
 LOWER_BOUND_COUNT = 20
 
 
-class AudienceCell(namedtuple("AudienceCell", "country sex age_group parent_filter count collected_at")):
-    """One audience count for (country, sex, age group, parent filter)."""
+class AudienceCell(namedtuple("AudienceCell", "sex age_group parent_filter count collected_at")):
+    """One audience count for (sex, age group, parent filter). A cell holds no
+    country: it belongs to the snapshot, or the file row, that holds it."""
 
     __slots__ = ()
 
     def __new__(
         cls,
-        country: CountryRef,
         sex: Sex,
         age_group: AgeGroup,
         parent_filter: ParentFilter,
@@ -108,7 +108,7 @@ class AudienceCell(namedtuple("AudienceCell", "country sex age_group parent_filt
             raise ValueError(f"audience count must be non-negative, got {count}")
         if collected_at.tzinfo is None:
             raise ValueError("collected_at must be timezone-aware (UTC)")
-        return tuple.__new__(cls, (country, sex, age_group, parent_filter, count, collected_at))
+        return tuple.__new__(cls, (sex, age_group, parent_filter, count, collected_at))
 
     @property
     def key(self) -> tuple[Sex, AgeGroup, ParentFilter]:
@@ -120,7 +120,8 @@ def utc_now() -> datetime:
 
 
 class AudienceSnapshot(namedtuple("AudienceSnapshot", "country cells")):
-    """All cells collected for one country in one pass.
+    """All cells collected for one country in one pass; the country is the
+    snapshot's, and every cell in it is that country's.
 
     A complete snapshot holds 7 age groups x 2 sexes x 2 filters = 28 cells.
     Partial snapshots are representable (collection can fail per cell).
@@ -131,8 +132,6 @@ class AudienceSnapshot(namedtuple("AudienceSnapshot", "country cells")):
     def __new__(cls, country: CountryRef, cells: tuple[AudienceCell, ...]) -> AudienceSnapshot:
         keys = set()
         for cell in cells:
-            if cell.country.iso2 != country.iso2:
-                raise ValueError(f"cell for {cell.country.iso2} in snapshot for {country.iso2}")
             if cell.key in keys:
                 raise ValueError(f"duplicate cell {cell.key} in snapshot for {country.iso2}")
             keys.add(cell.key)

@@ -81,10 +81,6 @@ class DomainError(AdmacError):
 
 # --- predict / report --------------------------------------------------------
 
-class UnfittedModel(AdmacError):
-    """Prediction requested from a missing or unfitted model."""
-
-
 class EmptyInput(AdmacError):
     """Emitter refused to write an empty artifact."""
 

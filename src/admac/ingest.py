@@ -94,15 +94,6 @@ class QueryDescriptor(namedtuple("QueryDescriptor", "country_iso2 sex age_min ag
             )
         return tuple.__new__(cls, (country_iso2, sex, age_min, age_max, parent_filter))
 
-    @property
-    def age_group(self) -> AgeGroup:
-        return AgeGroup(self.age_min)
-
-    @property
-    def key(self) -> CellKey:
-        """The key of the cell this query asks for (see AudienceCell.key)."""
-        return (self.sex, self.age_group, self.parent_filter)
-
     def canonical(self) -> str:
         """Deterministic, fixed-field-order serialization."""
         return (
@@ -160,78 +151,55 @@ def _cell_key(sex: str, age_low: str, age_high: str, flt: str) -> CellKey:
     return _CANONICAL_KEYS[Sex(sex.strip().lower()), group, ParentFilter(flt.strip())]
 
 
-@lru_cache(maxsize=1024)  # at most 26 * 26 codes are valid
-def _country_ref(iso2: str) -> CountryRef:
-    """The one CountryRef that every cell read or fetched for `iso2` shares."""
-    return CountryRef(iso2=iso2)
-
-
-def _row_to_cell(row: Sequence[str], country: CountryRef | None) -> AudienceCell:
-    iso2, sex, age_low, age_high, flt, count, collected_at = row
-    iso2 = iso2.strip().upper()
-    if country is None:
-        country = _country_ref(iso2)
-    elif iso2 != country.iso2:
-        raise ValueError(f"row names {iso2} in a file for {country.iso2}")
-    sex, group, flt = _cell_key(sex, age_low, age_high, flt)
-    return AudienceCell(
-        country=country,
-        sex=sex,
-        age_group=group,
-        parent_filter=flt,
-        count=int(count),
-        collected_at=parse_timestamp(collected_at.strip()),
-    )
-
-
-def _cell_lines(cells: Iterable[AudienceCell]) -> str:
-    """The data rows of `cells` in a cell CSV, each ending in a line break."""
+def _cell_lines(iso2: str, cells: Iterable[AudienceCell]) -> str:
+    """The data rows of `iso2`'s `cells` in a cell CSV, each ending in a line break."""
     return "".join(
-        f"{c.country.iso2},{_KEY_FIELDS[c.key]},{c.count},{format_timestamp(c.collected_at)}\n"
-        for c in cells
+        f"{iso2},{_KEY_FIELDS[c.key]},{c.count},{format_timestamp(c.collected_at)}\n" for c in cells
     )
 
 
 def write_cells_csv(
-    path: str | Path, cells: Iterable[AudienceCell], meta: dict[str, str] | None = None
+    path: str | Path, iso2: str, cells: Iterable[AudienceCell], meta: dict[str, str] | None = None
 ) -> str:
-    """Write cells as a cell CSV; returns the SHA-256 hex digest of the bytes written."""
+    """Write `iso2`'s cells as a cell CSV; returns the SHA-256 hex digest of the bytes written."""
     comments = "".join(f"# {key}={value}\n" for key, value in (meta or {}).items())
-    text = comments + _HEADER_LINE + _cell_lines(cells)
+    text = comments + _HEADER_LINE + _cell_lines(iso2, cells)
     atomic_write_text(path, text)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def read_cells_csv(
-    path: str | Path, country: CountryRef | None = None, *, data: bytes | None = None
-) -> list[AudienceCell]:
-    """The cells of a cell CSV in file order, read with `fileio.read_table`.
+    path: str | Path, iso2: str | None = None, *, data: bytes | None = None
+) -> dict[str, dict[CellKey, AudienceCell]]:
+    """The cells of a cell CSV by country, then by key, read with `fileio.read_table`.
 
-    `country`, when given, is the country every row must name, once per
-    cell, and all cells share it; otherwise each row's CountryRef is
-    `_country_ref`'s (a day file, where a later row for a cell wins).
-    `data` is the file's bytes when the caller has already read them (the
-    live cache passes only its whole lines). A malformed row, one naming
-    another country than `country` or a second row for one of its cells
-    raises ParseError with its file line.
+    With `iso2` (a fixture or snapshot) the result holds that country alone,
+    every row must name it and a second row for one cell is an error.
+    Without it (a day file) each code is checked once, and a later row for a
+    cell wins. `data` is the file's bytes when the caller has already read
+    them (the live cache passes only its whole lines). A malformed row, or
+    one these rules refuse, raises ParseError with its file line.
     """
     _, _, rows = read_table(path, CELL_COLUMNS, data=data)
-    cells = []
-    seen: set[CellKey] = set()
+    by_country: dict[str, dict[CellKey, AudienceCell]] = {} if iso2 is None else {iso2: {}}
     for lineno, row in rows:
         try:
             if len(row) != len(CELL_COLUMNS):
                 raise ValueError(f"expected {len(CELL_COLUMNS)} fields")
-            cell = _row_to_cell(row, country)
-            if country is not None:
-                key = cell.key
-                if key in seen:
-                    raise ValueError(f"a second row for cell {_KEY_FIELDS[key]}")
-                seen.add(key)
-            cells.append(cell)
+            code, sex, age_low, age_high, flt, count, collected_at = row
+            code = code.strip().upper()
+            cells = by_country.get(code)
+            if cells is None:
+                if iso2 is not None:
+                    raise ValueError(f"row names {code} in a file for {iso2}")
+                cells = by_country[CountryRef(iso2=code).iso2] = {}
+            key = _cell_key(sex, age_low, age_high, flt)
+            if iso2 is not None and key in cells:
+                raise ValueError(f"a second row for cell {_KEY_FIELDS[key]}")
+            cells[key] = AudienceCell(*key, int(count), parse_timestamp(collected_at.strip()))
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from exc
-    return cells
+    return by_country
 
 
 def file_country(path: Path) -> CountryRef:
@@ -377,32 +345,31 @@ class _CellStore:
         if day is not None:
             if day not in self._days:
                 self._days.add(day)
-                for cell in self._read_day(day):
-                    self._files.setdefault((cell.country.iso2, day), {})[cell.key] = cell
+                self._files.update(((code, day), cells) for code, cells in self._read_day(day).items())
         elif (iso2, None) not in self._files:
             path = self._path(iso2)
             held = None
             if path.exists():
                 data = path.read_bytes()
                 self._digests[iso2] = hashlib.sha256(data).hexdigest()
-                held = {c.key: c for c in read_cells_csv(path, _country_ref(iso2), data=data)}
+                held = read_cells_csv(path, iso2, data=data)[iso2]
             self._files[iso2, None] = held
         return self._files.get((iso2, day))
 
-    def _read_day(self, day: date) -> list[AudienceCell]:
-        """The cells of `day`'s cache file, kept to its whole lines (see the class docstring)."""
+    def _read_day(self, day: date) -> dict[str, dict[CellKey, AudienceCell]]:
+        """`day`'s cache file read by country, kept to its whole lines (see the class docstring)."""
         path = self._path(day.isoformat())
         try:
             data = path.read_bytes()
         except FileNotFoundError:
-            return []
+            return {}
         end = data.rfind(b"\n") + 1
         try:
             cells = read_cells_csv(path, data=data[:end])
         except ParseError as exc:  # bad bytes, a bad row or header, or no complete line
             logger.warning("%s; removed it, its cells are fetched again", exc)
             path.unlink()
-            return []
+            return {}
         if end < len(data):
             line = data.count(b"\n", 0, end) + 1
             logger.warning("%s: cut off torn last line %d; its cell is fetched again", path, line)
@@ -420,7 +387,7 @@ class _CellStore:
         held = self._files.get((iso2, day), {})
         new = {c.key: c for c in cells if held.get(c.key) != c}
         if new:
-            lines = _cell_lines(new[k] for k in CELL_KEYS if k in new)
+            lines = _cell_lines(iso2, (new[k] for k in CELL_KEYS if k in new))
             append_lines(self._path(day.isoformat()), lines, _HEADER_LINE)
             self._files[iso2, day] = {**held, **new}
 
@@ -480,12 +447,13 @@ class Collector:
         """The query's cell: from its fixture, or live from the `day` cache file (default:
         today) or fetched into it."""
         iso2 = query.country_iso2
+        key = (query.sex, AgeGroup(query.age_min), query.parent_filter)
         day = (day or self._clock().date()) if self.config.mode is Mode.LIVE else None
-        cell = self._cells(iso2, day).get(query.key)
+        cell = self._cells(iso2, day).get(key)
         if cell is None:
             if day is None:
                 raise FixtureMiss(f"fixture has no row for {query.canonical()}")
-            cell = self._request(iso2, query.key)
+            cell = self._request(iso2, key)
             self._store.write(iso2, day, [cell])
         return cell
 
@@ -510,7 +478,7 @@ class Collector:
                     query.canonical(), attempt, MAX_RETRIES, delay,
                 )
                 self._sleep(delay)
-        return AudienceCell(_country_ref(iso2), *key, count=count, collected_at=self._clock())
+        return AudienceCell(*key, count=count, collected_at=self._clock())
 
     def collect_snapshots(self, countries: Sequence[CountryRef]) -> list[AudienceSnapshot]:
         """Each country's snapshot, in the order given.

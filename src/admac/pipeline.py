@@ -214,7 +214,8 @@ def stage_collect(
         fixture = collector.fixture_digest(iso2)
         inputs = {} if fixture is None else {f"fixture_{iso2}": fixture}
         path = cfg.snapshots_dir / f"{iso2}.csv"
-        digest = write_cells_csv(path, snapshot.cells, meta=standard_metadata(seed=cfg.seed, inputs=inputs))
+        meta = standard_metadata(seed=cfg.seed, inputs=inputs)
+        digest = write_cells_csv(path, iso2, snapshot.cells, meta=meta)
         if collected is not None:
             collected.append((path, digest, snapshot))
         written.append(path)
@@ -244,7 +245,8 @@ def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> list[P
         for path in sorted(cfg.snapshots_dir.glob("*.csv")):
             country = file_country(path)
             data = path.read_bytes()
-            snapshot = AudienceSnapshot(country, tuple(read_cells_csv(path, country, data=data)))
+            cells = read_cells_csv(path, country.iso2, data=data)[country.iso2]
+            snapshot = AudienceSnapshot(country, tuple(cells.values()))
             collected.append((path, hashlib.sha256(data).hexdigest(), snapshot))
     if not collected:
         raise MissingStageInput(f"no snapshots under {cfg.snapshots_dir}; run `collect` first")
@@ -510,8 +512,11 @@ def stage_predict(cfg: RunConfig) -> list[Path]:
     try:
         emit_choropleth(predictions, cfg.map_path, truth=sex_truth, meta=map_meta)
         written.append(cfg.map_path)
-    except EmptyInput:
-        logger.warning("no %s predictions; map not emitted", map_sex.value)
+    except EmptyInput:  # an earlier run's map would show predictions this run does not make
+        cfg.map_path.unlink(missing_ok=True)
+        logger.warning(
+            "no %s predictions; map not emitted (any earlier %s is removed)", map_sex.value, cfg.map_path
+        )
     return written
 
 

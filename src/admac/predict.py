@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .domain import CountryRef, Sex
-from .errors import EmptyInput, UnfittedModel
+from .errors import EmptyInput
 from .fileio import write_json
 from .groundtruth import GroundTruthRecord
 from .indicators import MacEstimate
@@ -24,7 +24,7 @@ class Prediction(NamedTuple):
 
 
 def predict_missing(
-    model: CalibrationModel | None,
+    model: CalibrationModel,
     estimates: Sequence[MacEstimate],
     truth: Sequence[GroundTruthRecord],
 ) -> list[Prediction]:
@@ -35,8 +35,6 @@ def predict_missing(
     interval uses the residual standard error, the leverage of mac_fb in
     the training sample, and the t(df_resid) quantile.
     """
-    if model is None:
-        raise UnfittedModel("predict_missing needs a fitted calibration model")
     covered = {(rec.country.iso2, rec.sex) for rec in truth}
     predictions = []
     for est in estimates:

@@ -20,9 +20,8 @@ from admac.fileio import read_table
 TS = datetime(2024, 6, 1, tzinfo=timezone.utc)
 
 
-def make_cell(iso2, sex, group, parent_filter, count, when=TS):
+def make_cell(sex, group, parent_filter, count, when=TS):
     return AudienceCell(
-        country=CountryRef(iso2=iso2),
         sex=sex,
         age_group=group,
         parent_filter=parent_filter,
@@ -48,8 +47,8 @@ def make_snapshot(
     cells = []
     for sex, (totals, parents) in counts.items():
         for group, total, parent in zip(age_grid(), totals, parents):
-            cells.append(make_cell(iso2, sex, group, ParentFilter.ALL, total))
-            cells.append(make_cell(iso2, sex, group, ParentFilter.PARENTS_0_12M, parent))
+            cells.append(make_cell(sex, group, ParentFilter.ALL, total))
+            cells.append(make_cell(sex, group, ParentFilter.PARENTS_0_12M, parent))
     return AudienceSnapshot(country=CountryRef(iso2=iso2), cells=tuple(cells))
 
 

@@ -474,6 +474,25 @@ def test_map_shows_the_truth_row_the_join_kept(tmp_path, caplog):
     assert features["AR"]["mac_predicted"] == 33.01
 
 
+def test_rerun_with_no_map_sex_prediction_removes_the_earlier_map(tmp_path, caplog):
+    # a truth row for every male the first run predicted: the rerun predicts no male, so it
+    # emits no map, and the first run's map, which still shows those predictions, must go
+    first, fresh = tmp_path / "first", tmp_path / "fresh"
+    assert run_cli("all", "--seed", 42, "--out", first) == 0
+    _, _, predictions = read_csv(first / "predictions.csv")
+    males = [iso2 for iso2, sex, *_ in predictions if sex == "male"]
+    assert males and (first / "map.geojson").exists()
+    truth = tmp_path / "truth.csv"
+    bundled = packaged_data_path("ground_truth.csv").read_text(encoding="utf-8")
+    truth.write_text(bundled + "".join(f"{iso2},male,35.00,2006-2015\n" for iso2 in males), encoding="utf-8")
+    with caplog.at_level("WARNING", logger="admac.pipeline"):
+        for out in (first, fresh):
+            assert run_cli("all", "--seed", 42, "--truth", truth, "--out", out) == 0
+    assert not (first / "map.geojson").exists()
+    assert outputs_of(first) == outputs_of(fresh)
+    assert f"no male predictions; map not emitted (any earlier {first / 'map.geojson'} is removed)" in caplog.text
+
+
 @pytest.mark.parametrize("policy", ["any", "parents-only"])
 def test_zero_exposure_is_an_ineligible_estimate(tmp_path, policy):
     fixtures = tmp_path / "fixtures"

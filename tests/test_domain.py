@@ -54,10 +54,9 @@ def test_bad_iso2_rejected(iso2):
 
 def test_cell_rejects_negative_count_and_naive_timestamp():
     with pytest.raises(ValueError):
-        make_cell("IT", Sex.FEMALE, AgeGroup(15), ParentFilter.ALL, -1)
+        make_cell(Sex.FEMALE, AgeGroup(15), ParentFilter.ALL, -1)
     with pytest.raises(ValueError):
         AudienceCell(
-            country=CountryRef(iso2="IT"),
             sex=Sex.FEMALE,
             age_group=AgeGroup(15),
             parent_filter=ParentFilter.ALL,
@@ -67,15 +66,9 @@ def test_cell_rejects_negative_count_and_naive_timestamp():
 
 
 def test_snapshot_rejects_duplicate_cells():
-    cell = make_cell("IT", Sex.FEMALE, AgeGroup(15), ParentFilter.ALL, 100)
+    cell = make_cell(Sex.FEMALE, AgeGroup(15), ParentFilter.ALL, 100)
     with pytest.raises(ValueError, match="duplicate"):
         AudienceSnapshot(country=CountryRef(iso2="IT"), cells=(cell, cell))
-
-
-def test_snapshot_rejects_foreign_cells():
-    cell = make_cell("FR", Sex.FEMALE, AgeGroup(15), ParentFilter.ALL, 100)
-    with pytest.raises(ValueError, match="FR"):
-        AudienceSnapshot(country=CountryRef(iso2="IT"), cells=(cell,))
 
 
 def test_complete_snapshot_has_28_cells_and_lookup_works():

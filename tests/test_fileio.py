@@ -115,10 +115,15 @@ def test_read_csv_on_empty_file(tmp_path):
 
 # --- the CSV loaders share one reader ---------------------------------------------
 
+def _read_cells_flat(path):
+    """read_cells_csv's cells as one list, every country's in file order."""
+    return [cell for cells in read_cells_csv(path).values() for cell in cells.values()]
+
+
 # loader, its columns, and two valid data rows
 CSV_LOADERS = {
     "cells": (
-        read_cells_csv,
+        _read_cells_flat,
         ["iso2", "sex", "age_low", "age_high", "parent_filter", "count", "collected_at"],
         ["IT,female,15,19,all,100,2024-06-01T00:00:00Z",
          "IT,female,15,19,parent_of_child_0_12m,5,2024-06-01T00:00:00Z"],

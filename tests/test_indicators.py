@@ -294,7 +294,7 @@ def _random_snapshot(rng):
                 else:
                     count = rng.randint(LOWER_BOUND_COUNT + 1, 9_000)
                 counts[sex][(group.lower, flt)] = count
-                cells.append(make_cell(COUNTRY.iso2, sex, group, flt, count))
+                cells.append(make_cell(sex, group, flt, count))
     rng.shuffle(cells)
     return AudienceSnapshot(country=COUNTRY, cells=tuple(cells)), counts
 

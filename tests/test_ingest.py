@@ -30,6 +30,7 @@ from admac.errors import (
 )
 from admac import ingest
 from admac.cli import main
+from admac.fileio import read_table
 from admac.ingest import (
     AdsApiClient,
     CELL_COLUMNS,
@@ -263,23 +264,23 @@ def test_fixture_countries_listing(fixture_dir):
 def test_cells_csv_roundtrip(tmp_path):
     snapshot = make_snapshot()
     path = tmp_path / "cells.csv"
-    write_cells_csv(path, snapshot.cells, meta={"seed": "1"})
+    write_cells_csv(path, "IT", snapshot.cells, meta={"seed": "1"})
     assert path.read_text().startswith("# seed=1\n" + ",".join(CELL_COLUMNS))
     cells = read_cells_csv(path)
-    assert tuple(cells) == snapshot.cells
+    assert list(cells) == ["IT"] and tuple(cells["IT"].values()) == snapshot.cells
 
 
 def test_write_cells_csv_matches_csv_writer_and_returns_its_digest(tmp_path):
     snapshot = make_snapshot()
     path = tmp_path / "cells.csv"
-    digest = write_cells_csv(path, snapshot.cells, meta={"seed": "1", "tool": "admac x"})
+    digest = write_cells_csv(path, "IT", snapshot.cells, meta={"seed": "1", "tool": "admac x"})
     buf = io.StringIO()
     buf.write("# seed=1\n# tool=admac x\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CELL_COLUMNS)
     for c in snapshot.cells:
         writer.writerow([
-            c.country.iso2, c.sex.value, c.age_group.lower, c.age_group.upper,
+            snapshot.country.iso2, c.sex.value, c.age_group.lower, c.age_group.upper,
             c.parent_filter.value, c.count, "2024-06-01T00:00:00Z",
         ])
     assert path.read_bytes() == buf.getvalue().encode("utf-8")
@@ -291,13 +292,6 @@ def test_format_timestamp_memo_gives_utc_text_for_any_zone():
     cest = utc.astimezone(timezone(timedelta(hours=2)))
     assert format_timestamp(utc) == format_timestamp(cest) == "2024-06-01T10:30:00Z"
     assert format_timestamp(cest.replace(microsecond=5)) == "2024-06-01T10:30:00.000005Z"
-
-
-def test_cells_of_one_file_share_one_country_ref(tmp_path):
-    path = tmp_path / "cells.csv"
-    write_cells_csv(path, make_snapshot().cells)
-    cells = read_cells_csv(path)
-    assert len(cells) == 28 and all(c.country is cells[0].country for c in cells)
 
 
 VALID_ROW = "IT,female,15,19,all,100,2024-06-01T00:00:00Z"
@@ -313,8 +307,9 @@ VALID_ROW = "IT,female,15,19,all,100,2024-06-01T00:00:00Z"
         "IT,female,15,19,all,-5,2024-06-01T00:00:00Z",  # negative count
         "IT,female,15,19,all,100,2024-06-31T00:00:00Z",  # no such day
         "IT,female,15,19,all,100",  # field count
+        "I1,female,15,19,all,100,2024-06-01T00:00:00Z",  # iso2
     ],
-    ids=["age_low", "age_high", "sex", "filter", "negative_count", "bad_timestamp", "fields"],
+    ids=["age_low", "age_high", "sex", "filter", "negative_count", "bad_timestamp", "fields", "iso2"],
 )
 def test_bad_row_raises_parse_error_with_its_line_after_memos_are_warm(tmp_path, bad_row):
     good = tmp_path / "good.csv"
@@ -329,13 +324,31 @@ def test_bad_row_raises_parse_error_with_its_line_after_memos_are_warm(tmp_path,
         assert str(bad) in str(caught.value)
 
 
+@pytest.mark.parametrize(
+    "second_row",
+    [VALID_ROW.replace("IT", "FR", 1), VALID_ROW.replace(",100,", ",200,")],
+    ids=["other_country", "same_cell"],
+)
+def test_one_country_file_refuses_another_country_and_a_second_row_for_a_cell(tmp_path, second_row):
+    path = tmp_path / "IT.csv"
+    path.write_text(f"{','.join(CELL_COLUMNS)}\n{VALID_ROW}\n\n{second_row}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        read_cells_csv(path, "IT")
+    assert caught.value.line == 4
+    assert str(path) in str(caught.value)
+    # read as a day file, the other country's row is its own and a later row for a cell wins
+    by_country = read_cells_csv(path)
+    counts = {iso2: [c.count for c in cells.values()] for iso2, cells in by_country.items()}
+    assert counts == ({"IT": [100], "FR": [100]} if "FR" in second_row else {"IT": [200]})
+
+
 def test_naive_timestamp_reads_as_utc_with_memos_warm(tmp_path):
     path = tmp_path / "cells.csv"
     path.write_text(
         f"{','.join(CELL_COLUMNS)}\n{VALID_ROW}\n{VALID_ROW.replace('all', 'parent_of_child_0_12m')[:-1]}\n",
         encoding="utf-8",
     )
-    first, second = read_cells_csv(path)
+    first, second = read_cells_csv(path)["IT"].values()
     assert first.collected_at == second.collected_at == datetime(2024, 6, 1, tzinfo=timezone.utc)
 
 
@@ -451,9 +464,15 @@ def cache_file(tmp_path):
     return tmp_path / "cache" / f"{FIXED_NOW.date().isoformat()}.csv"
 
 
+def cached_rows(path):
+    """The (iso2, cell key) of each data row of the cache file at `path`, in file order."""
+    _, _, rows = read_table(path, CELL_COLUMNS)
+    return [(row[0], ingest._cell_key(*row[1:5])) for _, row in rows]
+
+
 def cached_keys(path, iso2):
     """The keys of `iso2`'s rows in the cache file at `path`, in file order."""
-    return [c.key for c in read_cells_csv(path) if c.country.iso2 == iso2]
+    return [key for code, key in cached_rows(path) if code == iso2]
 
 
 def record_store_writes(monkeypatch, record):
@@ -504,7 +523,7 @@ def test_cold_live_collects_write_identical_day_files_in_the_requested_order(tmp
         assert all(complete(s) for s in collector.collect_snapshots(FIVE))
     first, second = (cache_file(run).read_bytes() for run in runs)
     assert first == second
-    blocks = [c.country.iso2 for c in read_cells_csv(cache_file(runs[0]))]
+    blocks = [iso2 for iso2, _ in cached_rows(cache_file(runs[0]))]
     assert blocks == [c.iso2 for c in FIVE for _ in CELL_KEYS]
 
 
@@ -555,7 +574,7 @@ def test_each_country_is_written_once_as_soon_as_it_resolves(tmp_path, monkeypat
 
     class CheckingClient(StubClient):
         def reach_estimate(self, query):
-            if query.key == CELL_KEYS[0]:
+            if query.canonical() == canonical(query.country_iso2, CELL_KEYS[0]):
                 seen_on_first_query[query.country_iso2] = list(writes)
             return super().reach_estimate(query)
 
@@ -578,7 +597,7 @@ def test_error_mid_country_still_caches_the_cells_that_arrived(tmp_path, error):
     with pytest.raises(type(error)):
         collector.collect_snapshots([IT, CountryRef(iso2="NG")])
     assert len(client.calls) == 2
-    assert [(c.country.iso2, c.key) for c in read_cells_csv(cache_file(tmp_path))] == [("IT", CELL_KEYS[0])]
+    assert cached_rows(cache_file(tmp_path)) == [("IT", CELL_KEYS[0])]
     fresh_client = StubClient(count=500)
     fresh, _ = live_collector(tmp_path, fresh_client)
     collect_one(fresh, IT)
@@ -650,7 +669,7 @@ def test_partly_cached_collect_across_utc_midnight_answers_hits_for_the_day_it_l
     assert complete(collect_one(collector, IT))
     assert len(client.calls) == 3
     assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
-    assert [c.key for c in read_cells_csv(path)] == list(CELL_KEYS)
+    assert [key for _, key in cached_rows(path)] == list(CELL_KEYS)
 
 
 def test_country_whose_misses_all_fail_gets_no_cache_write(tmp_path, caplog):
@@ -793,13 +812,6 @@ def test_day_file_cut_short_at_its_creation_is_refetched_and_rewritten(tmp_path,
     assert cached_keys(path, "IT") == list(CELL_KEYS)
 
 
-def test_fetched_cells_of_a_country_share_one_country_ref(tmp_path):
-    collector, _ = live_collector(tmp_path, StubClient(count=500))
-    for snapshot in collector.collect_snapshots([IT, CountryRef(iso2="NG")]):
-        assert len(snapshot.cells) == 28
-        assert all(c.country is snapshot.cells[0].country for c in snapshot.cells)
-
-
 def _tear_last_line(path):
     """Cut the file inside its last row, as an interrupted append leaves it."""
     text = path.read_text(encoding="utf-8")
@@ -882,19 +894,20 @@ def test_bad_cache_line_with_a_line_break_is_removed_and_refetched(tmp_path, cap
     good = path.read_bytes()
     lines = good.decode("utf-8").splitlines(keepends=True)
     assert len(lines) == 1 + len(TWO_QUERIES)
-    for i in range(1, len(lines)):  # each data line, the last (fully written) one included
-        broken = lines[:i] + [lines[i].replace(",100,", ",1x00,")] + lines[i + 1:]
-        path.write_text("".join(broken), encoding="utf-8")
-        caplog.clear()
-        client = StubClient(count=100)
-        with caplog.at_level(logging.WARNING, logger="admac.ingest"):
-            assert list(live_collector(tmp_path, client)[0].collect_snapshots(TWO)) == first
-        assert client.calls == TWO_QUERIES
-        assert any(str(path) in r.getMessage() and f"line {i + 1}" in r.getMessage() for r in caplog.records)
-        assert path.read_bytes() == good
-        again = StubClient(count=100)
-        assert list(live_collector(tmp_path, again)[0].collect_snapshots(TWO)) == first
-        assert again.calls == []
+    # each data line, the last (fully written) one included, with a bad count or a bad iso2
+    for i in range(1, len(lines)):
+        for bad_line in (lines[i].replace(",100,", ",1x00,"), "I1" + lines[i][2:]):
+            path.write_text("".join(lines[:i] + [bad_line] + lines[i + 1:]), encoding="utf-8")
+            caplog.clear()
+            client = StubClient(count=100)
+            with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+                assert list(live_collector(tmp_path, client)[0].collect_snapshots(TWO)) == first
+            assert client.calls == TWO_QUERIES
+            assert any(str(path) in r.getMessage() and f"line {i + 1}" in r.getMessage() for r in caplog.records)
+            assert path.read_bytes() == good
+            again = StubClient(count=100)
+            assert list(live_collector(tmp_path, again)[0].collect_snapshots(TWO)) == first
+            assert again.calls == []
 
 
 def test_day_file_cut_at_any_byte_refetches_exactly_the_lost_cells(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from admac import special
 from admac.domain import CountryRef, Sex
-from admac.errors import EmptyInput, UnfittedModel
+from admac.errors import EmptyInput
 from admac.groundtruth import GroundTruthRecord
 from admac.indicators import IneligibilityReason, MacEstimate
 from admac.predict import Prediction, emit_choropleth, predict_missing
@@ -85,11 +85,6 @@ def test_truth_for_other_sex_does_not_block():
     model = published_model()
     preds = predict_missing(model, [eligible("IT", 31.0)], [truth("IT", sex=Sex.FEMALE)])
     assert len(preds) == 1
-
-
-def test_unfitted_model_rejected():
-    with pytest.raises(UnfittedModel):
-        predict_missing(None, [eligible("IT", 31.0)], [])
 
 
 def test_interval_matches_direct_formula():
