@@ -1,10 +1,11 @@
 """Core value types: the age grid, countries, audience cells and schedules.
 
 Every record here is immutable, so instances can be shared freely between
-threads. Records are named tuples: equality, hashing and ordering are those
-of the tuple of their fields (so a record also equals a plain tuple of the
-same values). A record with invariants checks them in `__new__` and raises
-ValueError.
+threads; a snapshot's cell dict is built once, by its reader or collector,
+and is not changed after. Records are named tuples: equality, hashing and
+ordering are those of the tuple of their fields (so a record also equals a
+plain tuple of the same values). A record with invariants checks them in
+`__new__` and raises ValueError.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ class CountryRef(namedtuple("CountryRef", "iso2")):
     __slots__ = ()
 
     def __new__(cls, iso2: str) -> CountryRef:
-        if len(iso2) != 2 or not iso2.isalpha() or not iso2.isupper():
-            raise ValueError(f"iso2 must be a 2-letter uppercase code, got {iso2!r}")
+        if len(iso2) != 2 or not (iso2.isascii() and iso2.isalpha() and iso2.isupper()):
+            raise ValueError(f"iso2 must be two ASCII capital letters, got {iso2!r}")
         return tuple.__new__(cls, (iso2,))
 
 
@@ -90,52 +91,36 @@ class CountryRef(namedtuple("CountryRef", "iso2")):
 LOWER_BOUND_COUNT = 20
 
 
-class AudienceCell(namedtuple("AudienceCell", "sex age_group parent_filter count collected_at")):
-    """One audience count for (sex, age group, parent filter). A cell holds no
-    country: it belongs to the snapshot, or the file row, that holds it."""
+class AudienceCell(namedtuple("AudienceCell", "count collected_at")):
+    """One audience count and when it was collected. Its key and country
+    belong to the snapshot, or the file row, that holds it."""
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        sex: Sex,
-        age_group: AgeGroup,
-        parent_filter: ParentFilter,
-        count: int,
-        collected_at: datetime,
-    ) -> AudienceCell:
+    def __new__(cls, count: int, collected_at: datetime) -> AudienceCell:
         if count < 0:
             raise ValueError(f"audience count must be non-negative, got {count}")
         if collected_at.tzinfo is None:
             raise ValueError("collected_at must be timezone-aware (UTC)")
-        return tuple.__new__(cls, (sex, age_group, parent_filter, count, collected_at))
-
-    @property
-    def key(self) -> tuple[Sex, AgeGroup, ParentFilter]:
-        return (self.sex, self.age_group, self.parent_filter)
+        return tuple.__new__(cls, (count, collected_at))
 
 
 def utc_now() -> datetime:
     return datetime.now(timezone.utc)
 
 
+CellKey = tuple[Sex, AgeGroup, ParentFilter]
+
+
 class AudienceSnapshot(namedtuple("AudienceSnapshot", "country cells")):
-    """All cells collected for one country in one pass; the country is the
-    snapshot's, and every cell in it is that country's.
+    """All cells collected for one country in one pass: `cells` maps each
+    cell's key to the cell, in the order its rows are written.
 
     A complete snapshot holds 7 age groups x 2 sexes x 2 filters = 28 cells.
     Partial snapshots are representable (collection can fail per cell).
     """
 
     __slots__ = ()
-
-    def __new__(cls, country: CountryRef, cells: tuple[AudienceCell, ...]) -> AudienceSnapshot:
-        keys = set()
-        for cell in cells:
-            if cell.key in keys:
-                raise ValueError(f"duplicate cell {cell.key} in snapshot for {country.iso2}")
-            keys.add(cell.key)
-        return tuple.__new__(cls, (country, cells))
 
 
 class FertilitySchedule(namedtuple("FertilitySchedule", "country sex rates")):

@@ -13,7 +13,6 @@ from typing import Iterable
 from .domain import (
     AGE_GRID,
     LOWER_BOUND_COUNT,
-    N_AGE_GROUPS,
     AudienceSnapshot,
     FertilitySchedule,
     ParentFilter,
@@ -108,19 +107,21 @@ def estimate_country(
     `mac` of that schedule.
     """
     policy = LowerBoundPolicy(lower_bound_policy)
-    parents = ParentFilter.PARENTS_0_12M
-    floor_filters = tuple(ParentFilter) if policy is LowerBoundPolicy.ANY else (parents,)
-    counts = {(c.age_group, c.parent_filter): c.count for c in snapshot.cells if c.sex == sex}
-    if any(n == LOWER_BOUND_COUNT and f in floor_filters for (_, f), n in counts.items()):
+    cells = snapshot.cells
+    totals, parents = (
+        [cells[sex, g, f].count if (sex, g, f) in cells else None for g in AGE_GRID]
+        for f in (ParentFilter.ALL, ParentFilter.PARENTS_0_12M)
+    )
+    if LOWER_BOUND_COUNT in (parents + totals if policy is LowerBoundPolicy.ANY else parents):
         reason = IneligibilityReason.LOWER_BOUND_CELL
-    elif any(counts.get((g, ParentFilter.ALL)) == 0 and (g, parents) in counts for g in AGE_GRID):
+    elif any(t == 0 and p is not None for t, p in zip(totals, parents)):
         reason = IneligibilityReason.ZERO_EXPOSURE
-    elif len(counts) < N_AGE_GROUPS * len(ParentFilter):
+    elif None in totals or None in parents:
         reason = IneligibilityReason.INCOMPLETE_SNAPSHOT
-    elif not any(counts[(g, parents)] for g in AGE_GRID):
+    elif not any(parents):
         reason = IneligibilityReason.ZERO_SCHEDULE
     else:
-        rates = tuple(counts[(g, parents)] / counts[(g, ParentFilter.ALL)] for g in AGE_GRID)
+        rates = tuple(p / t for p, t in zip(parents, totals))
         value = mac(FertilitySchedule(country=snapshot.country, sex=sex, rates=rates))
         return MacEstimate(country=snapshot.country, sex=sex, mac=value, eligible=True)
     return MacEstimate(country=snapshot.country, sex=sex, mac=None, eligible=False, ineligibility_reason=reason)

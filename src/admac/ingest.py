@@ -25,13 +25,14 @@ from datetime import date, datetime, timezone
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .domain import (
     AGE_GRID,
     AgeGroup,
     AudienceCell,
     AudienceSnapshot,
+    CellKey,
     CountryRef,
     ParentFilter,
     Sex,
@@ -62,8 +63,6 @@ REQUEST_TIMEOUT_S = 30.0  # socket timeout of each live request
 
 TOKEN_ENV_VAR = "ADS_API_TOKEN"
 _BEARER_TOKEN = re.compile(r"[A-Za-z0-9._~+/-]+=*")  # RFC 6750 b64token
-
-CellKey = tuple[Sex, AgeGroup, ParentFilter]
 
 # A country's 28 cells in canonical query order: sex, then age, then filter.
 CELL_KEYS: tuple[CellKey, ...] = tuple(
@@ -135,7 +134,6 @@ def parse_timestamp(raw: str) -> datetime:
 
 
 _HEADER_LINE = ",".join(CELL_COLUMNS) + "\n"
-_CANONICAL_KEYS: dict[CellKey, CellKey] = {key: key for key in CELL_KEYS}
 # The sex,age_low,age_high,parent_filter fields of each key's row.
 _KEY_FIELDS: dict[CellKey, str] = {
     key: f"{key[0].value},{key[1].lower},{key[1].upper},{key[2].value}" for key in CELL_KEYS
@@ -144,22 +142,23 @@ _KEY_FIELDS: dict[CellKey, str] = {
 
 @lru_cache(maxsize=256)
 def _cell_key(sex: str, age_low: str, age_high: str, flt: str) -> CellKey:
-    """The CELL_KEYS entry a row's key fields name; ValueError if they name none."""
+    """The cell key a row's key fields name; ValueError if they name none."""
     group = AgeGroup(int(age_low))
     if int(age_high) != group.upper:
         raise ValueError(f"age_high {age_high.strip()} does not close the {group} group")
-    return _CANONICAL_KEYS[Sex(sex.strip().lower()), group, ParentFilter(flt.strip())]
+    return Sex(sex.strip().lower()), group, ParentFilter(flt.strip())
 
 
-def _cell_lines(iso2: str, cells: Iterable[AudienceCell]) -> str:
-    """The data rows of `iso2`'s `cells` in a cell CSV, each ending in a line break."""
+def _cell_lines(iso2: str, cells: dict[CellKey, AudienceCell]) -> str:
+    """`iso2`'s `cells` as cell CSV data rows, in the dict's order, each ending in a line break."""
     return "".join(
-        f"{iso2},{_KEY_FIELDS[c.key]},{c.count},{format_timestamp(c.collected_at)}\n" for c in cells
+        f"{iso2},{_KEY_FIELDS[key]},{c.count},{format_timestamp(c.collected_at)}\n"
+        for key, c in cells.items()
     )
 
 
 def write_cells_csv(
-    path: str | Path, iso2: str, cells: Iterable[AudienceCell], meta: dict[str, str] | None = None
+    path: str | Path, iso2: str, cells: dict[CellKey, AudienceCell], meta: dict[str, str] | None = None
 ) -> str:
     """Write `iso2`'s cells as a cell CSV; returns the SHA-256 hex digest of the bytes written."""
     comments = "".join(f"# {key}={value}\n" for key, value in (meta or {}).items())
@@ -171,7 +170,7 @@ def write_cells_csv(
 def read_cells_csv(
     path: str | Path, iso2: str | None = None, *, data: bytes | None = None
 ) -> dict[str, dict[CellKey, AudienceCell]]:
-    """The cells of a cell CSV by country, then by key, read with `fileio.read_table`.
+    """The cells of a cell CSV by country, then by key in file order, read with `fileio.read_table`.
 
     With `iso2` (a fixture or snapshot) the result holds that country alone,
     every row must name it and a second row for one cell is an error.
@@ -196,7 +195,7 @@ def read_cells_csv(
             key = _cell_key(sex, age_low, age_high, flt)
             if iso2 is not None and key in cells:
                 raise ValueError(f"a second row for cell {_KEY_FIELDS[key]}")
-            cells[key] = AudienceCell(*key, int(count), parse_timestamp(collected_at.strip()))
+            cells[key] = AudienceCell(int(count), parse_timestamp(collected_at.strip()))
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from exc
     return by_country
@@ -380,15 +379,14 @@ class _CellStore:
         """SHA-256 hex digest of `iso2`'s fixture file as loaded, or None when none was."""
         return self._digests.get(iso2)
 
-    def write(self, iso2: str, day: date, cells: Iterable[AudienceCell]) -> None:
+    def write(self, iso2: str, day: date, cells: dict[CellKey, AudienceCell]) -> None:
         """Append the `cells` this store does not hold yet to `iso2`'s cells for `day`, looked up
-        with `cells` before: to the day file in canonical order, then, once that succeeded, in
+        with `cells` before: to the day file in the dict's order, then, once that succeeded, in
         memory."""
         held = self._files.get((iso2, day), {})
-        new = {c.key: c for c in cells if held.get(c.key) != c}
+        new = {key: c for key, c in cells.items() if held.get(key) != c}
         if new:
-            lines = _cell_lines(iso2, (new[k] for k in CELL_KEYS if k in new))
-            append_lines(self._path(day.isoformat()), lines, _HEADER_LINE)
+            append_lines(self._path(day.isoformat()), _cell_lines(iso2, new), _HEADER_LINE)
             self._files[iso2, day] = {**held, **new}
 
 
@@ -454,7 +452,7 @@ class Collector:
             if day is None:
                 raise FixtureMiss(f"fixture has no row for {query.canonical()}")
             cell = self._request(iso2, key)
-            self._store.write(iso2, day, [cell])
+            self._store.write(iso2, day, {key: cell})
         return cell
 
     def fixture_digest(self, iso2: str) -> str | None:
@@ -478,7 +476,7 @@ class Collector:
                     query.canonical(), attempt, MAX_RETRIES, delay,
                 )
                 self._sleep(delay)
-        return AudienceCell(*key, count=count, collected_at=self._clock())
+        return AudienceCell(count=count, collected_at=self._clock())
 
     def collect_snapshots(self, countries: Sequence[CountryRef]) -> list[AudienceSnapshot]:
         """Each country's snapshot, in the order given.
@@ -496,8 +494,8 @@ class Collector:
         snapshots, incomplete = [], []
         for country, held in zip(countries, stored):
             iso2 = country.iso2
-            cells: list[AudienceCell] = []
-            fetched: list[AudienceCell] = []
+            cells: dict[CellKey, AudienceCell] = {}
+            fetched: dict[CellKey, AudienceCell] = {}
             failures: list[Exception] = []
             try:
                 for key in CELL_KEYS:
@@ -511,14 +509,14 @@ class Collector:
                         except _CELL_ERRORS as exc:
                             failures.append(exc)
                             continue
-                        fetched.append(cell)
-                    cells.append(cell)
+                        fetched[key] = cell
+                    cells[key] = cell
             finally:
                 if fetched:
                     self._store.write(iso2, day, fetched)
             if failures:
                 incomplete.append((iso2, len(failures), failures[0]))
-            snapshots.append(AudienceSnapshot(country=country, cells=tuple(cells)))
+            snapshots.append(AudienceSnapshot(country=country, cells=cells))
         for iso2, failed, first in incomplete:  # only once every snapshot is made
             logger.warning(
                 "%s: incomplete snapshot kept (%d of %d cells failed, first: %s)",

@@ -245,8 +245,7 @@ def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> list[P
         for path in sorted(cfg.snapshots_dir.glob("*.csv")):
             country = file_country(path)
             data = path.read_bytes()
-            cells = read_cells_csv(path, country.iso2, data=data)[country.iso2]
-            snapshot = AudienceSnapshot(country, tuple(cells.values()))
+            snapshot = AudienceSnapshot(country, read_cells_csv(path, country.iso2, data=data)[country.iso2])
             collected.append((path, hashlib.sha256(data).hexdigest(), snapshot))
     if not collected:
         raise MissingStageInput(f"no snapshots under {cfg.snapshots_dir}; run `collect` first")

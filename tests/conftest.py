@@ -20,14 +20,8 @@ from admac.fileio import read_table
 TS = datetime(2024, 6, 1, tzinfo=timezone.utc)
 
 
-def make_cell(sex, group, parent_filter, count, when=TS):
-    return AudienceCell(
-        sex=sex,
-        age_group=group,
-        parent_filter=parent_filter,
-        count=count,
-        collected_at=when,
-    )
+def make_cell(count, when=TS):
+    return AudienceCell(count=count, collected_at=when)
 
 
 def make_snapshot(
@@ -44,12 +38,12 @@ def make_snapshot(
         Sex.FEMALE: (female_totals or defaults_total, female_parents or defaults_parents),
         Sex.MALE: (male_totals or defaults_total, male_parents or defaults_parents),
     }
-    cells = []
+    cells = {}
     for sex, (totals, parents) in counts.items():
         for group, total, parent in zip(age_grid(), totals, parents):
-            cells.append(make_cell(sex, group, ParentFilter.ALL, total))
-            cells.append(make_cell(sex, group, ParentFilter.PARENTS_0_12M, parent))
-    return AudienceSnapshot(country=CountryRef(iso2=iso2), cells=tuple(cells))
+            cells[sex, group, ParentFilter.ALL] = make_cell(total)
+            cells[sex, group, ParentFilter.PARENTS_0_12M] = make_cell(parent)
+    return AudienceSnapshot(country=CountryRef(iso2=iso2), cells=cells)
 
 
 def read_csv(path):

@@ -7,7 +7,6 @@ import pytest
 from admac.domain import (
     AgeGroup,
     AudienceCell,
-    AudienceSnapshot,
     CountryRef,
     FertilitySchedule,
     ParentFilter,
@@ -46,7 +45,7 @@ def test_non_canonical_age_group_rejected(lower):
         AgeGroup(lower)
 
 
-@pytest.mark.parametrize("iso2", ["I", "ITA", "it", "1T"])
+@pytest.mark.parametrize("iso2", ["I", "ITA", "it", "1T", "ÄÖ", "\uff29\uff34"])
 def test_bad_iso2_rejected(iso2):
     with pytest.raises(ValueError):
         CountryRef(iso2=iso2)
@@ -54,39 +53,26 @@ def test_bad_iso2_rejected(iso2):
 
 def test_cell_rejects_negative_count_and_naive_timestamp():
     with pytest.raises(ValueError):
-        make_cell(Sex.FEMALE, AgeGroup(15), ParentFilter.ALL, -1)
+        make_cell(-1)
     with pytest.raises(ValueError):
-        AudienceCell(
-            sex=Sex.FEMALE,
-            age_group=AgeGroup(15),
-            parent_filter=ParentFilter.ALL,
-            count=100,
-            collected_at=datetime(2024, 6, 1),
-        )
-
-
-def test_snapshot_rejects_duplicate_cells():
-    cell = make_cell(Sex.FEMALE, AgeGroup(15), ParentFilter.ALL, 100)
-    with pytest.raises(ValueError, match="duplicate"):
-        AudienceSnapshot(country=CountryRef(iso2="IT"), cells=(cell, cell))
+        AudienceCell(count=100, collected_at=datetime(2024, 6, 1))
 
 
 def test_complete_snapshot_has_28_cells_and_lookup_works():
     snap = make_snapshot()
-    by_key = {cell.key: cell for cell in snap.cells}
-    assert len(snap.cells) == 28 and set(by_key) == set(CELL_KEYS)
-    assert by_key[(Sex.MALE, AgeGroup(30), ParentFilter.PARENTS_0_12M)].count == 5_000
-    assert by_key[(Sex.MALE, AgeGroup(30), ParentFilter.ALL)].count == 100_000
+    assert len(snap.cells) == 28 and set(snap.cells) == set(CELL_KEYS)
+    assert snap.cells[(Sex.MALE, AgeGroup(30), ParentFilter.PARENTS_0_12M)].count == 5_000
+    assert snap.cells[(Sex.MALE, AgeGroup(30), ParentFilter.ALL)].count == 100_000
 
 
 def test_value_objects_are_read_only_hashable_and_ordered():
     snap = make_snapshot()
-    for obj, attr in ((snap, "cells"), (snap.cells[0], "count"), (snap.country, "iso2"), (AgeGroup(15), "lower")):
+    for obj, attr in ((snap, "cells"), (snap.cells[CELL_KEYS[0]], "count"), (snap.country, "iso2"), (AgeGroup(15), "lower")):
         with pytest.raises(AttributeError):
             setattr(obj, attr, None)
         with pytest.raises(AttributeError):
             delattr(obj, attr)
-    assert snap == make_snapshot() and hash(snap) == hash(make_snapshot())
+    assert snap == make_snapshot()
     assert sorted([CountryRef(iso2="IT"), CountryRef(iso2="FR")]) == [CountryRef(iso2="FR"), CountryRef(iso2="IT")]
     assert len({CountryRef(iso2="IT"), CountryRef(iso2="IT")}) == 1
     assert sorted(reversed(age_grid())) == list(age_grid())

@@ -52,6 +52,18 @@ def test_load_ground_truth_skips_bad_rows_with_diagnostics(tmp_path, caplog):
     assert ":2:" in caplog.text and ":3:" in caplog.text and ":4:" in caplog.text
 
 
+def test_truth_row_whose_iso2_is_not_ascii_is_skipped_with_its_line(tmp_path, caplog):
+    path = tmp_path / "truth.csv"
+    # fullwidth IT (U+FF29 U+FF34): letters and upper case, but not ASCII
+    path.write_text("iso2,sex,mac,period\nES,male,33.0,2006-2015\n\uff29\uff34,male,33.1,2010-2015\n", encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        records = load_ground_truth(path)
+    assert [r.country.iso2 for r in records] == ["ES"]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}:3: iso2 must be two ASCII capital letters, got '\uff29\uff34'; skipped"
+    ]
+
+
 def test_load_ground_truth_empty_file_with_header(tmp_path):
     path = tmp_path / "truth.csv"
     path.write_text("iso2,sex,mac,period\n", encoding="utf-8")

@@ -21,6 +21,7 @@ from admac.indicators import (
     estimate_country,
     mac,
 )
+from admac.ingest import CELL_KEYS
 from conftest import make_cell, make_snapshot
 from oracles import mac_exact_from_raw_cells, mac_from_raw_cells, mac_weighted_mean
 
@@ -67,7 +68,7 @@ def test_schedule_from_incomplete_snapshot_raises():
     snap = make_snapshot()
     partial = AudienceSnapshot(
         country=snap.country,
-        cells=tuple(c for c in snap.cells if not (c.sex is Sex.FEMALE and c.age_group.lower == 30)),
+        cells={k: c for k, c in snap.cells.items() if not (k[0] is Sex.FEMALE and k[1].lower == 30)},
     )
     est = estimate_country(partial, Sex.FEMALE)
     assert est.ineligibility_reason is IneligibilityReason.INCOMPLETE_SNAPSHOT
@@ -191,7 +192,7 @@ def test_incomplete_snapshot_reported_as_reason():
     snap = make_snapshot()
     partial = AudienceSnapshot(
         country=snap.country,
-        cells=tuple(c for c in snap.cells if not (c.sex is Sex.FEMALE and c.age_group.lower == 45)),
+        cells={k: c for k, c in snap.cells.items() if not (k[0] is Sex.FEMALE and k[1].lower == 45)},
     )
     est = estimate_country(partial, Sex.FEMALE)
     assert not est.eligible
@@ -202,7 +203,7 @@ def test_lower_bound_check_runs_before_completeness():
     snap = make_snapshot(female_parents=[20] + [5000] * 6)
     partial = AudienceSnapshot(
         country=snap.country,
-        cells=tuple(c for c in snap.cells if not (c.sex is Sex.FEMALE and c.age_group.lower == 45)),
+        cells={k: c for k, c in snap.cells.items() if not (k[0] is Sex.FEMALE and k[1].lower == 45)},
     )
     est = estimate_country(partial, Sex.FEMALE)
     assert est.ineligibility_reason is IneligibilityReason.LOWER_BOUND_CELL
@@ -223,7 +224,7 @@ def test_policy_given_as_text_means_what_it_says():
 
 def _without(snap, sex, cells):
     """`snap` minus the (age lower, filter) cells of `sex`."""
-    kept = tuple(c for c in snap.cells if not (c.sex is sex and (c.age_group.lower, c.parent_filter) in cells))
+    kept = {k: c for k, c in snap.cells.items() if not (k[0] is sex and (k[1].lower, k[2]) in cells)}
     return AudienceSnapshot(country=snap.country, cells=kept)
 
 
@@ -274,7 +275,7 @@ def _oracle_reason(counts, policy):
 
 
 def _random_snapshot(rng):
-    """Cells with missing, zero and floor counts mixed in, in random order."""
+    """Cells with missing, zero and floor counts mixed in, inserted in random order."""
     p_missing, p_floor, p_zero = (rng.choice((0.0, 0.02, 0.1)) for _ in range(3))
     counts = {sex: {} for sex in Sex}
     cells = []
@@ -294,9 +295,9 @@ def _random_snapshot(rng):
                 else:
                     count = rng.randint(LOWER_BOUND_COUNT + 1, 9_000)
                 counts[sex][(group.lower, flt)] = count
-                cells.append(make_cell(sex, group, flt, count))
+                cells.append(((sex, group, flt), make_cell(count)))
     rng.shuffle(cells)
-    return AudienceSnapshot(country=COUNTRY, cells=tuple(cells)), counts
+    return AudienceSnapshot(country=COUNTRY, cells=dict(cells)), counts
 
 
 def test_reasons_and_macs_match_oracle_on_random_snapshots():
@@ -304,9 +305,11 @@ def test_reasons_and_macs_match_oracle_on_random_snapshots():
     seen = {policy: [] for policy in LowerBoundPolicy}
     for _ in range(2_000):
         snap, counts = _random_snapshot(rng)
+        in_key_order = AudienceSnapshot(COUNTRY, {k: snap.cells[k] for k in CELL_KEYS if k in snap.cells})
         for sex in Sex:
             for policy in LowerBoundPolicy:
                 est = estimate_country(snap, sex, policy)
+                assert estimate_country(in_key_order, sex, policy) == est
                 expected = _oracle_reason(counts[sex], policy)
                 assert est.ineligibility_reason is expected, (counts[sex], policy)
                 assert est.eligible is (expected is None)

@@ -8,6 +8,7 @@ import io
 import json
 import logging
 import os
+import random
 import socket
 import threading
 import time
@@ -45,7 +46,7 @@ from admac.ingest import (
     read_cells_csv,
     write_cells_csv,
 )
-from conftest import fail_writes_part_way, full_fixture_rows, make_snapshot, write_fixture
+from conftest import TS, fail_writes_part_way, full_fixture_rows, make_cell, make_snapshot, write_fixture
 
 IT = CountryRef(iso2="IT")
 FIXED_NOW = datetime(2024, 6, 2, 12, 0, tzinfo=timezone.utc)
@@ -93,8 +94,7 @@ def collect_one(collector, country):
 
 def absent_keys(snapshot):
     """The CELL_KEYS that `snapshot` holds no cell for, in canonical order."""
-    held = {c.key for c in snapshot.cells}
-    return [k for k in CELL_KEYS if k not in held]
+    return [k for k in CELL_KEYS if k not in snapshot.cells]
 
 
 def complete(snapshot):
@@ -228,7 +228,7 @@ def test_collect_snapshot_complete(fixture_dir):
     snapshot = collect_one(collector, IT)
     assert len(snapshot.cells) == 28
     assert complete(snapshot)
-    assert {c.collected_at for c in snapshot.cells} == {datetime(2024, 6, 1, tzinfo=timezone.utc)}
+    assert {c.collected_at for c in snapshot.cells.values()} == {datetime(2024, 6, 1, tzinfo=timezone.utc)}
 
 
 def test_collect_snapshot_missing_cell_is_incomplete(fixture_dir, caplog):
@@ -262,12 +262,16 @@ def test_fixture_countries_listing(fixture_dir):
 # --- cell CSV round-trip -------------------------------------------------------
 
 def test_cells_csv_roundtrip(tmp_path):
-    snapshot = make_snapshot()
+    rng = random.Random(27)
     path = tmp_path / "cells.csv"
-    write_cells_csv(path, "IT", snapshot.cells, meta={"seed": "1"})
-    assert path.read_text().startswith("# seed=1\n" + ",".join(CELL_COLUMNS))
-    cells = read_cells_csv(path)
-    assert list(cells) == ["IT"] and tuple(cells["IT"].values()) == snapshot.cells
+    # all 28 cells in key order, then seeded random subsets of keys in shuffled order
+    subsets = [CELL_KEYS] + [rng.sample(CELL_KEYS, rng.randint(1, len(CELL_KEYS))) for _ in range(30)]
+    for keys in subsets:
+        cells = {k: make_cell(rng.randint(0, 10**7), TS + timedelta(seconds=rng.randint(0, 86_400))) for k in keys}
+        write_cells_csv(path, "IT", cells, meta={"seed": "1"})
+        assert path.read_text().startswith("# seed=1\n" + ",".join(CELL_COLUMNS))
+        read = read_cells_csv(path)
+        assert list(read) == ["IT"] and list(read["IT"].items()) == list(cells.items())
 
 
 def test_write_cells_csv_matches_csv_writer_and_returns_its_digest(tmp_path):
@@ -278,10 +282,10 @@ def test_write_cells_csv_matches_csv_writer_and_returns_its_digest(tmp_path):
     buf.write("# seed=1\n# tool=admac x\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CELL_COLUMNS)
-    for c in snapshot.cells:
+    for (sex, group, flt), c in snapshot.cells.items():
         writer.writerow([
-            snapshot.country.iso2, c.sex.value, c.age_group.lower, c.age_group.upper,
-            c.parent_filter.value, c.count, "2024-06-01T00:00:00Z",
+            snapshot.country.iso2, sex.value, group.lower, group.upper,
+            flt.value, c.count, "2024-06-01T00:00:00Z",
         ])
     assert path.read_bytes() == buf.getvalue().encode("utf-8")
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
@@ -378,7 +382,7 @@ def test_live_snapshot_and_cache_idempotence(tmp_path):
     collector, _ = live_collector(tmp_path, client)
     snapshot = collect_one(collector, IT)
     assert len(snapshot.cells) == 28
-    assert all(c.count == 4321 for c in snapshot.cells)
+    assert all(c.count == 4321 for c in snapshot.cells.values())
     assert len(client.calls) == 28
     # same day, same config: served from the write-through cache
     again = collect_one(collector, IT)
@@ -397,7 +401,7 @@ def test_live_retry_backoff_sequence(tmp_path, monkeypatch):
     client = StubClient(count=777, fail_plan={q: [RateLimited("x"), RateLimited("x")]})
     collector, sleeps = live_collector(tmp_path, client, monkeypatch, MAX_RETRIES=3, BASE_BACKOFF_S=0.25)
     snapshot = collect_one(collector, IT)
-    assert {c.key: c for c in snapshot.cells}[(Sex.FEMALE, age_grid()[0], ParentFilter.ALL)].count == 777
+    assert snapshot.cells[(Sex.FEMALE, age_grid()[0], ParentFilter.ALL)].count == 777
     assert sleeps == [0.25, 0.5]
 
 
@@ -438,7 +442,7 @@ def test_live_malformed_response_counts_as_missing_cell(tmp_path, caplog):
     ]
 
 
-def test_live_concurrency_is_bounded(tmp_path):
+def test_live_requests_never_overlap(tmp_path):
     client = StubClient(count=500)
     client.delay = 0.005
     collector, _ = live_collector(tmp_path, client)
@@ -480,7 +484,6 @@ def record_store_writes(monkeypatch, record):
     original = _CellStore.write
 
     def write(store, iso2, day, cells):
-        cells = list(cells)
         record(iso2, cells)
         original(store, iso2, day, cells)
 
@@ -556,7 +559,7 @@ def test_auth_error_stops_dispatch_and_keeps_earlier_countries_cached(tmp_path):
     fresh, _ = live_collector(tmp_path, fresh_client)
     snapshots = list(fresh.collect_snapshots(earlier))
     assert fresh_client.calls == []
-    assert all(complete(s) and s.cells[0].count == 500 for s in snapshots)
+    assert all(complete(s) and s.cells[CELL_KEYS[0]].count == 500 for s in snapshots)
 
 
 def test_collect_ended_by_an_error_warns_of_no_incomplete_snapshot(tmp_path, caplog):
@@ -847,7 +850,7 @@ def test_day_file_cut_inside_its_last_timestamp_refetches_that_cell(tmp_path, ca
         snapshot = collect_one(live_collector(tmp_path, client)[0], IT)
     assert client.calls == [ingest._query("IT", CELL_KEYS[-1]).canonical()]
     assert any(str(path) in r.getMessage() and "line 29" in r.getMessage() for r in caplog.records)
-    assert all(c.collected_at == FIXED_NOW for c in snapshot.cells)
+    assert all(c.collected_at == FIXED_NOW for c in snapshot.cells.values())
     assert path.read_text(encoding="utf-8") == text  # cut back to its 28 whole lines, then appended to
     again = StubClient(count=500)
     collect_one(live_collector(tmp_path, again)[0], IT)

@@ -95,7 +95,7 @@ def test_row_order_relation_catches_a_collect_that_keeps_file_order(tmp_path, mo
 
     def in_file_order(collector, countries):
         snapshots = collect(collector, countries)
-        return [s._replace(cells=tuple(collector._store.cells(s.country.iso2).values())) for s in snapshots]
+        return [s._replace(cells=collector._store.cells(s.country.iso2)) for s in snapshots]
 
     monkeypatch.setattr(ingest.Collector, "collect_snapshots", in_file_order)
     fixtures, truth = packaged_data_path("fixtures"), packaged_data_path("ground_truth.csv")
