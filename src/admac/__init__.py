@@ -14,7 +14,6 @@ from .domain import (
     AudienceCell,
     AudienceSnapshot,
     Continent,
-    CountryRef,
     FertilitySchedule,
     ParentFilter,
     Sex,
@@ -54,7 +53,6 @@ __all__ = [
     "AudienceCell",
     "AudienceSnapshot",
     "Continent",
-    "CountryRef",
     "FertilitySchedule",
     "ParentFilter",
     "Sex",

@@ -5,7 +5,8 @@ threads; a snapshot's cell dict is built once, by its reader or collector,
 and is not changed after. Records are named tuples: equality, hashing and
 ordering are those of the tuple of their fields (so a record also equals a
 plain tuple of the same values). A record with invariants checks them in
-`__new__` and raises ValueError.
+`__new__` and raises ValueError. A record's country is its ISO2 code, a
+plain string in capitals (`iso2_code`).
 """
 
 from __future__ import annotations
@@ -75,8 +76,19 @@ def age_grid() -> tuple[AgeGroup, ...]:
     return AGE_GRID
 
 
+def iso2_code(text: str) -> str:
+    """`text` as an ISO-3166 alpha-2 code in capitals: two ASCII letters, in
+    any case. The letters are checked before upper-casing, which can turn
+    one letter into two ("ß" into "SS"). ValueError otherwise."""
+    if len(text) != 2 or not (text.isascii() and text.isalpha()):
+        raise ValueError(f"iso2 must be two ASCII capital letters, got {text!r}")
+    return text.upper()
+
+
 class CountryRef(namedtuple("CountryRef", "iso2")):
-    """A country keyed by ISO-3166 alpha-2 code."""
+    """A country keyed by ISO-3166 alpha-2 code. The program keys countries
+    by the code itself (`iso2_code`); only bench/traced.py still builds
+    this wrapper, for its kernel inputs."""
 
     __slots__ = ()
 
@@ -133,7 +145,7 @@ class FertilitySchedule(namedtuple("FertilitySchedule", "country sex rates")):
 
     __slots__ = ()
 
-    def __new__(cls, country: CountryRef, sex: Sex, rates: tuple[float, ...]) -> FertilitySchedule:
+    def __new__(cls, country: str, sex: Sex, rates: tuple[float, ...]) -> FertilitySchedule:
         if len(rates) != N_AGE_GROUPS:
             raise ValueError(f"schedule needs {N_AGE_GROUPS} rates, got {len(rates)}")
         for group, rate in zip(AGE_GRID, rates):
@@ -142,6 +154,6 @@ class FertilitySchedule(namedtuple("FertilitySchedule", "country sex rates")):
             if rate > 1.0:
                 logger.warning(
                     "%s/%s: rate %.6g for ages %s exceeds 1; numerator larger than exposure",
-                    country.iso2, sex.value, rate, group,
+                    country, sex.value, rate, group,
                 )
         return tuple.__new__(cls, (country, sex, rates))

@@ -8,7 +8,7 @@ import re
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .domain import Continent, CountryRef, Sex
+from .domain import Continent, Sex, iso2_code
 from .errors import ParseError
 from .fileio import read_table
 
@@ -23,7 +23,7 @@ CONTINENT_COLUMNS = ["iso2", "continent"]
 
 
 class GroundTruthRecord(NamedTuple):
-    country: CountryRef
+    country: str
     sex: Sex
     mac: float
     period: str
@@ -32,7 +32,7 @@ class GroundTruthRecord(NamedTuple):
 class ValidationPair(NamedTuple):
     """A country's platform-derived MAC joined with its reference MAC."""
 
-    country: CountryRef
+    country: str
     sex: Sex
     mac_fb: float
     mac_truth: float
@@ -40,7 +40,7 @@ class ValidationPair(NamedTuple):
 
 class JoinResult(NamedTuple):
     pairs: list[ValidationPair]
-    unmatched_estimates: list[tuple[CountryRef, Sex, float]]
+    unmatched_estimates: list[tuple[str, Sex, float]]
     unmatched_truth: list[GroundTruthRecord]
     truth: list[GroundTruthRecord]  # the one record kept per (iso2, sex), matched or not
 
@@ -48,8 +48,9 @@ class JoinResult(NamedTuple):
 def load_continent_map(path: str | Path, *, data: bytes | None = None) -> dict[str, Continent]:
     """Bundled-style `iso2,continent` CSV into a lookup dict.
 
-    A second row for one iso2 raises ParseError, since either row could be
-    the one meant.
+    A row whose iso2 is not two ASCII letters, or whose continent is
+    unknown, is skipped with a warning naming its line. A second row for one
+    iso2 raises ParseError, since either row could be the one meant.
     """
     _, _, rows = read_table(path, CONTINENT_COLUMNS, data=data)
     mapping: dict[str, Continent] = {}
@@ -57,7 +58,12 @@ def load_continent_map(path: str | Path, *, data: bytes | None = None) -> dict[s
         if len(row) != 2:
             logger.warning("%s:%d: expected 2 fields, got %d; skipped", path, lineno, len(row))
             continue
-        iso2, cont = row[0].strip().upper(), row[1].strip()
+        cont = row[1].strip()
+        try:
+            iso2 = iso2_code(row[0].strip())
+        except ValueError as exc:
+            logger.warning("%s:%d: %s; skipped", path, lineno, exc)
+            continue
         if iso2 in mapping:
             raise ParseError(f"{path}: a second row for {iso2}", line=lineno)
         try:
@@ -81,10 +87,9 @@ def load_ground_truth(path: str | Path, *, data: bytes | None = None) -> list[Gr
         if len(row) != 4:
             logger.warning("%s:%d: expected 4 fields, got %d; skipped", path, lineno, len(row))
             continue
-        iso2_raw, sex_raw, mac_raw, period = (f.strip() for f in row)
-        iso2 = iso2_raw.upper()
+        iso2, sex_raw, mac_raw, period = (f.strip() for f in row)
         try:
-            country = CountryRef(iso2=iso2)
+            country = iso2_code(iso2)
         except ValueError as exc:
             logger.warning("%s:%d: %s; skipped", path, lineno, exc)
             continue
@@ -119,7 +124,7 @@ def _period_sort_key(period: str) -> tuple[int, str]:
 def _resolve_truth_duplicates(truth: Iterable[GroundTruthRecord]) -> dict[tuple[str, Sex], GroundTruthRecord]:
     resolved: dict[tuple[str, Sex], GroundTruthRecord] = {}
     for rec in truth:
-        key = (rec.country.iso2, rec.sex)
+        key = (rec.country, rec.sex)
         prev = resolved.get(key)
         if prev is None:
             resolved[key] = rec
@@ -136,7 +141,7 @@ def _resolve_truth_duplicates(truth: Iterable[GroundTruthRecord]) -> dict[tuple[
 
 
 def join_pairs(
-    estimates: Sequence[tuple[CountryRef, Sex, float]],
+    estimates: Sequence[tuple[str, Sex, float]],
     truth: Sequence[GroundTruthRecord],
 ) -> JoinResult:
     """Inner join of platform estimates with reference records on (iso2, sex).
@@ -148,17 +153,17 @@ def join_pairs(
     ordered by (iso2, sex) and the whole join is invariant under
     permutation of either input.
     """
-    est_by_key: dict[tuple[str, Sex], tuple[CountryRef, Sex, float]] = {}
+    est_by_key: dict[tuple[str, Sex], tuple[str, Sex, float]] = {}
     for est in estimates:
         country, sex, _ = est
-        key = (country.iso2, sex)
+        key = (country, sex)
         if key in est_by_key:
             raise ValueError(f"a second estimate for ({key[0]}, {key[1].value})")
         est_by_key[key] = est
     truth_by_key = _resolve_truth_duplicates(truth)
 
     pairs: list[ValidationPair] = []
-    unmatched_estimates: list[tuple[CountryRef, Sex, float]] = []
+    unmatched_estimates: list[tuple[str, Sex, float]] = []
     for key in sorted(est_by_key, key=lambda k: (k[0], k[1].value)):
         country, sex, mac_fb = est_by_key[key]
         rec = truth_by_key.get(key)
@@ -169,5 +174,5 @@ def join_pairs(
             ValidationPair(country=country, sex=sex, mac_fb=mac_fb, mac_truth=rec.mac)
         )
     kept = [truth_by_key[key] for key in sorted(truth_by_key, key=lambda k: (k[0], k[1].value))]
-    unmatched_truth = [rec for rec in kept if (rec.country.iso2, rec.sex) not in est_by_key]
+    unmatched_truth = [rec for rec in kept if (rec.country, rec.sex) not in est_by_key]
     return JoinResult(pairs, unmatched_estimates, unmatched_truth, kept)

@@ -47,7 +47,7 @@ class MacEstimate(namedtuple("MacEstimate", "country sex mac eligible ineligibil
 
     def __new__(
         cls,
-        country: object,
+        country: str,
         sex: Sex,
         mac: float | None,
         eligible: bool,
@@ -82,9 +82,7 @@ def mac(schedule: FertilitySchedule) -> float:
     weighted = _kahan_sum(g.midpoint * r for g, r in zip(AGE_GRID, schedule.rates))
     total = _kahan_sum(schedule.rates)
     if total == 0.0:
-        raise ZeroSchedule(
-            f"{schedule.country.iso2}/{schedule.sex.value}: all rates are zero"
-        )
+        raise ZeroSchedule(f"{schedule.country}/{schedule.sex.value}: all rates are zero")
     return weighted / total
 
 

@@ -33,9 +33,9 @@ from .domain import (
     AudienceCell,
     AudienceSnapshot,
     CellKey,
-    CountryRef,
     ParentFilter,
     Sex,
+    iso2_code,
     utc_now,
 )
 from .errors import (
@@ -186,12 +186,12 @@ def read_cells_csv(
             if len(row) != len(CELL_COLUMNS):
                 raise ValueError(f"expected {len(CELL_COLUMNS)} fields")
             code, sex, age_low, age_high, flt, count, collected_at = row
-            code = code.strip().upper()
+            code = iso2_code(code.strip())
             cells = by_country.get(code)
             if cells is None:
                 if iso2 is not None:
                     raise ValueError(f"row names {code} in a file for {iso2}")
-                cells = by_country[CountryRef(iso2=code).iso2] = {}
+                cells = by_country[code] = {}
             key = _cell_key(sex, age_low, age_high, flt)
             if iso2 is not None and key in cells:
                 raise ValueError(f"a second row for cell {_KEY_FIELDS[key]}")
@@ -201,17 +201,20 @@ def read_cells_csv(
     return by_country
 
 
-def file_country(path: Path) -> CountryRef:
-    """The country an `<ISO2>.csv` file is named for; ParseError naming the file otherwise."""
+def file_country(path: Path) -> str:
+    """The ISO2 code an `<ISO2>.csv` file is named for, in capitals as admac names its files;
+    ParseError naming the file otherwise."""
     try:
-        return CountryRef(iso2=path.stem)
+        if iso2_code(path.stem) != path.stem:
+            raise ValueError(f"{path.stem!r} is not in capitals")
     except ValueError as exc:
         raise ParseError(f"{path}: file name is not <ISO2>.csv ({exc})") from None
+    return path.stem
 
 
 def fixture_countries(fixture_dir: str | Path) -> list[str]:
     """ISO2 codes that have a fixture file, ascending; a file named otherwise raises ParseError."""
-    return sorted(file_country(p).iso2 for p in Path(fixture_dir).glob("*.csv"))
+    return sorted(file_country(p) for p in Path(fixture_dir).glob("*.csv"))
 
 
 # --------------------------------------------------------------------------
@@ -478,22 +481,21 @@ class Collector:
                 self._sleep(delay)
         return AudienceCell(count=count, collected_at=self._clock())
 
-    def collect_snapshots(self, countries: Sequence[CountryRef]) -> list[AudienceSnapshot]:
-        """Each country's snapshot, in the order given.
+    def collect_snapshots(self, countries: Sequence[str]) -> list[AudienceSnapshot]:
+        """The snapshot of each country (an ISO2 code), in the order given.
 
         A country whose cells did not all arrive gets a snapshot of the cells
         that did, and a warning naming its first failure. An excluded country
         raises ExcludedCountry, one with no fixture file FixtureMiss and a bad
         fixture ParseError; each before any request is sent or cell written.
         """
-        for country in countries:
-            if country.iso2 in DEFAULT_EXCLUDED:
-                raise ExcludedCountry(f"platform provides no data for {country.iso2}")
+        for iso2 in countries:
+            if iso2 in DEFAULT_EXCLUDED:
+                raise ExcludedCountry(f"platform provides no data for {iso2}")
         day = self._clock().date() if self.config.mode is Mode.LIVE else None
-        stored = [self._cells(c.iso2, day) for c in countries]
+        stored = [self._cells(iso2, day) for iso2 in countries]
         snapshots, incomplete = [], []
-        for country, held in zip(countries, stored):
-            iso2 = country.iso2
+        for iso2, held in zip(countries, stored):
             cells: dict[CellKey, AudienceCell] = {}
             fetched: dict[CellKey, AudienceCell] = {}
             failures: list[Exception] = []
@@ -516,7 +518,7 @@ class Collector:
                     self._store.write(iso2, day, fetched)
             if failures:
                 incomplete.append((iso2, len(failures), failures[0]))
-            snapshots.append(AudienceSnapshot(country=country, cells=cells))
+            snapshots.append(AudienceSnapshot(country=iso2, cells=cells))
         for iso2, failed, first in incomplete:  # only once every snapshot is made
             logger.warning(
                 "%s: incomplete snapshot kept (%d of %d cells failed, first: %s)",

@@ -25,7 +25,7 @@ import logging
 import math
 from pathlib import Path
 
-from .domain import AudienceSnapshot, CountryRef, Sex
+from .domain import AudienceSnapshot, Sex, iso2_code
 from .errors import (
     ConfigError,
     EmptyInput,
@@ -93,7 +93,8 @@ class RunConfig:
 
     The three input paths default to the bundled demo data; live mode's
     cache_dir defaults to output_dir/cache. `countries`, when given, is
-    kept upper-cased, once each and sorted; an empty list is a ConfigError.
+    kept as ISO2 codes in capitals (`iso2_code`), once each and sorted; a
+    text that is no code, or an empty list, is a ConfigError.
     """
 
     __slots__ = (
@@ -121,7 +122,7 @@ class RunConfig:
             raise ConfigError(f"loocv_scope: {loocv_scope!r} is not one of: global, continent")
         if countries is not None:
             try:
-                countries = tuple(sorted({CountryRef(iso2=iso2.upper()).iso2 for iso2 in countries}))
+                countries = tuple(sorted({iso2_code(iso2) for iso2 in countries}))
             except ValueError as exc:
                 raise ConfigError(f"countries: {exc}") from None
             if not countries:
@@ -207,10 +208,9 @@ def stage_collect(
     if not wanted:
         raise ConfigError("no countries to collect")
 
-    countries = [CountryRef(iso2=iso2) for iso2 in wanted]
     written: list[Path] = []
-    for snapshot in collector.collect_snapshots(countries):
-        iso2 = snapshot.country.iso2
+    for snapshot in collector.collect_snapshots(wanted):
+        iso2 = snapshot.country
         fixture = collector.fixture_digest(iso2)
         inputs = {} if fixture is None else {f"fixture_{iso2}": fixture}
         path = cfg.snapshots_dir / f"{iso2}.csv"
@@ -243,9 +243,9 @@ def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> list[P
             raise MissingStageInput(f"{cfg.snapshots_dir} not found; run `collect` first")
         collected = []
         for path in sorted(cfg.snapshots_dir.glob("*.csv")):
-            country = file_country(path)
+            iso2 = file_country(path)
             data = path.read_bytes()
-            snapshot = AudienceSnapshot(country, read_cells_csv(path, country.iso2, data=data)[country.iso2])
+            snapshot = AudienceSnapshot(iso2, read_cells_csv(path, iso2, data=data)[iso2])
             collected.append((path, hashlib.sha256(data).hexdigest(), snapshot))
     if not collected:
         raise MissingStageInput(f"no snapshots under {cfg.snapshots_dir}; run `collect` first")
@@ -258,7 +258,7 @@ def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> list[P
             est = estimate_country(snapshot, sex, cfg.lower_bound_policy)
             rows.append(
                 [
-                    snapshot.country.iso2,
+                    snapshot.country,
                     sex.value,
                     "" if est.mac is None else str(est.mac),
                     "true" if est.eligible else "false",
@@ -273,8 +273,8 @@ def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> list[P
 
 def load_estimates(path: Path, *, data: bytes | None = None) -> list[MacEstimate]:
     """Read estimates.csv back. A row `stage_estimate` never writes raises ParseError with its
-    line: a malformed one, a repeated (iso2, sex), an eligible one whose mac is empty or not
-    finite, and an ineligible one with a mac."""
+    line: a malformed one, an iso2 not in capitals, a repeated (iso2, sex), an eligible one
+    whose mac is empty or not finite, and an ineligible one with a mac."""
     _, _, rows = read_table(path, ESTIMATE_COLUMNS, data=data)
     estimates: list[MacEstimate] = []
     seen: set[tuple[str, Sex]] = set()
@@ -285,6 +285,8 @@ def load_estimates(path: Path, *, data: bytes | None = None) -> list[MacEstimate
             )
         iso2, sex, mac_raw, eligible, reason = row
         try:
+            if iso2_code(iso2) != iso2:
+                raise ValueError(f"{iso2!r} is not in capitals")
             if eligible not in ("true", "false"):
                 raise ValueError(f"eligible must be true or false, got {eligible!r}")
             mac = float(mac_raw) if mac_raw else None
@@ -293,13 +295,13 @@ def load_estimates(path: Path, *, data: bytes | None = None) -> list[MacEstimate
             if eligible == "false" and mac_raw:
                 raise ValueError(f"an ineligible row has no mac, got {mac_raw!r}")
             est = MacEstimate(
-                country=CountryRef(iso2=iso2),
+                country=iso2,
                 sex=Sex(sex),
                 mac=mac,
                 eligible=eligible == "true",
                 ineligibility_reason=IneligibilityReason(reason) if reason else None,
             )
-            key = (est.country.iso2, est.sex)
+            key = (est.country, est.sex)
             if key in seen:
                 raise ValueError(f"a second row for ({key[0]}, {key[1].value})")
         except ValueError as exc:
@@ -380,7 +382,7 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
                 f"validate/{sex.value}: LOOCV needs at least 4 matched pairs, got {len(pairs)}"
             )
         direct = grouped_metrics(
-            (continent_label(continent_map.get(p.country.iso2)), p.mac_fb, p.mac_truth) for p in pairs
+            (continent_label(continent_map.get(p.country)), p.mac_fb, p.mac_truth) for p in pairs
         )
         _, cv = loocv(pairs, continent_map, scope=cfg.loocv_scope)
         meta = standard_metadata(seed=cfg.seed, inputs=inputs)
@@ -437,7 +439,7 @@ def stage_calibrate(cfg: RunConfig) -> list[Path]:
             "model": _model_payload(model),
             "sample": {
                 "n_pairs": len(pairs),
-                "countries": [p.country.iso2 for p in pairs],
+                "countries": [p.country for p in pairs],
                 "cv_mac_truth_pct": cv_percent([p.mac_truth for p in pairs]),
             },
         }
@@ -476,26 +478,20 @@ def stage_predict(cfg: RunConfig) -> list[Path]:
     Each sex's model is fitted here from estimates.csv and the truth table,
     through the same join, pair minimum and fit as calibrate; no
     model_<sex>.json is read, so predict runs with or without calibrate.
-    The map's ground-truth features are the truth records that join kept."""
+    That join alone decides what is predicted: its unmatched estimates. The
+    map's ground-truth features are the truth records that join kept."""
     inputs, estimates, truth = _load_stage_data(cfg)
 
     all_rows = []
     by_sex = {}
     for sex in cfg.sexes:
         join, model = _fit_for_sex("predict", sex, estimates, truth)
-        predictions = predict_missing(model, [e for e in estimates if e.sex == sex], join.truth)
+        predictions = predict_missing(model, join.unmatched_estimates)
         by_sex[sex] = (predictions, join.truth)
-        for p in predictions:
-            all_rows.append(
-                [
-                    p.country.iso2,
-                    p.sex.value,
-                    str(p.mac_fb),
-                    str(p.mac_predicted),
-                    str(p.interval_low),
-                    str(p.interval_high),
-                ]
-            )
+        all_rows += (
+            [p.country, p.sex.value, str(p.mac_fb), str(p.mac_predicted), str(p.interval_low), str(p.interval_high)]
+            for p in predictions
+        )
     all_rows.sort(key=lambda r: (r[0], r[1]))
     meta = standard_metadata(seed=cfg.seed, inputs=inputs)
     meta["n_predictions"] = str(len(all_rows))

@@ -6,16 +6,15 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .domain import CountryRef, Sex
+from .domain import Sex
 from .errors import EmptyInput
 from .fileio import write_json
 from .groundtruth import GroundTruthRecord
-from .indicators import MacEstimate
 from .stats import CalibrationModel
 
 
 class Prediction(NamedTuple):
-    country: CountryRef
+    country: str
     sex: Sex
     mac_fb: float
     mac_predicted: float
@@ -24,52 +23,36 @@ class Prediction(NamedTuple):
 
 
 def predict_missing(
-    model: CalibrationModel,
-    estimates: Sequence[MacEstimate],
-    truth: Sequence[GroundTruthRecord],
+    model: CalibrationModel, unmatched: Sequence[tuple[str, Sex, float]]
 ) -> list[Prediction]:
-    """Predictions for every eligible estimate whose (country, sex) has no
-    truth record, with 95% prediction intervals.
+    """A prediction, with its 95% prediction interval, for each
+    (country, sex, mac_fb) in `unmatched`, in its order: the eligible
+    estimates that have no truth record, as `join_pairs` leaves them in
+    `JoinResult.unmatched_estimates`.
 
     The point prediction is exactly intercept + slope * mac_fb; the
     interval uses the residual standard error, the leverage of mac_fb in
     the training sample, and the t(df_resid) quantile.
     """
-    covered = {(rec.country.iso2, rec.sex) for rec in truth}
-    predictions = []
-    for est in estimates:
-        if not est.eligible:
-            continue
-        if (est.country.iso2, est.sex) in covered:
-            continue
-        low, high = model.prediction_interval(est.mac, level=0.95)
-        predictions.append(
-            Prediction(
-                country=est.country,
-                sex=est.sex,
-                mac_fb=est.mac,
-                mac_predicted=model.predict(est.mac),
-                interval_low=low,
-                interval_high=high,
-            )
-        )
-    predictions.sort(key=lambda p: (p.country.iso2, p.sex.value))
-    return predictions
+    return [
+        Prediction(country, sex, mac_fb, model.predict(mac_fb), *model.prediction_interval(mac_fb, level=0.95))
+        for country, sex, mac_fb in unmatched
+    ]
 
 
 def _feature(
-    country: CountryRef, sex: Sex, mac: float, low: float | None, high: float | None, source: str
+    country: str, sex: Sex, mac: float, low: float | None, high: float | None, source: str
 ) -> dict:
     """One geometry-free choropleth feature, keyed by iso2."""
     properties = {
-        "iso2": country.iso2,
+        "iso2": country,
         "sex": sex.value,
         "mac_predicted": mac,
         "interval_low": low,
         "interval_high": high,
         "source": source,
     }
-    return {"type": "Feature", "id": country.iso2, "geometry": None, "properties": properties}
+    return {"type": "Feature", "id": country, "geometry": None, "properties": properties}
 
 
 def emit_choropleth(
@@ -93,15 +76,15 @@ def emit_choropleth(
     seen: set[str] = set()
     features = []
     for pred in predictions:
-        if pred.country.iso2 in seen:
-            raise ValueError(f"duplicate prediction for {pred.country.iso2}")
-        seen.add(pred.country.iso2)
+        if pred.country in seen:
+            raise ValueError(f"duplicate prediction for {pred.country}")
+        seen.add(pred.country)
         low, high = pred.interval_low, pred.interval_high
         features.append(_feature(pred.country, pred.sex, pred.mac_predicted, low, high, "predicted"))
     for rec in truth:
-        if rec.country.iso2 in seen:
+        if rec.country in seen:
             continue
-        seen.add(rec.country.iso2)
+        seen.add(rec.country)
         features.append(_feature(rec.country, rec.sex, rec.mac, None, None, "ground_truth"))
     features.sort(key=lambda f: f["id"])
     write_json(path, meta or {}, {"type": "FeatureCollection", "features": features})

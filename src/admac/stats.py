@@ -341,7 +341,7 @@ def loocv(
     else:
         by_cont: dict[str, list] = {}
         for pair in pairs:
-            by_cont.setdefault(continent_label(continent_of.get(pair.country.iso2)), []).append(pair)
+            by_cont.setdefault(continent_label(continent_of.get(pair.country)), []).append(pair)
         fold_sets = []
         for label, group in sorted(by_cont.items()):
             if len(group) < 4:
@@ -363,10 +363,10 @@ def loocv(
         for i, held_out in enumerate(fold_set):
             intercept, slope, *_ = _line_fit(xs[:i] + xs[i + 1:], ys[:i] + ys[i + 1:])
             pred = intercept + slope * held_out.mac_fb
-            predictions[held_out.country.iso2] = pred
+            predictions[held_out.country] = pred
             records.append(
                 (
-                    continent_label(continent_of.get(held_out.country.iso2)),
+                    continent_label(continent_of.get(held_out.country)),
                     pred,
                     held_out.mac_truth,
                 )

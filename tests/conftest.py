@@ -10,7 +10,6 @@ import pytest
 from admac.domain import (
     AudienceCell,
     AudienceSnapshot,
-    CountryRef,
     ParentFilter,
     Sex,
     age_grid,
@@ -43,7 +42,7 @@ def make_snapshot(
         for group, total, parent in zip(age_grid(), totals, parents):
             cells[sex, group, ParentFilter.ALL] = make_cell(total)
             cells[sex, group, ParentFilter.PARENTS_0_12M] = make_cell(parent)
-    return AudienceSnapshot(country=CountryRef(iso2=iso2), cells=cells)
+    return AudienceSnapshot(country=iso2, cells=cells)
 
 
 def read_csv(path):

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import pytest
 
 from admac.cli import main as cli_main
-from admac.domain import Continent, CountryRef, FertilitySchedule, Sex
+from admac.domain import Continent, FertilitySchedule, Sex
 from admac.groundtruth import ValidationPair
 from admac.indicators import mac
 from admac.pipeline import packaged_data_path
@@ -76,7 +76,7 @@ def _iso2(i: int) -> str:
 def as_pairs(xs, ys):
     return [
         ValidationPair(
-            country=CountryRef(iso2=_iso2(i)),
+            country=_iso2(i),
             sex=Sex.MALE,
             mac_fb=x,
             mac_truth=y,
@@ -173,7 +173,7 @@ def test_criterion_5_special_functions():
 
 def test_criterion_6_mac_properties():
     with criterion(6, "MAC bounds, scale invariance, monotone shift"):
-        country = CountryRef(iso2="ZZ")
+        country = "ZZ"
         rng = random.Random(606060)
         for value in (1.0, 0.5, 0.05, 0.125, 0.0625):
             uniform = FertilitySchedule(country=country, sex=Sex.FEMALE, rates=(value,) * 7)
@@ -212,14 +212,14 @@ def test_criterion_7_loocv_bruteforce_equivalence():
             ys = [7.0 + 0.8 * x + rng.gauss(0.0, 0.9) for x in xs]
             conts = [rng.choice(continents) for _ in range(n)]
             pairs = as_pairs(xs, ys)
-            continent_of = {p.country.iso2: cont for p, cont in zip(pairs, conts)}
+            continent_of = {p.country: cont for p, cont in zip(pairs, conts)}
             predictions, grouped = loocv(pairs, continent_of)
             assert len(predictions) == n
             for i, pair in enumerate(pairs):
                 rest_x = xs[:i] + xs[i + 1:]
                 rest_y = ys[:i] + ys[i + 1:]
                 expected = ols_predict_lstsq(rest_x, rest_y, xs[i])
-                got = predictions[pair.country.iso2]
+                got = predictions[pair.country]
                 assert got == pytest.approx(expected, rel=1e-10)
             assert sum(c.n for c in grouped.per_continent.values()) == grouped.overall.n == n
 
@@ -275,7 +275,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
 
 def test_criterion_9_prediction_arithmetic():
     with criterion(9, "prediction arithmetic and set identity"):
-        from admac.groundtruth import GroundTruthRecord
+        from admac.groundtruth import GroundTruthRecord, join_pairs
         from admac.indicators import IneligibilityReason, MacEstimate
         from admac.predict import predict_missing
 
@@ -293,8 +293,7 @@ def test_criterion_9_prediction_arithmetic():
         estimates = []
         truths = []
         for i in range(40):
-            iso2 = _iso2(i)
-            country = CountryRef(iso2=iso2)
+            country = _iso2(i)
             if rng.random() < 0.25:
                 estimates.append(
                     MacEstimate(
@@ -316,11 +315,12 @@ def test_criterion_9_prediction_arithmetic():
                         mac=rng.uniform(28.0, 40.0), period="2006-2015",
                     )
                 )
-        predictions = predict_missing(model, estimates, truths)
-        predicted_set = {p.country.iso2 for p in predictions}
-        eligible_set = {e.country.iso2 for e in estimates if e.eligible}
-        truth_set = {t.country.iso2 for t in truths}
+        triples = [(e.country, e.sex, e.mac) for e in estimates if e.eligible]
+        predictions = predict_missing(model, join_pairs(triples, truths).unmatched_estimates)
+        predicted_set = {p.country for p in predictions}
+        eligible_set = {e.country for e in estimates if e.eligible}
+        truth_set = {t.country for t in truths}
         assert predicted_set == eligible_set - truth_set
-        exact = {p.country.iso2: p.mac_fb for p in predictions}
+        exact = {p.country: p.mac_fb for p in predictions}
         for p in predictions:
-            assert p.mac_predicted == model.intercept + model.slope * exact[p.country.iso2]
+            assert p.mac_predicted == model.intercept + model.slope * exact[p.country]

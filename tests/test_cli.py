@@ -553,6 +553,7 @@ BAD_OPTION_VALUES = {
     "unknown_loocv_scope": ("loocv_scope", "x", ["'x'", "global", "continent"]),
     "unknown_sex": ("sexes", "other", ["'other'", "female", "male"]),
     "country_not_two_letters": ("countries", "IT,I1", ["'I1'"]),
+    "country_not_ascii": ("countries", "ß,IT", ["'ß'"]),  # "ß" upper-cases to "SS"
     "no_countries": ("countries", ",", ["empty"]),
     "empty_out": ("out", "", ["empty"]),
 }

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +13,10 @@ from admac.domain import (
     ParentFilter,
     Sex,
     age_grid,
+    iso2_code,
 )
-from admac.ingest import CELL_KEYS
+from admac.errors import ParseError
+from admac.ingest import CELL_KEYS, file_country
 from conftest import make_cell, make_snapshot
 
 
@@ -45,10 +48,17 @@ def test_non_canonical_age_group_rejected(lower):
         AgeGroup(lower)
 
 
-@pytest.mark.parametrize("iso2", ["I", "ITA", "it", "1T", "ÄÖ", "\uff29\uff34"])
+@pytest.mark.parametrize("iso2", ["I", "ITA", "it", "1T", "ÄÖ", "\uff29\uff34", "ß"])
 def test_bad_iso2_rejected(iso2):
-    with pytest.raises(ValueError):
-        CountryRef(iso2=iso2)
+    # "ß" upper-cases to "SS", so the letters are checked before the case is;
+    # "it" is a code in any case, but not where capitals are required
+    if iso2 == "it":
+        assert iso2_code(iso2) == "IT"
+    else:
+        with pytest.raises(ValueError):
+            iso2_code(iso2)
+    with pytest.raises(ParseError):
+        file_country(Path(f"{iso2}.csv"))
 
 
 def test_cell_rejects_negative_count_and_naive_timestamp():
@@ -79,7 +89,7 @@ def test_value_objects_are_read_only_hashable_and_ordered():
 
 
 def test_schedule_validates_shape_and_sign():
-    country = CountryRef(iso2="IT")
+    country = "IT"
     with pytest.raises(ValueError):
         FertilitySchedule(country=country, sex=Sex.FEMALE, rates=(0.1,) * 6)
     with pytest.raises(ValueError):
@@ -87,7 +97,7 @@ def test_schedule_validates_shape_and_sign():
 
 
 def test_schedule_admits_rate_above_one_with_warning(caplog):
-    country = CountryRef(iso2="IT")
+    country = "IT"
     with caplog.at_level("WARNING"):
         FertilitySchedule(country=country, sex=Sex.FEMALE, rates=(0.1,) * 6 + (1.5,))
     assert "exceeds 1" in caplog.text

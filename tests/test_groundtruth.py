@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admac.domain import Continent, CountryRef, Sex
+from admac.domain import Continent, Sex
 from admac.errors import ParseError
 from admac.groundtruth import (
     GroundTruthRecord,
@@ -17,11 +17,11 @@ from admac.groundtruth import (
 
 
 def _truth(iso2, sex=Sex.MALE, mac=33.0, period="2006-2015"):
-    return GroundTruthRecord(country=CountryRef(iso2=iso2), sex=sex, mac=mac, period=period)
+    return GroundTruthRecord(country=iso2, sex=sex, mac=mac, period=period)
 
 
 def _estimate(iso2, sex=Sex.MALE, mac=31.0):
-    return (CountryRef(iso2=iso2), sex, mac)
+    return (iso2, sex, mac)
 
 
 # --- loading -------------------------------------------------------------
@@ -32,7 +32,7 @@ def test_load_ground_truth_roundtrip(tmp_path):
     records = load_ground_truth(path)
     assert len(records) == 1
     rec = records[0]
-    assert rec.country.iso2 == "IT" and rec.sex is Sex.MALE
+    assert rec.country == "IT" and rec.sex is Sex.MALE
     assert rec.mac == 35.1 and rec.period == "2006-2015"
 
 
@@ -48,19 +48,24 @@ def test_load_ground_truth_skips_bad_rows_with_diagnostics(tmp_path, caplog):
     )
     with caplog.at_level("WARNING"):
         records = load_ground_truth(path)
-    assert [r.country.iso2 for r in records] == ["ES"]
+    assert [r.country for r in records] == ["ES"]
     assert ":2:" in caplog.text and ":3:" in caplog.text and ":4:" in caplog.text
 
 
 def test_truth_row_whose_iso2_is_not_ascii_is_skipped_with_its_line(tmp_path, caplog):
     path = tmp_path / "truth.csv"
     # fullwidth IT (U+FF29 U+FF34): letters and upper case, but not ASCII
-    path.write_text("iso2,sex,mac,period\nES,male,33.0,2006-2015\n\uff29\uff34,male,33.1,2010-2015\n", encoding="utf-8")
+    # and "ß", which upper-cases to the two ASCII letters "SS"
+    path.write_text(
+        "iso2,sex,mac,period\nES,male,33.0,2006-2015\n\uff29\uff34,male,33.1,2010-2015\nß,male,33.0,2006-2015\n",
+        encoding="utf-8",
+    )
     with caplog.at_level("WARNING"):
         records = load_ground_truth(path)
-    assert [r.country.iso2 for r in records] == ["ES"]
+    assert [r.country for r in records] == ["ES"]
     assert [r.getMessage() for r in caplog.records] == [
-        f"{path}:3: iso2 must be two ASCII capital letters, got '\uff29\uff34'; skipped"
+        f"{path}:3: iso2 must be two ASCII capital letters, got '\uff29\uff34'; skipped",
+        f"{path}:4: iso2 must be two ASCII capital letters, got 'ß'; skipped",
     ]
 
 
@@ -93,6 +98,22 @@ def test_load_continent_map(tmp_path, caplog):
     assert "Atlantis" in caplog.text
 
 
+def test_continent_row_whose_iso2_is_no_code_is_skipped_with_its_line(tmp_path, caplog):
+    # a name, fullwidth IT and "ß" (upper-cased, "SS") are no codes; lower case is one
+    path = tmp_path / "continents.csv"
+    path.write_text(
+        "iso2,continent\nITALY,Europe\n\uff29\uff34,Asia\nß,Africa\nit,Europe\nSS,Africa\n", encoding="utf-8"
+    )
+    with caplog.at_level("WARNING"):
+        mapping = load_continent_map(path)
+    assert mapping == {"IT": Continent.EUROPE, "SS": Continent.AFRICA}
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}:2: iso2 must be two ASCII capital letters, got 'ITALY'; skipped",
+        f"{path}:3: iso2 must be two ASCII capital letters, got '\uff29\uff34'; skipped",
+        f"{path}:4: iso2 must be two ASCII capital letters, got 'ß'; skipped",
+    ]
+
+
 def test_bundled_continent_map_loads():
     from admac.pipeline import packaged_data_path
 
@@ -107,10 +128,10 @@ def test_bundled_continent_map_loads():
 def test_join_inner_and_unmatched():
     result = join_pairs([_estimate("IT")], [_truth("IT"), _truth("FR")])
     assert len(result.pairs) == 1
-    assert result.pairs[0].country.iso2 == "IT"
+    assert result.pairs[0].country == "IT"
     assert result.pairs[0].mac_fb == 31.0 and result.pairs[0].mac_truth == 33.0
     assert result.unmatched_estimates == []
-    assert [t.country.iso2 for t in result.unmatched_truth] == ["FR"]
+    assert [t.country for t in result.unmatched_truth] == ["FR"]
 
 
 def test_join_disjoint_sets():
@@ -140,7 +161,7 @@ def test_join_output_sorted_by_iso2():
     estimates = [_estimate(code) for code in ("ZA", "AR", "MX", "FR")]
     truth = [_truth(code) for code in ("MX", "ZA", "FR", "AR")]
     result = join_pairs(estimates, truth)
-    assert [p.country.iso2 for p in result.pairs] == ["AR", "FR", "MX", "ZA"]
+    assert [p.country for p in result.pairs] == ["AR", "FR", "MX", "ZA"]
 
 
 iso_codes = st.sampled_from(["AA", "BB", "CC", "DD", "EE", "FF", "GG", "HH"])
@@ -156,7 +177,7 @@ periods = st.sampled_from(["1996-2005", "2006-2015", "2010-2017"])
 @settings(max_examples=120)
 def test_join_matches_bruteforce_oracle(est_keys, truth_keys, rnd):
     estimates = [
-        (CountryRef(iso2=iso2), sex, 25.0 + i) for i, (iso2, sex) in enumerate(est_keys)
+        (iso2, sex, 25.0 + i) for i, (iso2, sex) in enumerate(est_keys)
     ]
     truth = [
         _truth(iso2, sex, mac=30.0 + i, period=period)
@@ -170,10 +191,10 @@ def test_join_matches_bruteforce_oracle(est_keys, truth_keys, rnd):
 
     # brute-force oracle: one estimate per key; group truth rows per key,
     # then apply the stated resolution rule (latest period) by sorting
-    est_resolved = {(country.iso2, sex): mac_fb for country, sex, mac_fb in estimates}
+    est_resolved = {(country, sex): mac_fb for country, sex, mac_fb in estimates}
     truth_groups: dict = {}
     for rec in truth:
-        truth_groups.setdefault((rec.country.iso2, rec.sex), []).append(rec)
+        truth_groups.setdefault((rec.country, rec.sex), []).append(rec)
     truth_resolved = {
         key: max(recs, key=lambda r: (r.period, r.mac))
         for key, recs in truth_groups.items()
@@ -183,7 +204,7 @@ def test_join_matches_bruteforce_oracle(est_keys, truth_keys, rnd):
         for key in est_resolved
         if key in truth_resolved
     }
-    got_pairs = {(p.country.iso2, p.sex): (p.mac_fb, p.mac_truth) for p in result.pairs}
+    got_pairs = {(p.country, p.sex): (p.mac_fb, p.mac_truth) for p in result.pairs}
     assert got_pairs == expected_pairs
 
     # count identities hold after duplicate resolution
@@ -196,5 +217,5 @@ def test_join_matches_bruteforce_oracle(est_keys, truth_keys, rnd):
     rnd.shuffle(est_shuffled)
     rnd.shuffle(truth_shuffled)
     again = join_pairs(est_shuffled, truth_shuffled)
-    assert {(p.country.iso2, p.sex): (p.mac_fb, p.mac_truth) for p in again.pairs} == got_pairs
-    assert [p.country.iso2 for p in again.pairs] == [p.country.iso2 for p in result.pairs]
+    assert {(p.country, p.sex): (p.mac_fb, p.mac_truth) for p in again.pairs} == got_pairs
+    assert [p.country for p in again.pairs] == [p.country for p in result.pairs]

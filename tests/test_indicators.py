@@ -8,7 +8,6 @@ import pytest
 from admac.domain import (
     LOWER_BOUND_COUNT,
     AudienceSnapshot,
-    CountryRef,
     FertilitySchedule,
     ParentFilter,
     Sex,
@@ -25,7 +24,7 @@ from admac.ingest import CELL_KEYS
 from conftest import make_cell, make_snapshot
 from oracles import mac_exact_from_raw_cells, mac_from_raw_cells, mac_weighted_mean
 
-COUNTRY = CountryRef(iso2="IT")
+COUNTRY = "IT"
 
 
 def sched(rates):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from admac.domain import LOWER_BOUND_COUNT, AudienceSnapshot, CountryRef, ParentFilter, Sex, age_grid
+from admac.domain import LOWER_BOUND_COUNT, AudienceSnapshot, ParentFilter, Sex, age_grid
 from admac.errors import (
     AuthError,
     ConfigError,
@@ -48,7 +48,7 @@ from admac.ingest import (
 )
 from conftest import TS, fail_writes_part_way, full_fixture_rows, make_cell, make_snapshot, write_fixture
 
-IT = CountryRef(iso2="IT")
+IT = "IT"
 FIXED_NOW = datetime(2024, 6, 2, 12, 0, tzinfo=timezone.utc)
 
 
@@ -148,7 +148,7 @@ def test_excluded_country_rejected(fixture_dir):
     write_fixture(fixture_dir, "CU", full_fixture_rows())
     collector = fixture_collector(fixture_dir)
     with pytest.raises(ExcludedCountry):
-        collector.collect_snapshots([CountryRef(iso2="CU")])
+        collector.collect_snapshots(["CU"])
 
 
 def test_query_descriptor_validates_age_pair():
@@ -284,7 +284,7 @@ def test_write_cells_csv_matches_csv_writer_and_returns_its_digest(tmp_path):
     writer.writerow(CELL_COLUMNS)
     for (sex, group, flt), c in snapshot.cells.items():
         writer.writerow([
-            snapshot.country.iso2, sex.value, group.lower, group.upper,
+            snapshot.country, sex.value, group.lower, group.upper,
             flt.value, c.count, "2024-06-01T00:00:00Z",
         ])
     assert path.read_bytes() == buf.getvalue().encode("utf-8")
@@ -460,7 +460,7 @@ def test_fixture_collect_starts_no_thread(fixture_dir, monkeypatch):
 
 # --- live mode: one request at a time, one append per country to the day file
 
-FIVE = [CountryRef(iso2=c) for c in ("AR", "BR", "DE", "IT", "NG")]
+FIVE = ["AR", "BR", "DE", "IT", "NG"]
 
 
 def cache_file(tmp_path):
@@ -516,7 +516,7 @@ def test_cold_live_collect_starts_no_thread(tmp_path, monkeypatch):
 def test_cold_live_collects_write_identical_day_files_in_the_requested_order(tmp_path):
     class SlowFirstCountryClient(StubClient):
         def reach_estimate(self, query):
-            if query.country_iso2 == FIVE[0].iso2:
+            if query.country_iso2 == FIVE[0]:
                 time.sleep(0.002)
             return super().reach_estimate(query)
 
@@ -527,7 +527,7 @@ def test_cold_live_collects_write_identical_day_files_in_the_requested_order(tmp
     first, second = (cache_file(run).read_bytes() for run in runs)
     assert first == second
     blocks = [iso2 for iso2, _ in cached_rows(cache_file(runs[0]))]
-    assert blocks == [c.iso2 for c in FIVE for _ in CELL_KEYS]
+    assert blocks == [c for c in FIVE for _ in CELL_KEYS]
 
 
 def test_warm_live_collect_starts_no_thread_and_sends_nothing(tmp_path, monkeypatch):
@@ -554,7 +554,7 @@ def test_auth_error_stops_dispatch_and_keeps_earlier_countries_cached(tmp_path):
     assert len(client.calls) == len(earlier) * 28 + 1
     path = cache_file(tmp_path)
     for country in earlier:
-        assert cached_keys(path, country.iso2) == list(CELL_KEYS)
+        assert cached_keys(path, country) == list(CELL_KEYS)
     fresh_client = StubClient(count=9999)
     fresh, _ = live_collector(tmp_path, fresh_client)
     snapshots = list(fresh.collect_snapshots(earlier))
@@ -583,9 +583,8 @@ def test_each_country_is_written_once_as_soon_as_it_resolves(tmp_path, monkeypat
 
     collector, _ = live_collector(tmp_path, CheckingClient(count=500))
     list(collector.collect_snapshots(FIVE))
-    names = [c.iso2 for c in FIVE]
-    assert writes == names
-    assert seen_on_first_query == {c.iso2: names[:i] for i, c in enumerate(FIVE)}
+    assert writes == FIVE
+    assert seen_on_first_query == {c: FIVE[:i] for i, c in enumerate(FIVE)}
 
 
 @pytest.mark.parametrize(
@@ -598,7 +597,7 @@ def test_error_mid_country_still_caches_the_cells_that_arrived(tmp_path, error):
     client = StubClient(count=500, fail_plan={second_of_it: [error]})
     collector, _ = live_collector(tmp_path, client)
     with pytest.raises(type(error)):
-        collector.collect_snapshots([IT, CountryRef(iso2="NG")])
+        collector.collect_snapshots([IT, "NG"])
     assert len(client.calls) == 2
     assert cached_rows(cache_file(tmp_path)) == [("IT", CELL_KEYS[0])]
     fresh_client = StubClient(count=500)
@@ -646,7 +645,7 @@ def test_collect_across_utc_midnight_writes_each_country_to_the_day_it_looked_up
 
     config = CollectorConfig(mode=Mode.LIVE, cache_dir=tmp_path / "cache")
     collector = Collector(config, client=StubClient(count=500), clock=clock, sleep=lambda s: None)
-    snapshots = list(collector.collect_snapshots([IT, CountryRef(iso2="NG")]))
+    snapshots = list(collector.collect_snapshots([IT, "NG"]))
     assert all(isinstance(s, AudienceSnapshot) and complete(s) for s in snapshots)
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["2024-06-02.csv"]
     for iso2 in ("IT", "NG"):
@@ -715,15 +714,15 @@ def test_cold_collect_reads_the_store_once_per_country_and_sends_each_query_once
     client = StubClient(count=500)
     collector, _ = live_collector(tmp_path, client)
     assert all(complete(s) for s in collector.collect_snapshots(FIVE))
-    assert reads == [c.iso2 for c in FIVE]
-    assert sorted(client.calls) == sorted(ingest._query(c.iso2, key).canonical() for c in FIVE for key in CELL_KEYS)
+    assert reads == FIVE
+    assert sorted(client.calls) == sorted(ingest._query(c, key).canonical() for c in FIVE for key in CELL_KEYS)
 
 
 def test_excluded_country_fails_before_any_request(tmp_path):
     client = StubClient()
     collector, _ = live_collector(tmp_path, client)
     with pytest.raises(ExcludedCountry, match="SY"):
-        collector.collect_snapshots([IT, CountryRef(iso2="SY")])
+        collector.collect_snapshots([IT, "SY"])
     assert client.calls == []
     assert not (tmp_path / "cache").exists()
 
@@ -756,7 +755,7 @@ def test_cold_live_collect_creates_one_cache_file_and_a_warm_one_sends_nothing(t
     assert rewrites == []
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == ",".join(CELL_COLUMNS) and lines.count(lines[0]) == 1
-    assert all(cached_keys(path, c.iso2) == list(CELL_KEYS) for c in FIVE)
+    assert all(cached_keys(path, c) == list(CELL_KEYS) for c in FIVE)
     warm = StubClient(count=9999)
     assert list(live_collector(tmp_path, warm)[0].collect_snapshots(FIVE)) == first
     assert warm.calls == []
@@ -778,7 +777,7 @@ def test_day_file_whose_last_append_was_cut_short_is_dropped_then_repaired(tmp_p
     assert path.stat().st_ino == inode  # cut back in place, then appended to
     text = path.read_text(encoding="utf-8")
     assert text.endswith("\n") and text.count(",".join(CELL_COLUMNS)) == 1
-    assert all(cached_keys(path, c.iso2) == list(CELL_KEYS) for c in FIVE)
+    assert all(cached_keys(path, c) == list(CELL_KEYS) for c in FIVE)
     again = StubClient(count=500)
     assert all(complete(s) for s in live_collector(tmp_path, again)[0].collect_snapshots(FIVE))
     assert again.calls == []
@@ -791,7 +790,7 @@ def test_day_file_whose_last_row_parses_without_a_line_break_drops_that_row(tmp_
     inode = path.stat().st_ino
     client = StubClient(count=500)
     with caplog.at_level(logging.WARNING, logger="admac.ingest"):
-        list(live_collector(tmp_path, client)[0].collect_snapshots([IT, CountryRef(iso2="NG")]))
+        list(live_collector(tmp_path, client)[0].collect_snapshots([IT, "NG"]))
     assert sorted(client.calls) == sorted(
         [ingest._query("IT", CELL_KEYS[-1]).canonical()] + [ingest._query("NG", key).canonical() for key in CELL_KEYS]
     )
@@ -822,7 +821,7 @@ def _tear_last_line(path):
 
 
 def test_torn_last_cache_line_is_dropped_and_refetched(tmp_path, caplog):
-    countries = [CountryRef(iso2="FR"), IT]
+    countries = ["FR", IT]
     collector, _ = live_collector(tmp_path, StubClient(count=500))
     list(collector.collect_snapshots(countries))  # IT's cells are the last 28 lines
     path = cache_file(tmp_path)
@@ -835,7 +834,7 @@ def test_torn_last_cache_line_is_dropped_and_refetched(tmp_path, caplog):
     assert client.calls == ["iso2=IT&sex=male&age_min=45&age_max=49&parent_filter=parent_of_child_0_12m"]
     assert any(str(path) in r.getMessage() and "line 57" in r.getMessage() for r in caplog.records)
     assert path.read_text(encoding="utf-8").endswith("\n")
-    assert all(cached_keys(path, c.iso2) == list(CELL_KEYS) for c in countries)
+    assert all(cached_keys(path, c) == list(CELL_KEYS) for c in countries)
 
 
 def test_day_file_cut_inside_its_last_timestamp_refetches_that_cell(tmp_path, caplog):
@@ -858,7 +857,7 @@ def test_day_file_cut_inside_its_last_timestamp_refetches_that_cell(tmp_path, ca
 
 
 def test_append_that_fails_part_way_leaves_the_file_at_its_last_line_break(tmp_path, monkeypatch, capsys):
-    NG = CountryRef(iso2="NG")
+    NG = "NG"
     collect_one(live_collector(tmp_path, StubClient(count=500))[0], IT)
     path = cache_file(tmp_path)
     before = path.read_bytes()
@@ -887,8 +886,8 @@ def test_append_that_fails_part_way_leaves_the_file_at_its_last_line_break(tmp_p
     assert day.read_bytes() == before
 
 
-TWO = [IT, CountryRef(iso2="NG")]
-TWO_QUERIES = [ingest._query(c.iso2, key).canonical() for c in TWO for key in CELL_KEYS]
+TWO = [IT, "NG"]
+TWO_QUERIES = [ingest._query(c, key).canonical() for c in TWO for key in CELL_KEYS]
 
 
 def test_bad_cache_line_with_a_line_break_is_removed_and_refetched(tmp_path, caplog):
@@ -946,10 +945,10 @@ def test_non_utf8_cache_file_is_cut_back_or_removed_and_refetched(tmp_path, capl
         assert len(client.calls) == lost
         assert any(str(path) in r.getMessage() and says in r.getMessage() for r in caplog.records)
         assert path.read_bytes() == good
-        collect_one(fresh, CountryRef(iso2="NG"))  # appended to the repaired file
+        collect_one(fresh, "NG")  # appended to the repaired file
         assert cached_keys(path, "IT") == cached_keys(path, "NG") == list(CELL_KEYS)
         again = StubClient(count=500)
-        live_collector(tmp_path, again)[0].collect_snapshots([IT, CountryRef(iso2="NG")])
+        live_collector(tmp_path, again)[0].collect_snapshots([IT, "NG"])
         assert again.calls == []
 
 

@@ -5,6 +5,9 @@ relation needs no oracle, so it cannot share an oracle's misreading.
 - Row order: shuffling the data rows of every fixture file changes only the
   digest stamps. Every CSV artifact's non-`#` lines (each snapshot's
   included) and every JSON artifact outside `metadata` are byte-identical.
+- Country order and case: `--countries` in another order and in lower case
+  changes no byte, stamps included, from a run over the same codes sorted
+  in capitals, or over the default list.
 
 Each relation runs on the bundled demo and on a seeded 60-country world
 from `bench/world.py`, and is shown to fail on a bug planted by the test.
@@ -20,6 +23,9 @@ from pathlib import Path
 import pytest
 
 from admac import ingest
+from admac.cli import main
+from admac.domain import iso2_code
+from admac.ingest import DEFAULT_EXCLUDED, fixture_countries
 from admac.pipeline import RunConfig, packaged_data_path, run_all
 
 WORLD_SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "world.py"
@@ -95,7 +101,7 @@ def test_row_order_relation_catches_a_collect_that_keeps_file_order(tmp_path, mo
 
     def in_file_order(collector, countries):
         snapshots = collect(collector, countries)
-        return [s._replace(cells=collector._store.cells(s.country.iso2)) for s in snapshots]
+        return [s._replace(cells=collector._store.cells(s.country)) for s in snapshots]
 
     monkeypatch.setattr(ingest.Collector, "collect_snapshots", in_file_order)
     fixtures, truth = packaged_data_path("fixtures"), packaged_data_path("ground_truth.csv")
@@ -103,3 +109,44 @@ def test_row_order_relation_catches_a_collect_that_keeps_file_order(tmp_path, mo
     shuffled = run(tmp_path / "shuffled-out", shuffled_copy(fixtures, tmp_path / "shuffled"), truth, DEMO_SEED)
     changed = {name for name in plain if plain[name] != shuffled[name]}
     assert changed == {f"snapshots/{path.name}" for path in fixtures.glob("*.csv")}
+
+
+def run_cli(
+    out_dir: Path, fixtures: Path, truth: Path, seed: int, countries: list[str] | None = None
+) -> dict[str, bytes]:
+    """Every artifact's bytes after `admac all`, over `countries` when given."""
+    argv = ["all", "--out", str(out_dir), "--fixture-dir", str(fixtures), "--truth", str(truth)]
+    argv += ["--seed", str(seed)]
+    if countries is not None:
+        argv += ["--countries", ",".join(countries)]
+    assert main(argv) == 0
+    return {str(p.relative_to(out_dir)): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def test_country_order_and_case_change_no_byte(inputs):
+    root, fixtures, truth, seed = inputs
+    codes = [code for code in fixture_countries(fixtures) if code not in DEFAULT_EXCLUDED]
+    plain = run_cli(root / "plain-out", fixtures, truth, seed)
+    assert run_cli(root / "sorted-out", fixtures, truth, seed, codes) == plain
+    reversed_lower = [code.lower() for code in reversed(codes)]
+    assert run_cli(root / "lower-out", fixtures, truth, seed, reversed_lower) == plain
+
+
+def test_country_order_relation_catches_a_config_that_keeps_the_given_order(tmp_path, monkeypatch):
+    # planted bug: RunConfig checks each code but keeps the list in the order given
+    init = RunConfig.__init__
+
+    def keeps_order(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if kwargs.get("countries") is not None:
+            self.countries = tuple(iso2_code(code) for code in kwargs["countries"])
+
+    monkeypatch.setattr(RunConfig, "__init__", keeps_order)
+    fixtures, truth = packaged_data_path("fixtures"), packaged_data_path("ground_truth.csv")
+    plain = run_cli(tmp_path / "plain-out", fixtures, truth, DEMO_SEED)
+    reversed_lower = [code.lower() for code in reversed(fixture_countries(fixtures))]
+    reordered = run_cli(tmp_path / "lower-out", fixtures, truth, DEMO_SEED, reversed_lower)
+    # the snapshots hold the same cells; the estimates come in another order, and every
+    # later artifact is stamped with their digest
+    changed = {name for name in plain if plain[name] != reordered[name]}
+    assert changed == {name for name in plain if not name.startswith("snapshots/")}

@@ -6,9 +6,9 @@ import math
 import pytest
 
 from admac import special
-from admac.domain import CountryRef, Sex
+from admac.domain import Sex
 from admac.errors import EmptyInput
-from admac.groundtruth import GroundTruthRecord
+from admac.groundtruth import GroundTruthRecord, join_pairs
 from admac.indicators import IneligibilityReason, MacEstimate
 from admac.predict import Prediction, emit_choropleth, predict_missing
 from admac.special import t_quantile
@@ -39,29 +39,34 @@ def published_model(intercept=7.451, slope=0.811, residual_se=0.949, n=81, x_mea
 
 
 def eligible(iso2, mac, sex=Sex.MALE):
-    return MacEstimate(country=CountryRef(iso2=iso2), sex=sex, mac=mac, eligible=True)
+    return MacEstimate(country=iso2, sex=sex, mac=mac, eligible=True)
 
 
 def ineligible(iso2, sex=Sex.MALE):
     return MacEstimate(
-        country=CountryRef(iso2=iso2), sex=sex, mac=None, eligible=False,
+        country=iso2, sex=sex, mac=None, eligible=False,
         ineligibility_reason=IneligibilityReason.LOWER_BOUND_CELL,
     )
 
 
 def truth(iso2, mac=33.0, sex=Sex.MALE):
-    return GroundTruthRecord(country=CountryRef(iso2=iso2), sex=sex, mac=mac, period="2006-2015")
+    return GroundTruthRecord(country=iso2, sex=sex, mac=mac, period="2006-2015")
+
+
+def unmatched(estimates, truths):
+    """What predict fills, as the predict stage takes it: the join's unmatched eligible estimates."""
+    return join_pairs([(e.country, e.sex, e.mac) for e in estimates if e.eligible], truths).unmatched_estimates
 
 
 def test_no_gaps_no_predictions():
     model = published_model()
     estimates = [eligible("IT", 31.0), eligible("FR", 32.0)]
-    assert predict_missing(model, estimates, [truth("IT"), truth("FR")]) == []
+    assert predict_missing(model, unmatched(estimates, [truth("IT"), truth("FR")])) == []
 
 
 def test_point_prediction_is_exact_linear_map():
     model = published_model()
-    preds = predict_missing(model, [eligible("TR", 30.0)], [])
+    preds = predict_missing(model, unmatched([eligible("TR", 30.0)], []))
     assert len(preds) == 1
     assert preds[0].mac_predicted == 7.451 + 0.811 * 30.0
     assert abs(preds[0].mac_predicted - 31.781) < 1e-12
@@ -74,16 +79,16 @@ def test_prediction_set_identity():
         eligible("KE", 29.0), ineligible("EG"),
     ]
     truths = [truth("IT"), truth("FR"), truth("ZA")]
-    preds = predict_missing(model, estimates, truths)
-    eligible_set = {e.country.iso2 for e in estimates if e.eligible}
-    truth_set = {t.country.iso2 for t in truths}
-    assert {p.country.iso2 for p in preds} == eligible_set - truth_set
-    assert [p.country.iso2 for p in preds] == sorted(p.country.iso2 for p in preds)
+    preds = predict_missing(model, unmatched(estimates, truths))
+    eligible_set = {e.country for e in estimates if e.eligible}
+    truth_set = {t.country for t in truths}
+    assert {p.country for p in preds} == eligible_set - truth_set
+    assert [p.country for p in preds] == sorted(p.country for p in preds)
 
 
 def test_truth_for_other_sex_does_not_block():
     model = published_model()
-    preds = predict_missing(model, [eligible("IT", 31.0)], [truth("IT", sex=Sex.FEMALE)])
+    preds = predict_missing(model, unmatched([eligible("IT", 31.0)], [truth("IT", sex=Sex.FEMALE)]))
     assert len(preds) == 1
 
 
@@ -92,7 +97,7 @@ def test_interval_matches_direct_formula():
     ys = [31.0, 31.9, 32.1, 34.2, 35.4, 36.4, 38.6]
     model = ols_fit_xy(xs, ys)
     x0 = 34.0
-    preds = predict_missing(model, [eligible("TR", x0)], [])
+    preds = predict_missing(model, unmatched([eligible("TR", x0)], []))
     q = t_quantile(0.975, model.df_resid)
     half = q * model.residual_se * math.sqrt(
         1.0 + 1.0 / model.n + (x0 - model.x_mean) ** 2 / model.s_xx
@@ -118,7 +123,7 @@ def test_interval_width_minimized_at_training_mean():
 def test_predictions_monotone_in_mac_fb_for_positive_slope():
     model = published_model()
     estimates = [eligible(code, 26.0 + i) for i, code in enumerate(["AA", "BB", "CC", "DD"])]
-    preds = predict_missing(model, estimates, [])
+    preds = predict_missing(model, unmatched(estimates, []))
     values = [p.mac_predicted for p in sorted(preds, key=lambda p: p.mac_fb)]
     assert values == sorted(values)
 
@@ -127,7 +132,7 @@ def test_predictions_monotone_in_mac_fb_for_positive_slope():
 
 def _pred(iso2, value):
     return Prediction(
-        country=CountryRef(iso2=iso2), sex=Sex.MALE, mac_fb=value - 1.0,
+        country=iso2, sex=Sex.MALE, mac_fb=value - 1.0,
         mac_predicted=value, interval_low=value - 2.0, interval_high=value + 2.0,
     )
 
@@ -161,7 +166,7 @@ def test_choropleth_rejects_empty_and_mixed_input(tmp_path):
     with pytest.raises(EmptyInput):
         emit_choropleth([], tmp_path / "map.geojson")
     female = Prediction(
-        country=CountryRef(iso2="FR"), sex=Sex.FEMALE, mac_fb=29.0,
+        country="FR", sex=Sex.FEMALE, mac_fb=29.0,
         mac_predicted=30.0, interval_low=29.0, interval_high=31.0,
     )
     with pytest.raises(ValueError, match="one sex"):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from admac.domain import Continent, CountryRef, Sex
+from admac.domain import Continent, Sex
 from admac.errors import TooFewPoints
 from admac.groundtruth import ValidationPair
 from admac.stats import (
@@ -35,7 +35,7 @@ def make_pairs(values, continents=None):
         iso2 = _iso2(i)
         pairs.append(
             ValidationPair(
-                country=CountryRef(iso2=iso2),
+                country=iso2,
                 sex=Sex.MALE,
                 mac_fb=x,
                 mac_truth=y,
@@ -60,7 +60,7 @@ def test_loocv_exact_on_collinear_points():
     pairs, continent_of = make_pairs(values)
     predictions, grouped = loocv(pairs, continent_of)
     for pair in pairs:
-        assert predictions[pair.country.iso2] == pytest.approx(pair.mac_truth, rel=1e-12)
+        assert predictions[pair.country] == pytest.approx(pair.mac_truth, rel=1e-12)
     assert grouped.overall.mape == pytest.approx(0.0, abs=1e-10)
     assert grouped.overall.n == 5
 
@@ -74,7 +74,7 @@ def test_loocv_matches_per_fold_refit_oracle():
         expected = ols_predict_lstsq(
             [p.mac_fb for p in rest], [p.mac_truth for p in rest], held_out.mac_fb
         )
-        assert predictions[held_out.country.iso2] == pytest.approx(expected, rel=1e-10)
+        assert predictions[held_out.country] == pytest.approx(expected, rel=1e-10)
 
 
 @pytest.mark.parametrize("scope", ["global", "continent"])
@@ -87,13 +87,13 @@ def test_loocv_predictions_equal_full_ols_fit_exactly(scope):
     else:
         by_label = {}
         for p in pairs:
-            by_label.setdefault(continent_label(continent_of[p.country.iso2]), []).append(p)
+            by_label.setdefault(continent_label(continent_of[p.country]), []).append(p)
         fold_sets = [group for _, group in sorted(by_label.items()) if len(group) >= 4]
     expected = {}
     for fold_set in fold_sets:
         for i, held_out in enumerate(fold_set):
             model = ols_fit(fold_set[:i] + fold_set[i + 1:])
-            expected[held_out.country.iso2] = model.predict(held_out.mac_fb)
+            expected[held_out.country] = model.predict(held_out.mac_fb)
     assert predictions == expected  # bit-identical, not approximately equal
 
 
@@ -132,12 +132,12 @@ def test_loocv_continent_scope_fits_within_continents():
     pairs, continent_of = make_pairs(values, continents=continents)
     predictions, _ = loocv(pairs, continent_of, scope="continent")
     for i, held_out in enumerate(pairs):
-        group = [p for p in pairs if continent_of[p.country.iso2] == continent_of[held_out.country.iso2]]
-        rest = [p for p in group if p.country.iso2 != held_out.country.iso2]
+        group = [p for p in pairs if continent_of[p.country] == continent_of[held_out.country]]
+        rest = [p for p in group if p.country != held_out.country]
         expected = ols_predict_lstsq(
             [p.mac_fb for p in rest], [p.mac_truth for p in rest], held_out.mac_fb
         )
-        assert predictions[held_out.country.iso2] == pytest.approx(expected, rel=1e-10)
+        assert predictions[held_out.country] == pytest.approx(expected, rel=1e-10)
 
 
 def test_loocv_rejects_unknown_scope():
