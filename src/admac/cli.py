@@ -18,11 +18,8 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .domain import Sex
 from .errors import AdmacError, ConfigError, ParseError
 from .fileio import decode_utf8
-from .indicators import LowerBoundPolicy
-from .ingest import Mode
 from .pipeline import (
     RunConfig,
     run_all,
@@ -47,22 +44,18 @@ def _comma_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _sexes(text: str) -> tuple[Sex, ...]:
-    return tuple(dict.fromkeys(Sex(part.lower()) for part in _comma_list(text)))
-
-
 # option key -> (RunConfig field, parser of its text, help); a parser raises
 # ValueError on a bad text, and the help then says what to use instead
 OPTIONS = {
-    "mode": ("mode", Mode, "fixture (default) or live"),
+    "mode": ("mode", str, "fixture (default) or live"),
     "fixture_dir": ("fixture_dir", Path, "a directory of per-country fixture CSVs"),
     "cache_dir": ("cache_dir", Path, "the live-mode response cache directory"),
     "truth": ("truth_path", Path, "a ground-truth CSV (iso2,sex,mac,period)"),
     "continent_map": ("continent_map_path", Path, "a continent map CSV (iso2,continent)"),
-    "sexes": ("sexes", _sexes, "a comma list of female, male (default both)"),
+    "sexes": ("sexes", _comma_list, "a comma list of female, male (default both)"),
     "seed": ("seed", int, "an integer seeding all randomness (default 0)"),
     "lower_bound_policy": (
-        "lower_bound_policy", LowerBoundPolicy,
+        "lower_bound_policy", str,
         "any (default) or parents-only: which floor-valued cells disqualify a country",
     ),
     "loocv_scope": (

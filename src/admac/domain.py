@@ -1,10 +1,10 @@
 """Core value types: the age grid, countries, audience cells and schedules.
 
-Every record here is immutable, so instances can be shared freely between
-threads; a snapshot's cell dict is built once, by its reader or collector,
-and is not changed after. Records are named tuples: equality, hashing and
-ordering are those of the tuple of their fields (so a record also equals a
-plain tuple of the same values). A record with invariants checks them in
+Every record here is immutable, so instances can be shared freely; a
+snapshot's cell dict is built once, by its reader or collector, and is not
+changed after. Records are named tuples: equality, hashing and ordering
+are those of the tuple of their fields (so a record also equals a plain
+tuple of the same values). A record with invariants checks them in
 `__new__` and raises ValueError. A record's country is its ISO2 code, a
 plain string in capitals (`iso2_code`).
 """

@@ -6,10 +6,10 @@ Fixtures (one `<ISO2>.csv` per country) and the live cache (one
 country by country in the order requested; read, it keeps only its whole
 lines) share one CSV schema
 (`iso2,sex,age_low,age_high,parent_filter,count,collected_at`) and one
-store. A collect stage answers every hit from the store; live misses are
-sent one at a time from the calling thread, and a throttled query is
-retried `MAX_RETRIES` times, waiting `BASE_BACKOFF_S` seconds and then
-twice as long each time.
+store, which alone reports a missing fixture file. A collect answers every hit
+from the store, and one rule takes a miss: a fixture's is a per-cell FixtureMiss,
+a live one is sent from the calling thread, and a throttled query is retried
+`MAX_RETRIES` times, waiting `BASE_BACKOFF_S` seconds and then twice as long.
 """
 
 from __future__ import annotations
@@ -108,6 +108,7 @@ class CollectorConfig(namedtuple("CollectorConfig", "mode fixture_dir cache_dir"
     def __new__(
         cls, mode: Mode = Mode.FIXTURE, fixture_dir: Path | None = None, cache_dir: Path | None = None
     ) -> CollectorConfig:
+        mode = Mode(mode)
         if mode is Mode.FIXTURE and fixture_dir is None:
             raise ConfigError("fixture mode needs fixture_dir")
         if mode is Mode.LIVE and cache_dir is None:
@@ -334,29 +335,29 @@ class _CellStore:
 
     def __init__(self, directory: Path) -> None:
         self.directory = directory
-        self._files: dict[tuple[str, date | None], dict[CellKey, AudienceCell] | None] = {}
+        self._files: dict[tuple[str, date | None], dict[CellKey, AudienceCell]] = {}
         self._digests: dict[str, str] = {}  # of fixture files
         self._days: set[date] = set()  # day files read
 
     def _path(self, name: str) -> Path:
         return self.directory / f"{name}.csv"
 
-    def cells(self, iso2: str, day: date | None = None) -> dict[CellKey, AudienceCell] | None:
-        """`iso2`'s cells by key: from its fixture (day None) or from `day`'s cache file; None
-        when there are none."""
+    def cells(self, iso2: str, day: date | None = None) -> dict[CellKey, AudienceCell]:
+        """`iso2`'s cells by key, from `day`'s cache file (empty if it has none) or from its fixture
+        (day None); FixtureMiss if that file does not exist, which the next call looks for again."""
         if day is not None:
             if day not in self._days:
                 self._days.add(day)
                 self._files.update(((code, day), cells) for code, cells in self._read_day(day).items())
-        elif (iso2, None) not in self._files:
+            return self._files.get((iso2, day), {})
+        if (iso2, None) not in self._files:
             path = self._path(iso2)
-            held = None
-            if path.exists():
-                data = path.read_bytes()
-                self._digests[iso2] = hashlib.sha256(data).hexdigest()
-                held = read_cells_csv(path, iso2, data=data)[iso2]
-            self._files[iso2, None] = held
-        return self._files.get((iso2, day))
+            if not path.exists():
+                raise FixtureMiss(f"no fixture file for {iso2} under {self.directory}")
+            data = path.read_bytes()
+            self._digests[iso2] = hashlib.sha256(data).hexdigest()
+            self._files[iso2, None] = read_cells_csv(path, iso2, data=data)[iso2]
+        return self._files[iso2, None]
 
     def _read_day(self, day: date) -> dict[str, dict[CellKey, AudienceCell]]:
         """`day`'s cache file read by country, kept to its whole lines (see the class docstring)."""
@@ -397,8 +398,8 @@ class _CellStore:
 # collector
 # --------------------------------------------------------------------------
 
-# Per-cell live failures: they leave a snapshot incomplete instead of ending the run.
-_CELL_ERRORS = (RateLimited, MalformedResponse)
+# Per-cell failures, a fixture miss too: they leave a snapshot incomplete instead of ending the run.
+_CELL_ERRORS = (FixtureMiss, RateLimited, MalformedResponse)
 
 
 def _query(iso2: str, key: CellKey) -> QueryDescriptor:
@@ -414,11 +415,10 @@ class Collector:
     or the live cache's file for the UTC day the call looked up. A collect
     checks every requested country for exclusion, then looks each one up
     in the store, then goes through the countries one at a time, each in
-    canonical query order, on the calling thread: a held cell is taken, a
-    fixture miss is a per-cell FixtureMiss, and a live miss is sent. Once
-    a country's cells are done, or an error or an interrupt ends the call
-    inside that country, its fetched cells are appended to the day file,
-    once.
+    canonical query order, on the calling thread: a held cell is taken, and
+    `_fetch` takes one the store lacks. Once a country's cells are done, or
+    an error or an interrupt ends the call inside that country, its fetched
+    cells are appended to the day file, once.
     """
 
     def __init__(
@@ -431,36 +431,33 @@ class Collector:
         self.config = config
         self._clock = clock
         self._sleep = sleep
-        live = config.mode is Mode.LIVE
-        self._store = _CellStore(Path(config.cache_dir if live else config.fixture_dir))
-        if live and client is None:
+        self._live = config.mode is Mode.LIVE
+        self._store = _CellStore(Path(config.cache_dir if self._live else config.fixture_dir))
+        if self._live and client is None:
             client = AdsApiClient(token=os.environ.get(TOKEN_ENV_VAR, ""))
         self._client = client
-
-    def _cells(self, iso2: str, day: date | None) -> dict[CellKey, AudienceCell]:
-        """The cells of `iso2`'s store file; no fixture file at all raises FixtureMiss."""
-        cells = self._store.cells(iso2, day)
-        if cells is None and day is None:
-            raise FixtureMiss(f"no fixture file for {iso2} under {self._store.directory}")
-        return cells or {}
 
     def fetch_cell(self, query: QueryDescriptor, day: date | None = None) -> AudienceCell:
         """The query's cell: from its fixture, or live from the `day` cache file (default:
         today) or fetched into it."""
         iso2 = query.country_iso2
         key = (query.sex, AgeGroup(query.age_min), query.parent_filter)
-        day = (day or self._clock().date()) if self.config.mode is Mode.LIVE else None
-        cell = self._cells(iso2, day).get(key)
+        day = (day or self._clock().date()) if self._live else None
+        cell = self._store.cells(iso2, day).get(key)
         if cell is None:
-            if day is None:
-                raise FixtureMiss(f"fixture has no row for {query.canonical()}")
-            cell = self._request(iso2, key)
+            cell = self._fetch(iso2, key, day)
             self._store.write(iso2, day, {key: cell})
         return cell
 
     def fixture_digest(self, iso2: str) -> str | None:
         """SHA-256 of the fixture file this collector read for `iso2`, or None when it read none."""
         return self._store.digest(iso2)
+
+    def _fetch(self, iso2: str, key: CellKey, day: date | None) -> AudienceCell:
+        """The cell for `key`, which the store lacks: FixtureMiss in fixture mode (day None), else sent."""
+        if day is None:
+            raise FixtureMiss(f"fixture has no row for {_query(iso2, key).canonical()}")
+        return self._request(iso2, key)
 
     def _request(self, iso2: str, key: CellKey) -> AudienceCell:
         """The cell for `key` from the client; throttled attempts are retried with backoff."""
@@ -484,16 +481,17 @@ class Collector:
     def collect_snapshots(self, countries: Sequence[str]) -> list[AudienceSnapshot]:
         """The snapshot of each country (an ISO2 code), in the order given.
 
-        A country whose cells did not all arrive gets a snapshot of the cells
-        that did, and a warning naming its first failure. An excluded country
-        raises ExcludedCountry, one with no fixture file FixtureMiss and a bad
-        fixture ParseError; each before any request is sent or cell written.
+        A country whose cells did not all arrive from the store or `_fetch`
+        gets a snapshot of the cells that did, and a warning naming its first
+        failure. An excluded country raises ExcludedCountry, and the store
+        FixtureMiss for one with no fixture file or ParseError for a bad one;
+        each before any request is sent or cell written.
         """
         for iso2 in countries:
             if iso2 in DEFAULT_EXCLUDED:
                 raise ExcludedCountry(f"platform provides no data for {iso2}")
-        day = self._clock().date() if self.config.mode is Mode.LIVE else None
-        stored = [self._cells(iso2, day) for iso2 in countries]
+        day = self._clock().date() if self._live else None
+        stored = [self._store.cells(iso2, day) for iso2 in countries]
         snapshots, incomplete = [], []
         for iso2, held in zip(countries, stored):
             cells: dict[CellKey, AudienceCell] = {}
@@ -502,16 +500,12 @@ class Collector:
             try:
                 for key in CELL_KEYS:
                     cell = held.get(key)
-                    if cell is None and day is None:
-                        failures.append(FixtureMiss(f"fixture has no row for {_query(iso2, key).canonical()}"))
-                        continue
                     if cell is None:
                         try:
-                            cell = self._request(iso2, key)
+                            cell = fetched[key] = self._fetch(iso2, key, day)
                         except _CELL_ERRORS as exc:
                             failures.append(exc)
                             continue
-                        fetched[key] = cell
                     cells[key] = cell
             finally:
                 if fetched:

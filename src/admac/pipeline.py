@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+from enum import Enum
 from pathlib import Path
 
 from .domain import AudienceSnapshot, Sex, iso2_code
@@ -88,13 +89,22 @@ def packaged_data_path(*parts: str) -> Path:
     return Path(__file__).parent.joinpath("data", *parts)
 
 
+def _member(key: str, enum: type[Enum], value: str, fold: bool = False) -> Enum:
+    """`value` (lower-cased if `fold`) as a member of `enum`; else a ConfigError naming `key`."""
+    try:
+        return enum(value.lower() if fold else value)
+    except ValueError:
+        raise ConfigError(f"{key}: {value!r} is not one of: {', '.join(m.value for m in enum)}") from None
+
+
 class RunConfig:
     """One pipeline run, fully determined by these fields plus the fixtures.
 
-    The three input paths default to the bundled demo data; live mode's
-    cache_dir defaults to output_dir/cache. `countries`, when given, is
-    kept as ISO2 codes in capitals (`iso2_code`), once each and sorted; a
-    text that is no code, or an empty list, is a ConfigError.
+    The input paths default to the bundled demo data, live mode's cache_dir
+    to output_dir/cache. Mode, policy and each sex (in any case; kept once,
+    in order) are read through their enums, `countries` as ISO2 codes in
+    capitals (`iso2_code`), once each and sorted. A bad value or an empty
+    list is a ConfigError naming its key.
     """
 
     __slots__ = (
@@ -116,6 +126,9 @@ class RunConfig:
         loocv_scope: str = "global",
         countries: tuple[str, ...] | None = None,
     ) -> None:
+        mode = _member("mode", Mode, mode)
+        lower_bound_policy = _member("lower_bound_policy", LowerBoundPolicy, lower_bound_policy)
+        sexes = tuple(dict.fromkeys(_member("sexes", Sex, sex, fold=True) for sex in sexes))
         if not sexes:
             raise ConfigError("sexes: at least one must be requested")
         if loocv_scope not in ("global", "continent"):
@@ -167,14 +180,6 @@ class RunConfig:
         return self.output_dir / "map.geojson"
 
 
-def _collector_config(cfg: RunConfig) -> CollectorConfig:
-    return CollectorConfig(
-        mode=cfg.mode,
-        fixture_dir=cfg.fixture_dir if cfg.mode is Mode.FIXTURE else None,
-        cache_dir=cfg.cache_dir,
-    )
-
-
 # --------------------------------------------------------------------------
 # collect
 # --------------------------------------------------------------------------
@@ -198,7 +203,7 @@ def stage_collect(
     Each written snapshot, partial or not, is also appended to `collected`,
     when given, for `stage_estimate`.
     """
-    collector = collector or Collector(_collector_config(cfg))
+    collector = collector or Collector(CollectorConfig(cfg.mode, cfg.fixture_dir, cfg.cache_dir))
     if cfg.countries is not None:
         wanted = cfg.countries
     elif cfg.mode is Mode.FIXTURE:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -13,8 +14,12 @@ import pytest
 
 import admac
 from admac.cli import main
+from admac.domain import Sex
+from admac.errors import AuthError
 from admac.fileio import sha256_file, write_json
-from admac.pipeline import _model_payload, packaged_data_path
+from admac.indicators import LowerBoundPolicy
+from admac.ingest import TOKEN_ENV_VAR, Collector, CollectorConfig, Mode
+from admac.pipeline import RunConfig, _model_payload, packaged_data_path, run_all
 from admac.stats import CalibrationModel, ols_fit_xy
 from conftest import read_csv
 
@@ -601,6 +606,64 @@ def test_run_config_keeps_countries_upper_cased_once_each_and_sorted(tmp_path):
     from admac.pipeline import RunConfig
 
     assert RunConfig(output_dir=tmp_path, countries=("it", "FR", "IT")).countries == ("FR", "IT")
+
+
+def test_run_config_and_collector_config_read_live_mode_given_as_text(tmp_path, monkeypatch):
+    # given as text, live mode once kept no cache_dir, and both configs ended in a TypeError
+    monkeypatch.delenv(TOKEN_ENV_VAR, raising=False)
+    cfg = RunConfig(tmp_path / "out", mode="live", countries=("IT",))
+    assert cfg.mode is Mode.LIVE and cfg.cache_dir == tmp_path / "out" / "cache"
+    with pytest.raises(AuthError):  # the collect stage builds its live client
+        run_all(cfg)
+    config = CollectorConfig(mode="live", cache_dir=tmp_path / "cache")
+    assert config.mode is Mode.LIVE
+
+    class Client:
+        def reach_estimate(self, query):
+            return 1000
+
+    (snapshot,) = Collector(config, client=Client()).collect_snapshots(["IT"])
+    assert len(snapshot.cells) == 28
+
+
+# case -> (RunConfig arguments, the same run given as members, each once)
+RUN_CONFIG_AS_MEMBERS = {
+    "policy_as_text": (
+        {"lower_bound_policy": "parents-only"}, {"lower_bound_policy": LowerBoundPolicy.PARENTS_ONLY}
+    ),
+    "sex_as_text": ({"sexes": ("male",)}, {"sexes": (Sex.MALE,)}),
+    "sex_twice": ({"sexes": (Sex.MALE, Sex.MALE)}, {"sexes": (Sex.MALE,)}),
+}
+
+
+@pytest.mark.parametrize("case", RUN_CONFIG_AS_MEMBERS)
+def test_run_config_given_text_or_a_sex_twice_runs_as_given_members_once(tmp_path, case):
+    # each once ended in an AttributeError, or, for a sex twice, in a ParseError on
+    # estimates.csv, whose male rows estimate had written twice
+    written = {}
+    for name, kwargs in zip(("given", "members"), RUN_CONFIG_AS_MEMBERS[case]):
+        run_all(RunConfig(tmp_path / name, seed=42, **kwargs))
+        written[name] = outputs_of(tmp_path / name)
+    assert written["given"] == written["members"]
+
+
+def test_run_config_keeps_sexes_in_any_case_once_each_in_the_given_order(tmp_path):
+    assert RunConfig(tmp_path, sexes=("male", "Female", "MALE")).sexes == (Sex.MALE, Sex.FEMALE)
+
+
+def test_bundled_demo_data_is_what_its_script_generates(tmp_path, monkeypatch):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "gen_demo_fixtures.py"
+    spec = importlib.util.spec_from_file_location("gen_demo_fixtures", script)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    monkeypatch.setattr(generator, "DATA_DIR", tmp_path)
+    generator.main()
+    names = sorted(p.name for p in (tmp_path / "fixtures").glob("*.csv"))
+    assert names == sorted(p.name for p in packaged_data_path("fixtures").glob("*.csv"))
+    for name in names:
+        bundled = packaged_data_path("fixtures", name).read_bytes()
+        assert (tmp_path / "fixtures" / name).read_bytes() == bundled, name
+    assert (tmp_path / "ground_truth.csv").read_bytes() == packaged_data_path("ground_truth.csv").read_bytes()
 
 
 @pytest.mark.parametrize("misnamed", ["fixture", "snapshot"])

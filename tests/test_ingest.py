@@ -211,8 +211,11 @@ def test_fixture_miss_for_absent_row(fixture_dir):
         country_iso2="IT", sex=Sex.MALE, age_min=45, age_max=49,
         parent_filter=ParentFilter.ALL,
     )
-    with pytest.raises(FixtureMiss):
+    with pytest.raises(FixtureMiss) as excinfo:
         collector.fetch_cell(q)
+    assert str(excinfo.value) == (
+        "fixture has no row for iso2=IT&sex=male&age_min=45&age_max=49&parent_filter=all"
+    )
 
 
 def test_fixture_miss_for_absent_file(fixture_dir):
@@ -220,6 +223,18 @@ def test_fixture_miss_for_absent_file(fixture_dir):
     collector = fixture_collector(fixture_dir)
     with pytest.raises(FixtureMiss):
         collect_one(collector, IT)
+
+
+def test_fixture_file_written_after_a_miss_is_read(fixture_dir):
+    # the store does not remember that a fixture file was absent: the next call looks again
+    fixture_dir.mkdir(parents=True)
+    collector = fixture_collector(fixture_dir)
+    with pytest.raises(FixtureMiss) as excinfo:
+        collect_one(collector, IT)
+    assert str(excinfo.value) == f"no fixture file for IT under {fixture_dir}"
+    path = write_fixture(fixture_dir, IT, full_fixture_rows())
+    assert complete(collect_one(collector, IT))
+    assert collector.fixture_digest(IT) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_collect_snapshot_complete(fixture_dir):
