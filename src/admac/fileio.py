@@ -81,19 +81,18 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def standard_metadata(seed: int | None = None, inputs: dict[str, str] | None = None) -> dict[str, str]:
+def standard_metadata(seed: int, inputs: dict[str, str]) -> dict[str, str]:
     """The metadata block every output carries (no timestamps: outputs must
     be byte-identical across reruns)."""
-    meta = {"tool": f"admac {__version__}"}
-    if seed is not None:
-        meta["seed"] = str(seed)
-    for name, digest in (inputs or {}).items():
+    meta = {"tool": f"admac {__version__}", "seed": str(seed)}
+    for name, digest in inputs.items():
         meta[f"input_{name}"] = digest
     return meta
 
 
-def _comment_lines(meta: dict[str, str]) -> list[str]:
-    return [f"# {key}={value}" for key, value in meta.items()]
+def metadata_header(meta: dict[str, str]) -> str:
+    """`meta` as the `# key=value` lines that open a CSV artifact, each ending in a line break."""
+    return "".join(f"# {key}={value}\n" for key, value in meta.items())
 
 
 def write_csv(
@@ -103,8 +102,7 @@ def write_csv(
     rows: Iterable[Sequence],
 ) -> None:
     buf = io.StringIO()
-    for line in _comment_lines(meta):
-        buf.write(line + "\n")
+    buf.write(metadata_header(meta))
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 import re
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .domain import Continent, Sex, iso2_code
 from .errors import ParseError
@@ -45,31 +45,34 @@ class JoinResult(NamedTuple):
     truth: list[GroundTruthRecord]  # the one record kept per (iso2, sex), matched or not
 
 
+def _read(parse: Callable[[str], Any], text: str, what: str) -> Any:
+    """`parse(text)`; the ValueError it raises becomes one naming `text` as `what`."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{what} {text!r}") from None
+
+
 def load_continent_map(path: str | Path, *, data: bytes | None = None) -> dict[str, Continent]:
     """Bundled-style `iso2,continent` CSV into a lookup dict.
 
-    A row whose iso2 is not two ASCII letters, or whose continent is
-    unknown, is skipped with a warning naming its line. A second row for one
-    iso2 raises ParseError, since either row could be the one meant.
+    A row with a wrong field count, an iso2 that is not two ASCII letters or
+    an unknown continent is skipped with one warning naming its line and the
+    first of these. A second row for one iso2, whatever its continent,
+    raises ParseError, since either row could be the one meant.
     """
     _, _, rows = read_table(path, CONTINENT_COLUMNS, data=data)
     mapping: dict[str, Continent] = {}
     for lineno, row in rows:
-        if len(row) != 2:
-            logger.warning("%s:%d: expected 2 fields, got %d; skipped", path, lineno, len(row))
-            continue
-        cont = row[1].strip()
         try:
+            if len(row) != 2:
+                raise ValueError(f"expected 2 fields, got {len(row)}")
             iso2 = iso2_code(row[0].strip())
+            if iso2 in mapping:
+                raise ParseError(f"{path}: a second row for {iso2}", line=lineno)
+            mapping[iso2] = _read(Continent, row[1].strip(), "unknown continent")
         except ValueError as exc:
             logger.warning("%s:%d: %s; skipped", path, lineno, exc)
-            continue
-        if iso2 in mapping:
-            raise ParseError(f"{path}: a second row for {iso2}", line=lineno)
-        try:
-            mapping[iso2] = Continent(cont)
-        except ValueError:
-            logger.warning("%s:%d: unknown continent %r; skipped", path, lineno, cont)
     return mapping
 
 
@@ -77,36 +80,24 @@ def load_ground_truth(path: str | Path, *, data: bytes | None = None) -> list[Gr
     """Load `iso2,sex,mac,period` reference rows, in file order, duplicates
     included (`join_pairs` resolves them).
 
-    Rows that violate the record invariants (unknown sex, unparseable or
-    out-of-range MAC, bad iso2) are reported with their line number and
-    skipped; a structurally broken file raises ParseError.
+    A row with a wrong field count, a bad iso2, an unknown sex or an
+    unparseable or out-of-range MAC is skipped with one warning naming its
+    line and the first of these; a structurally broken file raises ParseError.
     """
     _, _, rows = read_table(path, TRUTH_COLUMNS, data=data)
     records: list[GroundTruthRecord] = []
     for lineno, row in rows:
-        if len(row) != 4:
-            logger.warning("%s:%d: expected 4 fields, got %d; skipped", path, lineno, len(row))
-            continue
-        iso2, sex_raw, mac_raw, period = (f.strip() for f in row)
         try:
+            if len(row) != 4:
+                raise ValueError(f"expected 4 fields, got {len(row)}")
+            iso2, sex_raw, mac_raw, period = (f.strip() for f in row)
             country = iso2_code(iso2)
+            sex = _read(lambda text: Sex(text.lower()), sex_raw, "unknown sex")
+            mac = _read(float, mac_raw, "unparseable mac")
+            if not MAC_MIN <= mac <= MAC_MAX:
+                raise ValueError(f"mac {mac:.6g} outside [{MAC_MIN:g}, {MAC_MAX:g}]")
         except ValueError as exc:
             logger.warning("%s:%d: %s; skipped", path, lineno, exc)
-            continue
-        try:
-            sex = Sex(sex_raw.lower())
-        except ValueError:
-            logger.warning("%s:%d: unknown sex %r; skipped", path, lineno, sex_raw)
-            continue
-        try:
-            mac = float(mac_raw)
-        except ValueError:
-            logger.warning("%s:%d: unparseable mac %r; skipped", path, lineno, mac_raw)
-            continue
-        if not MAC_MIN <= mac <= MAC_MAX:
-            logger.warning(
-                "%s:%d: mac %.6g outside [%g, %g]; skipped", path, lineno, mac, MAC_MIN, MAC_MAX
-            )
             continue
         records.append(GroundTruthRecord(country=country, sex=sex, mac=mac, period=period))
     return records

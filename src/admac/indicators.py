@@ -6,6 +6,7 @@ if not, why; `mac` is the kernel it applies to the eligible ones.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from enum import Enum
 from typing import Iterable
@@ -41,7 +42,12 @@ class LowerBoundPolicy(str, Enum):
 
 
 class MacEstimate(namedtuple("MacEstimate", "country sex mac eligible ineligibility_reason")):
-    """One (country, sex) MAC, or the reason it is ineligible."""
+    """One (country, sex) MAC, or the reason it is ineligible.
+
+    Construction holds the four invariants, else raises ValueError: an
+    eligible estimate has a finite `mac` and no reason; an ineligible one
+    has a reason and no `mac`.
+    """
 
     __slots__ = ()
 
@@ -53,10 +59,10 @@ class MacEstimate(namedtuple("MacEstimate", "country sex mac eligible ineligibil
         eligible: bool,
         ineligibility_reason: IneligibilityReason | None = None,
     ) -> MacEstimate:
-        if eligible and ineligibility_reason is not None:
-            raise ValueError("eligible estimate cannot carry an ineligibility reason")
-        if not eligible and ineligibility_reason is None:
-            raise ValueError("ineligible estimate must carry a reason")
+        if eligible and (ineligibility_reason is not None or mac is None or not math.isfinite(mac)):
+            raise ValueError(f"an eligible estimate needs a finite mac and no reason, got {mac!r}")
+        if not eligible and (ineligibility_reason is None or mac is not None):
+            raise ValueError(f"an ineligible estimate needs a reason and no mac, got {mac!r}")
         return tuple.__new__(cls, (country, sex, mac, eligible, ineligibility_reason))
 
 

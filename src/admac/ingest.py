@@ -48,7 +48,7 @@ from .errors import (
     RateLimited,
     UpstreamUnavailable,
 )
-from .fileio import append_lines, atomic_write_text, read_table
+from .fileio import append_lines, atomic_write_text, metadata_header, read_table
 
 logger = logging.getLogger(__name__)
 
@@ -159,11 +159,10 @@ def _cell_lines(iso2: str, cells: dict[CellKey, AudienceCell]) -> str:
 
 
 def write_cells_csv(
-    path: str | Path, iso2: str, cells: dict[CellKey, AudienceCell], meta: dict[str, str] | None = None
+    path: str | Path, iso2: str, cells: dict[CellKey, AudienceCell], meta: dict[str, str]
 ) -> str:
     """Write `iso2`'s cells as a cell CSV; returns the SHA-256 hex digest of the bytes written."""
-    comments = "".join(f"# {key}={value}\n" for key, value in (meta or {}).items())
-    text = comments + _HEADER_LINE + _cell_lines(iso2, cells)
+    text = metadata_header(meta) + _HEADER_LINE + _cell_lines(iso2, cells)
     atomic_write_text(path, text)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -428,7 +427,6 @@ class Collector:
         clock: Callable[[], datetime] = utc_now,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        self.config = config
         self._clock = clock
         self._sleep = sleep
         self._live = config.mode is Mode.LIVE

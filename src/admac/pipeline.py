@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 from enum import Enum
 from pathlib import Path
 
@@ -104,7 +103,8 @@ class RunConfig:
     to output_dir/cache. Mode, policy and each sex (in any case; kept once,
     in order) are read through their enums, `countries` as ISO2 codes in
     capitals (`iso2_code`), once each and sorted. A bad value or an empty
-    list is a ConfigError naming its key.
+    list is a ConfigError naming its key. Live mode needs `countries`: without
+    them it is a ConfigError naming `mode`, raised before any token is read.
     """
 
     __slots__ = (
@@ -140,6 +140,8 @@ class RunConfig:
                 raise ConfigError(f"countries: {exc}") from None
             if not countries:
                 raise ConfigError("countries: the list is empty")
+        elif mode is Mode.LIVE:
+            raise ConfigError("mode: live needs an explicit list of countries")
         self.output_dir = Path(output_dir)
         self.mode = mode
         self.fixture_dir = packaged_data_path("fixtures") if fixture_dir is None else Path(fixture_dir)
@@ -193,6 +195,9 @@ def stage_collect(
 ) -> list[Path]:
     """Snapshot every requested country into output_dir/snapshots/.
 
+    The countries are `cfg.countries` or, when none are given (fixture
+    mode alone allows that; `RunConfig` holds the rule), every fixture
+    file's country that is not excluded; none at all is a ConfigError.
     An excluded country in the list fails the stage before any request is
     sent or snapshot written. A country whose collection comes back
     incomplete is written with the cells that did arrive; the estimate
@@ -204,12 +209,7 @@ def stage_collect(
     when given, for `stage_estimate`.
     """
     collector = collector or Collector(CollectorConfig(cfg.mode, cfg.fixture_dir, cfg.cache_dir))
-    if cfg.countries is not None:
-        wanted = cfg.countries
-    elif cfg.mode is Mode.FIXTURE:
-        wanted = [c for c in fixture_countries(cfg.fixture_dir) if c not in DEFAULT_EXCLUDED]
-    else:
-        raise ConfigError("live mode needs an explicit country list")
+    wanted = cfg.countries or [c for c in fixture_countries(cfg.fixture_dir) if c not in DEFAULT_EXCLUDED]
     if not wanted:
         raise ConfigError("no countries to collect")
 
@@ -278,31 +278,24 @@ def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> list[P
 
 def load_estimates(path: Path, *, data: bytes | None = None) -> list[MacEstimate]:
     """Read estimates.csv back. A row `stage_estimate` never writes raises ParseError with its
-    line: a malformed one, an iso2 not in capitals, a repeated (iso2, sex), an eligible one
-    whose mac is empty or not finite, and an ineligible one with a mac."""
+    line: a wrong field count, a field that does not parse, an iso2 not in capitals, a
+    repeated (iso2, sex), and a row that breaks an invariant `MacEstimate` holds."""
     _, _, rows = read_table(path, ESTIMATE_COLUMNS, data=data)
     estimates: list[MacEstimate] = []
     seen: set[tuple[str, Sex]] = set()
     for lineno, row in rows:
-        if len(row) != len(ESTIMATE_COLUMNS):
-            raise ParseError(
-                f"{path}: expected {len(ESTIMATE_COLUMNS)} fields, got {len(row)}", line=lineno
-            )
-        iso2, sex, mac_raw, eligible, reason = row
         try:
+            if len(row) != len(ESTIMATE_COLUMNS):
+                raise ValueError(f"expected {len(ESTIMATE_COLUMNS)} fields, got {len(row)}")
+            iso2, sex, mac_raw, eligible, reason = row
             if iso2_code(iso2) != iso2:
                 raise ValueError(f"{iso2!r} is not in capitals")
             if eligible not in ("true", "false"):
                 raise ValueError(f"eligible must be true or false, got {eligible!r}")
-            mac = float(mac_raw) if mac_raw else None
-            if eligible == "true" and (mac is None or not math.isfinite(mac)):
-                raise ValueError(f"an eligible row needs a finite mac, got {mac_raw!r}")
-            if eligible == "false" and mac_raw:
-                raise ValueError(f"an ineligible row has no mac, got {mac_raw!r}")
             est = MacEstimate(
                 country=iso2,
                 sex=Sex(sex),
-                mac=mac,
+                mac=float(mac_raw) if mac_raw else None,
                 eligible=eligible == "true",
                 ineligibility_reason=IneligibilityReason(reason) if reason else None,
             )

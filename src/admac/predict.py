@@ -35,7 +35,7 @@ def predict_missing(
     the training sample, and the t(df_resid) quantile.
     """
     return [
-        Prediction(country, sex, mac_fb, model.predict(mac_fb), *model.prediction_interval(mac_fb, level=0.95))
+        Prediction(country, sex, mac_fb, model.predict(mac_fb), *model.prediction_interval(mac_fb))
         for country, sex, mac_fb in unmatched
     ]
 

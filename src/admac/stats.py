@@ -32,6 +32,7 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 UNKNOWN_CONTINENT = "Unknown"
+PREDICTION_LEVEL = 0.95  # the coverage of every prediction interval
 
 
 # --------------------------------------------------------------------------
@@ -168,14 +169,12 @@ class CalibrationModel(NamedTuple):
     def leverage(self, x: float) -> float:
         return 1.0 / self.n + (x - self.x_mean) ** 2 / self.s_xx
 
-    def prediction_interval(self, x: float, level: float = 0.95) -> tuple[float, float]:
-        """Interval expected to contain a new observation at `x`."""
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"level must be in (0, 1), got {level}")
+    def prediction_interval(self, x: float) -> tuple[float, float]:
+        """Interval expected to contain a new observation at `x` with probability PREDICTION_LEVEL."""
         center = self.predict(x)
         if self.residual_se == 0.0:
             return center, center
-        q = special.t_quantile(0.5 + level / 2.0, self.df_resid)
+        q = special.t_quantile(0.5 + PREDICTION_LEVEL / 2.0, self.df_resid)
         half = q * self.residual_se * math.sqrt(1.0 + self.leverage(x))
         return center - half, center + half
 

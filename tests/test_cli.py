@@ -159,6 +159,24 @@ def test_estimate_requires_collect(tmp_path, capsys):
     assert read_err(capsys)["error"] == "MissingStageInput"
 
 
+def test_estimate_over_an_empty_snapshots_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "snapshots").mkdir(parents=True)
+    assert run_cli("estimate", "--out", out) == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "MissingStageInput"
+    assert report["message"].startswith(f"no snapshots under {out / 'snapshots'}")
+
+
+def test_fixture_dir_without_fixtures_has_no_countries_to_collect(tmp_path, capsys):
+    (tmp_path / "fixtures").mkdir()
+    assert run_cli("collect", "--fixture-dir", tmp_path / "fixtures", "--out", tmp_path / "out") == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "ConfigError"
+    assert report["message"] == "no countries to collect"
+    assert not (tmp_path / "out").exists()
+
+
 def test_calibrate_with_too_few_pairs(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("collect", "--out", out, "--countries", "IT,FR") == 0
@@ -243,6 +261,22 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert read_err(capsys)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize(
+    "text, said",
+    [(None, "config file {} not found"), ("seed 1\n", "{}:1: expected key=value")],
+    ids=["absent", "line_without_equals_sign"],
+)
+def test_bad_config_file_reports_config_error(tmp_path, capsys, text, said):
+    config = tmp_path / "run.conf"
+    if text is not None:
+        config.write_text(text, encoding="utf-8")
+    assert run_cli("all", "--config", config, "--out", tmp_path / "out") == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "ConfigError"
+    assert report["message"].startswith(said.format(config))
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_sexes_value(tmp_path, capsys):
     assert run_cli("all", "--out", tmp_path / "out", "--sexes", "other") == 1
     assert read_err(capsys)["error"] == "ConfigError"
@@ -315,10 +349,13 @@ def _with_mac(mac: str):
         _with_mac(""),
         _with_mac("nan"),
         lambda line: line.replace(",true,\n", ",false,lower_bound_cell\n"),
+        lambda line: line.replace(",true,\n", ",true,lower_bound_cell\n"),
+        lambda line: _with_mac("")(line).replace(",true,\n", ",false,\n"),
     ],
     ids=[
         "mac_not_a_number", "sixth_field", "eligible_not_boolean",
         "duplicate_row", "eligible_without_mac", "eligible_nan_mac", "ineligible_with_mac",
+        "eligible_with_reason", "ineligible_without_reason",
     ],
 )
 def test_malformed_estimates_row_reports_parse_error(tmp_path, capsys, edit):
@@ -561,6 +598,7 @@ BAD_OPTION_VALUES = {
     "country_not_ascii": ("countries", "ß,IT", ["'ß'"]),  # "ß" upper-cases to "SS"
     "no_countries": ("countries", ",", ["empty"]),
     "empty_out": ("out", "", ["empty"]),
+    "live_without_countries": ("mode", "live", ["live", "countries"]),
 }
 
 

@@ -36,6 +36,20 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
 
 
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    path = tmp_path / "file.txt"
+    atomic_write_text(path, "one")
+
+    def refuse(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        atomic_write_text(path, "two")
+    assert path.read_bytes() == b"one"
+    assert list(tmp_path.glob(".*.tmp")) == []
+
+
 def test_append_lines_writes_the_header_once_and_never_after_a_fragment(tmp_path, monkeypatch):
     path = tmp_path / "a" / "day.csv"
     append_lines(path, "1\n", "h\n")

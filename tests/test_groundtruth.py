@@ -43,13 +43,15 @@ def test_load_ground_truth_skips_bad_rows_with_diagnostics(tmp_path, caplog):
         "IT,male,-1,2006-2015\n"
         "FR,male,abc,2006-2015\n"
         "DE,robot,33.0,2006-2015\n"
-        "ES,male,33.0,2006-2015\n",
+        "ES,male,33.0,2006-2015\n"
+        "NL,male,33.0\n",
         encoding="utf-8",
     )
     with caplog.at_level("WARNING"):
         records = load_ground_truth(path)
     assert [r.country for r in records] == ["ES"]
     assert ":2:" in caplog.text and ":3:" in caplog.text and ":4:" in caplog.text
+    assert f"{path}:6: expected 4 fields, got 3; skipped" in [r.getMessage() for r in caplog.records]
 
 
 def test_truth_row_whose_iso2_is_not_ascii_is_skipped_with_its_line(tmp_path, caplog):
@@ -90,12 +92,13 @@ def test_load_ground_truth_bad_header(tmp_path):
 def test_load_continent_map(tmp_path, caplog):
     path = tmp_path / "continents.csv"
     path.write_text(
-        "iso2,continent\nIT,Europe\nNG,Africa\nZZ,Atlantis\n", encoding="utf-8"
+        "iso2,continent\nIT,Europe\nNG,Africa\nZZ,Atlantis\nGB,Europe,extra\n", encoding="utf-8"
     )
     with caplog.at_level("WARNING"):
         mapping = load_continent_map(path)
     assert mapping == {"IT": Continent.EUROPE, "NG": Continent.AFRICA}
     assert "Atlantis" in caplog.text
+    assert f"{path}:5: expected 2 fields, got 3; skipped" in [r.getMessage() for r in caplog.records]
 
 
 def test_continent_row_whose_iso2_is_no_code_is_skipped_with_its_line(tmp_path, caplog):
