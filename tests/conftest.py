@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import importlib.util
 import os
 from datetime import datetime, timezone
 from pathlib import Path
@@ -15,6 +16,9 @@ from admac.domain import (
     age_grid,
 )
 from admac.fileio import read_table
+from admac.pipeline import packaged_data_path
+
+WORLD_SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "world.py"
 
 TS = datetime(2024, 6, 1, tzinfo=timezone.utc)
 
@@ -90,3 +94,21 @@ def full_fixture_rows(female_counts=None, male_counts=None):
 @pytest.fixture
 def fixture_dir(tmp_path):
     return tmp_path / "fixtures"
+
+
+def generate_world(out_dir: Path, seed: int, n_countries: int) -> tuple[Path, Path]:
+    """A seeded `bench/world.py` world under `out_dir`: (fixture dir, truth table)."""
+    spec = importlib.util.spec_from_file_location("world", WORLD_SCRIPT)
+    world = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(world)
+    world.generate_world(out_dir, packaged_data_path("continents.csv"), seed, n_countries=n_countries)
+    return out_dir / "fixtures", out_dir / "truth.csv"
+
+
+@pytest.fixture(scope="session")
+def small_worlds(tmp_path_factory):
+    """Two seeded worlds, of 20 and of 60 countries: name -> (fixture dir, truth table)."""
+    return {
+        f"world-{n}": generate_world(tmp_path_factory.mktemp(f"world-{n}"), seed, n)
+        for seed, n in ((3, 20), (8, 60))
+    }
