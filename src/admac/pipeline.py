@@ -3,7 +3,7 @@ predict, with plain CSV/JSON artifacts between stages.
 
 Stages hand each other two files: the snapshots (collect -> estimate) and
 estimates.csv (estimate -> validate, calibrate, predict), which the last
-three read together with the truth table. Only validate, which scores the
+three join with the truth table per sex. Only validate, which scores the
 pairs by continent, reads the continent map. Validate and calibrate write
 reports that no stage reads: predict fits the calibration it applies
 itself. Every stage writes its files atomically and stamps a
@@ -14,8 +14,10 @@ inputs = identical bytes.
 Collect owns snapshots/: a collect that succeeds leaves there exactly the
 countries it collected, so every estimate reads one set of snapshots.
 `run_all` hands that set to `estimate` in memory, with the digests of the
-bytes written, rather than reading it back; the artifacts are the same
-bytes as when the stages run one by one.
+bytes written, rather than reading it back. It then reads estimates.csv and
+the truth table once and hands their joins to the last three stages, so a
+warning about a truth row is logged once per run. The artifacts are the
+same bytes as when the stages run one by one.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     TooFewPoints,
 )
 from .fileio import read_table, standard_metadata, write_csv, write_json
-from .groundtruth import GroundTruthRecord, JoinResult, load_continent_map, load_ground_truth, join_pairs
+from .groundtruth import JoinResult, load_continent_map, load_ground_truth, join_pairs
 from .indicators import (
     IneligibilityReason,
     LowerBoundPolicy,
@@ -321,9 +323,15 @@ def _read_input(path: Path, missing: str) -> tuple[bytes, str]:
     return data, hashlib.sha256(data).hexdigest()
 
 
-def _load_stage_data(cfg: RunConfig) -> tuple[dict[str, str], list[MacEstimate], list[GroundTruthRecord]]:
-    """The digests of the estimates and truth table, and their contents:
-    each file is read once per stage, to hash and to parse."""
+Joins = tuple[dict[str, str], dict[Sex, JoinResult]]
+
+
+def _load_joins(cfg: RunConfig) -> Joins:
+    """What validate, calibrate and predict share: the digests of estimates.csv
+    and the truth table (`estimates`, `truth`), and per sex of `cfg.sexes` the
+    join of its eligible estimates with its truth records. Each file is read
+    once, to hash and to parse. A stage run alone loads its own; `run_all`
+    loads once and hands the result to all three."""
     inputs: dict[str, str] = {}
     estimates_data, inputs["estimates"] = _read_input(
         cfg.estimates_path, f"{cfg.estimates_path} not found; run `estimate` first"
@@ -331,12 +339,11 @@ def _load_stage_data(cfg: RunConfig) -> tuple[dict[str, str], list[MacEstimate],
     truth_data, inputs["truth"] = _read_input(cfg.truth_path, f"ground truth file {cfg.truth_path} not found")
     estimates = load_estimates(cfg.estimates_path, data=estimates_data)
     truth = load_ground_truth(cfg.truth_path, data=truth_data)
-    return inputs, estimates, truth
-
-
-def _pairs_for_sex(sex: Sex, estimates: list[MacEstimate], truth: list[GroundTruthRecord]) -> JoinResult:
-    triples = [(e.country, e.sex, e.mac) for e in estimates if e.eligible and e.sex == sex]
-    return join_pairs(triples, [t for t in truth if t.sex == sex])
+    joins = {}
+    for sex in cfg.sexes:
+        eligible = [(e.country, sex, e.mac) for e in estimates if e.eligible and e.sex == sex]
+        joins[sex] = join_pairs(eligible, [t for t in truth if t.sex == sex])
+    return inputs, joins
 
 
 def _metric_cell_fields(cell) -> tuple[str, str, str]:
@@ -361,19 +368,21 @@ def _write_metrics(path: Path, meta: dict[str, str], direct: GroupedMetrics, cv:
     write_csv(path, meta, METRICS_COLUMNS, rows)
 
 
-def stage_validate(cfg: RunConfig) -> list[Path]:
+def stage_validate(cfg: RunConfig, joins: Joins | None = None) -> list[Path]:
     """Spearman/MAPE of platform vs truth, direct and under LOOCV, by continent.
 
-    Every sex is computed before any file is written, so a sex that fails
-    leaves the metrics of an earlier run as they were."""
-    inputs, estimates, truth = _load_stage_data(cfg)
-    continents_data, inputs["continents"] = _read_input(
+    The pairs are `joins`, when given, else `_load_joins(cfg)`; the continent
+    map is read here. Every sex is computed before any file is written, so a
+    sex that fails leaves the metrics of an earlier run as they were."""
+    inputs, sex_joins = joins or _load_joins(cfg)
+    continents_data, continents = _read_input(
         cfg.continent_map_path, f"continent map file {cfg.continent_map_path} not found"
     )
+    inputs = {**inputs, "continents": continents}  # a copy: the other stages do not read the map
     continent_map = load_continent_map(cfg.continent_map_path, data=continents_data)
     results = []
     for sex in cfg.sexes:
-        join = _pairs_for_sex(sex, estimates, truth)
+        join = sex_joins[sex]
         pairs = join.pairs
         if len(pairs) < 4:
             raise TooFewPoints(
@@ -409,30 +418,28 @@ def _model_payload(model: CalibrationModel) -> dict:
     return payload
 
 
-def _fit_for_sex(
-    stage: str, sex: Sex, estimates: list[MacEstimate], truth: list[GroundTruthRecord]
-) -> tuple[JoinResult, CalibrationModel]:
-    """The sex's join and the calibration fitted on its pairs; calibrate
-    and predict both fit through here, so they apply one model."""
-    join = _pairs_for_sex(sex, estimates, truth)
+def _fit_for_sex(stage: str, sex: Sex, join: JoinResult) -> CalibrationModel:
+    """The calibration fitted on the sex's pairs; calibrate and predict
+    both fit through here, so they apply one model."""
     if len(join.pairs) < 3:
         raise TooFewPoints(
             f"{stage}/{sex.value}: regression needs at least 3 matched pairs, got {len(join.pairs)}"
         )
-    return join, ols_fit(join.pairs)
+    return ols_fit(join.pairs)
 
 
-def stage_calibrate(cfg: RunConfig) -> list[Path]:
+def stage_calibrate(cfg: RunConfig, joins: Joins | None = None) -> list[Path]:
     """Fit mac_truth = b0 + b1 * mac_fb per sex; report inference and the
     seeded random-split out-of-sample exercise in model_<sex>.json.
 
-    The model files are a report: predict fits the same model again rather
-    than reading them. Every sex is fitted before any file is written."""
-    inputs, estimates, truth = _load_stage_data(cfg)
+    The pairs are `joins`, when given, else `_load_joins(cfg)`. The model
+    files are a report: predict fits the same model again rather than
+    reading them. Every sex is fitted before any file is written."""
+    inputs, sex_joins = joins or _load_joins(cfg)
     results = []
     for sex in cfg.sexes:
-        join, model = _fit_for_sex("calibrate", sex, estimates, truth)
-        pairs = join.pairs
+        model = _fit_for_sex("calibrate", sex, sex_joins[sex])
+        pairs = sex_joins[sex].pairs
         payload: dict = {
             "model": _model_payload(model),
             "sample": {
@@ -470,21 +477,21 @@ def stage_calibrate(cfg: RunConfig) -> list[Path]:
 # predict
 # --------------------------------------------------------------------------
 
-def stage_predict(cfg: RunConfig) -> list[Path]:
+def stage_predict(cfg: RunConfig, joins: Joins | None = None) -> list[Path]:
     """Fill the gaps: predicted MAC for eligible countries without truth.
 
-    Each sex's model is fitted here from estimates.csv and the truth table,
-    through the same join, pair minimum and fit as calibrate; no
+    Each sex's model is fitted here from its join (`joins`, when given, else
+    `_load_joins(cfg)`), with the same pair minimum and fit as calibrate; no
     model_<sex>.json is read, so predict runs with or without calibrate.
     That join alone decides what is predicted: its unmatched estimates. The
     map's ground-truth features are the truth records that join kept."""
-    inputs, estimates, truth = _load_stage_data(cfg)
+    inputs, sex_joins = joins or _load_joins(cfg)
 
     all_rows = []
     by_sex = {}
     for sex in cfg.sexes:
-        join, model = _fit_for_sex("predict", sex, estimates, truth)
-        predictions = predict_missing(model, join.unmatched_estimates)
+        join = sex_joins[sex]
+        predictions = predict_missing(_fit_for_sex("predict", sex, join), join.unmatched_estimates)
         by_sex[sex] = (predictions, join.truth)
         all_rows += (
             [p.country, p.sex.value, str(p.mac_fb), str(p.mac_predicted), str(p.interval_low), str(p.interval_high)]
@@ -522,7 +529,8 @@ def run_all(cfg: RunConfig, collector: Collector | None = None) -> list[Path]:
     written = stage_collect(cfg, collector, collected)
     written += stage_estimate(cfg, collected)
     del collected  # the snapshots are not needed past estimate
-    written += stage_validate(cfg)
-    written += stage_calibrate(cfg)
-    written += stage_predict(cfg)
+    joins = _load_joins(cfg)
+    written += stage_validate(cfg, joins)
+    written += stage_calibrate(cfg, joins)
+    written += stage_predict(cfg, joins)
     return written

@@ -516,6 +516,36 @@ def test_map_shows_the_truth_row_the_join_kept(tmp_path, caplog):
     assert features["AR"]["mac_predicted"] == 33.01
 
 
+def test_all_logs_each_truth_row_warning_once(tmp_path, caplog):
+    # validate, calibrate and predict share one read and one join of the truth table
+    truth = tmp_path / "truth.csv"
+    bundled = packaged_data_path("ground_truth.csv").read_text(encoding="utf-8")
+    truth.write_text(bundled + "ß,male,33.0,2006-2015\nIT,male,34.0,1990-1995\n", encoding="utf-8")
+    assert len(bundled.splitlines()) == 36
+    with caplog.at_level("WARNING"):
+        assert run_cli("all", "--out", tmp_path / "out", "--seed", 42, "--truth", truth) == 0
+    messages = [record.getMessage() for record in caplog.records]
+    assert messages.count(f"{truth}:37: iso2 must be two ASCII capital letters, got 'ß'; skipped") == 1
+    assert messages.count("join ambiguity: duplicate truth rows for (IT, male); keeping period '2006-2015'") == 1
+
+
+@pytest.mark.parametrize("command", ["all", "validate", "calibrate", "predict"])
+def test_missing_truth_fails_the_stage_after_estimate(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    absent = tmp_path / "absent.csv"
+    if command != "all":
+        for stage in ("collect", "estimate"):
+            assert run_cli(stage, "--out", out, "--seed", 42) == 0
+    capsys.readouterr()
+    assert run_cli(command, "--out", out, "--seed", 42, "--truth", absent) == 1
+    assert _one_line_report(capsys) == {
+        "error": "MissingStageInput",
+        "message": f"ground truth file {absent} not found",
+        "command": command,
+    }
+    assert sorted(p.name for p in out.iterdir()) == ["estimates.csv", "snapshots"]
+
+
 def test_rerun_with_no_map_sex_prediction_removes_the_earlier_map(tmp_path, caplog):
     # a truth row for every male the first run predicted: the rerun predicts no male, so it
     # emits no map, and the first run's map, which still shows those predictions, must go
@@ -834,8 +864,8 @@ def test_stages_hash_the_bytes_they_parsed(tmp_path, monkeypatch):
         "estimates": cfg.estimates_path,
         "truth": cfg.truth_path,
         "continents": cfg.continent_map_path,
-        "model_female": cfg.model_path(admac.Sex.FEMALE),
-        "model_male": cfg.model_path(admac.Sex.MALE),
+        "model_female": cfg.model_path(admac.domain.Sex.FEMALE),
+        "model_male": cfg.model_path(admac.domain.Sex.MALE),
     }
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in sources.items()}
     digests["snapshots"] = snapshots.hexdigest()
