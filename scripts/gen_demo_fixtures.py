@@ -20,7 +20,7 @@ import math
 import random
 from pathlib import Path
 
-from admac.domain import age_grid
+from admac.domain import AGE_GRID
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "admac" / "data"
 COLLECTED_AT = "2024-06-01T00:00:00Z"
@@ -71,7 +71,7 @@ def parent_rate(midpoint: float, peak: float, level: float) -> float:
 
 def computed_mac(parents: list[int], totals: list[int]) -> float:
     rates = [p / t for p, t in zip(parents, totals)]
-    mids = [g.midpoint for g in age_grid()]
+    mids = [g.midpoint for g in AGE_GRID]
     return sum(m * r for m, r in zip(mids, rates)) / sum(rates)
 
 
@@ -90,7 +90,7 @@ def main() -> None:
             sex_scale = 1.0 if sex == "female" else 1.04
             totals = []
             parents = []
-            for group, shape in zip(age_grid(), TOTAL_SHAPE):
+            for group, shape in zip(AGE_GRID, TOTAL_SHAPE):
                 total = int(round(base * sex_scale * shape * rng.uniform(0.96, 1.04)))
                 rate = parent_rate(group.midpoint, peak, level) * rng.uniform(0.92, 1.08)
                 count = int(round(total * rate))
@@ -101,7 +101,7 @@ def main() -> None:
                 totals.append(total)
                 parents.append(count)
             mac_fb[(iso2, sex)] = computed_mac(parents, totals)
-            for group, total, count in zip(age_grid(), totals, parents):
+            for group, total, count in zip(AGE_GRID, totals, parents):
                 rows.append([iso2, sex, group.lower, group.upper, "all", total, COLLECTED_AT])
                 rows.append(
                     [iso2, sex, group.lower, group.upper, "parent_of_child_0_12m", count, COLLECTED_AT]

@@ -8,4 +8,4 @@ reference exists. The `admac` CLI chains those stages over plain CSV/JSON
 artifacts.
 """
 
-from ._version import __version__
+__version__ = "0.1.0"

@@ -17,7 +17,7 @@ import logging
 import sys
 from pathlib import Path
 
-from ._version import __version__
+from . import __version__
 from .errors import AdmacError, ConfigError, ParseError
 from .fileio import decode_utf8
 from .pipeline import (
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for key, (_, _, help_text) in OPTIONS.items():
         common.add_argument("--" + key.replace("_", "-"), help=help_text)
-    common.add_argument("-v", "--verbose", action="count", default=0)
+    common.add_argument("-v", "--verbose", action="count", default=0, help="log each throttled retry (INFO)")
 
     parser = argparse.ArgumentParser(
         prog="admac",
@@ -133,11 +133,7 @@ def make_run_config(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    level = logging.WARNING
-    if args.verbose == 1:
-        level = logging.INFO
-    elif args.verbose >= 2:
-        level = logging.DEBUG
+    level = logging.INFO if args.verbose else logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
     try:

@@ -71,11 +71,6 @@ class AgeGroup(namedtuple("AgeGroup", "lower")):
 AGE_GRID: tuple[AgeGroup, ...] = tuple(AgeGroup(lower) for lower in AGE_GROUP_LOWERS)
 
 
-def age_grid() -> tuple[AgeGroup, ...]:
-    """The seven canonical age groups 15-19 .. 45-49, ascending (AGE_GRID)."""
-    return AGE_GRID
-
-
 def iso2_code(text: str) -> str:
     """`text` as an ISO-3166 alpha-2 code in capitals: two ASCII letters, in
     any case. The letters are checked before upper-casing, which can turn

@@ -1,9 +1,10 @@
-"""CSV/JSON output plumbing: atomic writes, metadata headers, digests.
+"""CSV/JSON plumbing: atomic writes, metadata headers, digests, one CSV reader.
 
 Every artifact the pipeline writes starts with `# key=value` comment lines
 (tool version, seed, input digests) followed by a regular CSV header or a
 JSON document with a "metadata" member. `read_table` is the one reader of
-every CSV input file, stage artifacts and the bundled data alike.
+every CSV input file, stage artifacts and the bundled data alike; it skips
+the `#` lines, because no stage reads another's metadata back.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._version import __version__
+from . import __version__
 from .errors import ParseError
 
 
@@ -119,31 +120,21 @@ def decode_utf8(path: str | Path, data: bytes) -> str:
         raise ParseError(f"{path} is not valid UTF-8: {exc}", line=line) from exc
 
 
-def read_table(
-    path: str | Path, columns: list[str] | None = None, *, data: bytes | None = None
-) -> tuple[dict[str, str], list[str], list[tuple[int, list[str]]]]:
-    """The one reader of CSV input files: (metadata, header, rows).
+def read_table(path: str | Path, columns: list[str], *, data: bytes | None = None) -> list[tuple[int, list[str]]]:
+    """The one reader of CSV input files: the data rows below the header,
+    each as (1-based line number in the file, fields).
 
-    `data` is the file's bytes when the caller has already read them.
-    `# key=value` lines fill the metadata; other `#` lines and blank lines
-    are skipped. Each data row comes with its 1-based line number in the
-    file. With `columns`, the header must equal them once stripped and
-    lower-cased. A last line without a line break is read like any other;
-    the live cache cuts such a torn tail off before it calls this. Bytes
-    that are not UTF-8, a row the csv module rejects, and (with `columns`)
-    an empty file or a wrong header raise ParseError.
+    `data` is the file's bytes when the caller has already read them. `#`
+    lines and blank lines are skipped. The header must equal `columns` once
+    stripped and lower-cased. A last line without a line break is read like
+    any other; the live cache cuts such a torn tail off before it calls
+    this. Bytes that are not UTF-8, a row the csv module rejects, an empty
+    file and a wrong header raise ParseError.
     """
     if data is None:
         data = Path(path).read_bytes()
-    meta: dict[str, str] = {}
-    kept: list[tuple[int, str]] = []
-    for lineno, line in enumerate(io.StringIO(decode_utf8(path, data), newline=""), start=1):
-        if line.startswith("#"):
-            key, eq, value = line[1:].partition("=")
-            if eq:
-                meta[key.strip()] = value.strip()
-        elif line.strip():
-            kept.append((lineno, line))
+    lines = enumerate(io.StringIO(decode_utf8(path, data), newline=""), start=1)
+    kept = [(lineno, line) for lineno, line in lines if line.strip() and not line.startswith("#")]
     reader = csv.reader(line for _, line in kept)
     rows: list[tuple[int, list[str]]] = []
     consumed = 0
@@ -153,13 +144,12 @@ def read_table(
             consumed = reader.line_num  # a quoted field may span several lines
     except csv.Error as exc:
         raise ParseError(f"{path}: {exc}", line=kept[reader.line_num - 1][0]) from exc
-    header = rows[0][1] if rows else []
-    if columns is not None:
-        if not rows:
-            raise ParseError(f"{path} has no header row; expected {','.join(columns)}", line=1)
-        if [h.strip().lower() for h in header] != columns:
-            raise ParseError(f"{path} has header {header!r}; expected {columns}", line=rows[0][0])
-    return meta, header, rows[1:]
+    if not rows:
+        raise ParseError(f"{path} has no header row; expected {','.join(columns)}", line=1)
+    header_line, header = rows[0]
+    if [h.strip().lower() for h in header] != columns:
+        raise ParseError(f"{path} has header {header!r}; expected {columns}", line=header_line)
+    return rows[1:]
 
 
 def write_json(path: str | Path, meta: dict[str, str], payload: dict) -> None:

@@ -61,7 +61,7 @@ def load_continent_map(path: str | Path, *, data: bytes | None = None) -> dict[s
     first of these. A second row for one iso2, whatever its continent,
     raises ParseError, since either row could be the one meant.
     """
-    _, _, rows = read_table(path, CONTINENT_COLUMNS, data=data)
+    rows = read_table(path, CONTINENT_COLUMNS, data=data)
     mapping: dict[str, Continent] = {}
     for lineno, row in rows:
         try:
@@ -84,7 +84,7 @@ def load_ground_truth(path: str | Path, *, data: bytes | None = None) -> list[Gr
     unparseable or out-of-range MAC is skipped with one warning naming its
     line and the first of these; a structurally broken file raises ParseError.
     """
-    _, _, rows = read_table(path, TRUTH_COLUMNS, data=data)
+    rows = read_table(path, TRUTH_COLUMNS, data=data)
     records: list[GroundTruthRecord] = []
     for lineno, row in rows:
         try:

@@ -179,7 +179,7 @@ def read_cells_csv(
     them (the live cache passes only its whole lines). A malformed row, or
     one these rules refuse, raises ParseError with its file line.
     """
-    _, _, rows = read_table(path, CELL_COLUMNS, data=data)
+    rows = read_table(path, CELL_COLUMNS, data=data)
     by_country: dict[str, dict[CellKey, AudienceCell]] = {} if iso2 is None else {iso2: {}}
     for lineno, row in rows:
         try:

@@ -282,7 +282,7 @@ def load_estimates(path: Path, *, data: bytes | None = None) -> list[MacEstimate
     """Read estimates.csv back. A row `stage_estimate` never writes raises ParseError with its
     line: a wrong field count, a field that does not parse, an iso2 not in capitals, a
     repeated (iso2, sex), and a row that breaks an invariant `MacEstimate` holds."""
-    _, _, rows = read_table(path, ESTIMATE_COLUMNS, data=data)
+    rows = read_table(path, ESTIMATE_COLUMNS, data=data)
     estimates: list[MacEstimate] = []
     seen: set[tuple[str, Sex]] = set()
     for lineno, row in rows:
@@ -355,16 +355,14 @@ def _metric_cell_fields(cell) -> tuple[str, str, str]:
 
 
 def _write_metrics(path: Path, meta: dict[str, str], direct: GroupedMetrics, cv: GroupedMetrics) -> None:
+    labels = sorted(direct.per_continent)  # not the dict's order
+    groups = [(label, direct.per_continent[label], cv.per_continent.get(label)) for label in labels]
+    groups.append(("Overall", direct.overall, cv.overall))
     rows = []
-    for label in sorted(direct.per_continent):
-        d = direct.per_continent[label]
-        c = cv.per_continent.get(label)
+    for label, d, c in groups:
         d_rho, d_mape, d_stars = _metric_cell_fields(d)
         c_rho, c_mape, c_stars = _metric_cell_fields(c)
         rows.append([label, d_rho, d_mape, c_rho, c_mape, str(d.n), d_stars, c_stars])
-    d_rho, d_mape, d_stars = _metric_cell_fields(direct.overall)
-    c_rho, c_mape, c_stars = _metric_cell_fields(cv.overall)
-    rows.append(["Overall", d_rho, d_mape, c_rho, c_mape, str(direct.overall.n), d_stars, c_stars])
     write_csv(path, meta, METRICS_COLUMNS, rows)
 
 
@@ -457,7 +455,8 @@ def stage_calibrate(cfg: RunConfig, joins: Joins | None = None) -> list[Path]:
                 "test_size": RANDOM_SPLIT_TEST_SIZE,
                 "mean_mape_pct": split.mean_mape,
                 "per_run_mape_pct": list(split.per_run),
-                "cv_run_mape_pct": cv_percent(split.per_run),
+                # a perfect fit's runs all read 0, whose CV is undefined
+                "cv_run_mape_pct": cv_percent(split.per_run) if split.mean_mape else None,
             }
         else:
             payload["out_of_sample"] = None

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import errno
 import importlib.util
 import os
@@ -8,14 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from admac.domain import (
-    AudienceCell,
-    AudienceSnapshot,
-    ParentFilter,
-    Sex,
-    age_grid,
-)
-from admac.fileio import read_table
+from admac.domain import AGE_GRID, AudienceCell, AudienceSnapshot, ParentFilter, Sex
 from admac.pipeline import packaged_data_path
 
 WORLD_SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "world.py"
@@ -43,16 +37,27 @@ def make_snapshot(
     }
     cells = {}
     for sex, (totals, parents) in counts.items():
-        for group, total, parent in zip(age_grid(), totals, parents):
+        for group, total, parent in zip(AGE_GRID, totals, parents):
             cells[sex, group, ParentFilter.ALL] = make_cell(total)
             cells[sex, group, ParentFilter.PARENTS_0_12M] = make_cell(parent)
     return AudienceSnapshot(country=iso2, cells=cells)
 
 
 def read_csv(path):
-    """A CSV artifact as (metadata, header, rows), each row without its line number."""
-    meta, header, rows = read_table(path)
-    return meta, header, [row for _, row in rows]
+    """A CSV artifact as (metadata, header, rows), read with the csv module
+    alone: the `# key=value` lines fill the metadata, other `#` lines and
+    blank lines are skipped, and the header is the first row left."""
+    meta, lines = {}, []
+    with open(path, encoding="utf-8", newline="") as handle:
+        for line in handle:
+            if line.startswith("#"):
+                key, eq, value = line[1:].partition("=")
+                if eq:
+                    meta[key.strip()] = value.strip()
+            elif line.strip():
+                lines.append(line)
+    rows = list(csv.reader(lines))
+    return meta, rows[0] if rows else [], rows[1:]
 
 
 def fail_writes_part_way(monkeypatch) -> None:
@@ -84,7 +89,7 @@ def full_fixture_rows(female_counts=None, male_counts=None):
     rows = []
     for sex in ("female", "male"):
         overrides = (female_counts if sex == "female" else male_counts) or {}
-        for group in age_grid():
+        for group in AGE_GRID:
             for flt, default in (("all", 100_000), ("parent_of_child_0_12m", 5_000)):
                 count = overrides.get((group.lower, flt), default)
                 rows.append((sex, group.lower, flt, count))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import logging
 import math
 import os
 import shutil
@@ -311,6 +312,15 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("admac ")
 
 
+@pytest.mark.parametrize("flags,level", [([], logging.WARNING), (["-v"], logging.INFO), (["-vv"], logging.INFO)])
+def test_verbose_flag_logs_at_info_however_often_it_is_given(tmp_path, capsys, monkeypatch, flags, level):
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: levels.append(kwargs["level"]))
+    assert main(["all", *flags, "--seed", "abc", "--out", str(tmp_path / "out")]) == 1
+    assert read_err(capsys)["error"] == "ConfigError"
+    assert levels == [level]
+
+
 def test_snapshot_outputs_carry_metadata(tmp_path):
     out = tmp_path / "out"
     assert run_cli("collect", "--out", out, "--countries", "IT", "--seed", 8) == 0
@@ -453,6 +463,21 @@ def test_perfect_fit_model_with_infinite_f_stat_loads(tmp_path):
     assert fields.pop("stars") == {"intercept": "***", "slope": "***", "f": "***"}
     assert fields["f_stat"] == math.inf
     assert CalibrationModel(**{**fields, "residuals": tuple(fields["residuals"])}) == model
+
+
+def test_calibrate_on_a_perfect_fit_reports_no_cv_of_its_zero_split_mapes(tmp_path):
+    out = tmp_path / "out"
+    for command in ("collect", "estimate"):
+        assert run_cli(command, "--out", out, "--seed", 42) == 0
+    truth = tmp_path / "truth.csv"  # each eligible estimate as its own truth
+    eligible = [row for row in read_csv(out / "estimates.csv")[2] if row[3] == "true"]
+    lines = "".join(f"{iso2},{sex},{mac},2010-2015\n" for iso2, sex, mac, _, _ in eligible)
+    truth.write_text("iso2,sex,mac,period\n" + lines, encoding="utf-8")
+    assert run_cli("calibrate", "--out", out, "--seed", 42, "--truth", truth) == 0
+    for sex in ("female", "male"):
+        split = json.loads((out / f"model_{sex}.json").read_text(encoding="utf-8"))["out_of_sample"]
+        assert split["cv_run_mape_pct"] is None
+        assert split["mean_mape_pct"] == 0.0
 
 
 def test_predict_needs_no_model_file(tmp_path):

@@ -6,13 +6,13 @@ from pathlib import Path
 import pytest
 
 from admac.domain import (
+    AGE_GRID,
     AgeGroup,
     AudienceCell,
     CountryRef,
     FertilitySchedule,
     ParentFilter,
     Sex,
-    age_grid,
     iso2_code,
 )
 from admac.errors import ParseError
@@ -21,7 +21,7 @@ from conftest import make_cell, make_snapshot
 
 
 def test_age_grid_is_the_seven_canonical_groups():
-    grid = age_grid()
+    grid = AGE_GRID
     assert [str(g) for g in grid] == [
         "15-19", "20-24", "25-29", "30-34", "35-39", "40-44", "45-49",
     ]
@@ -29,14 +29,14 @@ def test_age_grid_is_the_seven_canonical_groups():
 
 
 def test_grid_midpoints():
-    grid = age_grid()
+    grid = AGE_GRID
     assert grid[0].midpoint == 17.5
     assert grid[-1].midpoint == 47.5
     assert all(g.midpoint - g.lower == 2.5 for g in grid)
 
 
 def test_grid_covers_each_age_exactly_once():
-    grid = age_grid()
+    grid = AGE_GRID
     for age in range(15, 50):
         owners = [g for g in grid if g.lower <= age <= g.upper]
         assert len(owners) == 1, age
@@ -85,7 +85,7 @@ def test_value_objects_are_read_only_hashable_and_ordered():
     assert snap == make_snapshot()
     assert sorted([CountryRef(iso2="IT"), CountryRef(iso2="FR")]) == [CountryRef(iso2="FR"), CountryRef(iso2="IT")]
     assert len({CountryRef(iso2="IT"), CountryRef(iso2="IT")}) == 1
-    assert sorted(reversed(age_grid())) == list(age_grid())
+    assert sorted(reversed(AGE_GRID)) == list(AGE_GRID)
 
 
 def test_schedule_validates_shape_and_sign():

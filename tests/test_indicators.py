@@ -6,12 +6,12 @@ import random
 import pytest
 
 from admac.domain import (
+    AGE_GRID,
     LOWER_BOUND_COUNT,
     AudienceSnapshot,
     FertilitySchedule,
     ParentFilter,
     Sex,
-    age_grid,
 )
 from admac.errors import ZeroSchedule
 from admac.indicators import (
@@ -264,11 +264,11 @@ def _oracle_reason(counts, policy):
     counted = [n for (_, flt), n in counts.items() if policy is LowerBoundPolicy.ANY or flt is PARENTS]
     if LOWER_BOUND_COUNT in counted:
         return IneligibilityReason.LOWER_BOUND_CELL
-    if any(counts.get((g.lower, ALL)) == 0 and (g.lower, PARENTS) in counts for g in age_grid()):
+    if any(counts.get((g.lower, ALL)) == 0 and (g.lower, PARENTS) in counts for g in AGE_GRID):
         return IneligibilityReason.ZERO_EXPOSURE
-    if len(counts) < 2 * len(age_grid()):
+    if len(counts) < 2 * len(AGE_GRID):
         return IneligibilityReason.INCOMPLETE_SNAPSHOT
-    if not any(counts[(g.lower, PARENTS)] for g in age_grid()):
+    if not any(counts[(g.lower, PARENTS)] for g in AGE_GRID):
         return IneligibilityReason.ZERO_SCHEDULE
     return None
 
@@ -280,7 +280,7 @@ def _random_snapshot(rng):
     cells = []
     for sex in Sex:
         no_parents = rng.random() < 0.1
-        for group in age_grid():
+        for group in AGE_GRID:
             for flt in ParentFilter:
                 if rng.random() < p_missing:
                     continue
@@ -314,8 +314,8 @@ def test_reasons_and_macs_match_oracle_on_random_snapshots():
                 assert est.eligible is (expected is None)
                 seen[policy].append(expected)
                 if expected is None:
-                    parents = [counts[sex][(g.lower, PARENTS)] for g in age_grid()]
-                    totals = [counts[sex][(g.lower, ALL)] for g in age_grid()]
+                    parents = [counts[sex][(g.lower, PARENTS)] for g in AGE_GRID]
+                    totals = [counts[sex][(g.lower, ALL)] for g in AGE_GRID]
                     oracle = mac_exact_from_raw_cells(parents, totals)
                     assert abs(est.mac - oracle) <= 2 * math.ulp(oracle), (est.mac, oracle)
     # every outcome is drawn often enough to be checked under both policies

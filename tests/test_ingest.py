@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from admac.domain import LOWER_BOUND_COUNT, AudienceSnapshot, ParentFilter, Sex, age_grid
+from admac.domain import AGE_GRID, LOWER_BOUND_COUNT, AudienceSnapshot, ParentFilter, Sex
 from admac.errors import (
     AuthError,
     ConfigError,
@@ -416,7 +416,7 @@ def test_live_retry_backoff_sequence(tmp_path, monkeypatch):
     client = StubClient(count=777, fail_plan={q: [RateLimited("x"), RateLimited("x")]})
     collector, sleeps = live_collector(tmp_path, client, monkeypatch, MAX_RETRIES=3, BASE_BACKOFF_S=0.25)
     snapshot = collect_one(collector, IT)
-    assert snapshot.cells[(Sex.FEMALE, age_grid()[0], ParentFilter.ALL)].count == 777
+    assert snapshot.cells[(Sex.FEMALE, AGE_GRID[0], ParentFilter.ALL)].count == 777
     assert sleeps == [0.25, 0.5]
 
 
@@ -485,7 +485,7 @@ def cache_file(tmp_path):
 
 def cached_rows(path):
     """The (iso2, cell key) of each data row of the cache file at `path`, in file order."""
-    _, _, rows = read_table(path, CELL_COLUMNS)
+    rows = read_table(path, CELL_COLUMNS)
     return [(row[0], ingest._cell_key(*row[1:5])) for _, row in rows]
 
 

@@ -8,6 +8,9 @@ relation needs no oracle, so it cannot share an oracle's misreading.
 - Country order and case: `--countries` in another order and in lower case
   changes no byte, stamps included, from a run over the same codes sorted
   in capitals, or over the default list.
+- Continent of a country: with global LOOCV folds, moving one country to
+  another continent of the map changes continent rows of the metrics files,
+  but no `Overall` row.
 
 Each relation runs on the bundled demo and on a seeded 60-country world
 from `bench/world.py`, and is shown to fail on a bug planted by the test.
@@ -15,31 +18,24 @@ from `bench/world.py`, and is shown to fail on a bug planted by the test.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from admac import ingest
+from admac import ingest, pipeline
 from admac.cli import main
 from admac.domain import iso2_code
 from admac.ingest import DEFAULT_EXCLUDED, fixture_countries
 from admac.pipeline import RunConfig, packaged_data_path, run_all
+from admac.stats import loocv
+from conftest import generate_world
 
-WORLD_SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "world.py"
 WORLD_SEED = 5
 WORLD_COUNTRIES = 60
 DEMO_SEED = 42
 SHUFFLE_SEED = 7
-
-
-def _generate_world(out_dir: Path) -> None:
-    spec = importlib.util.spec_from_file_location("world", WORLD_SCRIPT)
-    world = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(world)
-    world.generate_world(out_dir, packaged_data_path("continents.csv"), WORLD_SEED, n_countries=WORLD_COUNTRIES)
 
 
 @pytest.fixture(scope="module", params=["demo", "world"])
@@ -48,8 +44,7 @@ def inputs(request, tmp_path_factory):
     root = tmp_path_factory.mktemp(request.param)
     if request.param == "demo":
         return root, packaged_data_path("fixtures"), packaged_data_path("ground_truth.csv"), DEMO_SEED
-    _generate_world(root)
-    return root, root / "fixtures", root / "truth.csv", WORLD_SEED
+    return root, *generate_world(root, WORLD_SEED, WORLD_COUNTRIES), WORLD_SEED
 
 
 def shuffled_copy(fixtures: Path, out_dir: Path) -> Path:
@@ -150,3 +145,54 @@ def test_country_order_relation_catches_a_config_that_keeps_the_given_order(tmp_
     # later artifact is stamped with their digest
     changed = {name for name in plain if plain[name] != reordered[name]}
     assert changed == {name for name in plain if not name.startswith("snapshots/")}
+
+
+def moved_map(iso2: str, path: Path) -> Path:
+    """The bundled continent map, written to `path`, with `iso2` moved to
+    Europe, or to Asia when it is in Europe."""
+    text = packaged_data_path("continents.csv").read_text(encoding="utf-8")
+    line = next(line for line in text.splitlines(keepends=True) if line.startswith(f"{iso2},"))
+    continent = "Asia" if line.strip().endswith(",Europe") else "Europe"
+    path.write_text(text.replace(line, f"{iso2},{continent}\n"), encoding="utf-8")
+    return path
+
+
+def metrics_rows(out_dir: Path, fixtures: Path, truth: Path, seed: int, continent_map: Path) -> dict:
+    """sex -> (continent rows, Overall row) of metrics_<sex>.csv after a run with global LOOCV folds."""
+    run_all(RunConfig(out_dir, fixture_dir=fixtures, truth_path=truth, seed=seed,
+                      continent_map_path=continent_map, loocv_scope="global"))
+    rows = {}
+    for sex in ("female", "male"):
+        text = (out_dir / f"metrics_{sex}.csv").read_text(encoding="utf-8")
+        lines = [line for line in text.splitlines() if not line.startswith("#")]
+        assert lines[-1].startswith("Overall,")
+        rows[sex] = (lines[1:-1], lines[-1])
+    return rows
+
+
+def runs_before_and_after_a_move(root: Path, fixtures: Path, truth: Path, seed: int) -> tuple[dict, dict]:
+    """`metrics_rows` over the bundled continent map, then over a copy that
+    moves the first country with a fixture and a truth row."""
+    with open(truth, encoding="utf-8") as handle:
+        matched = {line.split(",")[0] for line in handle} & set(fixture_countries(fixtures))
+    iso2 = min(matched)
+    plain = metrics_rows(root / "map-out", fixtures, truth, seed, packaged_data_path("continents.csv"))
+    moved = metrics_rows(root / "moved-map-out", fixtures, truth, seed, moved_map(iso2, root / "moved.csv"))
+    assert any(moved[sex][0] != plain[sex][0] for sex in plain), f"moving {iso2} changed no continent row"
+    return plain, moved
+
+
+def test_moving_a_country_to_another_continent_keeps_each_global_overall_row(inputs):
+    plain, moved = runs_before_and_after_a_move(*inputs)
+    assert [overall for _, overall in moved.values()] == [overall for _, overall in plain.values()]
+
+
+def test_continent_relation_catches_a_global_loocv_that_folds_per_continent(tmp_path, monkeypatch):
+    # planted bug: global scope refits within the held-out pair's continent
+    def folds_per_continent(pairs, continent_of, scope):
+        return loocv(pairs, continent_of, "continent")
+
+    monkeypatch.setattr(pipeline, "loocv", folds_per_continent)
+    fixtures, truth = packaged_data_path("fixtures"), packaged_data_path("ground_truth.csv")
+    plain, moved = runs_before_and_after_a_move(tmp_path, fixtures, truth, DEMO_SEED)
+    assert all(moved[sex][1] != plain[sex][1] for sex in plain)

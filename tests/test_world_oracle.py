@@ -14,7 +14,6 @@ numpy and scipy.stats, and none of admac's readers:
 from __future__ import annotations
 
 import csv
-import importlib.util
 import json
 import math
 from pathlib import Path
@@ -24,6 +23,7 @@ import pytest
 from scipy import stats
 
 from admac.pipeline import RunConfig, packaged_data_path, run_all
+from conftest import generate_world
 from oracles import mac_from_raw_cells
 
 SEED = 5
@@ -32,14 +32,6 @@ SEXES = ("female", "male")
 AGE_LOWERS = (15, 20, 25, 30, 35, 40, 45)
 FLOOR = 20  # the platform's lower-bound count: a sex with one such cell is ineligible
 SCOPES = ("global", "continent")
-WORLD_SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "world.py"
-
-
-def _generate_world(out_dir: Path) -> None:
-    spec = importlib.util.spec_from_file_location("world", WORLD_SCRIPT)
-    world = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(world)
-    world.generate_world(out_dir, packaged_data_path("continents.csv"), SEED, n_countries=N_COUNTRIES)
 
 
 def _data_rows(path: Path) -> list[list[str]]:
@@ -56,7 +48,7 @@ def _run(root: Path, out: str, loocv_scope: str) -> None:
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
     root = tmp_path_factory.mktemp("world")
-    _generate_world(root)
+    generate_world(root, SEED, N_COUNTRIES)
     _run(root, "out", "global")
     return root
 
