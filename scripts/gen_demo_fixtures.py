@@ -20,7 +20,7 @@ import math
 import random
 from pathlib import Path
 
-from admac.domain import AGE_GRID
+from admac.domain import AGE_GROUP_LOWERS, GROUP_WIDTH
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "admac" / "data"
 COLLECTED_AT = "2024-06-01T00:00:00Z"
@@ -71,7 +71,7 @@ def parent_rate(midpoint: float, peak: float, level: float) -> float:
 
 def computed_mac(parents: list[int], totals: list[int]) -> float:
     rates = [p / t for p, t in zip(parents, totals)]
-    mids = [g.midpoint for g in AGE_GRID]
+    mids = [lower + GROUP_WIDTH / 2 for lower in AGE_GROUP_LOWERS]
     return sum(m * r for m, r in zip(mids, rates)) / sum(rates)
 
 
@@ -90,22 +90,21 @@ def main() -> None:
             sex_scale = 1.0 if sex == "female" else 1.04
             totals = []
             parents = []
-            for group, shape in zip(AGE_GRID, TOTAL_SHAPE):
+            for lower, shape in zip(AGE_GROUP_LOWERS, TOTAL_SHAPE):
                 total = int(round(base * sex_scale * shape * rng.uniform(0.96, 1.04)))
-                rate = parent_rate(group.midpoint, peak, level) * rng.uniform(0.92, 1.08)
+                rate = parent_rate(lower + GROUP_WIDTH / 2, peak, level) * rng.uniform(0.92, 1.08)
                 count = int(round(total * rate))
                 # keep clear of the floor unless this cell is floored on purpose
                 count = max(count, 21)
-                if iso2 in FLOORED and group.lower == 45:
+                if iso2 in FLOORED and lower == 45:
                     count = 20
                 totals.append(total)
                 parents.append(count)
             mac_fb[(iso2, sex)] = computed_mac(parents, totals)
-            for group, total, count in zip(AGE_GRID, totals, parents):
-                rows.append([iso2, sex, group.lower, group.upper, "all", total, COLLECTED_AT])
-                rows.append(
-                    [iso2, sex, group.lower, group.upper, "parent_of_child_0_12m", count, COLLECTED_AT]
-                )
+            for lower, total, count in zip(AGE_GROUP_LOWERS, totals, parents):
+                upper = lower + GROUP_WIDTH - 1
+                rows.append([iso2, sex, lower, upper, "all", total, COLLECTED_AT])
+                rows.append([iso2, sex, lower, upper, "parent_of_child_0_12m", count, COLLECTED_AT])
         with open(fixtures_dir / f"{iso2}.csv", "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["iso2", "sex", "age_low", "age_high", "parent_filter", "count", "collected_at"])

@@ -6,7 +6,8 @@ changed after. Records are named tuples: equality, hashing and ordering
 are those of the tuple of their fields (so a record also equals a plain
 tuple of the same values). A record with invariants checks them in
 `__new__` and raises ValueError. A record's country is its ISO2 code, a
-plain string in capitals (`iso2_code`).
+plain string in capitals (`iso2_code`), and an age band is named by its
+lower bound, a plain int in `AGE_GROUP_LOWERS` (`age_group`).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from enum import Enum
 logger = logging.getLogger(__name__)
 
 GROUP_WIDTH = 5
+# The lower bounds of the seven canonical age groups 15-19 .. 45-49, ascending.
 AGE_GROUP_LOWERS = (15, 20, 25, 30, 35, 40, 45)
-N_AGE_GROUPS = len(AGE_GROUP_LOWERS)
 
 
 class Sex(str, Enum):
@@ -44,31 +45,14 @@ class Continent(str, Enum):
     SOUTH_AMERICA = "SouthAmerica"
 
 
-class AgeGroup(namedtuple("AgeGroup", "lower")):
-    """A GROUP_WIDTH-year reproductive age band, e.g. 15-19."""
-
-    __slots__ = ()
-
-    def __new__(cls, lower: int) -> AgeGroup:
-        if lower not in AGE_GROUP_LOWERS:
-            raise ValueError(f"age group must start at one of {AGE_GROUP_LOWERS}, got {lower}")
-        return tuple.__new__(cls, (lower,))
-
-    @property
-    def upper(self) -> int:
-        """Inclusive upper bound (19 for the 15-19 group)."""
-        return self.lower + GROUP_WIDTH - 1
-
-    @property
-    def midpoint(self) -> float:
-        return self.lower + GROUP_WIDTH / 2
-
-    def __str__(self) -> str:
-        return f"{self.lower}-{self.upper}"
-
-
-# The seven canonical age groups 15-19 .. 45-49, ascending.
-AGE_GRID: tuple[AgeGroup, ...] = tuple(AgeGroup(lower) for lower in AGE_GROUP_LOWERS)
+def age_group(lower: int, upper: int) -> int:
+    """The age band `lower`-`upper` (inclusive) as its lower bound; ValueError
+    unless `lower` starts a canonical band and `upper` closes it."""
+    if lower not in AGE_GROUP_LOWERS:
+        raise ValueError(f"age group must start at one of {AGE_GROUP_LOWERS}, got {lower}")
+    if upper != lower + GROUP_WIDTH - 1:
+        raise ValueError(f"age_high {upper} does not close the {lower}-{lower + GROUP_WIDTH - 1} group")
+    return lower
 
 
 def iso2_code(text: str) -> str:
@@ -116,7 +100,8 @@ def utc_now() -> datetime:
     return datetime.now(timezone.utc)
 
 
-CellKey = tuple[Sex, AgeGroup, ParentFilter]
+# (sex, age group, filter); an age group is named by its lower bound.
+CellKey = tuple[Sex, int, ParentFilter]
 
 
 class AudienceSnapshot(namedtuple("AudienceSnapshot", "country cells")):
@@ -141,14 +126,14 @@ class FertilitySchedule(namedtuple("FertilitySchedule", "country sex rates")):
     __slots__ = ()
 
     def __new__(cls, country: str, sex: Sex, rates: tuple[float, ...]) -> FertilitySchedule:
-        if len(rates) != N_AGE_GROUPS:
-            raise ValueError(f"schedule needs {N_AGE_GROUPS} rates, got {len(rates)}")
-        for group, rate in zip(AGE_GRID, rates):
+        if len(rates) != len(AGE_GROUP_LOWERS):
+            raise ValueError(f"schedule needs {len(AGE_GROUP_LOWERS)} rates, got {len(rates)}")
+        for lower, rate in zip(AGE_GROUP_LOWERS, rates):
             if not rate >= 0.0:
-                raise ValueError(f"rate for {group} must be non-negative, got {rate}")
+                raise ValueError(f"rate for {lower}-{lower + GROUP_WIDTH - 1} must be non-negative, got {rate}")
             if rate > 1.0:
                 logger.warning(
-                    "%s/%s: rate %.6g for ages %s exceeds 1; numerator larger than exposure",
-                    country, sex.value, rate, group,
+                    "%s/%s: rate %.6g for ages %d-%d exceeds 1; numerator larger than exposure",
+                    country, sex.value, rate, lower, lower + GROUP_WIDTH - 1,
                 )
         return tuple.__new__(cls, (country, sex, rates))

@@ -12,7 +12,8 @@ from enum import Enum
 from typing import Iterable
 
 from .domain import (
-    AGE_GRID,
+    AGE_GROUP_LOWERS,
+    GROUP_WIDTH,
     LOWER_BOUND_COUNT,
     AudienceSnapshot,
     FertilitySchedule,
@@ -85,7 +86,7 @@ def mac(schedule: FertilitySchedule) -> float:
     is bit-identical across platforms. The value always lands in
     [17.5, 47.5], the midpoints of the first and last groups.
     """
-    weighted = _kahan_sum(g.midpoint * r for g, r in zip(AGE_GRID, schedule.rates))
+    weighted = _kahan_sum((lower + GROUP_WIDTH / 2) * r for lower, r in zip(AGE_GROUP_LOWERS, schedule.rates))
     total = _kahan_sum(schedule.rates)
     if total == 0.0:
         raise ZeroSchedule(f"{schedule.country}/{schedule.sex.value}: all rates are zero")
@@ -113,7 +114,7 @@ def estimate_country(
     policy = LowerBoundPolicy(lower_bound_policy)
     cells = snapshot.cells
     totals, parents = (
-        [cells[sex, g, f].count if (sex, g, f) in cells else None for g in AGE_GRID]
+        [cells[sex, g, f].count if (sex, g, f) in cells else None for g in AGE_GROUP_LOWERS]
         for f in (ParentFilter.ALL, ParentFilter.PARENTS_0_12M)
     )
     if LOWER_BOUND_COUNT in (parents + totals if policy is LowerBoundPolicy.ANY else parents):

@@ -28,13 +28,14 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .domain import (
-    AGE_GRID,
-    AgeGroup,
+    AGE_GROUP_LOWERS,
+    GROUP_WIDTH,
     AudienceCell,
     AudienceSnapshot,
     CellKey,
     ParentFilter,
     Sex,
+    age_group,
     iso2_code,
     utc_now,
 )
@@ -66,9 +67,9 @@ _BEARER_TOKEN = re.compile(r"[A-Za-z0-9._~+/-]+=*")  # RFC 6750 b64token
 
 # A country's 28 cells in canonical query order: sex, then age, then filter.
 CELL_KEYS: tuple[CellKey, ...] = tuple(
-    (sex, group, flt)
+    (sex, lower, flt)
     for sex in (Sex.FEMALE, Sex.MALE)
-    for group in AGE_GRID
+    for lower in AGE_GROUP_LOWERS
     for flt in (ParentFilter.ALL, ParentFilter.PARENTS_0_12M)
 )
 
@@ -86,11 +87,7 @@ class QueryDescriptor(namedtuple("QueryDescriptor", "country_iso2 sex age_min ag
     def __new__(
         cls, country_iso2: str, sex: Sex, age_min: int, age_max: int, parent_filter: ParentFilter
     ) -> QueryDescriptor:
-        group = AgeGroup(age_min)  # raises if not a canonical lower bound
-        if age_max != group.upper:
-            raise ValueError(
-                f"(age_min, age_max) must match a 5-year group, got ({age_min}, {age_max})"
-            )
+        age_group(age_min, age_max)
         return tuple.__new__(cls, (country_iso2, sex, age_min, age_max, parent_filter))
 
     def canonical(self) -> str:
@@ -137,17 +134,15 @@ def parse_timestamp(raw: str) -> datetime:
 _HEADER_LINE = ",".join(CELL_COLUMNS) + "\n"
 # The sex,age_low,age_high,parent_filter fields of each key's row.
 _KEY_FIELDS: dict[CellKey, str] = {
-    key: f"{key[0].value},{key[1].lower},{key[1].upper},{key[2].value}" for key in CELL_KEYS
+    key: f"{key[0].value},{key[1]},{key[1] + GROUP_WIDTH - 1},{key[2].value}" for key in CELL_KEYS
 }
 
 
 @lru_cache(maxsize=256)
 def _cell_key(sex: str, age_low: str, age_high: str, flt: str) -> CellKey:
     """The cell key a row's key fields name; ValueError if they name none."""
-    group = AgeGroup(int(age_low))
-    if int(age_high) != group.upper:
-        raise ValueError(f"age_high {age_high.strip()} does not close the {group} group")
-    return Sex(sex.strip().lower()), group, ParentFilter(flt.strip())
+    lower = age_group(int(age_low), int(age_high))
+    return Sex(sex.strip().lower()), lower, ParentFilter(flt.strip())
 
 
 def _cell_lines(iso2: str, cells: dict[CellKey, AudienceCell]) -> str:
@@ -402,9 +397,9 @@ _CELL_ERRORS = (FixtureMiss, RateLimited, MalformedResponse)
 
 
 def _query(iso2: str, key: CellKey) -> QueryDescriptor:
-    """The query for a CELL_KEYS entry, whose age group is canonical and needs no check."""
-    sex, group, flt = key
-    return tuple.__new__(QueryDescriptor, (iso2, sex, group.lower, group.upper, flt))
+    """The query for a CELL_KEYS entry."""
+    sex, lower, flt = key
+    return QueryDescriptor(iso2, sex, lower, lower + GROUP_WIDTH - 1, flt)
 
 
 class Collector:
@@ -439,7 +434,7 @@ class Collector:
         """The query's cell: from its fixture, or live from the `day` cache file (default:
         today) or fetched into it."""
         iso2 = query.country_iso2
-        key = (query.sex, AgeGroup(query.age_min), query.parent_filter)
+        key = (query.sex, query.age_min, query.parent_filter)
         day = (day or self._clock().date()) if self._live else None
         cell = self._store.cells(iso2, day).get(key)
         if cell is None:

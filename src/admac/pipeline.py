@@ -12,7 +12,8 @@ traced to its inputs. No timestamps are embedded: identical config +
 inputs = identical bytes.
 
 Collect owns snapshots/: a collect that succeeds leaves there exactly the
-countries it collected, so every estimate reads one set of snapshots.
+countries it collected, and one that fails leaves the earlier set, so every
+estimate reads one set of snapshots.
 `run_all` hands that set to `estimate` in memory, with the digests of the
 bytes written, rather than reading it back. It then reads estimates.csv and
 the truth table once and hands their joins to the last three stages, so a
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
+import shutil
 from enum import Enum
 from pathlib import Path
 
@@ -204,31 +207,44 @@ def stage_collect(
     sent or snapshot written. A country whose collection comes back
     incomplete is written with the cells that did arrive; the estimate
     stage will mark the affected sexes ineligible rather than this stage
-    failing the whole run. Only once every snapshot is written does the
-    stage remove, with one warning naming them, the snapshots/*.csv files
-    it did not write, so a collect that fails removes nothing.
-    Each written snapshot, partial or not, is also appended to `collected`,
-    when given, for `stage_estimate`.
+    failing the whole run. The set is written into a hidden directory
+    beside snapshots/, which replaces snapshots/ whole once every file is
+    written, with one warning naming the earlier set's files the new set
+    lacks; a collect that fails leaves snapshots/ as it was. Each written
+    snapshot, partial or not, is also appended to `collected`, when given,
+    for `stage_estimate`, with its path under snapshots/.
     """
     collector = collector or Collector(CollectorConfig(cfg.mode, cfg.fixture_dir, cfg.cache_dir))
     wanted = cfg.countries or [c for c in fixture_countries(cfg.fixture_dir) if c not in DEFAULT_EXCLUDED]
     if not wanted:
         raise ConfigError("no countries to collect")
 
+    final = cfg.snapshots_dir
+    staging, aside = (final.with_name(f".{final.name}.{os.urandom(6).hex()}.{end}") for end in ("tmp", "old"))
     written: list[Path] = []
-    for snapshot in collector.collect_snapshots(wanted):
-        iso2 = snapshot.country
-        fixture = collector.fixture_digest(iso2)
-        inputs = {} if fixture is None else {f"fixture_{iso2}": fixture}
-        path = cfg.snapshots_dir / f"{iso2}.csv"
-        meta = standard_metadata(seed=cfg.seed, inputs=inputs)
-        digest = write_cells_csv(path, iso2, snapshot.cells, meta=meta)
-        if collected is not None:
-            collected.append((path, digest, snapshot))
-        written.append(path)
-    stale = sorted(set(cfg.snapshots_dir.glob("*.csv")).difference(written))
-    for path in stale:
-        path.unlink()
+    try:
+        for snapshot in collector.collect_snapshots(wanted):
+            iso2 = snapshot.country
+            fixture = collector.fixture_digest(iso2)
+            inputs = {} if fixture is None else {f"fixture_{iso2}": fixture}
+            path = final / f"{iso2}.csv"
+            meta = standard_metadata(seed=cfg.seed, inputs=inputs)
+            digest = write_cells_csv(staging / path.name, iso2, snapshot.cells, meta=meta)
+            if collected is not None:
+                collected.append((path, digest, snapshot))
+            written.append(path)
+        stale = sorted(set(final.glob("*.csv")).difference(written))
+        if final.exists():
+            os.rename(final, aside)
+        try:
+            os.rename(staging, final)
+        except BaseException:
+            if aside.exists():
+                os.rename(aside, final)
+            raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    shutil.rmtree(aside, ignore_errors=True)
     if stale:
         logger.warning("collect: removed snapshots it did not write: %s", ", ".join(p.name for p in stale))
     return written
@@ -413,6 +429,8 @@ def _model_payload(model: CalibrationModel) -> dict:
         "slope": significance_stars(model.p_slope),
         "f": significance_stars(model.p_f),
     }
+    if model.residual_se == 0.0:  # a perfect fit: F is infinite, which JSON cannot hold
+        payload["f_stat"] = None
     return payload
 
 

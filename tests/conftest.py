@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from admac.domain import AGE_GRID, AudienceCell, AudienceSnapshot, ParentFilter, Sex
+from admac.domain import AGE_GROUP_LOWERS, AudienceCell, AudienceSnapshot, ParentFilter, Sex
 from admac.pipeline import packaged_data_path
 
 WORLD_SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "world.py"
@@ -37,9 +37,9 @@ def make_snapshot(
     }
     cells = {}
     for sex, (totals, parents) in counts.items():
-        for group, total, parent in zip(AGE_GRID, totals, parents):
-            cells[sex, group, ParentFilter.ALL] = make_cell(total)
-            cells[sex, group, ParentFilter.PARENTS_0_12M] = make_cell(parent)
+        for lower, total, parent in zip(AGE_GROUP_LOWERS, totals, parents):
+            cells[sex, lower, ParentFilter.ALL] = make_cell(total)
+            cells[sex, lower, ParentFilter.PARENTS_0_12M] = make_cell(parent)
     return AudienceSnapshot(country=iso2, cells=cells)
 
 
@@ -89,10 +89,10 @@ def full_fixture_rows(female_counts=None, male_counts=None):
     rows = []
     for sex in ("female", "male"):
         overrides = (female_counts if sex == "female" else male_counts) or {}
-        for group in AGE_GRID:
+        for lower in AGE_GROUP_LOWERS:
             for flt, default in (("all", 100_000), ("parent_of_child_0_12m", 5_000)):
-                count = overrides.get((group.lower, flt), default)
-                rows.append((sex, group.lower, flt, count))
+                count = overrides.get((lower, flt), default)
+                rows.append((sex, lower, flt, count))
     return rows
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import importlib.util
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import admac
+from admac import ingest
 from admac.cli import main
 from admac.domain import Sex
 from admac.errors import AuthError
@@ -145,6 +147,56 @@ def test_failed_narrower_collect_keeps_the_earlier_snapshots(tmp_path, capsys):
     assert _one_line_report(capsys)["error"] == "ExcludedCountry"
     assert sum(1 for p in (out / "snapshots").iterdir()) == 21
     assert outputs_of(out) == before
+
+
+def test_collect_that_fails_part_way_leaves_the_earlier_snapshots(tmp_path, capsys, monkeypatch):
+    # the new set replaces snapshots/ whole or not at all, so a full disk part way
+    # through leaves no mix of two runs' snapshots for a later estimate to read
+    out = tmp_path / "out"
+    assert run_cli("all", "--seed", 42, "--out", out) == 0
+    before = outputs_of(out)
+    write, calls = ingest.atomic_write_text, []
+
+    def fail_the_tenth(path, text):
+        calls.append(path)
+        if len(calls) == 10:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write(path, text)
+
+    monkeypatch.setattr(ingest, "atomic_write_text", fail_the_tenth)
+    capsys.readouterr()
+    assert run_cli("collect", "--seed", 7, "--out", out) == 1
+    assert _one_line_report(capsys) == {
+        "error": "OSError", "message": "[Errno 28] No space left on device", "command": "collect",
+    }
+    assert len(calls) == 10
+    monkeypatch.undo()
+    assert outputs_of(out) == before
+    assert list(out.rglob(".*")) == []
+    fresh = tmp_path / "fresh"
+    for directory in (out, fresh):
+        assert run_cli("all", "--seed", 42, "--out", directory) == 0
+    assert outputs_of(out) == outputs_of(fresh)
+
+
+def test_collect_whose_swap_fails_puts_the_earlier_snapshots_back(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert run_cli("all", "--seed", 42, "--out", out) == 0
+    before = outputs_of(out)
+    rename = os.rename
+
+    def refuse_the_new_set(src, dst):
+        if Path(src).name.endswith(".tmp"):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", refuse_the_new_set)
+    capsys.readouterr()
+    assert run_cli("collect", "--seed", 7, "--out", out, "--countries", "IT") == 1
+    assert _one_line_report(capsys)["error"] == "OSError"
+    monkeypatch.undo()
+    assert outputs_of(out) == before
+    assert list(out.rglob(".*")) == []
 
 
 def test_stage_requires_prior_stage(tmp_path, capsys):
@@ -454,15 +506,29 @@ def test_wrongly_typed_model_reports_parse_error(tmp_path, demo_out, key, value)
     _assert_predict_ignores(out, json.dumps(document))
 
 
+def _strict_json(text):
+    """`text` parsed as strict JSON: NaN, Infinity and -Infinity raise ValueError."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_perfect_fit_model_with_infinite_f_stat_loads(tmp_path):
+    for token in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValueError):
+            _strict_json(f'{{"f_stat": {token}}}')
     model = ols_fit_xy([1.0, 2.0, 3.0, 4.0], [3.0, 5.0, 7.0, 9.0])
     assert model.f_stat == math.inf and model.residual_se == 0.0
     path = tmp_path / "model_male.json"
     write_json(path, {}, {"model": _model_payload(model)})
-    fields = json.loads(path.read_text(encoding="utf-8"))["model"]
+    text = path.read_text(encoding="utf-8")
+    assert '"f_stat": null' in text
+    fields = _strict_json(text)["model"]
     assert fields.pop("stars") == {"intercept": "***", "slope": "***", "f": "***"}
-    assert fields["f_stat"] == math.inf
-    assert CalibrationModel(**{**fields, "residuals": tuple(fields["residuals"])}) == model
+    assert fields["f_stat"] is None
+    assert CalibrationModel(**{**fields, "f_stat": math.inf, "residuals": tuple(fields["residuals"])}) == model
 
 
 def test_calibrate_on_a_perfect_fit_reports_no_cv_of_its_zero_split_mapes(tmp_path):
@@ -475,7 +541,9 @@ def test_calibrate_on_a_perfect_fit_reports_no_cv_of_its_zero_split_mapes(tmp_pa
     truth.write_text("iso2,sex,mac,period\n" + lines, encoding="utf-8")
     assert run_cli("calibrate", "--out", out, "--seed", 42, "--truth", truth) == 0
     for sex in ("female", "male"):
-        split = json.loads((out / f"model_{sex}.json").read_text(encoding="utf-8"))["out_of_sample"]
+        document = _strict_json((out / f"model_{sex}.json").read_text(encoding="utf-8"))
+        assert document["model"]["f_stat"] is None
+        split = document["out_of_sample"]
         assert split["cv_run_mape_pct"] is None
         assert split["mean_mape_pct"] == 0.0
 

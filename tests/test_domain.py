@@ -6,13 +6,14 @@ from pathlib import Path
 import pytest
 
 from admac.domain import (
-    AGE_GRID,
-    AgeGroup,
+    AGE_GROUP_LOWERS,
+    GROUP_WIDTH,
     AudienceCell,
     CountryRef,
     FertilitySchedule,
     ParentFilter,
     Sex,
+    age_group,
     iso2_code,
 )
 from admac.errors import ParseError
@@ -21,31 +22,31 @@ from conftest import make_cell, make_snapshot
 
 
 def test_age_grid_is_the_seven_canonical_groups():
-    grid = AGE_GRID
-    assert [str(g) for g in grid] == [
+    grid = AGE_GROUP_LOWERS
+    assert [f"{g}-{g + GROUP_WIDTH - 1}" for g in grid] == [
         "15-19", "20-24", "25-29", "30-34", "35-39", "40-44", "45-49",
     ]
-    assert [g.lower for g in grid] == sorted(g.lower for g in grid)
-
-
-def test_grid_midpoints():
-    grid = AGE_GRID
-    assert grid[0].midpoint == 17.5
-    assert grid[-1].midpoint == 47.5
-    assert all(g.midpoint - g.lower == 2.5 for g in grid)
+    assert list(grid) == sorted(grid)
+    assert [age_group(g, g + GROUP_WIDTH - 1) for g in grid] == list(grid)
 
 
 def test_grid_covers_each_age_exactly_once():
-    grid = AGE_GRID
+    grid = AGE_GROUP_LOWERS
     for age in range(15, 50):
-        owners = [g for g in grid if g.lower <= age <= g.upper]
+        owners = [g for g in grid if g <= age <= g + GROUP_WIDTH - 1]
         assert len(owners) == 1, age
 
 
 @pytest.mark.parametrize("lower", [14, 16, 50, 0, -5])
 def test_non_canonical_age_group_rejected(lower):
-    with pytest.raises(ValueError):
-        AgeGroup(lower)
+    with pytest.raises(ValueError, match=rf"^age group must start at one of \(15, 20, 25, 30, 35, 40, 45\), got {lower}$"):
+        age_group(lower, lower + GROUP_WIDTH - 1)
+
+
+@pytest.mark.parametrize("lower, upper", [(15, 20), (15, 18), (45, 50), (20, 19)])
+def test_age_group_whose_upper_bound_does_not_close_it_rejected(lower, upper):
+    with pytest.raises(ValueError, match=rf"^age_high {upper} does not close the {lower}-{lower + 4} group$"):
+        age_group(lower, upper)
 
 
 @pytest.mark.parametrize("iso2", ["I", "ITA", "it", "1T", "ÄÖ", "\uff29\uff34", "ß"])
@@ -71,13 +72,13 @@ def test_cell_rejects_negative_count_and_naive_timestamp():
 def test_complete_snapshot_has_28_cells_and_lookup_works():
     snap = make_snapshot()
     assert len(snap.cells) == 28 and set(snap.cells) == set(CELL_KEYS)
-    assert snap.cells[(Sex.MALE, AgeGroup(30), ParentFilter.PARENTS_0_12M)].count == 5_000
-    assert snap.cells[(Sex.MALE, AgeGroup(30), ParentFilter.ALL)].count == 100_000
+    assert snap.cells[(Sex.MALE, 30, ParentFilter.PARENTS_0_12M)].count == 5_000
+    assert snap.cells[(Sex.MALE, 30, ParentFilter.ALL)].count == 100_000
 
 
 def test_value_objects_are_read_only_hashable_and_ordered():
     snap = make_snapshot()
-    for obj, attr in ((snap, "cells"), (snap.cells[CELL_KEYS[0]], "count"), (snap.country, "iso2"), (AgeGroup(15), "lower")):
+    for obj, attr in ((snap, "cells"), (snap.cells[CELL_KEYS[0]], "count"), (snap.country, "iso2")):
         with pytest.raises(AttributeError):
             setattr(obj, attr, None)
         with pytest.raises(AttributeError):
@@ -85,7 +86,6 @@ def test_value_objects_are_read_only_hashable_and_ordered():
     assert snap == make_snapshot()
     assert sorted([CountryRef(iso2="IT"), CountryRef(iso2="FR")]) == [CountryRef(iso2="FR"), CountryRef(iso2="IT")]
     assert len({CountryRef(iso2="IT"), CountryRef(iso2="IT")}) == 1
-    assert sorted(reversed(AGE_GRID)) == list(AGE_GRID)
 
 
 def test_schedule_validates_shape_and_sign():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from admac.domain import (
-    AGE_GRID,
+    AGE_GROUP_LOWERS,
     LOWER_BOUND_COUNT,
     AudienceSnapshot,
     FertilitySchedule,
@@ -67,7 +67,7 @@ def test_schedule_from_incomplete_snapshot_raises():
     snap = make_snapshot()
     partial = AudienceSnapshot(
         country=snap.country,
-        cells={k: c for k, c in snap.cells.items() if not (k[0] is Sex.FEMALE and k[1].lower == 30)},
+        cells={k: c for k, c in snap.cells.items() if not (k[0] is Sex.FEMALE and k[1] == 30)},
     )
     est = estimate_country(partial, Sex.FEMALE)
     assert est.ineligibility_reason is IneligibilityReason.INCOMPLETE_SNAPSHOT
@@ -83,9 +83,11 @@ def test_mac_uniform_is_exactly_center():
 
 
 def test_mac_single_group_is_its_midpoint():
-    rates = [0.0] * 7
-    rates[2] = 0.07  # 25-29
-    assert mac(sched(rates)) == 27.5
+    # every band's midpoint, 15-19 to 45-49, each alone carrying the rate
+    for index, midpoint in enumerate([17.5, 22.5, 27.5, 32.5, 37.5, 42.5, 47.5]):
+        rates = [0.0] * 7
+        rates[index] = 0.07
+        assert mac(sched(rates)) == midpoint, AGE_GROUP_LOWERS[index]
 
 
 def test_mac_matches_weighted_mean_oracle():
@@ -191,7 +193,7 @@ def test_incomplete_snapshot_reported_as_reason():
     snap = make_snapshot()
     partial = AudienceSnapshot(
         country=snap.country,
-        cells={k: c for k, c in snap.cells.items() if not (k[0] is Sex.FEMALE and k[1].lower == 45)},
+        cells={k: c for k, c in snap.cells.items() if not (k[0] is Sex.FEMALE and k[1] == 45)},
     )
     est = estimate_country(partial, Sex.FEMALE)
     assert not est.eligible
@@ -202,7 +204,7 @@ def test_lower_bound_check_runs_before_completeness():
     snap = make_snapshot(female_parents=[20] + [5000] * 6)
     partial = AudienceSnapshot(
         country=snap.country,
-        cells={k: c for k, c in snap.cells.items() if not (k[0] is Sex.FEMALE and k[1].lower == 45)},
+        cells={k: c for k, c in snap.cells.items() if not (k[0] is Sex.FEMALE and k[1] == 45)},
     )
     est = estimate_country(partial, Sex.FEMALE)
     assert est.ineligibility_reason is IneligibilityReason.LOWER_BOUND_CELL
@@ -223,7 +225,7 @@ def test_policy_given_as_text_means_what_it_says():
 
 def _without(snap, sex, cells):
     """`snap` minus the (age lower, filter) cells of `sex`."""
-    kept = {k: c for k, c in snap.cells.items() if not (k[0] is sex and (k[1].lower, k[2]) in cells)}
+    kept = {k: c for k, c in snap.cells.items() if not (k[0] is sex and (k[1], k[2]) in cells)}
     return AudienceSnapshot(country=snap.country, cells=kept)
 
 
@@ -264,11 +266,11 @@ def _oracle_reason(counts, policy):
     counted = [n for (_, flt), n in counts.items() if policy is LowerBoundPolicy.ANY or flt is PARENTS]
     if LOWER_BOUND_COUNT in counted:
         return IneligibilityReason.LOWER_BOUND_CELL
-    if any(counts.get((g.lower, ALL)) == 0 and (g.lower, PARENTS) in counts for g in AGE_GRID):
+    if any(counts.get((g, ALL)) == 0 and (g, PARENTS) in counts for g in AGE_GROUP_LOWERS):
         return IneligibilityReason.ZERO_EXPOSURE
-    if len(counts) < 2 * len(AGE_GRID):
+    if len(counts) < 2 * len(AGE_GROUP_LOWERS):
         return IneligibilityReason.INCOMPLETE_SNAPSHOT
-    if not any(counts[(g.lower, PARENTS)] for g in AGE_GRID):
+    if not any(counts[(g, PARENTS)] for g in AGE_GROUP_LOWERS):
         return IneligibilityReason.ZERO_SCHEDULE
     return None
 
@@ -280,7 +282,7 @@ def _random_snapshot(rng):
     cells = []
     for sex in Sex:
         no_parents = rng.random() < 0.1
-        for group in AGE_GRID:
+        for lower in AGE_GROUP_LOWERS:
             for flt in ParentFilter:
                 if rng.random() < p_missing:
                     continue
@@ -293,8 +295,8 @@ def _random_snapshot(rng):
                     count = rng.randint(10_000, 900_000)
                 else:
                     count = rng.randint(LOWER_BOUND_COUNT + 1, 9_000)
-                counts[sex][(group.lower, flt)] = count
-                cells.append(((sex, group, flt), make_cell(count)))
+                counts[sex][(lower, flt)] = count
+                cells.append(((sex, lower, flt), make_cell(count)))
     rng.shuffle(cells)
     return AudienceSnapshot(country=COUNTRY, cells=dict(cells)), counts
 
@@ -314,8 +316,8 @@ def test_reasons_and_macs_match_oracle_on_random_snapshots():
                 assert est.eligible is (expected is None)
                 seen[policy].append(expected)
                 if expected is None:
-                    parents = [counts[sex][(g.lower, PARENTS)] for g in AGE_GRID]
-                    totals = [counts[sex][(g.lower, ALL)] for g in AGE_GRID]
+                    parents = [counts[sex][(g, PARENTS)] for g in AGE_GROUP_LOWERS]
+                    totals = [counts[sex][(g, ALL)] for g in AGE_GROUP_LOWERS]
                     oracle = mac_exact_from_raw_cells(parents, totals)
                     assert abs(est.mac - oracle) <= 2 * math.ulp(oracle), (est.mac, oracle)
     # every outcome is drawn often enough to be checked under both policies

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from admac.domain import AGE_GRID, LOWER_BOUND_COUNT, AudienceSnapshot, ParentFilter, Sex
+from admac.domain import AGE_GROUP_LOWERS, LOWER_BOUND_COUNT, AudienceSnapshot, ParentFilter, Sex
 from admac.errors import (
     AuthError,
     ConfigError,
@@ -135,11 +135,10 @@ def test_config_validation():
 
 def test_cell_keys_shape_and_order():
     assert len(CELL_KEYS) == 28
-    sex, group, flt = CELL_KEYS[0]
-    assert (sex, group.lower, flt) == (Sex.FEMALE, 15, ParentFilter.ALL)
+    assert CELL_KEYS[0] == (Sex.FEMALE, 15, ParentFilter.ALL)
     assert CELL_KEYS[1][2] is ParentFilter.PARENTS_0_12M
     # sex blocks, ascending ages within each, all-then-parents within each age
-    keys = [(sex.value, group.lower, flt.value) for sex, group, flt in CELL_KEYS]
+    keys = [(sex.value, lower, flt.value) for sex, lower, flt in CELL_KEYS]
     assert keys == sorted(keys, key=lambda k: (k[0] != "female", k[1], k[2] != "all"))
     assert len(set(keys)) == 28
 
@@ -297,9 +296,9 @@ def test_write_cells_csv_matches_csv_writer_and_returns_its_digest(tmp_path):
     buf.write("# seed=1\n# tool=admac x\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CELL_COLUMNS)
-    for (sex, group, flt), c in snapshot.cells.items():
+    for (sex, lower, flt), c in snapshot.cells.items():
         writer.writerow([
-            snapshot.country, sex.value, group.lower, group.upper,
+            snapshot.country, sex.value, lower, lower + 4,
             flt.value, c.count, "2024-06-01T00:00:00Z",
         ])
     assert path.read_bytes() == buf.getvalue().encode("utf-8")
@@ -416,7 +415,7 @@ def test_live_retry_backoff_sequence(tmp_path, monkeypatch):
     client = StubClient(count=777, fail_plan={q: [RateLimited("x"), RateLimited("x")]})
     collector, sleeps = live_collector(tmp_path, client, monkeypatch, MAX_RETRIES=3, BASE_BACKOFF_S=0.25)
     snapshot = collect_one(collector, IT)
-    assert snapshot.cells[(Sex.FEMALE, AGE_GRID[0], ParentFilter.ALL)].count == 777
+    assert snapshot.cells[(Sex.FEMALE, AGE_GROUP_LOWERS[0], ParentFilter.ALL)].count == 777
     assert sleeps == [0.25, 0.5]
 
 

@@ -11,6 +11,13 @@ relation needs no oracle, so it cannot share an oracle's misreading.
 - Continent of a country: with global LOOCV folds, moving one country to
   another continent of the map changes continent rows of the metrics files,
   but no `Overall` row.
+- Count scaling: multiplying every male count of one eligible country with
+  a truth row by 3 changes no data row but that country's snapshot. Each
+  rate is (3p)/(3t) of exact integers, the same correctly rounded double.
+- Truth shift: adding 1.0 to every male truth value keeps the male
+  `metric_corr`, `n` and `metric_corr_stars`; within 1e-9 the male
+  intercept moves by 1.0 and the slope, `residual_se` and every male
+  prediction interval's width stay. No female or upstream data row changes.
 
 Each relation runs on the bundled demo and on a seeded 60-country world
 from `bench/world.py`, and is shown to fail on a bug planted by the test.
@@ -20,22 +27,25 @@ from __future__ import annotations
 
 import json
 import random
+import shutil
 from pathlib import Path
 
 import pytest
 
 from admac import ingest, pipeline
 from admac.cli import main
-from admac.domain import iso2_code
+from admac.domain import AGE_GROUP_LOWERS, ParentFilter, Sex, iso2_code
 from admac.ingest import DEFAULT_EXCLUDED, fixture_countries
 from admac.pipeline import RunConfig, packaged_data_path, run_all
-from admac.stats import loocv
-from conftest import generate_world
+from admac.stats import loocv, ols_fit_xy
+from conftest import generate_world, read_csv
 
 WORLD_SEED = 5
 WORLD_COUNTRIES = 60
 DEMO_SEED = 42
 SHUFFLE_SEED = 7
+SCALE = 3  # 20, the floor, is no multiple of it, so no scaled count lands on the floor
+SHIFT = 1.0
 
 
 @pytest.fixture(scope="module", params=["demo", "world"])
@@ -196,3 +206,120 @@ def test_continent_relation_catches_a_global_loocv_that_folds_per_continent(tmp_
     fixtures, truth = packaged_data_path("fixtures"), packaged_data_path("ground_truth.csv")
     plain, moved = runs_before_and_after_a_move(tmp_path, fixtures, truth, DEMO_SEED)
     assert all(moved[sex][1] != plain[sex][1] for sex in plain)
+
+
+def scaled_copy(fixtures: Path, out_dir: Path, iso2: str, sex: str) -> Path:
+    """`fixtures` copied to `out_dir`, with every `sex` count of `iso2` multiplied by SCALE."""
+    shutil.copytree(fixtures, out_dir)
+    path = out_dir / f"{iso2}.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    scaled = []
+    for line in lines:
+        fields = line.split(",")
+        if len(fields) == 7 and fields[1] == sex:
+            fields[5] = str(int(fields[5]) * SCALE)
+        scaled.append(",".join(fields))
+    assert scaled != lines
+    path.write_text("".join(scaled), encoding="utf-8")
+    return out_dir
+
+
+def count_scaling_changes(root: Path, fixtures: Path, truth: Path, seed: int) -> tuple[str, set[str]]:
+    """The first country with an eligible male estimate and a male truth row, and the
+    artifacts whose data rows change when its male counts are scaled by SCALE."""
+    plain = run(root / "scale-out", fixtures, truth, seed)
+    _, _, truth_rows = read_csv(truth)
+    _, _, estimates = read_csv(root / "scale-out" / "estimates.csv")
+    matched = {row[0] for row in truth_rows if row[1] == "male"}
+    iso2 = min(row[0] for row in estimates if row[1:4:2] == ["male", "true"] and row[0] in matched)
+    scaled = run(root / "scaled-out", scaled_copy(fixtures, root / "scaled", iso2, "male"), truth, seed)
+    assert scaled.keys() == plain.keys()
+    return iso2, {name for name in plain if plain[name] != scaled[name]}
+
+
+def test_scaling_one_country_s_counts_changes_only_its_snapshot(inputs):
+    iso2, changed = count_scaling_changes(*inputs)
+    assert changed == {f"snapshots/{iso2}.csv"}
+
+
+def test_count_scaling_relation_catches_an_estimate_over_both_sexes_totals(tmp_path, monkeypatch):
+    # planted bug: each sex's rates divide its parents by both sexes' totals of the age group
+    estimate = pipeline.estimate_country
+
+    def both_sexes_totals(snapshot, sex, policy):
+        cells = dict(snapshot.cells)
+        for lower in AGE_GROUP_LOWERS:
+            keys = [(s, lower, ParentFilter.ALL) for s in (sex, Sex.FEMALE if sex is Sex.MALE else Sex.MALE)]
+            if all(key in cells for key in keys):
+                cells[keys[0]] = cells[keys[0]]._replace(count=sum(snapshot.cells[key].count for key in keys))
+        return estimate(snapshot._replace(cells=cells), sex, policy)
+
+    monkeypatch.setattr(pipeline, "estimate_country", both_sexes_totals)
+    fixtures, truth = packaged_data_path("fixtures"), packaged_data_path("ground_truth.csv")
+    iso2, changed = count_scaling_changes(tmp_path, fixtures, truth, DEMO_SEED)
+    assert {f"snapshots/{iso2}.csv", "estimates.csv", "metrics_male.csv", "model_male.json"} <= changed
+
+
+def shifted_truth(truth: Path, path: Path) -> Path:
+    """`truth`, written to `path`, with SHIFT added to every male value."""
+    lines = []
+    for line in truth.read_text(encoding="utf-8").splitlines(keepends=True):
+        fields = line.split(",")
+        if len(fields) == 4 and fields[1] == "male":
+            fields[2] = repr(float(fields[2]) + SHIFT)
+        lines.append(",".join(fields))
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def truth_shift_changes(root: Path, fixtures: Path, truth: Path, seed: int) -> dict[str, object]:
+    """What shifting the male truth by SHIFT changes: whether the male `metric_corr`,
+    `n` and `metric_corr_stars` and every female or upstream data row stay, and the
+    male intercept, slope, `residual_se` and largest interval width moves."""
+    plain_dir, shifted_dir = root / "shift-out", root / "shifted-out"
+    plain = run(plain_dir, fixtures, truth, seed)
+    shifted = run(shifted_dir, fixtures, shifted_truth(truth, root / "shifted.csv"), seed)
+
+    def male_metrics(out):
+        _, header, rows = read_csv(out / "metrics_male.csv")
+        kept = [header.index(name) for name in ("continent", "metric_corr", "n", "metric_corr_stars")]
+        return [[row[i] for i in kept] for row in rows]
+
+    def intervals(out):
+        _, _, rows = read_csv(out / "predictions.csv")
+        return {(row[0], row[1]): (float(row[5]) - float(row[4]), row) for row in rows}
+
+    upstream = [name for name in plain if name.startswith("snapshots/")]
+    upstream += ["estimates.csv", "metrics_female.csv", "model_female.json"]
+    before, after = intervals(plain_dir), intervals(shifted_dir)
+    assert after.keys() == before.keys() and any(sex == "male" for _, sex in before)
+    models = [json.loads((out / "model_male.json").read_text(encoding="utf-8"))["model"] for out in (plain_dir, shifted_dir)]
+    return {
+        "kept": male_metrics(shifted_dir) == male_metrics(plain_dir)
+        and all(shifted[name] == plain[name] for name in upstream)
+        and all(after[key][1] == before[key][1] for key in before if key[1] == "female"),
+        "intercept": models[1]["intercept"] - models[0]["intercept"],
+        "slope": models[1]["slope"] - models[0]["slope"],
+        "residual_se": models[1]["residual_se"] - models[0]["residual_se"],
+        "width": max(abs(after[key][0] - before[key][0]) for key in before),
+    }
+
+
+def test_shifting_the_male_truth_moves_only_the_intercept(inputs):
+    changes = truth_shift_changes(*inputs)
+    assert changes["kept"]
+    assert abs(changes["intercept"] - SHIFT) <= 1e-9
+    for name in ("slope", "residual_se", "width"):
+        assert abs(changes[name]) <= 1e-9, (name, changes[name])
+
+
+def test_truth_shift_relation_catches_a_fit_of_mac_fb_on_the_truth(tmp_path, monkeypatch):
+    # planted bug: calibrate and predict regress mac_fb on mac_truth, the wrong way round
+    def swapped(pairs):
+        return ols_fit_xy([p.mac_truth for p in pairs], [p.mac_fb for p in pairs])
+
+    monkeypatch.setattr(pipeline, "ols_fit", swapped)
+    fixtures, truth = packaged_data_path("fixtures"), packaged_data_path("ground_truth.csv")
+    changes = truth_shift_changes(tmp_path, fixtures, truth, DEMO_SEED)
+    assert changes["kept"]  # the metrics do not fit a model
+    assert abs(changes["intercept"] - SHIFT) > 1e-9
