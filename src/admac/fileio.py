@@ -114,7 +114,7 @@ def write_csv(
 def decode_utf8(path: str | Path, data: bytes) -> str:
     """`data` as text; bytes that are not UTF-8 raise ParseError naming `path` and the line."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path} is not valid UTF-8: {exc}", line=line) from exc

@@ -49,7 +49,7 @@ from .errors import (
     RateLimited,
     UpstreamUnavailable,
 )
-from .fileio import append_lines, atomic_write_text, metadata_header, read_table
+from .fileio import append_lines, metadata_header, read_table
 
 logger = logging.getLogger(__name__)
 
@@ -156,10 +156,11 @@ def _cell_lines(iso2: str, cells: dict[CellKey, AudienceCell]) -> str:
 def write_cells_csv(
     path: str | Path, iso2: str, cells: dict[CellKey, AudienceCell], meta: dict[str, str]
 ) -> str:
-    """Write `iso2`'s cells as a cell CSV; returns the SHA-256 hex digest of the bytes written."""
-    text = metadata_header(meta) + _HEADER_LINE + _cell_lines(iso2, cells)
-    atomic_write_text(path, text)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """Write `iso2`'s cells as a cell CSV with one plain write, into a directory the
+    caller alone sees; returns the SHA-256 hex digest of the bytes written."""
+    data = (metadata_header(meta) + _HEADER_LINE + _cell_lines(iso2, cells)).encode("utf-8")
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def read_cells_csv(

@@ -6,19 +6,19 @@ estimates.csv (estimate -> validate, calibrate, predict), which the last
 three join with the truth table per sex. Only validate, which scores the
 pairs by continent, reads the continent map. Validate and calibrate write
 reports that no stage reads: predict fits the calibration it applies
-itself. Every stage writes its files atomically and stamps a
-metadata header (tool version, seed, input digests) so any artifact can be
-traced to its inputs. No timestamps are embedded: identical config +
+itself. The later stages write their files atomically; every stage stamps
+a metadata header (tool version, seed, input digests) so any artifact can
+be traced to its inputs. No timestamps are embedded: identical config +
 inputs = identical bytes.
 
-Collect owns snapshots/: a collect that succeeds leaves there exactly the
-countries it collected, and one that fails leaves the earlier set, so every
-estimate reads one set of snapshots.
-`run_all` hands that set to `estimate` in memory, with the digests of the
-bytes written, rather than reading it back. It then reads estimates.csv and
-the truth table once and hands their joins to the last three stages, so a
-warning about a truth row is logged once per run. The artifacts are the
-same bytes as when the stages run one by one.
+Collect writes its snapshots plainly into a hidden directory and swaps it
+in for snapshots/ whole: a collect that succeeds leaves there exactly the
+countries it collected, and one that fails the earlier set, so every
+estimate reads one set. `run_all` hands that set to `estimate` in memory,
+with the digests of the bytes written, rather than reading it back. It then
+reads estimates.csv and the truth table once and hands their joins to the
+last three stages, so a warning about a truth row is logged once per run.
+The artifacts are the same bytes as when the stages run one by one.
 """
 
 from __future__ import annotations
@@ -207,12 +207,12 @@ def stage_collect(
     sent or snapshot written. A country whose collection comes back
     incomplete is written with the cells that did arrive; the estimate
     stage will mark the affected sexes ineligible rather than this stage
-    failing the whole run. The set is written into a hidden directory
-    beside snapshots/, which replaces snapshots/ whole once every file is
-    written, with one warning naming the earlier set's files the new set
-    lacks; a collect that fails leaves snapshots/ as it was. Each written
-    snapshot, partial or not, is also appended to `collected`, when given,
-    for `stage_estimate`, with its path under snapshots/.
+    failing the whole run. The set is written plainly into a hidden directory
+    beside snapshots/, which replaces the snapshots/ directory whole once every
+    file is written, with one warning naming the earlier set's files the new set
+    lacks; a collect that fails, or finds no directory at snapshots/, leaves it
+    as it was. Each written snapshot, partial or not, is also appended to
+    `collected`, when given, for `stage_estimate`, with its path under snapshots/.
     """
     collector = collector or Collector(CollectorConfig(cfg.mode, cfg.fixture_dir, cfg.cache_dir))
     wanted = cfg.countries or [c for c in fixture_countries(cfg.fixture_dir) if c not in DEFAULT_EXCLUDED]
@@ -221,9 +221,11 @@ def stage_collect(
 
     final = cfg.snapshots_dir
     staging, aside = (final.with_name(f".{final.name}.{os.urandom(6).hex()}.{end}") for end in ("tmp", "old"))
+    snapshots = collector.collect_snapshots(wanted)
+    staging.mkdir(parents=True)
     written: list[Path] = []
     try:
-        for snapshot in collector.collect_snapshots(wanted):
+        for snapshot in snapshots:
             iso2 = snapshot.country
             fixture = collector.fixture_digest(iso2)
             inputs = {} if fixture is None else {f"fixture_{iso2}": fixture}
@@ -234,7 +236,7 @@ def stage_collect(
                 collected.append((path, digest, snapshot))
             written.append(path)
         stale = sorted(set(final.glob("*.csv")).difference(written))
-        if final.exists():
+        if final.is_dir() and not final.is_symlink():
             os.rename(final, aside)
         try:
             os.rename(staging, final)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import errno
 import hashlib
 import importlib.util
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import admac
-from admac import ingest
+from admac import pipeline
 from admac.cli import main
 from admac.domain import Sex
 from admac.errors import AuthError
@@ -155,15 +156,15 @@ def test_collect_that_fails_part_way_leaves_the_earlier_snapshots(tmp_path, caps
     out = tmp_path / "out"
     assert run_cli("all", "--seed", 42, "--out", out) == 0
     before = outputs_of(out)
-    write, calls = ingest.atomic_write_text, []
+    write, calls = pipeline.write_cells_csv, []
 
-    def fail_the_tenth(path, text):
+    def fail_the_tenth(path, *args, **kwargs):
         calls.append(path)
         if len(calls) == 10:
             raise OSError(errno.ENOSPC, "No space left on device")
-        write(path, text)
+        return write(path, *args, **kwargs)
 
-    monkeypatch.setattr(ingest, "atomic_write_text", fail_the_tenth)
+    monkeypatch.setattr(pipeline, "write_cells_csv", fail_the_tenth)
     capsys.readouterr()
     assert run_cli("collect", "--seed", 7, "--out", out) == 1
     assert _one_line_report(capsys) == {
@@ -197,6 +198,59 @@ def test_collect_whose_swap_fails_puts_the_earlier_snapshots_back(tmp_path, caps
     monkeypatch.undo()
     assert outputs_of(out) == before
     assert list(out.rglob(".*")) == []
+
+
+def test_collect_over_an_earlier_run_renames_twice_and_replaces_nothing(tmp_path, monkeypatch):
+    # the directory swap is the one atomic step: each snapshot is a plain write into
+    # the hidden directory, which then takes the place of the earlier set whole
+    out = tmp_path / "out"
+    assert run_cli("all", "--seed", 42, "--out", out) == 0
+    rename, replace, renames, replaces = os.rename, os.replace, [], []
+    monkeypatch.setattr(os, "rename", lambda src, dst: (renames.append((Path(src), Path(dst))), rename(src, dst)))
+    monkeypatch.setattr(os, "replace", lambda src, dst, **kw: (replaces.append(dst), replace(src, dst, **kw)))
+    assert run_cli("collect", "--seed", 7, "--out", out) == 0
+    monkeypatch.undo()
+    assert replaces == []
+    assert len(renames) == 2, renames
+    (old, aside), (staging, new) = renames
+    assert old == new == out / "snapshots"
+    assert aside.parent == staging.parent == out
+    assert aside.name.startswith(".snapshots.") and aside.name.endswith(".old")
+    assert staging.name.startswith(".snapshots.") and staging.name.endswith(".tmp")
+    assert list(out.rglob(".*")) == []
+
+
+@pytest.mark.parametrize("entry", ["file", "symlink"])
+def test_collect_refuses_a_snapshots_entry_that_is_not_a_directory(tmp_path, capsys, entry):
+    # only a real directory is moved aside, so the swap's rename fails on anything
+    # else and leaves it as it was, with no hidden entry beside it
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    out.mkdir()
+    elsewhere.mkdir()
+    (elsewhere / "IT.csv").write_text("kept\n", encoding="utf-8")
+    snapshots = out / "snapshots"
+    if entry == "file":
+        snapshots.write_text("hi\n", encoding="utf-8")
+    else:
+        snapshots.symlink_to(elsewhere, target_is_directory=True)
+    assert run_cli("collect", "--seed", 42, "--out", out) == 1
+    assert _one_line_report(capsys)["error"] == "NotADirectoryError"
+    assert os.listdir(out) == ["snapshots"]
+    if entry == "file":
+        assert snapshots.read_text(encoding="utf-8") == "hi\n"
+    else:
+        assert snapshots.is_symlink() and os.readlink(snapshots) == str(elsewhere)
+    assert outputs_of(elsewhere) == {"IT.csv": b"kept\n"}
+
+
+@pytest.mark.parametrize(
+    "countries, error", [("AR,IT,SY", "ExcludedCountry"), ("IT,ZZ", "FixtureMiss")], ids=["excluded", "missing"]
+)
+def test_collect_that_fails_before_its_first_snapshot_creates_nothing(tmp_path, capsys, countries, error):
+    out = tmp_path / "out"
+    assert run_cli("collect", "--out", out, "--countries", countries) == 1
+    assert _one_line_report(capsys)["error"] == error
+    assert not out.exists()
 
 
 def test_stage_requires_prior_stage(tmp_path, capsys):
@@ -305,6 +359,28 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path):
     assert run_cli("all", "--config", config, "--out", overridden, "--seed", 1) == 0
     meta, _, _ = read_csv(overridden / "estimates.csv")
     assert meta["seed"] == "1"
+
+
+def test_config_file_with_a_byte_order_mark_reads_its_first_key(tmp_path):
+    # spreadsheet and editor exports may open a UTF-8 file with U+FEFF
+    config = tmp_path / "run.conf"
+    config.write_bytes(codecs.BOM_UTF8 + f"seed = 99\nout = {tmp_path / 'out'}\n".encode())
+    assert run_cli("all", "--config", config) == 0
+    assert read_csv(tmp_path / "out" / "estimates.csv")[0]["seed"] == "99"
+
+
+def test_truth_table_with_a_byte_order_mark_changes_only_the_truth_stamps(tmp_path):
+    truth = packaged_data_path("ground_truth.csv")
+    marked = tmp_path / "truth.csv"
+    marked.write_bytes(codecs.BOM_UTF8 + truth.read_bytes())
+    assert run_cli("all", "--seed", 42, "--out", tmp_path / "plain") == 0
+    assert run_cli("all", "--seed", 42, "--truth", marked, "--out", tmp_path / "marked") == 0
+    plain_digest, marked_digest = (sha256_file(p).encode() for p in (truth, marked))
+    plain = outputs_of(tmp_path / "plain")
+    assert sum(plain_digest in data for data in plain.values()) == 6  # two metrics, two models, predictions, map
+    assert outputs_of(tmp_path / "marked") == {
+        name: data.replace(plain_digest, marked_digest) for name, data in plain.items()
+    }
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

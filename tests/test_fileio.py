@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import os
@@ -193,3 +194,15 @@ def test_csv_loader_contract(tmp_path, kind, case):
         else:
             text = "\n".join([" , ".join(c.upper() for c in columns), first, second]) + "\n"
         assert load(_write_loader_input(tmp_path, text)) == expected
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_LOADERS))
+def test_csv_loader_skips_a_leading_byte_order_mark_and_keeps_line_numbers(tmp_path, kind):
+    load, columns, (first, second) = CSV_LOADERS[kind]
+    plain = f"{','.join(columns)}\n{first}\n"
+    expected = load(_write_loader_input(tmp_path, plain + second + "\n"))
+    assert load(_write_loader_input(tmp_path, "\ufeff" + plain + second + "\n")) == expected
+    path = _write_loader_input(tmp_path, codecs.BOM_UTF8 + plain.encode() + BAD_THIRD_LINES["non_utf8"])
+    with pytest.raises(ParseError) as caught:
+        load(path)
+    assert caught.value.line == 3

@@ -760,8 +760,8 @@ def test_live_collect_yields_incomplete_snapshot_and_caches_what_arrived(tmp_pat
 
 def test_cold_live_collect_creates_one_cache_file_and_a_warm_one_sends_nothing(tmp_path, monkeypatch):
     rewrites = []
-    original = ingest.atomic_write_text
-    monkeypatch.setattr(ingest, "atomic_write_text", lambda path, text: (rewrites.append(path), original(path, text)))
+    original = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst, **kw: (rewrites.append(dst), original(src, dst, **kw)))
     collector, _ = live_collector(tmp_path, StubClient(count=500))
     first = list(collector.collect_snapshots(FIVE))
     path = cache_file(tmp_path)

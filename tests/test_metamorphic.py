@@ -18,6 +18,13 @@ relation needs no oracle, so it cannot share an oracle's misreading.
   `metric_corr`, `n` and `metric_corr_stars`; within 1e-9 the male
   intercept moves by 1.0 and the slope, `residual_se` and every male
   prediction interval's width stay. No female or upstream data row changes.
+- A new truth row: giving the first predicted (country, sex) a truth value
+  takes it out of `predictions.csv`, grows that sex's `n_pairs` by one and
+  keeps every other predicted country predicted.
+- Collect mode: a world collected live, through `bench/live_driver.py`'s
+  fake upstream and its seeded 429s, gives the data rows of every artifact
+  past the snapshots, and the JSON outside `metadata`, of the fixture-mode
+  run. It runs on the world alone: `LiveRun` reads a world's directory.
 
 Each relation runs on the bundled demo and on a seeded 60-country world
 from `bench/world.py`, and is shown to fail on a bug planted by the test.
@@ -25,9 +32,11 @@ from `bench/world.py`, and is shown to fail on a bug planted by the test.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +44,7 @@ import pytest
 from admac import ingest, pipeline
 from admac.cli import main
 from admac.domain import AGE_GROUP_LOWERS, ParentFilter, Sex, iso2_code
+from admac.errors import RateLimited
 from admac.ingest import DEFAULT_EXCLUDED, fixture_countries
 from admac.pipeline import RunConfig, packaged_data_path, run_all
 from admac.stats import loocv, ols_fit_xy
@@ -46,6 +56,7 @@ DEMO_SEED = 42
 SHUFFLE_SEED = 7
 SCALE = 3  # 20, the floor, is no multiple of it, so no scaled count lands on the floor
 SHIFT = 1.0
+LIVE_DRIVER = Path(__file__).resolve().parents[1] / "bench" / "live_driver.py"
 
 
 @pytest.fixture(scope="module", params=["demo", "world"])
@@ -323,3 +334,100 @@ def test_truth_shift_relation_catches_a_fit_of_mac_fb_on_the_truth(tmp_path, mon
     changes = truth_shift_changes(tmp_path, fixtures, truth, DEMO_SEED)
     assert changes["kept"]  # the metrics do not fit a model
     assert abs(changes["intercept"] - SHIFT) > 1e-9
+
+
+def new_truth_row_changes(root: Path, fixtures: Path, truth: Path, seed: int) -> tuple[tuple[str, str], dict]:
+    """The first predicted (country, sex) without a truth row, and before and after a truth row
+    for it at its predicted value is added: the predicted (country, sex) keys and that sex's `n_pairs`."""
+    plain_dir, added_dir = root / "truth-row-out", root / "added-row-out"
+    run(plain_dir, fixtures, truth, seed)
+    known = {tuple(row[:2]) for row in read_csv(truth)[2]}
+    predicted = read_csv(plain_dir / "predictions.csv")[2]
+    iso2, sex, _, mac_predicted = next(row for row in predicted if tuple(row[:2]) not in known)[:4]
+    added = root / "added.csv"
+    added.write_text(truth.read_text(encoding="utf-8") + f"{iso2},{sex},{mac_predicted},2010-2017\n", encoding="utf-8")
+    run(added_dir, fixtures, added, seed)
+    return (iso2, sex), {
+        name: (
+            [tuple(row[:2]) for row in read_csv(out / "predictions.csv")[2]],
+            json.loads((out / f"model_{sex}.json").read_text(encoding="utf-8"))["sample"]["n_pairs"],
+        )
+        for name, out in (("before", plain_dir), ("after", added_dir))
+    }
+
+
+def test_a_new_truth_row_moves_its_country_from_predicted_to_paired(inputs):
+    key, runs = new_truth_row_changes(*inputs)
+    (predicted, n_pairs), (predicted_after, n_pairs_after) = runs["before"], runs["after"]
+    assert predicted_after == [k for k in predicted if k != key]
+    assert n_pairs_after == n_pairs + 1
+
+
+def test_new_truth_row_relation_catches_a_predict_of_the_matched_countries(tmp_path, monkeypatch):
+    # planted bug: every sex's join hands its matched countries to predict as well
+    join = pipeline.join_pairs
+
+    def predicts_the_matched(estimates, truth):
+        result = join(estimates, truth)
+        matched = [(p.country, p.sex, p.mac_fb) for p in result.pairs]
+        return result._replace(unmatched_estimates=result.unmatched_estimates + matched)
+
+    monkeypatch.setattr(pipeline, "join_pairs", predicts_the_matched)
+    fixtures, truth = packaged_data_path("fixtures"), packaged_data_path("ground_truth.csv")
+    key, runs = new_truth_row_changes(tmp_path, fixtures, truth, DEMO_SEED)
+    assert key in runs["after"][0]
+    assert runs["after"][1] == runs["before"][1] + 1
+
+
+def live_driver():
+    """`bench/live_driver.py` as a module, loaded from its file; the `bench/`
+    entry it puts on sys.path to import `bench/world.py` is taken out again."""
+    spec = importlib.util.spec_from_file_location("live_driver", LIVE_DRIVER)
+    module = importlib.util.module_from_spec(spec)
+    path = list(sys.path)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
+
+
+def collect_mode_runs(root: Path, world: Path, seed: int) -> tuple[dict[str, str], dict[str, str], dict]:
+    """`data_rows` of a live run of `world` through the fake upstream and of a
+    fixture-mode run of it, and the live run's report of calls and retries."""
+    live = live_driver().LiveRun(world, root / "live-out", root / "live-cache", seed)
+    run_all(live.cfg, live.collector())
+    fixture = run(root / "fixture-out", world / "fixtures", world / "truth.csv", seed)
+    return data_rows(root / "live-out"), fixture, live.report()
+
+
+def past_collect(rows: dict[str, str]) -> dict[str, str]:
+    """`rows` without the snapshots, whose `collected_at` tells the two modes apart."""
+    return {name: text for name, text in rows.items() if not name.startswith("snapshots/")}
+
+
+def test_collecting_live_gives_the_data_rows_of_fixture_mode(small_worlds, tmp_path):
+    fixtures, _ = small_worlds["world-60"]
+    live, fixture, report = collect_mode_runs(tmp_path, fixtures.parent, WORLD_SEED)
+    assert report["throttled"] > 0 and report["sleeps"] == report["throttled"]
+    assert live.keys() == fixture.keys()
+    assert past_collect(live) == past_collect(fixture)
+
+
+def test_collect_mode_relation_catches_a_retried_cell_recorded_as_zero(small_worlds, tmp_path, monkeypatch):
+    # planted bug: a query that was throttled, then answered, is recorded with count 0
+    reach, throttled = ingest.AdsApiClient.reach_estimate, set()
+
+    def zero_once_retried(client, query):
+        try:
+            count = reach(client, query)
+        except RateLimited:
+            throttled.add(query)
+            raise
+        return 0 if query in throttled else count
+
+    monkeypatch.setattr(ingest.AdsApiClient, "reach_estimate", zero_once_retried)
+    fixtures, _ = small_worlds["world-60"]
+    live, fixture, _ = collect_mode_runs(tmp_path, fixtures.parent, WORLD_SEED)
+    assert throttled
+    assert live["estimates.csv"] != fixture["estimates.csv"]
