@@ -7,7 +7,8 @@ are those of the tuple of their fields (so a record also equals a plain
 tuple of the same values). A record with invariants checks them in
 `__new__` and raises ValueError. A record's country is its ISO2 code, a
 plain string in capitals (`iso2_code`), and an age band is named by its
-lower bound, a plain int in `AGE_GROUP_LOWERS` (`age_group`).
+lower bound, a plain int in `AGE_GROUP_LOWERS` (`age_group`). A continent
+is its label, a plain string in `CONTINENTS`.
 """
 
 from __future__ import annotations
@@ -36,13 +37,8 @@ class ParentFilter(str, Enum):
     PARENTS_0_12M = "parent_of_child_0_12m"
 
 
-class Continent(str, Enum):
-    AFRICA = "Africa"
-    ASIA = "Asia"
-    EUROPE = "Europe"
-    NORTH_AMERICA = "NorthAmerica"
-    OCEANIA = "Oceania"
-    SOUTH_AMERICA = "SouthAmerica"
+# The six continent labels a continent map may use, in a fixed order.
+CONTINENTS = ("Africa", "Asia", "Europe", "NorthAmerica", "Oceania", "SouthAmerica")
 
 
 def age_group(lower: int, upper: int) -> int:

@@ -8,7 +8,7 @@ import re
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .domain import Continent, Sex, iso2_code
+from .domain import CONTINENTS, Sex, iso2_code
 from .errors import ParseError
 from .fileio import read_table
 
@@ -53,7 +53,7 @@ def _read(parse: Callable[[str], Any], text: str, what: str) -> Any:
         raise ValueError(f"{what} {text!r}") from None
 
 
-def load_continent_map(path: str | Path, *, data: bytes | None = None) -> dict[str, Continent]:
+def load_continent_map(path: str | Path, *, data: bytes | None = None) -> dict[str, str]:
     """Bundled-style `iso2,continent` CSV into a lookup dict.
 
     A row with a wrong field count, an iso2 that is not two ASCII letters or
@@ -62,7 +62,7 @@ def load_continent_map(path: str | Path, *, data: bytes | None = None) -> dict[s
     raises ParseError, since either row could be the one meant.
     """
     rows = read_table(path, CONTINENT_COLUMNS, data=data)
-    mapping: dict[str, Continent] = {}
+    mapping: dict[str, str] = {}
     for lineno, row in rows:
         try:
             if len(row) != 2:
@@ -70,7 +70,10 @@ def load_continent_map(path: str | Path, *, data: bytes | None = None) -> dict[s
             iso2 = iso2_code(row[0].strip())
             if iso2 in mapping:
                 raise ParseError(f"{path}: a second row for {iso2}", line=lineno)
-            mapping[iso2] = _read(Continent, row[1].strip(), "unknown continent")
+            continent = row[1].strip()
+            if continent not in CONTINENTS:
+                raise ValueError(f"unknown continent {continent!r}")
+            mapping[iso2] = continent
         except ValueError as exc:
             logger.warning("%s:%d: %s; skipped", path, lineno, exc)
     return mapping

@@ -72,6 +72,19 @@ CELL_KEYS: tuple[CellKey, ...] = tuple(
     for lower in AGE_GROUP_LOWERS
     for flt in (ParentFilter.ALL, ParentFilter.PARENTS_0_12M)
 )
+# Each key's query fields by name, in canonical order: the request parameters that follow the
+# country, and the one place an age group's upper bound is spelled.
+_QUERY_FIELDS: dict[CellKey, dict[str, str | int]] = {
+    (sex, lower, flt): {
+        "sex": sex.value, "age_min": lower, "age_max": lower + GROUP_WIDTH - 1, "parent_filter": flt.value
+    }
+    for sex, lower, flt in CELL_KEYS
+}
+# Each key's canonical query text after its "iso2=<code>&".
+_QUERY_TEXT: dict[CellKey, str] = {
+    key: "&".join(f"{name}={value}" for name, value in fields.items())
+    for key, fields in _QUERY_FIELDS.items()
+}
 
 
 class Mode(str, Enum):
@@ -90,13 +103,13 @@ class QueryDescriptor(namedtuple("QueryDescriptor", "country_iso2 sex age_min ag
         age_group(age_min, age_max)
         return tuple.__new__(cls, (country_iso2, sex, age_min, age_max, parent_filter))
 
+    @property
+    def cell_key(self) -> CellKey:
+        return self.sex, self.age_min, self.parent_filter
+
     def canonical(self) -> str:
         """Deterministic, fixed-field-order serialization."""
-        return (
-            f"iso2={self.country_iso2}&sex={self.sex.value}"
-            f"&age_min={self.age_min}&age_max={self.age_max}"
-            f"&parent_filter={self.parent_filter.value}"
-        )
+        return f"iso2={self.country_iso2}&{_QUERY_TEXT[self.cell_key]}"
 
 
 class CollectorConfig(namedtuple("CollectorConfig", "mode fixture_dir cache_dir")):
@@ -134,7 +147,7 @@ def parse_timestamp(raw: str) -> datetime:
 _HEADER_LINE = ",".join(CELL_COLUMNS) + "\n"
 # The sex,age_low,age_high,parent_filter fields of each key's row.
 _KEY_FIELDS: dict[CellKey, str] = {
-    key: f"{key[0].value},{key[1]},{key[1] + GROUP_WIDTH - 1},{key[2].value}" for key in CELL_KEYS
+    key: ",".join(str(value) for value in fields.values()) for key, fields in _QUERY_FIELDS.items()
 }
 
 
@@ -272,22 +285,16 @@ class AdsApiClient:
             raise AuthError(f"no API token; set {TOKEN_ENV_VAR} or pass one explicitly")
         if not _BEARER_TOKEN.fullmatch(token):
             raise AuthError("API token is not a bearer token (letters, digits, -._~+/, then any =)")
-        self._token = token
-        self._base_url = base_url.rstrip("/")
+        self._url = f"{base_url.rstrip('/')}/reach_estimate"
+        self._headers = {"Authorization": f"Bearer {token}"}
         self._session = session if session is not None else _UrllibSession()
 
     def reach_estimate(self, query: QueryDescriptor) -> int:
         try:
             response = self._session.get(
-                f"{self._base_url}/reach_estimate",
-                params={
-                    "country": query.country_iso2,
-                    "sex": query.sex.value,
-                    "age_min": query.age_min,
-                    "age_max": query.age_max,
-                    "parent_filter": query.parent_filter.value,
-                },
-                headers={"Authorization": f"Bearer {self._token}"},
+                self._url,
+                params={"country": query.country_iso2, **_QUERY_FIELDS[query.cell_key]},
+                headers=dict(self._headers),  # a copy: the session may change it
                 timeout=REQUEST_TIMEOUT_S,
             )
         except OSError as exc:
@@ -400,7 +407,7 @@ _CELL_ERRORS = (FixtureMiss, RateLimited, MalformedResponse)
 def _query(iso2: str, key: CellKey) -> QueryDescriptor:
     """The query for a CELL_KEYS entry."""
     sex, lower, flt = key
-    return QueryDescriptor(iso2, sex, lower, lower + GROUP_WIDTH - 1, flt)
+    return QueryDescriptor(iso2, sex, lower, _QUERY_FIELDS[key]["age_max"], flt)
 
 
 class Collector:
@@ -435,7 +442,7 @@ class Collector:
         """The query's cell: from its fixture, or live from the `day` cache file (default:
         today) or fetched into it."""
         iso2 = query.country_iso2
-        key = (query.sex, query.age_min, query.parent_filter)
+        key = query.cell_key
         day = (day or self._clock().date()) if self._live else None
         cell = self._store.cells(iso2, day).get(key)
         if cell is None:

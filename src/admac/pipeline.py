@@ -58,9 +58,9 @@ from .ingest import (
 )
 from .predict import emit_choropleth, predict_missing
 from .stats import (
+    UNKNOWN_CONTINENT,
     CalibrationModel,
     GroupedMetrics,
-    continent_label,
     cv_percent,
     grouped_metrics,
     loocv,
@@ -405,7 +405,7 @@ def stage_validate(cfg: RunConfig, joins: Joins | None = None) -> list[Path]:
                 f"validate/{sex.value}: LOOCV needs at least 4 matched pairs, got {len(pairs)}"
             )
         direct = grouped_metrics(
-            (continent_label(continent_map.get(p.country)), p.mac_fb, p.mac_truth) for p in pairs
+            (continent_map.get(p.country, UNKNOWN_CONTINENT), p.mac_fb, p.mac_truth) for p in pairs
         )
         _, cv = loocv(pairs, continent_map, scope=cfg.loocv_scope)
         meta = standard_metadata(seed=cfg.seed, inputs=inputs)

@@ -26,7 +26,6 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .domain import Continent
     from .groundtruth import ValidationPair
 
 logger = logging.getLogger(__name__)
@@ -288,16 +287,12 @@ def _metrics_cell(pred: Sequence[float], truth: Sequence[float]) -> MetricsCell:
     return MetricsCell(spearman_rho=rho, spearman_p=p, mape=mape(pred, truth), n=len(pred))
 
 
-def continent_label(continent: Continent | None) -> str:
-    return UNKNOWN_CONTINENT if continent is None else continent.value
-
-
 def grouped_metrics(
     records: Iterable[tuple[str, float, float]],
 ) -> GroupedMetrics:
     """Metrics per continent label plus overall.
 
-    `records` holds (continent_label, predicted, truth) triples; the
+    `records` holds (continent, predicted, truth) triples; the
     per-label cells partition the overall cell, so per-group n sums to
     overall n by construction.
     """
@@ -317,7 +312,7 @@ def grouped_metrics(
 
 def loocv(
     pairs: Sequence["ValidationPair"],
-    continent_of: Mapping[str, Continent],
+    continent_of: Mapping[str, str],
     scope: str = "global",
 ) -> tuple[dict[str, float], GroupedMetrics]:
     """Leave-one-out cross-validation of the calibration regression.
@@ -340,7 +335,7 @@ def loocv(
     else:
         by_cont: dict[str, list] = {}
         for pair in pairs:
-            by_cont.setdefault(continent_label(continent_of.get(pair.country)), []).append(pair)
+            by_cont.setdefault(continent_of.get(pair.country, UNKNOWN_CONTINENT), []).append(pair)
         fold_sets = []
         for label, group in sorted(by_cont.items()):
             if len(group) < 4:
@@ -364,11 +359,7 @@ def loocv(
             pred = intercept + slope * held_out.mac_fb
             predictions[held_out.country] = pred
             records.append(
-                (
-                    continent_label(continent_of.get(held_out.country)),
-                    pred,
-                    held_out.mac_truth,
-                )
+                (continent_of.get(held_out.country, UNKNOWN_CONTINENT), pred, held_out.mac_truth)
             )
     return predictions, grouped_metrics(records)
 

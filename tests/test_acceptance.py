@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import pytest
 
 from admac.cli import main as cli_main
-from admac.domain import Continent, FertilitySchedule, Sex
+from admac.domain import CONTINENTS, FertilitySchedule, Sex
 from admac.groundtruth import ValidationPair
 from admac.indicators import mac
 from admac.pipeline import packaged_data_path
@@ -205,7 +205,7 @@ def test_criterion_6_mac_properties():
 def test_criterion_7_loocv_bruteforce_equivalence():
     with criterion(7, "LOOCV vs per-fold refit oracle"):
         rng = random.Random(700700)
-        continents = list(Continent)
+        continents = list(CONTINENTS)
         for _ in range(50):
             n = rng.randint(4, 60)
             xs = [rng.uniform(25.0, 40.0) for _ in range(n)]

@@ -25,7 +25,7 @@ from admac.indicators import LowerBoundPolicy
 from admac.ingest import TOKEN_ENV_VAR, Collector, CollectorConfig, Mode
 from admac.pipeline import RunConfig, _model_payload, packaged_data_path, run_all
 from admac.stats import CalibrationModel, ols_fit_xy
-from conftest import read_csv
+from conftest import generate_world, read_csv
 
 
 def run_cli(*args):
@@ -508,6 +508,23 @@ def test_malformed_estimates_row_reports_parse_error(tmp_path, capsys, edit):
     assert "(line " in report["message"]
 
 
+def test_estimates_row_whose_iso2_is_not_in_capitals_reports_parse_error(tmp_path, capsys):
+    # stage_estimate writes each code in capitals; "it" reads as a code, but no such row is written
+    out = tmp_path / "out"
+    assert run_cli("all", "--out", out, "--seed", 42) == 0
+    path = out / "estimates.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("IT,female,"))
+    lines[lineno - 1] = "it" + lines[lineno - 1][2:]
+    path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("validate", "--out", out) == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "ParseError"
+    assert "'it' is not in capitals" in report["message"]
+    assert f"(line {lineno})" in report["message"]
+
+
 def _truncate(text: str) -> str:
     return text[: len(text) // 2]
 
@@ -669,6 +686,43 @@ def test_repeated_continent_map_row_reports_parse_error(tmp_path, capsys):
     assert not list(out.glob("metrics_*.csv"))
 
 
+def _continent_map_without(iso2: str, path: Path) -> Path:
+    """The bundled continent map, written to `path`, without the row of `iso2`."""
+    lines = packaged_data_path("continents.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(f"{iso2},")]
+    assert len(kept) == len(lines) - 1
+    path.write_text("".join(kept), encoding="utf-8")
+    return path
+
+
+def test_a_paired_country_the_map_lacks_is_scored_under_unknown(tmp_path):
+    # IT has a male pair on the demo; without its map row that pair is scored under
+    # Unknown, and the Overall row still counts every pair
+    continents = _continent_map_without("IT", tmp_path / "continents.csv")
+    out = tmp_path / "out"
+    assert run_cli("all", "--out", out, "--seed", 42, "--continent-map", continents) == 0
+    _, header, rows = read_csv(out / "metrics_male.csv")
+    n = {row[0]: int(row[header.index("n")]) for row in rows}
+    assert n["Unknown"] == 1
+    assert n["Overall"] == 14
+
+
+def test_under_continent_scope_a_country_the_map_lacks_is_a_group_of_its_own(tmp_path, caplog):
+    fixtures, truth = generate_world(tmp_path / "world", 5, 60)
+    out = tmp_path / "out"
+    flags = ["--out", out, "--seed", 5, "--fixture-dir", fixtures, "--truth", truth]
+    for command in ("collect", "estimate"):
+        assert run_cli(command, *flags) == 0
+    truth_keys = {tuple(row[:2]) for row in read_csv(truth)[2]}
+    estimates = read_csv(out / "estimates.csv")[2]
+    iso2 = min(row[0] for row in estimates if row[3] == "true" and tuple(row[:2]) in truth_keys)
+    continents = _continent_map_without(iso2, tmp_path / "continents.csv")
+    with caplog.at_level("WARNING"):
+        assert run_cli("validate", *flags, "--loocv-scope", "continent", "--continent-map", continents) == 0
+    said = [r.getMessage() for r in caplog.records]
+    assert "loocv scope=continent: skipping Unknown with only 1 pair(s)" in said
+
+
 def test_map_shows_the_truth_row_the_join_kept(tmp_path, caplog):
     # an older AR/male row ahead of the bundled 2006-2015 one: the join keeps the
     # later period, and the map's ground-truth feature must show that row too
@@ -793,6 +847,7 @@ BAD_OPTION_VALUES = {
     "unknown_lower_bound_policy": ("lower_bound_policy", "x", ["'x'", "any", "parents-only"]),
     "unknown_loocv_scope": ("loocv_scope", "x", ["'x'", "global", "continent"]),
     "unknown_sex": ("sexes", "other", ["'other'", "female", "male"]),
+    "no_sexes": ("sexes", ",", ["at least one must be requested"]),
     "country_not_two_letters": ("countries", "IT,I1", ["'I1'"]),
     "country_not_ascii": ("countries", "ß,IT", ["'ß'"]),  # "ß" upper-cases to "SS"
     "no_countries": ("countries", ",", ["empty"]),

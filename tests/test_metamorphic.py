@@ -8,7 +8,7 @@ relation needs no oracle, so it cannot share an oracle's misreading.
 - Country order and case: `--countries` in another order and in lower case
   changes no byte, stamps included, from a run over the same codes sorted
   in capitals, or over the default list.
-- Continent of a country: with global LOOCV folds, moving one country to
+- The continent of a country: with global LOOCV folds, moving one country to
   another continent of the map changes continent rows of the metrics files,
   but no `Overall` row.
 - Count scaling: multiplying every male count of one eligible country with
@@ -21,6 +21,10 @@ relation needs no oracle, so it cannot share an oracle's misreading.
 - A new truth row: giving the first predicted (country, sex) a truth value
   takes it out of `predictions.csv`, grows that sex's `n_pairs` by one and
   keeps every other predicted country predicted.
+- A bystander: dropping the fixture of a country that is ineligible in
+  both sexes and has no truth row (PT on the seed-5 world; the demo has
+  none) takes its two rows out of `estimates.csv` and its snapshot away,
+  and changes no other data row.
 - Collect mode: a world collected live, through `bench/live_driver.py`'s
   fake upstream and its seeded 429s, gives the data rows of every artifact
   past the snapshots, and the JSON outside `metadata`, of the fixture-mode
@@ -41,7 +45,7 @@ from pathlib import Path
 
 import pytest
 
-from admac import ingest, pipeline
+from admac import indicators, ingest, pipeline
 from admac.cli import main
 from admac.domain import AGE_GROUP_LOWERS, ParentFilter, Sex, iso2_code
 from admac.errors import RateLimited
@@ -57,6 +61,7 @@ SHUFFLE_SEED = 7
 SCALE = 3  # 20, the floor, is no multiple of it, so no scaled count lands on the floor
 SHIFT = 1.0
 LIVE_DRIVER = Path(__file__).resolve().parents[1] / "bench" / "live_driver.py"
+BYSTANDER = "PT"  # on the seed-5 world: lower_bound_cell in both sexes, no truth row
 
 
 @pytest.fixture(scope="module", params=["demo", "world"])
@@ -377,6 +382,41 @@ def test_new_truth_row_relation_catches_a_predict_of_the_matched_countries(tmp_p
     key, runs = new_truth_row_changes(tmp_path, fixtures, truth, DEMO_SEED)
     assert key in runs["after"][0]
     assert runs["after"][1] == runs["before"][1] + 1
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    """(fixture dir, truth table) of the seed-5 60-country world."""
+    return generate_world(tmp_path_factory.mktemp("world"), WORLD_SEED, WORLD_COUNTRIES)
+
+
+def bystander_runs(root: Path, fixtures: Path, truth: Path) -> tuple[dict[str, str], dict[str, str]]:
+    """`data_rows` of a run over `fixtures`, and of one over a copy without BYSTANDER's file."""
+    plain = run(root / "plain-out", fixtures, truth, WORLD_SEED)
+    shutil.copytree(fixtures, root / "dropped")
+    (root / "dropped" / f"{BYSTANDER}.csv").unlink()
+    return plain, run(root / "dropped-out", root / "dropped", truth, WORLD_SEED)
+
+
+def test_dropping_a_bystander_takes_out_only_its_estimates(world, tmp_path):
+    fixtures, truth = world
+    assert BYSTANDER not in {row[0] for row in read_csv(truth)[2]}
+    plain, dropped = bystander_runs(tmp_path, fixtures, truth)
+    estimates = plain["estimates.csv"].splitlines(keepends=True)
+    own = [line for line in estimates if line.startswith(f"{BYSTANDER},")]
+    assert own == [f"{BYSTANDER},{sex},,false,lower_bound_cell\n" for sex in ("female", "male")]
+    assert dropped.keys() == plain.keys() - {f"snapshots/{BYSTANDER}.csv"}
+    assert dropped["estimates.csv"] == "".join(line for line in estimates if line not in own)
+    assert all(dropped[name] == plain[name] for name in dropped if name != "estimates.csv")
+
+
+def test_bystander_relation_catches_an_estimate_that_skips_the_floor_check(world, tmp_path, monkeypatch):
+    # planted bug: estimate_country compares the counts with a floor no count reaches
+    monkeypatch.setattr(indicators, "LOWER_BOUND_COUNT", -1)
+    plain, dropped = bystander_runs(tmp_path, *world)
+    predicted = [line for line in plain["predictions.csv"].splitlines() if line.startswith(f"{BYSTANDER},")]
+    assert len(predicted) == 2
+    assert dropped["predictions.csv"] != plain["predictions.csv"]
 
 
 def live_driver():

@@ -176,6 +176,8 @@ def test_cv_percent():
     assert cv_percent(vals) == pytest.approx(100.0 * 1.0 / 2.0, rel=1e-12)
     with pytest.raises(TooFewPoints):
         cv_percent([1.0])
+    with pytest.raises(ZeroTruth):
+        cv_percent([-1.0, 1.0])
 
 
 # --- OLS ----------------------------------------------------------------
@@ -191,6 +193,13 @@ def test_ols_exact_fit():
     assert model.p_slope == 0.0
     assert math.isinf(model.f_stat)
     assert model.n == 5 and model.df_resid == 3
+    assert model.prediction_interval(2.5) == (6.0, 6.0)
+
+
+def test_ols_of_a_constant_y_explains_nothing():
+    model = ols_fit_xy([1.0, 2.0, 3.0, 4.0], [7.0, 7.0, 7.0, 7.0])
+    assert model.slope == 0.0 and model.intercept == 7.0
+    assert model.r2 == 0.0
 
 
 def test_ols_errors():
