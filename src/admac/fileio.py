@@ -10,7 +10,6 @@ the `#` lines, because no stage reads another's metadata back.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import os
@@ -19,6 +18,16 @@ from typing import Iterable, Sequence
 
 from . import __version__
 from .errors import ParseError
+
+# SHA-256 from the interpreter's own module, as the standard library's `random` takes
+# SHA-512: `hashlib` loads OpenSSL, which costs a cold run more than all its hashing.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 def _create(path: Path) -> int:
@@ -75,7 +84,7 @@ def append_lines(path: str | Path, lines: str, header: str) -> None:
 
 
 def sha256_file(path: str | Path) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(65536), b""):
             digest.update(chunk)

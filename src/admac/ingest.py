@@ -14,7 +14,6 @@ a live one is sent from the calling thread, and a throttled query is retried
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -49,7 +48,7 @@ from .errors import (
     RateLimited,
     UpstreamUnavailable,
 )
-from .fileio import append_lines, metadata_header, read_table
+from .fileio import append_lines, metadata_header, read_table, sha256
 
 logger = logging.getLogger(__name__)
 
@@ -173,7 +172,7 @@ def write_cells_csv(
     caller alone sees; returns the SHA-256 hex digest of the bytes written."""
     data = (metadata_header(meta) + _HEADER_LINE + _cell_lines(iso2, cells)).encode("utf-8")
     Path(path).write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+    return sha256(data).hexdigest()
 
 
 def read_cells_csv(
@@ -357,7 +356,7 @@ class _CellStore:
             if not path.exists():
                 raise FixtureMiss(f"no fixture file for {iso2} under {self.directory}")
             data = path.read_bytes()
-            self._digests[iso2] = hashlib.sha256(data).hexdigest()
+            self._digests[iso2] = sha256(data).hexdigest()
             self._files[iso2, None] = read_cells_csv(path, iso2, data=data)[iso2]
         return self._files[iso2, None]
 

@@ -23,7 +23,6 @@ The artifacts are the same bytes as when the stages run one by one.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import shutil
@@ -38,7 +37,7 @@ from .errors import (
     ParseError,
     TooFewPoints,
 )
-from .fileio import read_table, standard_metadata, write_csv, write_json
+from .fileio import read_table, sha256, standard_metadata, write_csv, write_json
 from .groundtruth import JoinResult, load_continent_map, load_ground_truth, join_pairs
 from .indicators import (
     IneligibilityReason,
@@ -271,10 +270,10 @@ def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> list[P
             iso2 = file_country(path)
             data = path.read_bytes()
             snapshot = AudienceSnapshot(iso2, read_cells_csv(path, iso2, data=data)[iso2])
-            collected.append((path, hashlib.sha256(data).hexdigest(), snapshot))
+            collected.append((path, sha256(data).hexdigest(), snapshot))
     if not collected:
         raise MissingStageInput(f"no snapshots under {cfg.snapshots_dir}; run `collect` first")
-    combined = hashlib.sha256()
+    combined = sha256()
     rows: list[list[str]] = []
     for path, digest, snapshot in collected:
         combined.update(path.name.encode())
@@ -338,7 +337,7 @@ def _read_input(path: Path, missing: str) -> tuple[bytes, str]:
     if not path.exists():
         raise MissingStageInput(missing)
     data = path.read_bytes()
-    return data, hashlib.sha256(data).hexdigest()
+    return data, sha256(data).hexdigest()
 
 
 Joins = tuple[dict[str, str], dict[Sex, JoinResult]]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 import random
-import statistics
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from . import special
@@ -110,14 +109,39 @@ def mape(pred: Sequence[float], truth: Sequence[float]) -> float:
     return 100.0 / n * math.fsum(abs(p - t) / abs(t) for p, t in zip(pred, truth))
 
 
+def _stdev(values: Sequence[float]) -> float:
+    """Sample standard deviation of finite values, correctly rounded.
+
+    The variance is an exact fraction over integers (every float is an
+    integer over a power of two), and its square root is rounded once: the
+    integer root of the fraction scaled to ~55 significant bits, with its
+    last bit set when inexact (round to odd), as `statistics.stdev` does
+    from Python 3.11.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(d for _, d in ratios)
+    ints = [n * (scale // d) for n, d in ratios]
+    n = len(ints)
+    num = n * sum(i * i for i in ints) - sum(ints) ** 2
+    den = n * (n - 1) * scale * scale
+    shift = (num.bit_length() - den.bit_length() - 109) // 2  # 109 = 2 * 53 + 3 bits
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
 def cv_percent(values: Sequence[float]) -> float:
-    """Coefficient of variation, 100 * sample sd / mean."""
+    """Coefficient of variation, 100 * sample sd / mean; the sd is correctly rounded."""
     if len(values) < 2:
         raise TooFewPoints("cv_percent needs at least two values")
-    mean = statistics.fmean(values)
+    mean = math.fsum(values) / len(values)
     if mean == 0.0:
         raise ZeroTruth("cv_percent undefined for zero mean")
-    return 100.0 * statistics.stdev(values) / mean
+    return 100.0 * _stdev(values) / mean
 
 
 # --------------------------------------------------------------------------
@@ -400,4 +424,4 @@ def random_split_validation(
         per_run.append(
             mape([intercept + slope * p.mac_fb for p in test], [p.mac_truth for p in test])
         )
-    return RandomSplitResult(mean_mape=statistics.fmean(per_run), per_run=tuple(per_run))
+    return RandomSplitResult(mean_mape=math.fsum(per_run) / len(per_run), per_run=tuple(per_run))

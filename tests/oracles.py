@@ -3,12 +3,14 @@
 Each oracle deliberately takes a different route from the implementation:
 counting ranks instead of sorting, numpy normal equations instead of
 centered-moment formulas, adaptive quadrature instead of the continued
-fraction, plain-order summation instead of compensated summation.
+fraction, plain-order summation instead of compensated summation, a
+root stepped to between float midpoints instead of rounded to odd.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +40,38 @@ def spearman_counting(xs, ys):
     sxx = sum((a - mx) ** 2 for a in rx)
     syy = sum((b - my) ** 2 for b in ry)
     return float(sxy) / math.sqrt(float(sxx) * float(syy))
+
+
+# --- dispersion ---------------------------------------------------------------
+
+def _low_bit(x):
+    """The last significand bit of a non-negative float; a tie rounds to where it is 0."""
+    return struct.unpack("<q", struct.pack("<d", x))[0] & 1
+
+
+def exact_stdev(xs):
+    """Sample standard deviation, correctly rounded.
+
+    The variance is an exact Fraction of the mean's deviations. A first root
+    comes from math.isqrt; it then steps float by float until the midpoints
+    to both neighbours bracket the exact root, a tie going to the even
+    significand.
+    """
+    n = len(xs)
+    mean = sum(map(Fraction, xs), Fraction(0)) / n
+    var = sum(((Fraction(x) - mean) ** 2 for x in xs), Fraction(0)) / (n - 1)
+    e = (var.denominator.bit_length() - var.numerator.bit_length()) // 2 + 60
+    r = float(math.isqrt(math.floor(var * Fraction(4) ** e)) / Fraction(2) ** e)
+    while True:
+        above = (Fraction(r) + Fraction(math.nextafter(r, math.inf))) / 2
+        if above * above < var or (above * above == var and _low_bit(r)):
+            r = math.nextafter(r, math.inf)
+            continue
+        below = (Fraction(r) + Fraction(math.nextafter(r, 0.0))) / 2
+        if below * below > var or (below * below == var and _low_bit(r)):
+            r = math.nextafter(r, 0.0)
+            continue
+        return r
 
 
 # --- OLS ----------------------------------------------------------------------

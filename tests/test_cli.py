@@ -107,7 +107,7 @@ def test_estimate_from_memory_equals_estimate_from_files(tmp_path):
     stage_collect(cfg, collected=collected)
     assert [path.name for path, _, _ in collected] == ["FR.csv", "IT.csv", "NG.csv"]
     for path, digest, _ in collected:
-        assert digest == sha256_file(path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     in_memory = stage_estimate(cfg, collected)[0].read_bytes()
     from_files = stage_estimate(cfg)[0].read_bytes()
     assert in_memory == from_files
@@ -375,7 +375,7 @@ def test_truth_table_with_a_byte_order_mark_changes_only_the_truth_stamps(tmp_pa
     marked.write_bytes(codecs.BOM_UTF8 + truth.read_bytes())
     assert run_cli("all", "--seed", 42, "--out", tmp_path / "plain") == 0
     assert run_cli("all", "--seed", 42, "--truth", marked, "--out", tmp_path / "marked") == 0
-    plain_digest, marked_digest = (sha256_file(p).encode() for p in (truth, marked))
+    plain_digest, marked_digest = (hashlib.sha256(p.read_bytes()).hexdigest().encode() for p in (truth, marked))
     plain = outputs_of(tmp_path / "plain")
     assert sum(plain_digest in data for data in plain.values()) == 6  # two metrics, two models, predictions, map
     assert outputs_of(tmp_path / "marked") == {
@@ -1004,15 +1004,21 @@ def test_fixture_row_naming_another_country_reports_parse_error(tmp_path, capsys
         assert not (out / "snapshots").exists()
 
 
-def _loaded_by_fresh_cli_import(*modules: str) -> list[str]:
-    """Which of `modules` a fresh interpreter has loaded after `import admac.cli`."""
+def _fresh_interpreter(code: str):
+    """The JSON on the last line `code` prints in a fresh interpreter that imports this admac."""
     src = str(Path(admac.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import admac.cli, json, sys; print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
     )
-    return json.loads(result.stdout)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def _loaded_by_fresh_cli_import(*modules: str) -> list[str]:
+    """Which of `modules` a fresh interpreter has loaded after `import admac.cli`."""
+    return _fresh_interpreter(
+        f"import admac.cli, json, sys; print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
+    )
 
 
 def test_importing_the_cli_does_not_load_requests():
@@ -1022,6 +1028,20 @@ def test_importing_the_cli_does_not_load_requests():
 
 def test_importing_the_cli_loads_no_dataclasses_and_no_thread_pool():
     assert _loaded_by_fresh_cli_import("dataclasses", "inspect", "concurrent.futures") == []
+
+
+def test_a_fixture_run_loads_neither_openssl_nor_statistics(tmp_path):
+    # SHA-256 comes from the interpreter's own module and the SD from stats; what the
+    # host's `site` hooks load before admac starts does not count
+    out = tmp_path / "out"
+    added = _fresh_interpreter(
+        "import sys; before = set(sys.modules)\n"
+        "import json, admac.cli\n"
+        f"assert admac.cli.main(['all', '--seed', '42', '--out', {str(out)!r}]) == 0\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    assert "admac.pipeline" in added
+    assert {"_hashlib", "statistics", "fractions", "decimal"}.isdisjoint(added)
 
 
 @pytest.mark.parametrize("damaged", ["fixture", "snapshot"])

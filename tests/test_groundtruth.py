@@ -71,6 +71,25 @@ def test_truth_row_whose_iso2_is_not_ascii_is_skipped_with_its_line(tmp_path, ca
     ]
 
 
+def test_truth_window_keeps_its_bounds_and_skips_past_them(tmp_path, caplog):
+    path = tmp_path / "truth.csv"
+    path.write_text(
+        "iso2,sex,mac,period\n"
+        "IT,male,10.0,2006-2015\n"
+        "FR,male,9.999,2006-2015\n"
+        "ES,male,60.0,2006-2015\n"
+        "DE,male,60.001,2006-2015\n",
+        encoding="utf-8",
+    )
+    with caplog.at_level("WARNING"):
+        records = load_ground_truth(path)
+    assert [(r.country, r.mac) for r in records] == [("IT", 10.0), ("ES", 60.0)]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}:3: mac 9.999 outside [10, 60]; skipped",
+        f"{path}:5: mac 60.001 outside [10, 60]; skipped",
+    ]
+
+
 def test_load_ground_truth_empty_file_with_header(tmp_path):
     path = tmp_path / "truth.csv"
     path.write_text("iso2,sex,mac,period\n", encoding="utf-8")

@@ -900,6 +900,51 @@ def test_append_that_fails_part_way_leaves_the_file_at_its_last_line_break(tmp_p
     assert day.read_bytes() == before
 
 
+def _deny(monkeypatch, owner, name, path):
+    """Make `owner.name` raise PermissionError on `path` alone, as a read-only cache directory does."""
+    original = getattr(owner, name)
+
+    def denied(target, *args, **kwargs):
+        if Path(target) == path:
+            raise PermissionError(13, "Permission denied", str(target))
+        return original(target, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, denied)
+
+
+@pytest.mark.parametrize(
+    "damage, owner, name",
+    [("unparseable", Path, "unlink"), ("torn", os, "truncate")],
+    ids=["unlink", "truncate"],
+)
+def test_day_file_the_run_cannot_repair_ends_it_and_is_left_for_the_next(
+    tmp_path, monkeypatch, capsys, damage, owner, name
+):
+    monkeypatch.setenv("ADS_API_TOKEN", "tok")
+    monkeypatch.setattr(ingest, "AdsApiClient", lambda token: StubClient(count=500))
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    args = ["collect", "--mode", "live", "--cache-dir", str(cache), "--out", str(out), "--countries", "IT,NG"]
+    assert main(args) == 0
+    (day,) = cache.iterdir()
+    if damage == "unparseable":
+        day.write_text(day.read_text(encoding="utf-8").replace(",500,", ",5x00,", 1), encoding="utf-8")
+    else:
+        _tear_last_line(day)
+    damaged = day.read_bytes()
+    kept = {p.relative_to(out): p.is_file() and p.read_bytes() for p in out.rglob("*")}
+    capsys.readouterr()
+    with monkeypatch.context() as fault:
+        _deny(fault, owner, name, day)
+        assert main(args) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    report = json.loads(line)
+    assert report["error"] == "PermissionError" and str(day) in report["message"]
+    assert day.read_bytes() == damaged
+    assert {p.relative_to(out): p.is_file() and p.read_bytes() for p in out.rglob("*")} == kept
+    assert main(args) == 0
+    assert cached_keys(day, IT) == cached_keys(day, "NG") == list(CELL_KEYS)
+
+
 TWO = [IT, "NG"]
 TWO_QUERIES = [ingest._query(c, key).canonical() for c in TWO for key in CELL_KEYS]
 

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
+import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -25,7 +27,7 @@ from admac.stats import (
     significance_stars,
     spearman,
 )
-from oracles import counting_ranks, ols_normal_equations, spearman_counting
+from oracles import counting_ranks, exact_stdev, ols_normal_equations, spearman_counting
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
@@ -178,6 +180,34 @@ def test_cv_percent():
         cv_percent([1.0])
     with pytest.raises(ZeroTruth):
         cv_percent([-1.0, 1.0])
+
+
+def test_cv_percent_rounds_its_sd_once():
+    # statistics.stdev on Python 3.10 rounds the variance to a float, then its
+    # square root: an ulp lower on both of these
+    assert cv_percent([32.0, 31.0, 30.0, 33.1]) == 4.219191901185046
+    assert cv_percent([28.5, 32.7, 33.5, 33.9]) == 7.726122767262346
+
+
+@seed(2018)
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=10.0, max_value=60.0),
+            st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+        ),
+        min_size=2,
+        max_size=30,
+    )
+)
+def test_cv_percent_matches_an_exact_sd(values):
+    mean = math.fsum(values) / len(values)
+    assume(mean != 0.0)
+    cv = cv_percent(values)
+    assert cv == 100.0 * exact_stdev(values) / mean
+    if sys.version_info >= (3, 11):  # a correctly rounded stdev from 3.11 on
+        assert cv == 100.0 * statistics.stdev(values) / statistics.fmean(values)
 
 
 # --- OLS ----------------------------------------------------------------
