@@ -1,12 +1,10 @@
-"""Command-line entry point.
+"""Command-line entry point: `admac COMMAND [options]`, options before or after COMMAND.
 
-Subcommands mirror the pipeline stages (collect, estimate, validate,
-calibrate, predict, all). Each run option is one entry of `OPTIONS`, given
-as a flag or as a `key=value` line of a --config file. Flags win over the
-file, the file wins over the defaults; a bad, empty or repeated value is a
-ConfigError. Every failure prints a one-line JSON error report to stderr
-and exits 1; argparse keeps exit 2 for command-line syntax only (an unknown
-flag, a missing command, a flag without a value).
+COMMAND is a pipeline stage (collect, estimate, validate, calibrate, predict) or all.
+Each run option is one `OPTIONS` entry, a flag or a `key=value` line of a --config file;
+flags win over the file, the file over the defaults, and a bad, empty or repeated value
+is a ConfigError. Every failure prints a one-line JSON error report to stderr and exits
+1; argparse exits 2 for syntax only: an unknown flag or command, a missing command or value.
 """
 
 from __future__ import annotations
@@ -67,27 +65,23 @@ OPTIONS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    parser = argparse.ArgumentParser(
+        prog="admac", description="Mean age at childbearing from advertising-audience counts."
+    )
+    parser.add_argument("--version", action="version", version=f"admac {__version__}")
+    parser.add_argument(
+        "command",
+        choices=STAGES,
+        help="collect (fetch audience snapshots), estimate (snapshots -> MAC estimates), validate (metrics vs "
+        "ground truth, incl. LOOCV), calibrate (fit the calibration regression), predict (predict MAC where "
+        "truth is missing) or all (run every stage in order)",
+    )
+    parser.add_argument(
         "--config", type=Path, help="file of key=value lines, a key per flag (seed, loocv_scope, ...)"
     )
     for key, (_, _, help_text) in OPTIONS.items():
-        common.add_argument("--" + key.replace("_", "-"), help=help_text)
-    common.add_argument("-v", "--verbose", action="count", default=0, help="log each throttled retry (INFO)")
-
-    parser = argparse.ArgumentParser(
-        prog="admac",
-        description="Mean age at childbearing from advertising-audience counts: "
-        "collect, estimate, validate, calibrate, predict.",
-    )
-    parser.add_argument("--version", action="version", version=f"admac {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("collect", parents=[common], help="fetch audience snapshots")
-    sub.add_parser("estimate", parents=[common], help="snapshots -> MAC estimates")
-    sub.add_parser("validate", parents=[common], help="metrics vs ground truth (incl. LOOCV)")
-    sub.add_parser("calibrate", parents=[common], help="fit the calibration regression")
-    sub.add_parser("predict", parents=[common], help="predict MAC where truth is missing")
-    sub.add_parser("all", parents=[common], help="run every stage in order")
+        parser.add_argument("--" + key.replace("_", "-"), help=help_text)
+    parser.add_argument("-v", "--verbose", action="count", default=0, help="log each throttled retry (INFO)")
     return parser
 
 

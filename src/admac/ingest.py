@@ -371,13 +371,13 @@ class _CellStore:
         try:
             cells = read_cells_csv(path, data=data[:end])
         except ParseError as exc:  # bad bytes, a bad row or header, or no complete line
-            logger.warning("%s; removed it, its cells are fetched again", exc)
             path.unlink()
+            logger.warning("%s; removed it, its cells are fetched again", exc)
             return {}
         if end < len(data):
+            os.truncate(path, end)
             line = data.count(b"\n", 0, end) + 1
             logger.warning("%s: cut off torn last line %d; its cell is fetched again", path, line)
-            os.truncate(path, end)
         return cells
 
     def digest(self, iso2: str) -> str | None:

@@ -887,11 +887,28 @@ def test_config_file_key_given_twice_reports_config_error(tmp_path, capsys):
 
 
 def test_command_line_syntax_errors_stay_with_argparse():
-    # a flag without a value, an unknown flag, no command: usage error, exit 2
-    for argv in (["all", "--seed"], ["all", "--volume", "11"], []):
+    # a flag without a value, an unknown flag, no command, an unknown command: usage error, exit 2
+    for argv in (["all", "--seed"], ["all", "--volume", "11"], [], ["bogus"]):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+
+def test_options_before_the_command_write_what_options_after_it_write(tmp_path):
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert run_cli("--seed", 42, "--out", before, "all") == 0
+    assert run_cli("all", "--seed", 42, "--out", after) == 0
+    assert outputs_of(before) == outputs_of(after)
+
+
+def test_help_exits_0_and_names_every_command(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps at the terminal's width
+    assert "{collect,estimate,validate,calibrate,predict,all}" in text
+    for command in ("collect", "estimate", "validate", "calibrate", "predict", "all"):
+        assert f"{command} (" in text  # the command's one-line help
 
 
 def test_run_config_keeps_countries_upper_cased_once_each_and_sorted(tmp_path):

@@ -186,6 +186,23 @@ def test_join_output_sorted_by_iso2():
     assert [p.country for p in result.pairs] == ["AR", "FR", "MX", "ZA"]
 
 
+def test_join_names_the_key_of_a_second_estimate():
+    estimates = [_estimate("IT", Sex.FEMALE, 31.0), _estimate("IT", Sex.FEMALE, 32.0)]
+    with pytest.raises(ValueError, match=r"^a second estimate for \(IT, female\)$"):
+        join_pairs(estimates, [])
+
+
+def test_join_orders_every_list_by_iso2_then_sex_whatever_the_input_order():
+    F, M = Sex.FEMALE, Sex.MALE
+    estimates = [_estimate(c, s) for c, s in [("ZA", M), ("ZA", F), ("MX", M), ("FR", F), ("AR", M), ("AR", F)]]
+    truth = [_truth(c, s) for c, s in [("ZA", M), ("NG", F), ("MX", M), ("DE", M), ("AR", F)]]
+    result = join_pairs(estimates, truth)
+    assert [(p.country, p.sex) for p in result.pairs] == [("AR", F), ("MX", M), ("ZA", M)]
+    assert [(c, s) for c, s, _ in result.unmatched_estimates] == [("AR", M), ("FR", F), ("ZA", F)]
+    assert [(r.country, r.sex) for r in result.unmatched_truth] == [("DE", M), ("NG", F)]
+    assert [(r.country, r.sex) for r in result.truth] == [("AR", F), ("DE", M), ("MX", M), ("NG", F), ("ZA", M)]
+
+
 iso_codes = st.sampled_from(["AA", "BB", "CC", "DD", "EE", "FF", "GG", "HH"])
 sexes = st.sampled_from(list(Sex))
 periods = st.sampled_from(["1996-2005", "2006-2015", "2010-2017"])

@@ -912,13 +912,20 @@ def _deny(monkeypatch, owner, name, path):
     monkeypatch.setattr(owner, name, denied)
 
 
+REPAIRS = ("removed it, its cells are fetched again", "cut off torn last line")
+
+
+def _repairs_logged(caplog) -> list[str]:
+    return [text for r in caplog.records for text in REPAIRS if text in r.getMessage()]
+
+
 @pytest.mark.parametrize(
-    "damage, owner, name",
-    [("unparseable", Path, "unlink"), ("torn", os, "truncate")],
+    "damage, owner, name, repair",
+    [("unparseable", Path, "unlink", REPAIRS[0]), ("torn", os, "truncate", REPAIRS[1])],
     ids=["unlink", "truncate"],
 )
 def test_day_file_the_run_cannot_repair_ends_it_and_is_left_for_the_next(
-    tmp_path, monkeypatch, capsys, damage, owner, name
+    tmp_path, monkeypatch, capsys, caplog, damage, owner, name, repair
 ):
     monkeypatch.setenv("ADS_API_TOKEN", "tok")
     monkeypatch.setattr(ingest, "AdsApiClient", lambda token: StubClient(count=500))
@@ -933,15 +940,21 @@ def test_day_file_the_run_cannot_repair_ends_it_and_is_left_for_the_next(
     damaged = day.read_bytes()
     kept = {p.relative_to(out): p.is_file() and p.read_bytes() for p in out.rglob("*")}
     capsys.readouterr()
-    with monkeypatch.context() as fault:
+    caplog.clear()
+    with monkeypatch.context() as fault, caplog.at_level(logging.WARNING, logger="admac.ingest"):
         _deny(fault, owner, name, day)
         assert main(args) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
     report = json.loads(line)
     assert report["error"] == "PermissionError" and str(day) in report["message"]
+    # the repair was not made, so no line claims it was
+    assert _repairs_logged(caplog) == []
     assert day.read_bytes() == damaged
     assert {p.relative_to(out): p.is_file() and p.read_bytes() for p in out.rglob("*")} == kept
-    assert main(args) == 0
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+        assert main(args) == 0
+    assert _repairs_logged(caplog) == [repair]
     assert cached_keys(day, IT) == cached_keys(day, "NG") == list(CELL_KEYS)
 
 

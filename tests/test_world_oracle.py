@@ -40,23 +40,29 @@ def _data_rows(path: Path) -> list[list[str]]:
         return list(csv.reader(line for line in handle if not line.startswith("#")))[1:]
 
 
-def _run(root: Path, out: str, loocv_scope: str) -> None:
-    run_all(RunConfig(root / out, fixture_dir=root / "fixtures", truth_path=root / "truth.csv", seed=SEED,
+def _run(root: Path, seed: int, out: str, loocv_scope: str) -> None:
+    run_all(RunConfig(root / out, fixture_dir=root / "fixtures", truth_path=root / "truth.csv", seed=seed,
                       loocv_scope=loocv_scope))
 
 
 @pytest.fixture(scope="module")
-def world(tmp_path_factory):
-    root = tmp_path_factory.mktemp("world")
-    generate_world(root, SEED, N_COUNTRIES)
-    _run(root, "out", "global")
+def seed():
+    """The world's seed, which also seeds its runs; test_world_oracle_more_seeds.py gives others."""
+    return SEED
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory, seed):
+    root = tmp_path_factory.mktemp(f"world{seed}")
+    generate_world(root, seed, N_COUNTRIES)
+    _run(root, seed, "out", "global")
     return root
 
 
 @pytest.fixture(scope="module")
-def continent_scope_out(world):
+def continent_scope_out(world, seed):
     """The output directory of a second run over the same world with per-continent LOOCV folds."""
-    _run(world, "out-continent", "continent")
+    _run(world, seed, "out-continent", "continent")
     return world / "out-continent"
 
 

@@ -1,0 +1,28 @@
+"""The end-to-end oracle of test_world_oracle.py over two more seeded 60-country worlds.
+
+The checks and their fixtures are imported, so pytest collects them here again; this
+module's `seed` fixture then takes the place of that module's, and every check runs on
+each world below, under both LOOCV scopes. The seeds were fixed before their first run.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from test_world_oracle import (  # noqa: F401
+    continent_scope_out,
+    oracle,
+    test_calibration_line_matches_linregress,
+    test_every_eligible_mac_matches_the_raw_cells,
+    test_every_prediction_matches_the_leverage_formula,
+    test_metrics_match_spearmanr_and_numpy_loocv,
+    test_predicted_set_is_the_eligible_countries_without_truth,
+    world,
+)
+
+MORE_SEEDS = (17, 2018)
+
+
+@pytest.fixture(scope="module", params=MORE_SEEDS, ids=lambda seed: f"seed{seed}")
+def seed(request):
+    return request.param
