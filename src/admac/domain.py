@@ -77,6 +77,9 @@ class CountryRef(namedtuple("CountryRef", "iso2")):
 # LOWER_BOUND_COUNT is indistinguishable from "20 or fewer, possibly none".
 LOWER_BOUND_COUNT = 20
 
+# The largest count a float holds exactly; a larger one is refused.
+MAX_COUNT = 2**53 - 1
+
 
 class AudienceCell(namedtuple("AudienceCell", "count collected_at")):
     """One audience count and when it was collected. Its key and country
@@ -85,8 +88,8 @@ class AudienceCell(namedtuple("AudienceCell", "count collected_at")):
     __slots__ = ()
 
     def __new__(cls, count: int, collected_at: datetime) -> AudienceCell:
-        if count < 0:
-            raise ValueError(f"audience count must be non-negative, got {count}")
+        if not 0 <= count <= MAX_COUNT:
+            raise ValueError(f"audience count must be in [0, {MAX_COUNT}], got {count}")
         if collected_at.tzinfo is None:
             raise ValueError("collected_at must be timezone-aware (UTC)")
         return tuple.__new__(cls, (count, collected_at))

@@ -79,12 +79,6 @@ class DomainError(AdmacError):
     """Special-function argument outside its domain."""
 
 
-# --- predict / report --------------------------------------------------------
-
-class EmptyInput(AdmacError):
-    """Emitter refused to write an empty artifact."""
-
-
 # --- cli / pipeline ----------------------------------------------------------
 
 class MissingStageInput(AdmacError):

@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 from .domain import (
     AGE_GROUP_LOWERS,
     GROUP_WIDTH,
+    MAX_COUNT,
     AudienceCell,
     AudienceSnapshot,
     CellKey,
@@ -310,7 +311,7 @@ class AdsApiClient:
             count = response.json()["audience_size"]
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise MalformedResponse(f"unparseable body for {query.canonical()}: {exc}") from exc
-        if type(count) is not int or count < 0:  # a bool, float or string is no count
+        if type(count) is not int or not 0 <= count <= MAX_COUNT:  # a bool, float or string is no count
             raise MalformedResponse(f"audience_size {count!r} is not a count for {query.canonical()}")
         return count
 

@@ -32,13 +32,12 @@ from pathlib import Path
 from .domain import AudienceSnapshot, Sex, iso2_code
 from .errors import (
     ConfigError,
-    EmptyInput,
     MissingStageInput,
     ParseError,
     TooFewPoints,
 )
 from .fileio import read_table, sha256, standard_metadata, write_csv, write_json
-from .groundtruth import JoinResult, load_continent_map, load_ground_truth, join_pairs
+from .groundtruth import MAC_MAX, MAC_MIN, JoinResult, load_continent_map, load_ground_truth, join_pairs
 from .indicators import (
     IneligibilityReason,
     LowerBoundPolicy,
@@ -298,7 +297,8 @@ def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> list[P
 def load_estimates(path: Path, *, data: bytes | None = None) -> list[MacEstimate]:
     """Read estimates.csv back. A row `stage_estimate` never writes raises ParseError with its
     line: a wrong field count, a field that does not parse, an iso2 not in capitals, a
-    repeated (iso2, sex), and a row that breaks an invariant `MacEstimate` holds."""
+    repeated (iso2, sex), a row that breaks an invariant `MacEstimate` holds, and an
+    eligible mac outside the truth window [MAC_MIN, MAC_MAX]."""
     rows = read_table(path, ESTIMATE_COLUMNS, data=data)
     estimates: list[MacEstimate] = []
     seen: set[tuple[str, Sex]] = set()
@@ -318,6 +318,8 @@ def load_estimates(path: Path, *, data: bytes | None = None) -> list[MacEstimate
                 eligible=eligible == "true",
                 ineligibility_reason=IneligibilityReason(reason) if reason else None,
             )
+            if est.eligible and not MAC_MIN <= est.mac <= MAC_MAX:
+                raise ValueError(f"mac {est.mac:.6g} outside [{MAC_MIN:g}, {MAC_MAX:g}]")
             key = (est.country, est.sex)
             if key in seen:
                 raise ValueError(f"a second row for ({key[0]}, {key[1].value})")
@@ -510,7 +512,7 @@ def stage_predict(cfg: RunConfig, joins: Joins | None = None) -> list[Path]:
     for sex in cfg.sexes:
         join = sex_joins[sex]
         predictions = predict_missing(_fit_for_sex("predict", sex, join), join.unmatched_estimates)
-        by_sex[sex] = (predictions, join.truth)
+        by_sex[sex] = predictions
         all_rows += (
             [p.country, p.sex.value, str(p.mac_fb), str(p.mac_predicted), str(p.interval_low), str(p.interval_high)]
             for p in predictions
@@ -524,13 +526,12 @@ def stage_predict(cfg: RunConfig, joins: Joins | None = None) -> list[Path]:
     # the map carries one sex so iso2 keys stay unique; male is the
     # data-gap use case when both sexes were run
     map_sex = Sex.MALE if Sex.MALE in by_sex else cfg.sexes[0]
-    predictions, sex_truth = by_sex[map_sex]
-    map_meta = standard_metadata(seed=cfg.seed, inputs=inputs)
-    map_meta["sex"] = map_sex.value
-    try:
-        emit_choropleth(predictions, cfg.map_path, truth=sex_truth, meta=map_meta)
+    if by_sex[map_sex]:
+        map_meta = standard_metadata(seed=cfg.seed, inputs=inputs)
+        map_meta["sex"] = map_sex.value
+        emit_choropleth(by_sex[map_sex], cfg.map_path, truth=sex_joins[map_sex].truth, meta=map_meta)
         written.append(cfg.map_path)
-    except EmptyInput:  # an earlier run's map would show predictions this run does not make
+    else:  # an earlier run's map would show predictions this run does not make
         cfg.map_path.unlink(missing_ok=True)
         logger.warning(
             "no %s predictions; map not emitted (any earlier %s is removed)", map_sex.value, cfg.map_path

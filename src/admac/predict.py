@@ -7,7 +7,6 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .domain import Sex
-from .errors import EmptyInput
 from .fileio import write_json
 from .groundtruth import GroundTruthRecord
 from .stats import CalibrationModel
@@ -66,25 +65,14 @@ def emit_choropleth(
     Features carry only properties (mac value, interval, source); a static
     boundaries file supplies shapes at render time. Ground-truth countries
     can be merged in (source="ground_truth") for a gap-free map. All
-    features must belong to one sex so iso2 keys stay unique.
+    features must belong to one sex and no iso2 may come twice, so iso2
+    keys stay unique: `stage_predict` passes one sex's join, whose
+    unmatched estimates and kept truth records share no iso2.
     """
-    if not predictions:
-        raise EmptyInput("refusing to emit a choropleth with no predictions")
-    sexes = {p.sex for p in predictions} | {t.sex for t in truth}
-    if len(sexes) > 1:
-        raise ValueError("choropleth features must all be for one sex")
-    seen: set[str] = set()
-    features = []
-    for pred in predictions:
-        if pred.country in seen:
-            raise ValueError(f"duplicate prediction for {pred.country}")
-        seen.add(pred.country)
-        low, high = pred.interval_low, pred.interval_high
-        features.append(_feature(pred.country, pred.sex, pred.mac_predicted, low, high, "predicted"))
-    for rec in truth:
-        if rec.country in seen:
-            continue
-        seen.add(rec.country)
-        features.append(_feature(rec.country, rec.sex, rec.mac, None, None, "ground_truth"))
+    features = [
+        _feature(p.country, p.sex, p.mac_predicted, p.interval_low, p.interval_high, "predicted")
+        for p in predictions
+    ]
+    features += (_feature(r.country, r.sex, r.mac, None, None, "ground_truth") for r in truth)
     features.sort(key=lambda f: f["id"])
     write_json(path, meta or {}, {"type": "FeatureCollection", "features": features})

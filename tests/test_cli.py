@@ -18,12 +18,12 @@ import pytest
 import admac
 from admac import pipeline
 from admac.cli import main
-from admac.domain import Sex
-from admac.errors import AuthError
+from admac.domain import MAX_COUNT, Sex
+from admac.errors import AuthError, ParseError
 from admac.fileio import sha256_file, write_json
 from admac.indicators import LowerBoundPolicy
 from admac.ingest import TOKEN_ENV_VAR, Collector, CollectorConfig, Mode
-from admac.pipeline import RunConfig, _model_payload, packaged_data_path, run_all
+from admac.pipeline import RunConfig, _model_payload, load_estimates, packaged_data_path, run_all
 from admac.stats import CalibrationModel, ols_fit_xy
 from conftest import generate_world, read_csv
 
@@ -523,6 +523,62 @@ def test_estimates_row_whose_iso2_is_not_in_capitals_reports_parse_error(tmp_pat
     assert report["error"] == "ParseError"
     assert "'it' is not in capitals" in report["message"]
     assert f"(line {lineno})" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "command,row", [("predict", "KE,male,"), ("validate", "IT,male,"), ("calibrate", "IT,male,")]
+)
+def test_estimates_mac_outside_the_truth_window_reports_parse_error(tmp_path, demo_out, capsys, command, row):
+    # KE has no truth row, so only predict uses its mac; IT,male is a validation pair
+    out = tmp_path / "out"
+    shutil.copytree(demo_out, out)
+    path = out / "estimates.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(row))
+    lines[lineno - 1] = _with_mac("1e200")(lines[lineno - 1])
+    path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(command, "--out", out) == 1
+    assert _one_line_report(capsys) == {
+        "error": "ParseError",
+        "message": f"{path}: mac 1e+200 outside [10, 60] (line {lineno})",
+        "command": command,
+    }
+
+
+def test_estimates_mac_window_keeps_its_bounds_and_refuses_past_them(tmp_path):
+    path = tmp_path / "estimates.csv"
+    for mac, kept in (("10.0", True), ("60.0", True), ("9.999", False), ("60.001", False)):
+        path.write_text(f"iso2,sex,mac,eligible,reason\nIT,male,{mac},true,\n", encoding="utf-8")
+        if kept:
+            assert [e.mac for e in load_estimates(path)] == [float(mac)]
+            continue
+        with pytest.raises(ParseError) as caught:
+            load_estimates(path)
+        assert str(caught.value) == f"{path}: mac {mac} outside [10, 60] (line 2)"
+
+
+@pytest.mark.parametrize("count", [MAX_COUNT + 1, 10**400], ids=["two_to_the_53", "401_digits"])
+@pytest.mark.parametrize("source", ["fixture", "snapshot"])
+def test_cell_count_no_float_holds_reports_parse_error(tmp_path, capsys, count, source):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(packaged_data_path("fixtures"), fixtures)
+    out = tmp_path / "out"
+    if source == "snapshot":
+        assert run_cli("collect", "--fixture-dir", fixtures, "--out", out) == 0
+    path = fixtures / "IT.csv" if source == "fixture" else out / "snapshots" / "IT.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("IT,male,30,34,parent_of_child_0_12m,"))
+    fields = lines[lineno - 1].split(",")
+    lines[lineno - 1] = ",".join(fields[:5] + [str(count)] + fields[6:])
+    path.write_text("".join(lines), encoding="utf-8")
+    command = "all" if source == "fixture" else "estimate"
+    capsys.readouterr()
+    assert run_cli(command, "--fixture-dir", fixtures, "--out", out) == 1
+    report = _one_line_report(capsys)
+    assert report["error"] == "ParseError" and report["command"] == command
+    assert report["message"].startswith(f"{path}: audience count must be in [0, {MAX_COUNT}]")
+    assert report["message"].endswith(f"(line {lineno})")
 
 
 def _truncate(text: str) -> str:

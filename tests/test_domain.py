@@ -8,6 +8,7 @@ import pytest
 from admac.domain import (
     AGE_GROUP_LOWERS,
     GROUP_WIDTH,
+    MAX_COUNT,
     AudienceCell,
     CountryRef,
     FertilitySchedule,
@@ -60,6 +61,8 @@ def test_bad_iso2_rejected(iso2):
             iso2_code(iso2)
     with pytest.raises(ParseError):
         file_country(Path(f"{iso2}.csv"))
+    with pytest.raises(ValueError):
+        CountryRef(iso2)
 
 
 def test_cell_rejects_negative_count_and_naive_timestamp():
@@ -67,6 +70,14 @@ def test_cell_rejects_negative_count_and_naive_timestamp():
         make_cell(-1)
     with pytest.raises(ValueError):
         AudienceCell(count=100, collected_at=datetime(2024, 6, 1))
+
+
+def test_cell_count_is_bounded_by_the_largest_count_a_float_holds():
+    assert MAX_COUNT == 2**53 - 1 and int(float(MAX_COUNT)) == MAX_COUNT
+    assert make_cell(MAX_COUNT).count == MAX_COUNT
+    for count in (MAX_COUNT + 1, 10**400):
+        with pytest.raises(ValueError, match="audience count must be in"):
+            make_cell(count)
 
 
 def test_complete_snapshot_has_28_cells_and_lookup_works():
@@ -92,12 +103,16 @@ def test_schedule_validates_shape_and_sign():
     country = "IT"
     with pytest.raises(ValueError):
         FertilitySchedule(country=country, sex=Sex.FEMALE, rates=(0.1,) * 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         FertilitySchedule(country=country, sex=Sex.FEMALE, rates=(0.1,) * 6 + (-0.1,))
+    assert str(caught.value) == "rate for 45-49 must be non-negative, got -0.1"
 
 
 def test_schedule_admits_rate_above_one_with_warning(caplog):
     country = "IT"
+    with caplog.at_level("WARNING"):
+        FertilitySchedule(country=country, sex=Sex.FEMALE, rates=(0.1,) * 6 + (1.0,))
+    assert not caplog.records  # a rate of exactly 1 is every person a parent, not a data error
     with caplog.at_level("WARNING"):
         FertilitySchedule(country=country, sex=Sex.FEMALE, rates=(0.1,) * 6 + (1.5,))
     assert "exceeds 1" in caplog.text

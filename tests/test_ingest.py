@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from admac.domain import AGE_GROUP_LOWERS, LOWER_BOUND_COUNT, AudienceSnapshot, ParentFilter, Sex
+from admac.domain import AGE_GROUP_LOWERS, LOWER_BOUND_COUNT, MAX_COUNT, AudienceSnapshot, ParentFilter, Sex
 from admac.errors import (
     AuthError,
     ConfigError,
@@ -323,11 +323,15 @@ VALID_ROW = "IT,female,15,19,all,100,2024-06-01T00:00:00Z"
         "IT,other,15,19,all,100,2024-06-01T00:00:00Z",  # sex
         "IT,female,15,19,parents,100,2024-06-01T00:00:00Z",  # parent filter
         "IT,female,15,19,all,-5,2024-06-01T00:00:00Z",  # negative count
+        f"IT,female,15,19,all,{MAX_COUNT + 1},2024-06-01T00:00:00Z",  # a count no float holds
         "IT,female,15,19,all,100,2024-06-31T00:00:00Z",  # no such day
         "IT,female,15,19,all,100",  # field count
         "I1,female,15,19,all,100,2024-06-01T00:00:00Z",  # iso2
     ],
-    ids=["age_low", "age_high", "sex", "filter", "negative_count", "bad_timestamp", "fields", "iso2"],
+    ids=[
+        "age_low", "age_high", "sex", "filter", "negative_count", "count_past_max", "bad_timestamp",
+        "fields", "iso2",
+    ],
 )
 def test_bad_row_raises_parse_error_with_its_line_after_memos_are_warm(tmp_path, bad_row):
     good = tmp_path / "good.csv"
@@ -1093,10 +1097,16 @@ def test_client_rejects_bad_payloads():
     for payload in (
         {"weird": 1}, {"audience_size": "soon"}, ValueError("not json"), {"audience_size": -4},
         {"audience_size": "12"}, {"audience_size": True}, {"audience_size": 12.7},
+        {"audience_size": MAX_COUNT + 1}, {"audience_size": 10**400},
     ):
         client = AdsApiClient(token="tok", session=FakeSession(FakeResponse(200, payload)))
         with pytest.raises(MalformedResponse):
             client.reach_estimate(_query())
+
+
+def test_client_reads_the_largest_count_a_float_holds():
+    client = AdsApiClient(token="tok", session=FakeSession(FakeResponse(200, {"audience_size": MAX_COUNT})))
+    assert client.reach_estimate(_query()) == MAX_COUNT
 
 
 def test_client_requires_token():
@@ -1245,3 +1255,44 @@ def test_live_collect_ends_at_the_first_transport_failure_and_a_rerun_succeeds(t
     assert main(args) == 0
     assert len(healthy.requests) == 2 * 28
     assert sorted(p.name for p in (out / "snapshots").iterdir()) == ["IT.csv", "NG.csv"]
+
+
+class OneCellSession(FakeSession):
+    """Answers `count` for IT's male 30-34 parents cell and 500 for every other query."""
+
+    def __init__(self, count):
+        super().__init__(None)
+        self.count = count
+
+    def get(self, url, params=None, headers=None, timeout=None):
+        self.requests.append((url, params, headers))
+        odd = (params["country"], params["sex"], params["age_min"], params["parent_filter"])
+        hit = odd == ("IT", "male", 30, "parent_of_child_0_12m")
+        return FakeResponse(200, {"audience_size": self.count if hit else 500})
+
+
+@pytest.mark.parametrize("count", [MAX_COUNT + 1, 10**400], ids=["two_to_the_53", "401_digits"])
+def test_live_count_no_float_holds_is_a_failed_cell_and_is_not_cached(tmp_path, monkeypatch, caplog, count):
+    monkeypatch.setenv("ADS_API_TOKEN", "tok")
+    out, cache = tmp_path / "out", tmp_path / "cache"
+    flags = ["--mode", "live", "--cache-dir", str(cache), "--out", str(out), "--countries", "IT"]
+    odd = OneCellSession(count)
+    monkeypatch.setattr(ingest, "AdsApiClient", lambda token: AdsApiClient(token, session=odd))
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+        assert main(["collect", *flags]) == 0
+    key = (Sex.MALE, 30, ParentFilter.PARENTS_0_12M)
+    assert incomplete_warnings(caplog) == [
+        f"IT: incomplete snapshot kept (1 of 28 cells failed, first: audience_size {count} is not a count"
+        f" for {canonical(IT, key)})"
+    ]
+    (day_file,) = cache.glob("*.csv")
+    assert cached_keys(day_file, "IT") == [k for k in CELL_KEYS if k != key]
+    assert main(["estimate", *flags]) == 0
+    assert "IT,male,,false,incomplete_snapshot" in (out / "estimates.csv").read_text(encoding="utf-8")
+    healthy = FakeSession(FakeResponse(200, {"audience_size": 500}))
+    monkeypatch.setattr(ingest, "AdsApiClient", lambda token: AdsApiClient(token, session=healthy))
+    assert main(["collect", *flags]) == 0 and main(["estimate", *flags]) == 0
+    assert [params for _, params, _ in healthy.requests] == [
+        {"country": "IT", "sex": "male", "age_min": 30, "age_max": 34, "parent_filter": "parent_of_child_0_12m"}
+    ]
+    assert "IT,male,32.5,true," in (out / "estimates.csv").read_text(encoding="utf-8")

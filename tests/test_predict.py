@@ -7,7 +7,6 @@ import pytest
 
 from admac import special
 from admac.domain import Sex
-from admac.errors import EmptyInput
 from admac.groundtruth import GroundTruthRecord, join_pairs
 from admac.indicators import IneligibilityReason, MacEstimate
 from admac.predict import Prediction, emit_choropleth, predict_missing
@@ -160,19 +159,6 @@ def test_choropleth_merges_ground_truth(tmp_path):
     assert by_id["IT"]["mac_predicted"] == 34.75
     assert by_id["IT"]["interval_low"] is None
     assert by_id["TR"]["source"] == "predicted"
-
-
-def test_choropleth_rejects_empty_and_mixed_input(tmp_path):
-    with pytest.raises(EmptyInput):
-        emit_choropleth([], tmp_path / "map.geojson")
-    female = Prediction(
-        country="FR", sex=Sex.FEMALE, mac_fb=29.0,
-        mac_predicted=30.0, interval_low=29.0, interval_high=31.0,
-    )
-    with pytest.raises(ValueError, match="one sex"):
-        emit_choropleth([_pred("TR", 32.5), female], tmp_path / "map.geojson")
-    with pytest.raises(ValueError, match="duplicate"):
-        emit_choropleth([_pred("TR", 32.5), _pred("TR", 31.0)], tmp_path / "map.geojson")
 
 
 def test_interval_quantile_computed_once_per_model(monkeypatch):

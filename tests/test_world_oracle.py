@@ -4,8 +4,12 @@ numpy and scipy.stats, and none of admac's readers:
 
 - every eligible MAC, from the raw cells in plain summation order;
 - each sex's calibration line, against `scipy.stats.linregress`;
+- each model_<sex>.json inference field, against `linregress` and the t and F
+  distributions, and its out-of-sample block, by replaying the seeded random
+  splits with `numpy.polyfit` refits (the paper's out-of-sample MAPE);
 - every prediction and its 95% interval, from `t.ppf` and the leverage formula;
 - the predicted set: the eligible countries without a truth row;
+- map.geojson: the male predictions and the male truth rows, sorted by iso2;
 - each metrics_<sex>.csv row but its stars, under both LOOCV scopes: rho
   from `scipy.stats.spearmanr`, MAPE and n per continent of the bundled
   continents.csv and overall, directly and from brute-force numpy LOOCV refits.
@@ -16,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -85,14 +90,18 @@ def oracle(world):
     return macs, truth
 
 
+def _pairs(macs, truth, sex):
+    """One sex's (MAC, truth) pairs in iso2 order, as two arrays."""
+    keys = sorted(key for key in macs if key in truth and key[1] == sex)
+    return np.array([macs[key] for key in keys]), np.array([truth[key] for key in keys])
+
+
 def _line(macs, truth, sex):
     """The oracle's fit of truth on MAC for one sex: (n, intercept, slope, x mean, s_xx, residual se)."""
-    keys = sorted(key for key in macs if key in truth and key[1] == sex)
-    x = np.array([macs[key] for key in keys])
-    y = np.array([truth[key] for key in keys])
+    x, y = _pairs(macs, truth, sex)
     fit = stats.linregress(x, y)
     residuals = y - (fit.intercept + fit.slope * x)
-    n = len(keys)
+    n = len(x)
     s_xx = float(((x - x.mean()) ** 2).sum())
     residual_se = math.sqrt(float(residuals @ residuals) / (n - 2))
     return n, fit.intercept, fit.slope, float(x.mean()), s_xx, residual_se
@@ -117,6 +126,48 @@ def test_calibration_line_matches_linregress(world, oracle, sex):
     assert model["slope"] == pytest.approx(slope, rel=1e-9), f"{sex} slope"
 
 
+@pytest.mark.parametrize("sex", SEXES)
+def test_model_inference_matches_linregress_and_the_t_and_f_tails(world, oracle, sex):
+    x, y = _pairs(*oracle, sex)
+    fit = stats.linregress(x, y)
+    df = len(x) - 2
+    rss = float(((y - (fit.intercept + fit.slope * x)) ** 2).sum())
+    r2 = fit.rvalue**2
+    f_stat = r2 / (1 - r2) * df
+    expected = {
+        "se_intercept": fit.intercept_stderr,
+        "se_slope": fit.stderr,
+        "r2": r2,
+        "adj_r2": 1 - (1 - r2) * (len(x) - 1) / df,
+        "residual_se": math.sqrt(rss / df),
+        "f_stat": f_stat,
+        "p_intercept": 2 * stats.t.sf(abs(fit.intercept / fit.intercept_stderr), df),
+        "p_slope": fit.pvalue,
+        "p_f": stats.f.sf(f_stat, 1, df),
+    }
+    model = json.loads((world / "out" / f"model_{sex}.json").read_text(encoding="utf-8"))["model"]
+    for field, want in expected.items():
+        assert model[field] == pytest.approx(want, rel=1e-9), f"{sex} {field}"
+
+
+@pytest.mark.parametrize("sex", SEXES)
+def test_out_of_sample_replays_the_seeded_splits(world, oracle, seed, sex):
+    x, y = _pairs(*oracle, sex)
+    rng = random.Random(seed)
+    per_run = []
+    for _ in range(10):  # ten runs, each holding out ten pairs drawn by the run's seed
+        held = np.isin(np.arange(len(x)), rng.sample(range(len(x)), 10))
+        slope, intercept = np.polyfit(x[~held], y[~held], 1)
+        per_run.append(float(np.mean(np.abs(intercept + slope * x[held] - y[held]) / y[held])) * 100)
+    block = json.loads((world / "out" / f"model_{sex}.json").read_text(encoding="utf-8"))["out_of_sample"]
+    assert (block["runs"], block["test_size"]) == (10, 10), sex
+    assert block["per_run_mape_pct"] == pytest.approx(per_run, rel=1e-9), f"{sex} per_run_mape_pct"
+    mean = float(np.mean(per_run))
+    assert block["mean_mape_pct"] == pytest.approx(mean, rel=1e-9), f"{sex} mean_mape_pct"
+    cv = float(np.std(per_run, ddof=1)) / mean * 100
+    assert block["cv_run_mape_pct"] == pytest.approx(cv, rel=1e-9), f"{sex} cv_run_mape_pct"
+
+
 def test_predicted_set_is_the_eligible_countries_without_truth(world, oracle):
     macs, truth = oracle
     rows = _data_rows(world / "out" / "predictions.csv")
@@ -135,6 +186,27 @@ def test_every_prediction_matches_the_leverage_formula(world, oracle):
         got = {"mac_fb": mac_fb, "mac_predicted": mac_predicted, "pi_low": pi_low, "pi_high": pi_high}
         for column, want in expected.items():
             assert float(got[column]) == pytest.approx(want, rel=1e-9), f"{iso2}/{sex} {column}"
+
+
+def test_map_is_the_male_predictions_and_the_male_truth_rows(world, oracle):
+    _, truth = oracle
+    features = json.loads((world / "out" / "map.geojson").read_text(encoding="utf-8"))["features"]
+    ids = [feature["id"] for feature in features]
+    assert ids == sorted(set(ids)), "map ids are not ascending and unique"
+    expected = {
+        iso2: ("predicted", float(mac), float(low), float(high))
+        for iso2, sex, _, mac, low, high in _data_rows(world / "out" / "predictions.csv")
+        if sex == "male"
+    }
+    expected.update({iso2: ("ground_truth", value, None, None) for (iso2, sex), value in truth.items() if sex == "male"})
+    assert sorted(expected) == ids
+    for feature in features:
+        got = feature["properties"]
+        where = f"map {feature['id']}"
+        assert (got["iso2"], got["sex"], feature["geometry"]) == (feature["id"], "male", None), where
+        assert (got["source"], got["mac_predicted"], got["interval_low"], got["interval_high"]) == expected[
+            feature["id"]
+        ], where
 
 
 def _scores(pred, truth) -> tuple[float | None, float]:

@@ -15,7 +15,10 @@ from test_world_oracle import (  # noqa: F401
     test_calibration_line_matches_linregress,
     test_every_eligible_mac_matches_the_raw_cells,
     test_every_prediction_matches_the_leverage_formula,
+    test_map_is_the_male_predictions_and_the_male_truth_rows,
     test_metrics_match_spearmanr_and_numpy_loocv,
+    test_model_inference_matches_linregress_and_the_t_and_f_tails,
+    test_out_of_sample_replays_the_seeded_splits,
     test_predicted_set_is_the_eligible_countries_without_truth,
     world,
 )
