@@ -87,13 +87,18 @@ _QUERY_TEXT: dict[CellKey, str] = {
 }
 
 
+def canonical(iso2: str, key: CellKey) -> str:
+    """The query for `iso2`'s cell `key` as deterministic, fixed-field-order text."""
+    return f"iso2={iso2}&{_QUERY_TEXT[key]}"
+
+
 class Mode(str, Enum):
     LIVE = "live"
     FIXTURE = "fixture"
 
 
 class QueryDescriptor(namedtuple("QueryDescriptor", "country_iso2 sex age_min age_max parent_filter")):
-    """One reach query."""
+    """One reach query. Only bench/live_driver.py builds one; the program names a query by (iso2, key)."""
 
     __slots__ = ()
 
@@ -108,8 +113,7 @@ class QueryDescriptor(namedtuple("QueryDescriptor", "country_iso2 sex age_min ag
         return self.sex, self.age_min, self.parent_filter
 
     def canonical(self) -> str:
-        """Deterministic, fixed-field-order serialization."""
-        return f"iso2={self.country_iso2}&{_QUERY_TEXT[self.cell_key]}"
+        return canonical(self.country_iso2, self.cell_key)
 
 
 class CollectorConfig(namedtuple("CollectorConfig", "mode fixture_dir cache_dir")):
@@ -289,30 +293,28 @@ class AdsApiClient:
         self._headers = {"Authorization": f"Bearer {token}"}
         self._session = session if session is not None else _UrllibSession()
 
-    def reach_estimate(self, query: QueryDescriptor) -> int:
+    def reach_estimate(self, iso2: str, key: CellKey) -> int:
         try:
             response = self._session.get(
                 self._url,
-                params={"country": query.country_iso2, **_QUERY_FIELDS[query.cell_key]},
+                params={"country": iso2, **_QUERY_FIELDS[key]},
                 headers=dict(self._headers),  # a copy: the session may change it
                 timeout=REQUEST_TIMEOUT_S,
             )
         except OSError as exc:
-            raise UpstreamUnavailable(f"transport failure for {query.canonical()}: {exc}") from exc
+            raise UpstreamUnavailable(f"transport failure for {canonical(iso2, key)}: {exc}") from exc
         if response.status_code in (401, 403):
             raise AuthError(f"token rejected ({response.status_code})")
         if response.status_code == 429:
-            raise RateLimited(f"throttled on {query.canonical()}")
+            raise RateLimited(f"throttled on {canonical(iso2, key)}")
         if response.status_code != 200:
-            raise MalformedResponse(
-                f"unexpected status {response.status_code} for {query.canonical()}"
-            )
+            raise MalformedResponse(f"unexpected status {response.status_code} for {canonical(iso2, key)}")
         try:
             count = response.json()["audience_size"]
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise MalformedResponse(f"unparseable body for {query.canonical()}: {exc}") from exc
+            raise MalformedResponse(f"unparseable body for {canonical(iso2, key)}: {exc}") from exc
         if type(count) is not int or not 0 <= count <= MAX_COUNT:  # a bool, float or string is no count
-            raise MalformedResponse(f"audience_size {count!r} is not a count for {query.canonical()}")
+            raise MalformedResponse(f"audience_size {count!r} is not a count for {canonical(iso2, key)}")
         return count
 
 
@@ -404,12 +406,6 @@ class _CellStore:
 _CELL_ERRORS = (FixtureMiss, RateLimited, MalformedResponse)
 
 
-def _query(iso2: str, key: CellKey) -> QueryDescriptor:
-    """The query for a CELL_KEYS entry."""
-    sex, lower, flt = key
-    return QueryDescriptor(iso2, sex, lower, _QUERY_FIELDS[key]["age_max"], flt)
-
-
 class Collector:
     """Collects audience snapshots; `collect_snapshots` is its entry point.
 
@@ -438,11 +434,8 @@ class Collector:
             client = AdsApiClient(token=os.environ.get(TOKEN_ENV_VAR, ""))
         self._client = client
 
-    def fetch_cell(self, query: QueryDescriptor, day: date | None = None) -> AudienceCell:
-        """The query's cell: from its fixture, or live from the `day` cache file (default:
-        today) or fetched into it."""
-        iso2 = query.country_iso2
-        key = query.cell_key
+    def fetch_cell(self, iso2: str, key: CellKey, day: date | None = None) -> AudienceCell:
+        """`iso2`'s cell `key`: from its fixture, or live from or into the `day` cache file (default: today)."""
         day = (day or self._clock().date()) if self._live else None
         cell = self._store.cells(iso2, day).get(key)
         if cell is None:
@@ -457,24 +450,22 @@ class Collector:
     def _fetch(self, iso2: str, key: CellKey, day: date | None) -> AudienceCell:
         """The cell for `key`, which the store lacks: FixtureMiss in fixture mode (day None), else sent."""
         if day is None:
-            raise FixtureMiss(f"fixture has no row for {_query(iso2, key).canonical()}")
+            raise FixtureMiss(f"fixture has no row for {canonical(iso2, key)}")
         return self._request(iso2, key)
 
     def _request(self, iso2: str, key: CellKey) -> AudienceCell:
         """The cell for `key` from the client; throttled attempts are retried with backoff."""
         assert self._client is not None
-        query = _query(iso2, key)
         for attempt in range(1, MAX_RETRIES + 2):
             try:
-                count = self._client.reach_estimate(query)
+                count = self._client.reach_estimate(iso2, key)
                 break
             except RateLimited:
                 if attempt > MAX_RETRIES:
                     raise
                 delay = BASE_BACKOFF_S * 2 ** (attempt - 1)
                 logger.info(
-                    "throttled on %s; retry %d/%d after %.2fs",
-                    query.canonical(), attempt, MAX_RETRIES, delay,
+                    "throttled on %s; retry %d/%d after %.2fs", canonical(iso2, key), attempt, MAX_RETRIES, delay
                 )
                 self._sleep(delay)
         return AudienceCell(count=count, collected_at=self._clock())

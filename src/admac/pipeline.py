@@ -200,9 +200,9 @@ def stage_collect(
 
     The countries are `cfg.countries` or, when none are given (fixture
     mode alone allows that; `RunConfig` holds the rule), every fixture
-    file's country that is not excluded; none at all is a ConfigError.
-    An excluded country in the list fails the stage before any request is
-    sent or snapshot written. A country whose collection comes back
+    file's country that is not excluded; none at all is a ConfigError saying
+    why. An excluded country in the list fails the stage before any request
+    is sent or snapshot written. A country whose collection comes back
     incomplete is written with the cells that did arrive; the estimate
     stage will mark the affected sexes ineligible rather than this stage
     failing the whole run. The set is written plainly into a hidden directory
@@ -213,9 +213,18 @@ def stage_collect(
     `collected`, when given, for `stage_estimate`, with its path under snapshots/.
     """
     collector = collector or Collector(CollectorConfig(cfg.mode, cfg.fixture_dir, cfg.cache_dir))
-    wanted = cfg.countries or [c for c in fixture_countries(cfg.fixture_dir) if c not in DEFAULT_EXCLUDED]
+    listed = () if cfg.countries else fixture_countries(cfg.fixture_dir)
+    wanted = cfg.countries or [c for c in listed if c not in DEFAULT_EXCLUDED]
     if not wanted:
-        raise ConfigError("no countries to collect")
+        if not cfg.fixture_dir.exists():
+            why = "does not exist"
+        elif not cfg.fixture_dir.is_dir():
+            why = "is not a directory"
+        elif listed:
+            why = f"holds only excluded countries: {', '.join(listed)}"
+        else:
+            why = "holds no <ISO2>.csv file"
+        raise ConfigError(f"no countries to collect: fixture directory {cfg.fixture_dir} {why}")
 
     final = cfg.snapshots_dir
     staging, aside = (final.with_name(f".{final.name}.{os.urandom(6).hex()}.{end}") for end in ("tmp", "old"))

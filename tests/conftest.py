@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import csv
 import errno
+import functools
 import importlib.util
 import os
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from admac.domain import AGE_GROUP_LOWERS, AudienceCell, AudienceSnapshot, ParentFilter, Sex
 from admac.pipeline import packaged_data_path
@@ -15,6 +17,16 @@ from admac.pipeline import packaged_data_path
 WORLD_SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "world.py"
 
 TS = datetime(2024, 6, 1, tzinfo=timezone.utc)
+
+# CI's deeper step runs the fault-injection properties (test_fault_injection.py) under
+# `--hypothesis-profile deep`.
+settings.register_profile("deep", max_examples=600)
+
+
+def fault_examples() -> int:
+    """A fault-injection property's example count: 600 while the `deep` profile is active, else 60."""
+    deep = settings.get_profile("deep")
+    return deep.max_examples if settings.default is deep else 60
 
 
 def make_cell(count, when=TS):
@@ -101,12 +113,18 @@ def fixture_dir(tmp_path):
     return tmp_path / "fixtures"
 
 
-def generate_world(out_dir: Path, seed: int, n_countries: int) -> tuple[Path, Path]:
-    """A seeded `bench/world.py` world under `out_dir`: (fixture dir, truth table)."""
+@functools.cache
+def world_script():
+    """`bench/world.py`, loaded by file path as a module of its own."""
     spec = importlib.util.spec_from_file_location("world", WORLD_SCRIPT)
     world = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(world)
-    world.generate_world(out_dir, packaged_data_path("continents.csv"), seed, n_countries=n_countries)
+    return world
+
+
+def generate_world(out_dir: Path, seed: int, n_countries: int) -> tuple[Path, Path]:
+    """A seeded `bench/world.py` world under `out_dir`: (fixture dir, truth table)."""
+    world_script().generate_world(out_dir, packaged_data_path("continents.csv"), seed, n_countries=n_countries)
     return out_dir / "fixtures", out_dir / "truth.csv"
 
 

@@ -25,7 +25,7 @@ from admac.indicators import LowerBoundPolicy
 from admac.ingest import TOKEN_ENV_VAR, Collector, CollectorConfig, Mode
 from admac.pipeline import RunConfig, _model_payload, load_estimates, packaged_data_path, run_all
 from admac.stats import CalibrationModel, ols_fit_xy
-from conftest import generate_world, read_csv
+from conftest import full_fixture_rows, generate_world, read_csv, write_fixture
 
 
 def run_cli(*args):
@@ -276,12 +276,24 @@ def test_estimate_over_an_empty_snapshots_directory(tmp_path, capsys):
 
 
 def test_fixture_dir_without_fixtures_has_no_countries_to_collect(tmp_path, capsys):
-    (tmp_path / "fixtures").mkdir()
-    assert run_cli("collect", "--fixture-dir", tmp_path / "fixtures", "--out", tmp_path / "out") == 1
-    report = _one_line_report(capsys)
-    assert report["error"] == "ConfigError"
-    assert report["message"] == "no countries to collect"
-    assert not (tmp_path / "out").exists()
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "a_file").write_text("", encoding="utf-8")
+    write_fixture(tmp_path / "excluded_only", "CU", full_fixture_rows())
+    write_fixture(tmp_path / "excluded_only", "SY", full_fixture_rows())
+    cases = {
+        "absent": "does not exist",
+        "a_file": "is not a directory",
+        "empty": "holds no <ISO2>.csv file",
+        "excluded_only": "holds only excluded countries: CU, SY",
+    }
+    for name, why in cases.items():
+        for command in ("collect", "all"):
+            fixtures, out = tmp_path / name, tmp_path / "out"
+            assert run_cli(command, "--fixture-dir", fixtures, "--out", out) == 1, (name, command)
+            report = _one_line_report(capsys)
+            assert report["error"] == "ConfigError"
+            assert report["message"] == f"no countries to collect: fixture directory {fixtures} {why}"
+            assert not out.exists()
 
 
 def test_calibrate_with_too_few_pairs(tmp_path, capsys):
@@ -984,7 +996,7 @@ def test_run_config_and_collector_config_read_live_mode_given_as_text(tmp_path, 
     assert config.mode is Mode.LIVE
 
     class Client:
-        def reach_estimate(self, query):
+        def reach_estimate(self, iso2, key):
             return 1000
 
     (snapshot,) = Collector(config, client=Client()).collect_snapshots(["IT"])

@@ -41,6 +41,7 @@ from admac.ingest import (
     Mode,
     QueryDescriptor,
     _CellStore,
+    canonical,
     fixture_countries,
     format_timestamp,
     read_cells_csv,
@@ -69,12 +70,13 @@ class StubClient:
         self.max_active = 0
         self.delay = 0.0
 
-    def reach_estimate(self, query):
+    def reach_estimate(self, iso2, key):
+        query = canonical(iso2, key)
         with self.lock:
-            self.calls.append(query.canonical())
+            self.calls.append(query)
             self.active += 1
             self.max_active = max(self.max_active, self.active)
-            plan = self.fail_plan.get(query.canonical())
+            plan = self.fail_plan.get(query)
         try:
             if self.delay:
                 time.sleep(self.delay)
@@ -105,11 +107,6 @@ def complete(snapshot):
 def incomplete_warnings(caplog):
     """The messages of the collector's incomplete-snapshot warnings, in order."""
     return [r.getMessage() for r in caplog.records if "incomplete snapshot kept" in r.getMessage()]
-
-
-def canonical(iso2, key):
-    """The canonical text of the query for `iso2`'s cell `key`."""
-    return ingest._query(iso2, key).canonical()
 
 
 def live_collector(tmp_path, client, monkeypatch=None, **constants):
@@ -169,6 +166,7 @@ def test_query_canonical_serialization_stable():
         parent_filter=ParentFilter.PARENTS_0_12M,
     )
     assert q.canonical() == "iso2=IT&sex=male&age_min=30&age_max=34&parent_filter=parent_of_child_0_12m"
+    assert canonical(IT, (Sex.MALE, 30, ParentFilter.PARENTS_0_12M)) == q.canonical()
 
 
 # --- fixture mode -----------------------------------------------------------
@@ -177,17 +175,9 @@ def test_fixture_fetch_flags_lower_bound(fixture_dir):
     rows = full_fixture_rows(female_counts={(45, "parent_of_child_0_12m"): 20})
     write_fixture(fixture_dir, "IT", rows)
     collector = fixture_collector(fixture_dir)
-    q20 = QueryDescriptor(
-        country_iso2="IT", sex=Sex.FEMALE, age_min=45, age_max=49,
-        parent_filter=ParentFilter.PARENTS_0_12M,
-    )
-    cell = collector.fetch_cell(q20)
+    cell = collector.fetch_cell(IT, (Sex.FEMALE, 45, ParentFilter.PARENTS_0_12M))
     assert cell.count == LOWER_BOUND_COUNT
-    q_ok = QueryDescriptor(
-        country_iso2="IT", sex=Sex.FEMALE, age_min=15, age_max=19,
-        parent_filter=ParentFilter.ALL,
-    )
-    cell = collector.fetch_cell(q_ok)
+    cell = collector.fetch_cell(IT, (Sex.FEMALE, 15, ParentFilter.ALL))
     assert cell.count == 100_000
 
 
@@ -195,23 +185,15 @@ def test_fixture_passthrough_count(fixture_dir):
     rows = full_fixture_rows(male_counts={(20, "all"): 125_000})
     write_fixture(fixture_dir, "IT", rows)
     collector = fixture_collector(fixture_dir)
-    q = QueryDescriptor(
-        country_iso2="IT", sex=Sex.MALE, age_min=20, age_max=24,
-        parent_filter=ParentFilter.ALL,
-    )
-    assert collector.fetch_cell(q).count == 125_000
+    assert collector.fetch_cell(IT, (Sex.MALE, 20, ParentFilter.ALL)).count == 125_000
 
 
 def test_fixture_miss_for_absent_row(fixture_dir):
     rows = [r for r in full_fixture_rows() if not (r[0] == "male" and r[1] == 45)]
     write_fixture(fixture_dir, "IT", rows)
     collector = fixture_collector(fixture_dir)
-    q = QueryDescriptor(
-        country_iso2="IT", sex=Sex.MALE, age_min=45, age_max=49,
-        parent_filter=ParentFilter.ALL,
-    )
     with pytest.raises(FixtureMiss) as excinfo:
-        collector.fetch_cell(q)
+        collector.fetch_cell(IT, (Sex.MALE, 45, ParentFilter.ALL))
     assert str(excinfo.value) == (
         "fixture has no row for iso2=IT&sex=male&age_min=45&age_max=49&parent_filter=all"
     )
@@ -533,10 +515,10 @@ def test_cold_live_collect_starts_no_thread(tmp_path, monkeypatch):
 
 def test_cold_live_collects_write_identical_day_files_in_the_requested_order(tmp_path):
     class SlowFirstCountryClient(StubClient):
-        def reach_estimate(self, query):
-            if query.country_iso2 == FIVE[0]:
+        def reach_estimate(self, iso2, key):
+            if iso2 == FIVE[0]:
                 time.sleep(0.002)
-            return super().reach_estimate(query)
+            return super().reach_estimate(iso2, key)
 
     runs = [tmp_path / "first", tmp_path / "second"]
     for run in runs:
@@ -594,10 +576,10 @@ def test_each_country_is_written_once_as_soon_as_it_resolves(tmp_path, monkeypat
     seen_on_first_query = {}
 
     class CheckingClient(StubClient):
-        def reach_estimate(self, query):
-            if query.canonical() == canonical(query.country_iso2, CELL_KEYS[0]):
-                seen_on_first_query[query.country_iso2] = list(writes)
-            return super().reach_estimate(query)
+        def reach_estimate(self, iso2, key):
+            if key == CELL_KEYS[0]:
+                seen_on_first_query[iso2] = list(writes)
+            return super().reach_estimate(iso2, key)
 
     collector, _ = live_collector(tmp_path, CheckingClient(count=500))
     list(collector.collect_snapshots(FIVE))
@@ -733,7 +715,7 @@ def test_cold_collect_reads_the_store_once_per_country_and_sends_each_query_once
     collector, _ = live_collector(tmp_path, client)
     assert all(complete(s) for s in collector.collect_snapshots(FIVE))
     assert reads == FIVE
-    assert sorted(client.calls) == sorted(ingest._query(c, key).canonical() for c in FIVE for key in CELL_KEYS)
+    assert sorted(client.calls) == sorted(canonical(c, key) for c in FIVE for key in CELL_KEYS)
 
 
 def test_excluded_country_fails_before_any_request(tmp_path):
@@ -790,7 +772,7 @@ def test_day_file_whose_last_append_was_cut_short_is_dropped_then_repaired(tmp_p
     client = StubClient(count=500)
     with caplog.at_level(logging.WARNING, logger="admac.ingest"):
         assert all(complete(s) for s in live_collector(tmp_path, client)[0].collect_snapshots(FIVE))
-    assert client.calls == [ingest._query("NG", key).canonical() for key in CELL_KEYS[19:]]
+    assert client.calls == [canonical("NG", key) for key in CELL_KEYS[19:]]
     assert any(str(path) in r.getMessage() and f"line {torn + 1}" in r.getMessage() for r in caplog.records)
     assert path.stat().st_ino == inode  # cut back in place, then appended to
     text = path.read_text(encoding="utf-8")
@@ -810,7 +792,7 @@ def test_day_file_whose_last_row_parses_without_a_line_break_drops_that_row(tmp_
     with caplog.at_level(logging.WARNING, logger="admac.ingest"):
         list(live_collector(tmp_path, client)[0].collect_snapshots([IT, "NG"]))
     assert sorted(client.calls) == sorted(
-        [ingest._query("IT", CELL_KEYS[-1]).canonical()] + [ingest._query("NG", key).canonical() for key in CELL_KEYS]
+        [canonical("IT", CELL_KEYS[-1])] + [canonical("NG", key) for key in CELL_KEYS]
     )
     assert any(str(path) in r.getMessage() and "line 29" in r.getMessage() for r in caplog.records)
     assert path.stat().st_ino == inode  # cut back in place, then appended to
@@ -865,7 +847,7 @@ def test_day_file_cut_inside_its_last_timestamp_refetches_that_cell(tmp_path, ca
     client = StubClient(count=500)
     with caplog.at_level(logging.WARNING, logger="admac.ingest"):
         snapshot = collect_one(live_collector(tmp_path, client)[0], IT)
-    assert client.calls == [ingest._query("IT", CELL_KEYS[-1]).canonical()]
+    assert client.calls == [canonical("IT", CELL_KEYS[-1])]
     assert any(str(path) in r.getMessage() and "line 29" in r.getMessage() for r in caplog.records)
     assert all(c.collected_at == FIXED_NOW for c in snapshot.cells.values())
     assert path.read_text(encoding="utf-8") == text  # cut back to its 28 whole lines, then appended to
@@ -888,7 +870,7 @@ def test_append_that_fails_part_way_leaves_the_file_at_its_last_line_break(tmp_p
     assert path.read_bytes() == before
     again = StubClient(count=500)
     assert all(complete(s) for s in live_collector(tmp_path, again)[0].collect_snapshots([IT, NG]))
-    assert sorted(again.calls) == sorted(ingest._query("NG", key).canonical() for key in CELL_KEYS)
+    assert sorted(again.calls) == sorted(canonical("NG", key) for key in CELL_KEYS)
     # through the CLI: the one-line JSON report, and the day file as it was
     monkeypatch.setattr(ingest, "AdsApiClient", lambda token: StubClient(count=500))
     cache = tmp_path / "cli-cache"
@@ -963,7 +945,7 @@ def test_day_file_the_run_cannot_repair_ends_it_and_is_left_for_the_next(
 
 
 TWO = [IT, "NG"]
-TWO_QUERIES = [ingest._query(c, key).canonical() for c in TWO for key in CELL_KEYS]
+TWO_QUERIES = [canonical(c, key) for c in TWO for key in CELL_KEYS]
 
 
 def test_bad_cache_line_with_a_line_break_is_removed_and_refetched(tmp_path, caplog):
@@ -1036,6 +1018,34 @@ def test_torn_last_fixture_line_still_raises(fixture_dir):
     assert caught.value.line == 29
 
 
+def test_live_fetch_cell_sends_a_miss_once_and_appends_its_one_line(tmp_path):
+    client = StubClient(count=700)
+    collector, _ = live_collector(tmp_path, client)
+    key = CELL_KEYS[5]
+    assert collector.fetch_cell(IT, key) == make_cell(700, FIXED_NOW)
+    assert client.calls == [canonical(IT, key)]
+    path = cache_file(tmp_path)
+    assert path.read_text(encoding="utf-8").count("\n") == 2  # the header and the cell's line
+    assert cached_rows(path) == [(IT, key)]
+    assert collector.fetch_cell(IT, key) == make_cell(700, FIXED_NOW)
+    assert len(client.calls) == 1
+    fresh = StubClient(count=9999)
+    assert live_collector(tmp_path, fresh)[0].fetch_cell(IT, key).count == 700
+    assert fresh.calls == []
+    # a failed miss raises its per-cell error and writes nothing
+    before = path.read_bytes()
+    other = CELL_KEYS[6]
+    failing = StubClient(fail_plan={canonical(IT, other): [MalformedResponse("bad")]})
+    with pytest.raises(MalformedResponse, match="bad"):
+        live_collector(tmp_path, failing)[0].fetch_cell(IT, other)
+    assert failing.calls == [canonical(IT, other)]
+    assert path.read_bytes() == before
+    cold = StubClient(fail_plan={canonical(IT, key): [MalformedResponse("bad")]})
+    with pytest.raises(MalformedResponse):
+        live_collector(tmp_path / "cold", cold)[0].fetch_cell(IT, key)
+    assert not (tmp_path / "cold").exists()
+
+
 def test_live_mode_requires_token(tmp_path, monkeypatch):
     monkeypatch.delenv("ADS_API_TOKEN", raising=False)
     config = CollectorConfig(mode=Mode.LIVE, cache_dir=tmp_path / "cache")
@@ -1066,17 +1076,14 @@ class FakeSession:
         return self.response
 
 
-def _query():
-    return QueryDescriptor(
-        country_iso2="IT", sex=Sex.FEMALE, age_min=25, age_max=29,
-        parent_filter=ParentFilter.ALL,
-    )
+# IT's female 25-29 cell, all users: the one query the client tests send.
+QUERY = (IT, (Sex.FEMALE, 25, ParentFilter.ALL))
 
 
 def test_client_parses_success():
     session = FakeSession(FakeResponse(200, {"audience_size": 123456}))
     client = AdsApiClient(token="tok", session=session)
-    assert client.reach_estimate(_query()) == 123456
+    assert client.reach_estimate(*QUERY) == 123456
     url, params, headers = session.requests[0]
     assert url.endswith("/reach_estimate")
     assert params["country"] == "IT" and params["age_min"] == 25
@@ -1090,7 +1097,7 @@ def test_client_parses_success():
 def test_client_maps_statuses(status, exc):
     client = AdsApiClient(token="tok", session=FakeSession(FakeResponse(status, {})))
     with pytest.raises(exc):
-        client.reach_estimate(_query())
+        client.reach_estimate(*QUERY)
 
 
 def test_client_rejects_bad_payloads():
@@ -1101,12 +1108,12 @@ def test_client_rejects_bad_payloads():
     ):
         client = AdsApiClient(token="tok", session=FakeSession(FakeResponse(200, payload)))
         with pytest.raises(MalformedResponse):
-            client.reach_estimate(_query())
+            client.reach_estimate(*QUERY)
 
 
 def test_client_reads_the_largest_count_a_float_holds():
     client = AdsApiClient(token="tok", session=FakeSession(FakeResponse(200, {"audience_size": MAX_COUNT})))
-    assert client.reach_estimate(_query()) == MAX_COUNT
+    assert client.reach_estimate(*QUERY) == MAX_COUNT
 
 
 def test_client_requires_token():
@@ -1131,7 +1138,7 @@ def test_client_maps_transport_errors_to_upstream_unavailable():
     ):
         client = AdsApiClient(token="tok", session=RaisingSession(exc))
         with pytest.raises(UpstreamUnavailable, match="transport failure"):
-            client.reach_estimate(_query())
+            client.reach_estimate(*QUERY)
 
 
 # --- the default session on the wire ------------------------------------------
@@ -1183,7 +1190,7 @@ def _wire_client(server, token="tok", port=None):
 
 def test_default_session_sends_the_query_and_reads_the_count(upstream):
     upstream.reply = (200, {"Content-Type": "application/json"}, b'{"audience_size": 123456}')
-    assert _wire_client(upstream).reach_estimate(_query()) == 123456
+    assert _wire_client(upstream).reach_estimate(*QUERY) == 123456
     path = "/v1/reach_estimate?country=IT&sex=female&age_min=25&age_max=29&parent_filter=all"
     assert upstream.seen == [(path, "Bearer tok")]
 
@@ -1200,7 +1207,7 @@ def test_default_session_sends_the_query_and_reads_the_count(upstream):
 def test_default_session_maps_statuses_and_bodies(upstream, status, body, exc):
     upstream.reply = (status, {}, body)
     with pytest.raises(exc):
-        _wire_client(upstream).reach_estimate(_query())
+        _wire_client(upstream).reach_estimate(*QUERY)
     assert len(upstream.seen) == 1
 
 
@@ -1209,7 +1216,7 @@ def test_default_session_follows_no_redirect(upstream):
     elsewhere = f"http://localhost:{upstream.server_port}/v1/reach_estimate"
     upstream.reply = (302, {"Location": elsewhere}, b"")
     with pytest.raises(MalformedResponse, match="unexpected status 302"):
-        _wire_client(upstream).reach_estimate(_query())
+        _wire_client(upstream).reach_estimate(*QUERY)
     assert len(upstream.seen) == 1
 
 
@@ -1226,13 +1233,13 @@ def test_default_session_maps_broken_replies_to_upstream_unavailable(upstream, r
             port = closed.getsockname()[1]
     upstream.reply = raw
     with pytest.raises(UpstreamUnavailable, match="transport failure"):
-        _wire_client(upstream, port=port).reach_estimate(_query())
+        _wire_client(upstream, port=port).reach_estimate(*QUERY)
 
 
 @pytest.mark.parametrize("token", ["tok\n", "Bearer tok", "to k", "t\u00f6k", "=tok", "tok=a"])
 def test_bad_token_raises_auth_error_before_anything_is_sent(upstream, token):
     with pytest.raises(AuthError, match="not a bearer token"):
-        _wire_client(upstream, token=token).reach_estimate(_query())
+        _wire_client(upstream, token=token).reach_estimate(*QUERY)
     assert upstream.seen == []
     AdsApiClient(token="A-._~+/9==", session=FakeSession(None))  # every b64token character passes
 

@@ -458,13 +458,13 @@ def test_collect_mode_relation_catches_a_retried_cell_recorded_as_zero(small_wor
     # planted bug: a query that was throttled, then answered, is recorded with count 0
     reach, throttled = ingest.AdsApiClient.reach_estimate, set()
 
-    def zero_once_retried(client, query):
+    def zero_once_retried(client, iso2, key):
         try:
-            count = reach(client, query)
+            count = reach(client, iso2, key)
         except RateLimited:
-            throttled.add(query)
+            throttled.add((iso2, key))
             raise
-        return 0 if query in throttled else count
+        return 0 if (iso2, key) in throttled else count
 
     monkeypatch.setattr(ingest.AdsApiClient, "reach_estimate", zero_once_retried)
     fixtures, _ = small_worlds["world-60"]

@@ -79,6 +79,12 @@ def test_two_sided_p_matches_direct_formula():
     assert t_two_sided_p(0.0, 10) == 1.0
 
 
+def test_two_sided_p_refuses_a_df_that_is_not_positive():
+    for df in (0, -1, -0.5):
+        with pytest.raises(DomainError, match=f"requires df > 0, got {df}"):
+            t_two_sided_p(2.0, df)
+
+
 def test_two_sided_p_far_tail_avoids_cancellation():
     # 2*(1 - cdf) loses all digits out here; the beta form must not
     p = t_two_sided_p(60.0, 136)

@@ -203,6 +203,13 @@ def test_random_split_needs_enough_points():
     assert random_split_validation(pairs, runs=3, test_size=9, seed=0).per_run
 
 
+def test_random_split_refuses_fewer_than_one_run():
+    pairs, _ = random_pairs(random.Random(10), 20)
+    for runs in (0, -3):
+        with pytest.raises(ValueError, match=f"runs must be >= 1, got {runs}"):
+            random_split_validation(pairs, runs=runs, test_size=10, seed=0)
+
+
 def test_random_split_runs_equal_full_ols_fit_exactly():
     from admac.stats import mape
 

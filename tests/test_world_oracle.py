@@ -7,6 +7,8 @@ numpy and scipy.stats, and none of admac's readers:
 - each model_<sex>.json inference field, against `linregress` and the t and F
   distributions, and its out-of-sample block, by replaying the seeded random
   splits with `numpy.polyfit` refits (the paper's out-of-sample MAPE);
+- the statistics as well as the arithmetic: each fitted intercept and slope lies
+  within 3 of its standard errors of the line `bench/world.py` drew the truth from;
 - every prediction and its 95% interval, from `t.ppf` and the leverage formula;
 - the predicted set: the eligible countries without a truth row;
 - map.geojson: the male predictions and the male truth rows, sorted by iso2;
@@ -28,7 +30,7 @@ import pytest
 from scipy import stats
 
 from admac.pipeline import RunConfig, packaged_data_path, run_all
-from conftest import generate_world
+from conftest import generate_world, world_script
 from oracles import mac_from_raw_cells
 
 SEED = 5
@@ -148,6 +150,15 @@ def test_model_inference_matches_linregress_and_the_t_and_f_tails(world, oracle,
     model = json.loads((world / "out" / f"model_{sex}.json").read_text(encoding="utf-8"))["model"]
     for field, want in expected.items():
         assert model[field] == pytest.approx(want, rel=1e-9), f"{sex} {field}"
+
+
+@pytest.mark.parametrize("sex", SEXES)
+def test_fitted_line_lies_within_three_standard_errors_of_the_truth_model(world, seed, sex):
+    intercept, slope, _ = world_script().TRUTH_MODEL[sex]
+    model = json.loads((world / "out" / f"model_{sex}.json").read_text(encoding="utf-8"))["model"]
+    for name, true_value in (("intercept", intercept), ("slope", slope)):
+        z = (model[name] - true_value) / model[f"se_{name}"]
+        assert abs(z) <= 3, f"seed {seed} {sex} {name}: {model[name]} is {z:+.2f} standard errors from {true_value}"
 
 
 @pytest.mark.parametrize("sex", SEXES)

@@ -15,6 +15,7 @@ from test_world_oracle import (  # noqa: F401
     test_calibration_line_matches_linregress,
     test_every_eligible_mac_matches_the_raw_cells,
     test_every_prediction_matches_the_leverage_formula,
+    test_fitted_line_lies_within_three_standard_errors_of_the_truth_model,
     test_map_is_the_male_predictions_and_the_male_truth_rows,
     test_metrics_match_spearmanr_and_numpy_loocv,
     test_model_inference_matches_linregress_and_the_t_and_f_tails,
