@@ -3,13 +3,17 @@ map-ready output."""
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
+from . import special
 from .domain import Sex
 from .fileio import write_json
 from .groundtruth import GroundTruthRecord
 from .stats import CalibrationModel
+
+PREDICTION_LEVEL = 0.95  # the coverage of every prediction interval
 
 
 class Prediction(NamedTuple):
@@ -29,14 +33,17 @@ def predict_missing(
     estimates that have no truth record, as `join_pairs` leaves them in
     `JoinResult.unmatched_estimates`.
 
-    The point prediction is exactly intercept + slope * mac_fb; the
-    interval uses the residual standard error, the leverage of mac_fb in
-    the training sample, and the t(df_resid) quantile.
+    The point prediction is exactly intercept + slope * mac_fb; the interval
+    is center -/+ q * residual_se * sqrt(1 + leverage of mac_fb), with q the
+    t(df_resid) quantile at PREDICTION_LEVEL, computed once per call.
     """
-    return [
-        Prediction(country, sex, mac_fb, model.predict(mac_fb), *model.prediction_interval(mac_fb))
-        for country, sex, mac_fb in unmatched
-    ]
+    q = special.t_quantile(0.5 + PREDICTION_LEVEL / 2.0, model.df_resid)
+    predictions = []
+    for country, sex, mac_fb in unmatched:
+        center = model.predict(mac_fb)
+        half = q * model.residual_se * math.sqrt(1.0 + model.leverage(mac_fb))
+        predictions.append(Prediction(country, sex, mac_fb, center, center - half, center + half))
+    return predictions
 
 
 def _feature(

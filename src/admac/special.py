@@ -10,7 +10,6 @@ meets (1..1000), comfortably inside the 1e-10 contract.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .errors import DomainError
 
@@ -36,27 +35,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):  # one Lentz step per coefficient
+            d = 1.0 + aa * d
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
     raise DomainError(f"incomplete beta continued fraction failed to converge for a={a}, b={b}, x={x}")
@@ -127,13 +117,11 @@ def f_sf(f: float, d1: float, d2: float) -> float:
     return 0.0 if p < P_FLOOR else p
 
 
-@lru_cache(maxsize=256)
 def t_quantile(p: float, df: float) -> float:
     """Inverse of t_cdf by bisection; adequate for interval construction.
 
     Monotone bisection on t_cdf down to a ~1e-13 wide bracket, about 50
-    CDF evaluations. The result is memoised per (p, df), so a model's
-    prediction intervals share one bisection.
+    CDF evaluations.
     """
     if df <= 0:
         raise DomainError(f"t_quantile requires df > 0, got {df}")

@@ -30,7 +30,6 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 UNKNOWN_CONTINENT = "Unknown"
-PREDICTION_LEVEL = 0.95  # the coverage of every prediction interval
 
 
 # --------------------------------------------------------------------------
@@ -191,15 +190,6 @@ class CalibrationModel(NamedTuple):
 
     def leverage(self, x: float) -> float:
         return 1.0 / self.n + (x - self.x_mean) ** 2 / self.s_xx
-
-    def prediction_interval(self, x: float) -> tuple[float, float]:
-        """Interval expected to contain a new observation at `x` with probability PREDICTION_LEVEL."""
-        center = self.predict(x)
-        if self.residual_se == 0.0:
-            return center, center
-        q = special.t_quantile(0.5 + PREDICTION_LEVEL / 2.0, self.df_resid)
-        half = q * self.residual_se * math.sqrt(1.0 + self.leverage(x))
-        return center - half, center + half
 
 
 def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float, float, float]:

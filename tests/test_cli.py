@@ -610,7 +610,7 @@ def _nest_too_deep(text: str) -> str:
 @pytest.mark.parametrize(
     "edit", [_truncate, _drop_slope, _nest_too_deep], ids=["truncated", "missing_key", "nested_too_deep"]
 )
-def test_malformed_model_reports_parse_error(tmp_path, edit):
+def test_predict_ignores_a_malformed_model_file(tmp_path, edit):
     # model_<sex>.json is calibrate's report; predict fits its own model and reads none
     out = tmp_path / "out"
     assert run_cli("all", "--out", out) == 0
@@ -659,7 +659,7 @@ def demo_out(tmp_path_factory):
         "nan_residual", "infinite_x_mean",
     ],
 )
-def test_wrongly_typed_model_reports_parse_error(tmp_path, demo_out, key, value):
+def test_predict_ignores_a_wrongly_typed_model_file(tmp_path, demo_out, key, value):
     out = tmp_path / "out"
     shutil.copytree(demo_out, out)
     document = json.loads((out / "model_male.json").read_text(encoding="utf-8"))
@@ -676,7 +676,7 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_perfect_fit_model_with_infinite_f_stat_loads(tmp_path):
+def test_perfect_fit_model_writes_its_infinite_f_stat_as_null(tmp_path):
     for token in ("NaN", "Infinity", "-Infinity"):
         with pytest.raises(ValueError):
             _strict_json(f'{{"f_stat": {token}}}')

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from admac.indicators import IneligibilityReason, MacEstimate
 from admac.predict import Prediction, emit_choropleth, predict_missing
 from admac.special import t_quantile
 from admac.stats import CalibrationModel, ols_fit_xy
+from conftest import world_script
 
 
 def published_model(intercept=7.451, slope=0.811, residual_se=0.949, n=81, x_mean=33.0, s_xx=675.0):
@@ -110,13 +112,38 @@ def test_interval_matches_direct_formula():
 def test_interval_width_minimized_at_training_mean():
     model = published_model()
     def width(x):
-        low, high = model.prediction_interval(x)
-        return high - low
+        (pred,) = predict_missing(model, [("TR", Sex.MALE, x)])
+        return pred.interval_high - pred.interval_low
     at_mean = width(model.x_mean)
     for x in [model.x_mean + d for d in (-6, -3, -0.5, 0.5, 2, 5, 9)]:
         assert width(x) > at_mean
     # and the width grid is symmetric around the mean
     assert width(model.x_mean - 2) == pytest.approx(width(model.x_mean + 2), rel=1e-12)
+
+
+COVERAGE_DRAWS = 400
+COVERAGE_BAND = (364, 393)  # the two-sided 99.9% binomial band of 400 draws at p = 0.95
+
+
+def test_prediction_intervals_cover_what_they_claim():
+    """Over 400 seeded draws of 31 training pairs from bench/world.py's male truth
+    model, the 95% interval at one more x drawn the same way holds its truth about
+    95% of the time."""
+    intercept, slope, sigma = world_script().TRUTH_MODEL["male"]
+    rng = random.Random(2018)
+
+    def draw():
+        x = rng.uniform(24.0, 34.0)
+        return x, intercept + slope * x + rng.gauss(0.0, sigma)
+
+    covered = 0
+    for _ in range(COVERAGE_DRAWS):
+        xs, ys = zip(*(draw() for _ in range(31)))
+        x0, y0 = draw()
+        (pred,) = predict_missing(ols_fit_xy(xs, ys), [("XX", Sex.MALE, x0)])
+        covered += pred.interval_low <= y0 <= pred.interval_high
+    low, high = COVERAGE_BAND
+    assert low <= covered <= high, f"{covered} of {COVERAGE_DRAWS} truths covered, outside [{low}, {high}]"
 
 
 def test_predictions_monotone_in_mac_fb_for_positive_slope():
@@ -170,8 +197,6 @@ def test_interval_quantile_computed_once_per_model(monkeypatch):
         return real_t_cdf(t, df)
 
     monkeypatch.setattr(special, "t_cdf", counting_t_cdf)
-    special.t_quantile.cache_clear()
-    model = published_model()
-    for i in range(100):
-        model.prediction_interval(25.0 + 0.1 * i)
+    preds = predict_missing(published_model(), [(f"C{i}", Sex.MALE, 25.0 + 0.1 * i) for i in range(100)])
+    assert len(preds) == 100
     assert 0 < len(calls) <= 50  # one bisection, not one per prediction

@@ -10,6 +10,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from admac.domain import Sex
 from admac.errors import (
     DegenerateDesign,
     DegenerateInput,
@@ -18,6 +19,7 @@ from admac.errors import (
     TooFewPoints,
     ZeroTruth,
 )
+from admac.predict import predict_missing
 from admac.stats import (
     _line_fit,
     average_ranks,
@@ -223,7 +225,8 @@ def test_ols_exact_fit():
     assert model.p_slope == 0.0
     assert math.isinf(model.f_stat)
     assert model.n == 5 and model.df_resid == 3
-    assert model.prediction_interval(2.5) == (6.0, 6.0)
+    (pred,) = predict_missing(model, [("XX", Sex.MALE, 2.5)])
+    assert (pred.interval_low, pred.interval_high) == (6.0, 6.0)
 
 
 def test_ols_of_a_constant_y_explains_nothing():

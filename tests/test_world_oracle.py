@@ -59,9 +59,15 @@ def seed():
 
 
 @pytest.fixture(scope="module")
-def world(tmp_path_factory, seed):
+def n_countries():
+    """The world's country count; test_world_oracle_benchmark_scale.py gives None, every country."""
+    return N_COUNTRIES
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory, seed, n_countries):
     root = tmp_path_factory.mktemp(f"world{seed}")
-    generate_world(root, seed, N_COUNTRIES)
+    generate_world(root, seed, n_countries)
     _run(root, seed, "out", "global")
     return root
 
