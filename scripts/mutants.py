@@ -3,11 +3,12 @@
 
 The repository is copied into a scratch directory (never changing `src/`),
 and each module named is rewritten there one mutant at a time: a comparison,
-arithmetic or boolean operator swapped, or a numeric constant raised by 1.
-Each mutant runs the `--tests` selection with `pytest -x -q`, then, if that
-passes, the whole suite; a mutant that both pass is a survivor. One JSON line
-is printed per mutant (module, line, before, after, killed, seconds), then one
-summary line per module. Modules are rewritten through an `ast.unparse` round
+arithmetic or boolean operator swapped, or a numeric constant raised by 1
+(none where that leaves it equal, as for 1e300). Each mutant runs the
+`--tests` selection with `pytest -x -q`, then, if that passes, the whole
+suite; a mutant that both pass is a survivor. One JSON line is printed per
+mutant (module, line, before, after, killed, seconds), then one summary line
+per module. Modules are rewritten through an `ast.unparse` round
 trip, which must first pass the whole suite unmutated, so a kill is never an
 artifact of the rewrite. Run from anywhere:
 
@@ -53,7 +54,7 @@ def sites(tree: ast.AST):
             for k, op in enumerate(node.ops):
                 new = SWAPS[type(op)]
                 yield node.lineno, SYMBOLS[type(op)], SYMBOLS[new], lambda n=node, k=k, new=new: n.ops.__setitem__(k, new())
-        elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        elif isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value + 1 != node.value:
             yield node.lineno, repr(node.value), repr(node.value + 1), lambda n=node: setattr(n, "value", n.value + 1)
 
 

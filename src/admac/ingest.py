@@ -388,14 +388,11 @@ class _CellStore:
         return self._digests.get(iso2)
 
     def write(self, iso2: str, day: date, cells: dict[CellKey, AudienceCell]) -> None:
-        """Append the `cells` this store does not hold yet to `iso2`'s cells for `day`, looked up
-        with `cells` before: to the day file in the dict's order, then, once that succeeded, in
-        memory."""
-        held = self._files.get((iso2, day), {})
-        new = {key: c for key, c in cells.items() if held.get(key) != c}
-        if new:
-            append_lines(self._path(day.isoformat()), _cell_lines(iso2, new), _HEADER_LINE)
-            self._files[iso2, day] = {**held, **new}
+        """Append `cells` to `iso2`'s cells for `day`: to the day file in the dict's order, then,
+        once that succeeded, in memory. Callers pass only cells the store lacked when they looked
+        them up with `cells`."""
+        append_lines(self._path(day.isoformat()), _cell_lines(iso2, cells), _HEADER_LINE)
+        self._files[iso2, day] = {**self._files.get((iso2, day), {}), **cells}
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import codecs
 import errno
+import gc
 import hashlib
 import importlib.util
 import json
@@ -1089,12 +1090,16 @@ def test_fixture_row_naming_another_country_reports_parse_error(tmp_path, capsys
         assert not (out / "snapshots").exists()
 
 
+def _fresh_env() -> dict[str, str]:
+    """This environment with this admac's source directory first on PYTHONPATH."""
+    src = str(Path(admac.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_interpreter(code: str):
     """The JSON on the last line `code` prints in a fresh interpreter that imports this admac."""
-    src = str(Path(admac.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env(), timeout=60, check=True
     )
     return json.loads(result.stdout.splitlines()[-1])
 
@@ -1248,12 +1253,35 @@ DEMO_SEED_42_DIGESTS = {
 }
 
 
-def test_demo_output_is_pinned(tmp_path):
-    out = tmp_path / "out"
-    assert run_cli("all", "--seed", 42, "--out", out) == 0
-    pinned = {
+def _pinned_digests(out: Path) -> dict[str, str]:
+    return {
         name: hashlib.sha256(data).hexdigest()
         for name, data in outputs_of(out).items()
         if name.startswith(("snapshots/", "estimates", "metrics_"))
     }
-    assert pinned == DEMO_SEED_42_DIGESTS
+
+
+def test_demo_output_is_pinned(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("all", "--seed", 42, "--out", out) == 0
+    assert _pinned_digests(out) == DEMO_SEED_42_DIGESTS
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    # only the process entry `run` freezes the import-time heap; an in-process caller's
+    # objects stay collectable, and -X dev still sees a file left open in a cycle
+    frozen = gc.get_freeze_count()
+    assert run_cli("all", "--seed", 42, "--out", tmp_path / "out") == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_module_entry_runs_the_demo_in_development_mode(tmp_path):
+    # `python -m admac.cli` goes through `run`; every ResourceWarning is an error there
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "admac.cli", "all", "--seed", "42",
+         "--out", str(out)],
+        capture_output=True, text=True, env=_fresh_env(), timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert _pinned_digests(out) == DEMO_SEED_42_DIGESTS

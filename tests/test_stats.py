@@ -233,6 +233,28 @@ def test_ols_of_a_constant_y_explains_nothing():
     model = ols_fit_xy([1.0, 2.0, 3.0, 4.0], [7.0, 7.0, 7.0, 7.0])
     assert model.slope == 0.0 and model.intercept == 7.0
     assert model.r2 == 0.0
+    # a perfect fit's slope of exactly 0 has t = 0, not inf
+    assert (model.p_slope, model.p_intercept) == (1.0, 0.0)
+
+
+def test_perfect_fit_through_the_origin_tests_its_intercept_as_null():
+    # with no residual, a coefficient of exactly 0 has t = 0 (p = 1) and any other t = inf (p = 0)
+    model = ols_fit_xy([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
+    assert (model.slope, model.intercept, model.residual_se) == (1.0, 0.0, 0.0)
+    assert (model.p_slope, model.p_intercept) == (0.0, 1.0)
+
+
+def test_ols_of_a_small_weak_fit_matches_scipy():
+    # a total sum of squares below 1 still explains what it can, and an F below 1 is kept
+    xs, ys = [1.0, 2.0, 3.0, 4.0, 5.0], [0.2, 0.1, 0.3, 0.2, 0.1]
+    model = ols_fit_xy(xs, ys)
+    expected = scipy_stats.linregress(xs, ys)
+    assert 0.0 < math.fsum((y - math.fsum(ys) / 5) ** 2 for y in ys) < 1.0
+    assert model.r2 == pytest.approx(expected.rvalue**2, rel=1e-12) and model.r2 > 0.03
+    assert model.f_stat == pytest.approx((expected.slope / expected.stderr) ** 2, rel=1e-12)
+    assert model.f_stat < 1.0
+    assert model.p_f == pytest.approx(expected.pvalue, rel=1e-8)
+    assert (model.df_model, model.df_resid) == (1, 3)
 
 
 def test_ols_errors():

@@ -196,11 +196,23 @@ def test_random_split_is_seed_deterministic():
 
 
 def test_random_split_needs_enough_points():
-    rng = random.Random(10)
-    pairs, _ = random_pairs(rng, 12)
-    with pytest.raises(TooFewPoints):
-        random_split_validation(pairs, runs=10, test_size=10, seed=0)
-    assert random_split_validation(pairs, runs=3, test_size=9, seed=0).per_run
+    # exactly three training pairs: test_size + 2 pairs are refused, test_size + 3 accepted
+    for test_size in (1, 4, 10):
+        pairs, _ = random_pairs(random.Random(10), test_size + 3)
+        with pytest.raises(TooFewPoints) as refused:
+            random_split_validation(pairs[:-1], runs=2, test_size=test_size, seed=0)
+        assert str(refused.value) == (
+            f"random_split_validation needs n >= test_size + 3 = {test_size + 3}, got {test_size + 2}"
+        )
+        assert len(random_split_validation(pairs, runs=2, test_size=test_size, seed=0).per_run) == 2
+
+
+def test_random_split_with_one_run_is_the_first_of_many():
+    pairs, _ = random_pairs(random.Random(11), 20)
+    one = random_split_validation(pairs, runs=1, test_size=10, seed=3)
+    many = random_split_validation(pairs, runs=10, test_size=10, seed=3)
+    assert one.per_run == many.per_run[:1]
+    assert one.mean_mape == one.per_run[0]
 
 
 def test_random_split_refuses_fewer_than_one_run():
