@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 from collections import namedtuple
-from datetime import datetime, timezone
 from enum import Enum
 
 logger = logging.getLogger(__name__)
@@ -82,21 +81,16 @@ MAX_COUNT = 2**53 - 1
 
 
 class AudienceCell(namedtuple("AudienceCell", "count collected_at")):
-    """One audience count and when it was collected. Its key and country
-    belong to the snapshot, or the file row, that holds it."""
+    """One audience count and when it was collected, as the UTC text a cell
+    row holds (`ingest.utc_text`). Its key and country belong to the
+    snapshot, or the file row, that holds it."""
 
     __slots__ = ()
 
-    def __new__(cls, count: int, collected_at: datetime) -> AudienceCell:
+    def __new__(cls, count: int, collected_at: str) -> AudienceCell:
         if not 0 <= count <= MAX_COUNT:
             raise ValueError(f"audience count must be in [0, {MAX_COUNT}], got {count}")
-        if collected_at.tzinfo is None:
-            raise ValueError("collected_at must be timezone-aware (UTC)")
         return tuple.__new__(cls, (count, collected_at))
-
-
-def utc_now() -> datetime:
-    return datetime.now(timezone.utc)
 
 
 # (sex, age group, filter); an age group is named by its lower bound.

@@ -6,7 +6,10 @@ Fixtures (one `<ISO2>.csv` per country) and the live cache (one
 country by country in the order requested; read, it keeps only its whole
 lines) share one CSV schema
 (`iso2,sex,age_low,age_high,parent_filter,count,collected_at`) and one
-store, which alone reports a missing fixture file. A collect answers every hit
+store, which alone reports a missing fixture file. A cell's time is text:
+`utc_text` is the one place its format is decided, for a time read from a
+row and for a live cell's clock reading alike, and a day file is named by
+the first ten characters of that text. A collect answers every hit
 from the store, and one rule takes a miss: a fixture's is a per-cell FixtureMiss,
 a live one is sent from the calling thread, and a throttled query is retried
 `MAX_RETRIES` times, waiting `BASE_BACKOFF_S` seconds and then twice as long.
@@ -20,9 +23,9 @@ import os
 import re
 import time
 from collections import namedtuple
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 from enum import Enum
-from functools import lru_cache
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -37,7 +40,6 @@ from .domain import (
     Sex,
     age_group,
     iso2_code,
-    utc_now,
 )
 from .errors import (
     AuthError,
@@ -134,18 +136,11 @@ class CollectorConfig(namedtuple("CollectorConfig", "mode fixture_dir cache_dir"
 # cell CSV serialization (fixtures and cache share it)
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
-def format_timestamp(dt: datetime) -> str:
-    # memoised: equal instants in different zones compare equal and give equal text
-    return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
-
-
-@lru_cache(maxsize=256)
-def parse_timestamp(raw: str) -> datetime:
-    dt = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+def utc_text(dt: datetime) -> str:
+    """`dt` as a cell's time: ISO 8601 in UTC, its offset written as Z. A naive `dt` is read as UTC."""
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt
+    return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
 _HEADER_LINE = ",".join(CELL_COLUMNS) + "\n"
@@ -153,21 +148,18 @@ _HEADER_LINE = ",".join(CELL_COLUMNS) + "\n"
 _KEY_FIELDS: dict[CellKey, str] = {
     key: ",".join(str(value) for value in fields.values()) for key, fields in _QUERY_FIELDS.items()
 }
+# Each key by its row's four key fields as admac writes them; `_cell_key` reads the others.
+_KEYS_AS_WRITTEN = {tuple(fields.split(",")): key for key, fields in _KEY_FIELDS.items()}
 
 
-@lru_cache(maxsize=256)
 def _cell_key(sex: str, age_low: str, age_high: str, flt: str) -> CellKey:
-    """The cell key a row's key fields name; ValueError if they name none."""
-    lower = age_group(int(age_low), int(age_high))
-    return Sex(sex.strip().lower()), lower, ParentFilter(flt.strip())
+    """The cell key a row's key fields name, spaced, capitalised or zero-padded; ValueError if they name none."""
+    return Sex(sex.strip().lower()), age_group(int(age_low), int(age_high)), ParentFilter(flt.strip())
 
 
 def _cell_lines(iso2: str, cells: dict[CellKey, AudienceCell]) -> str:
     """`iso2`'s `cells` as cell CSV data rows, in the dict's order, each ending in a line break."""
-    return "".join(
-        f"{iso2},{_KEY_FIELDS[key]},{c.count},{format_timestamp(c.collected_at)}\n"
-        for key, c in cells.items()
-    )
+    return "".join(f"{iso2},{_KEY_FIELDS[key]},{c.count},{c.collected_at}\n" for key, c in cells.items())
 
 
 def write_cells_csv(
@@ -188,12 +180,14 @@ def read_cells_csv(
     With `iso2` (a fixture or snapshot) the result holds that country alone,
     every row must name it and a second row for one cell is an error.
     Without it (a day file) each code is checked once, and a later row for a
-    cell wins. `data` is the file's bytes when the caller has already read
-    them (the live cache passes only its whole lines). A malformed row, or
-    one these rules refuse, raises ParseError with its file line.
+    cell wins. Each distinct `collected_at` is turned into `utc_text` once.
+    `data` is the file's bytes when the caller has already read them (the
+    live cache passes only its whole lines). A malformed row, or one these
+    rules refuse, raises ParseError with its file line.
     """
     rows = read_table(path, CELL_COLUMNS, data=data)
     by_country: dict[str, dict[CellKey, AudienceCell]] = {} if iso2 is None else {iso2: {}}
+    times: dict[str, str] = {}  # each raw collected_at of this file, as utc_text
     for lineno, row in rows:
         try:
             if len(row) != len(CELL_COLUMNS):
@@ -205,10 +199,14 @@ def read_cells_csv(
                 if iso2 is not None:
                     raise ValueError(f"row names {code} in a file for {iso2}")
                 cells = by_country[code] = {}
-            key = _cell_key(sex, age_low, age_high, flt)
+            key = _KEYS_AS_WRITTEN.get((sex, age_low, age_high, flt)) or _cell_key(sex, age_low, age_high, flt)
             if iso2 is not None and key in cells:
                 raise ValueError(f"a second row for cell {_KEY_FIELDS[key]}")
-            cells[key] = AudienceCell(int(count), parse_timestamp(collected_at.strip()))
+            count = int(count)
+            at = times.get(collected_at)
+            if at is None:
+                at = times[collected_at] = utc_text(datetime.fromisoformat(collected_at.strip().replace("Z", "+00:00")))
+            cells[key] = AudienceCell(count, at)
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from exc
     return by_country
@@ -328,10 +326,11 @@ class _CellStore:
 
     Fixtures are `<ISO2>.csv` and only read. The live cache is one
     `<YYYY-MM-DD>.csv` per UTC day holding every country's cells of that
-    day. `write` appends a country's new cells to it, in canonical order,
-    as whole lines; the header is written only into an empty file. One
-    rule repairs what a crash or other damage leaves, where a day file is
-    read: it keeps its whole lines. Bytes after the last line break are cut
+    day; the store names a day by that `YYYY-MM-DD` text. `write` appends a
+    country's new cells to it, in canonical order, as whole lines; the
+    header is written only into an empty file. One rule repairs what a
+    crash or other damage leaves, where a day file is read: it keeps its
+    whole lines. Bytes after the last line break are cut
     off in place, and a file whose whole lines do not parse is removed,
     each with a warning naming the file and line; the lost cells are
     fetched again.
@@ -339,14 +338,14 @@ class _CellStore:
 
     def __init__(self, directory: Path) -> None:
         self.directory = directory
-        self._files: dict[tuple[str, date | None], dict[CellKey, AudienceCell]] = {}
+        self._files: dict[tuple[str, str | None], dict[CellKey, AudienceCell]] = {}
         self._digests: dict[str, str] = {}  # of fixture files
-        self._days: set[date] = set()  # day files read
+        self._days: set[str] = set()  # day files read
 
     def _path(self, name: str) -> Path:
         return self.directory / f"{name}.csv"
 
-    def cells(self, iso2: str, day: date | None = None) -> dict[CellKey, AudienceCell]:
+    def cells(self, iso2: str, day: str | None = None) -> dict[CellKey, AudienceCell]:
         """`iso2`'s cells by key, from `day`'s cache file (empty if it has none) or from its fixture
         (day None); FixtureMiss if that file does not exist, which the next call looks for again."""
         if day is not None:
@@ -363,9 +362,9 @@ class _CellStore:
             self._files[iso2, None] = read_cells_csv(path, iso2, data=data)[iso2]
         return self._files[iso2, None]
 
-    def _read_day(self, day: date) -> dict[str, dict[CellKey, AudienceCell]]:
+    def _read_day(self, day: str) -> dict[str, dict[CellKey, AudienceCell]]:
         """`day`'s cache file read by country, kept to its whole lines (see the class docstring)."""
-        path = self._path(day.isoformat())
+        path = self._path(day)
         try:
             data = path.read_bytes()
         except FileNotFoundError:
@@ -387,11 +386,11 @@ class _CellStore:
         """SHA-256 hex digest of `iso2`'s fixture file as loaded, or None when none was."""
         return self._digests.get(iso2)
 
-    def write(self, iso2: str, day: date, cells: dict[CellKey, AudienceCell]) -> None:
+    def write(self, iso2: str, day: str, cells: dict[CellKey, AudienceCell]) -> None:
         """Append `cells` to `iso2`'s cells for `day`: to the day file in the dict's order, then,
         once that succeeded, in memory. Callers pass only cells the store lacked when they looked
         them up with `cells`."""
-        append_lines(self._path(day.isoformat()), _cell_lines(iso2, cells), _HEADER_LINE)
+        append_lines(self._path(day), _cell_lines(iso2, cells), _HEADER_LINE)
         self._files[iso2, day] = {**self._files.get((iso2, day), {}), **cells}
 
 
@@ -420,7 +419,7 @@ class Collector:
         self,
         config: CollectorConfig,
         client: AdsApiClient | None = None,
-        clock: Callable[[], datetime] = utc_now,
+        clock: Callable[[], datetime] = partial(datetime.now, timezone.utc),
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self._clock = clock
@@ -431,9 +430,9 @@ class Collector:
             client = AdsApiClient(token=os.environ.get(TOKEN_ENV_VAR, ""))
         self._client = client
 
-    def fetch_cell(self, iso2: str, key: CellKey, day: date | None = None) -> AudienceCell:
-        """`iso2`'s cell `key`: from its fixture, or live from or into the `day` cache file (default: today)."""
-        day = (day or self._clock().date()) if self._live else None
+    def fetch_cell(self, iso2: str, key: CellKey) -> AudienceCell:
+        """`iso2`'s cell `key`: from its fixture, or live from or into the cache file of the clock's UTC day."""
+        day = self._day()
         cell = self._store.cells(iso2, day).get(key)
         if cell is None:
             cell = self._fetch(iso2, key, day)
@@ -444,7 +443,11 @@ class Collector:
         """SHA-256 of the fixture file this collector read for `iso2`, or None when it read none."""
         return self._store.digest(iso2)
 
-    def _fetch(self, iso2: str, key: CellKey, day: date | None) -> AudienceCell:
+    def _day(self) -> str | None:
+        """The live cache file's day: the clock's reading as `utc_text`, cut to `YYYY-MM-DD`; None for fixtures."""
+        return utc_text(self._clock())[:10] if self._live else None
+
+    def _fetch(self, iso2: str, key: CellKey, day: str | None) -> AudienceCell:
         """The cell for `key`, which the store lacks: FixtureMiss in fixture mode (day None), else sent."""
         if day is None:
             raise FixtureMiss(f"fixture has no row for {canonical(iso2, key)}")
@@ -465,7 +468,7 @@ class Collector:
                     "throttled on %s; retry %d/%d after %.2fs", canonical(iso2, key), attempt, MAX_RETRIES, delay
                 )
                 self._sleep(delay)
-        return AudienceCell(count=count, collected_at=self._clock())
+        return AudienceCell(count, utc_text(self._clock()))
 
     def collect_snapshots(self, countries: Sequence[str]) -> list[AudienceSnapshot]:
         """The snapshot of each country (an ISO2 code), in the order given.
@@ -479,7 +482,7 @@ class Collector:
         for iso2 in countries:
             if iso2 in DEFAULT_EXCLUDED:
                 raise ExcludedCountry(f"platform provides no data for {iso2}")
-        day = self._clock().date() if self._live else None
+        day = self._day()
         stored = [self._store.cells(iso2, day) for iso2 in countries]
         snapshots, incomplete = [], []
         for iso2, held in zip(countries, stored):

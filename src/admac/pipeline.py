@@ -24,6 +24,7 @@ The artifacts are the same bytes as when the stages run one by one.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import shutil
 from enum import Enum
@@ -441,7 +442,7 @@ def _model_payload(model: CalibrationModel) -> dict:
         "slope": significance_stars(model.p_slope),
         "f": significance_stars(model.p_f),
     }
-    if model.residual_se == 0.0:  # a perfect fit: F is infinite, which JSON cannot hold
+    if math.isinf(model.f_stat):  # a perfect fit: JSON cannot hold an infinite F
         payload["f_stat"] = None
     return payload
 

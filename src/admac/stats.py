@@ -240,10 +240,13 @@ def ols_fit_xy(xs: Sequence[float], ys: Sequence[float]) -> CalibrationModel:
     else:
         # y constant: nothing to explain; define R^2 = 0 rather than 0/0
         r2 = 0.0
-    r2 = max(0.0, min(1.0, r2))
+    r2 = max(0.0, r2)
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df_resid
 
-    f_stat = math.inf if rss == 0.0 else max((tss - rss) / mse, 0.0)
+    if rss > 0.0:
+        f_stat = max((tss - rss) / mse, 0.0)
+    else:  # a perfect fit: F is infinite, unless y is constant and there was nothing to explain
+        f_stat = math.inf if tss > 0.0 else 0.0
 
     return CalibrationModel(
         intercept=intercept,
@@ -384,10 +387,7 @@ class RandomSplitResult(NamedTuple):
 
 
 def random_split_validation(
-    pairs: Sequence["ValidationPair"],
-    runs: int = 10,
-    test_size: int = 10,
-    seed: int = 0,
+    pairs: Sequence["ValidationPair"], runs: int, test_size: int, seed: int
 ) -> RandomSplitResult:
     """Repeated random train/test splits of the calibration regression.
 

@@ -5,7 +5,6 @@ import errno
 import functools
 import importlib.util
 import os
-from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,7 @@ from admac.pipeline import packaged_data_path
 
 WORLD_SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "world.py"
 
-TS = datetime(2024, 6, 1, tzinfo=timezone.utc)
+TS = "2024-06-01T00:00:00Z"
 
 # CI's deeper step runs the fault-injection properties (test_fault_injection.py) under
 # `--hypothesis-profile deep`.

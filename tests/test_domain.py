@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -65,11 +64,11 @@ def test_bad_iso2_rejected(iso2):
         CountryRef(iso2)
 
 
-def test_cell_rejects_negative_count_and_naive_timestamp():
+def test_cell_rejects_a_negative_count_and_keeps_its_time_text():
     with pytest.raises(ValueError):
         make_cell(-1)
-    with pytest.raises(ValueError):
-        AudienceCell(count=100, collected_at=datetime(2024, 6, 1))
+    # a naive time is the readers' to settle (ingest.utc_text): the cell holds the UTC text they give
+    assert AudienceCell(count=100, collected_at="2024-06-01T00:00:00Z") == (100, "2024-06-01T00:00:00Z")
 
 
 def test_cell_count_is_bounded_by_the_largest_count_a_float_holds():

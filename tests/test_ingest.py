@@ -43,14 +43,15 @@ from admac.ingest import (
     _CellStore,
     canonical,
     fixture_countries,
-    format_timestamp,
     read_cells_csv,
+    utc_text,
     write_cells_csv,
 )
 from conftest import TS, fail_writes_part_way, full_fixture_rows, make_cell, make_snapshot, write_fixture
 
 IT = "IT"
 FIXED_NOW = datetime(2024, 6, 2, 12, 0, tzinfo=timezone.utc)
+FIXED_NOW_TEXT = "2024-06-02T12:00:00Z"  # each live cell's collected_at on FIXED_NOW's clock
 
 
 def fixture_collector(fixture_dir, **kwargs):
@@ -224,7 +225,7 @@ def test_collect_snapshot_complete(fixture_dir):
     snapshot = collect_one(collector, IT)
     assert len(snapshot.cells) == 28
     assert complete(snapshot)
-    assert {c.collected_at for c in snapshot.cells.values()} == {datetime(2024, 6, 1, tzinfo=timezone.utc)}
+    assert {c.collected_at for c in snapshot.cells.values()} == {"2024-06-01T00:00:00Z"}
 
 
 def test_collect_snapshot_missing_cell_is_incomplete(fixture_dir, caplog):
@@ -260,10 +261,14 @@ def test_fixture_countries_listing(fixture_dir):
 def test_cells_csv_roundtrip(tmp_path):
     rng = random.Random(27)
     path = tmp_path / "cells.csv"
+    start = datetime(2024, 6, 1, tzinfo=timezone.utc)
     # all 28 cells in key order, then seeded random subsets of keys in shuffled order
     subsets = [CELL_KEYS] + [rng.sample(CELL_KEYS, rng.randint(1, len(CELL_KEYS))) for _ in range(30)]
     for keys in subsets:
-        cells = {k: make_cell(rng.randint(0, 10**7), TS + timedelta(seconds=rng.randint(0, 86_400))) for k in keys}
+        cells = {
+            k: make_cell(rng.randint(0, 10**7), utc_text(start + timedelta(seconds=rng.randint(0, 86_400))))
+            for k in keys
+        }
         write_cells_csv(path, "IT", cells, meta={"seed": "1"})
         assert path.read_text().startswith("# seed=1\n" + ",".join(CELL_COLUMNS))
         read = read_cells_csv(path)
@@ -287,11 +292,29 @@ def test_write_cells_csv_matches_csv_writer_and_returns_its_digest(tmp_path):
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_format_timestamp_memo_gives_utc_text_for_any_zone():
+def test_utc_text_is_one_text_for_any_zone_and_reads_a_naive_time_as_utc():
     utc = datetime(2024, 6, 1, 10, 30, tzinfo=timezone.utc)
     cest = utc.astimezone(timezone(timedelta(hours=2)))
-    assert format_timestamp(utc) == format_timestamp(cest) == "2024-06-01T10:30:00Z"
-    assert format_timestamp(cest.replace(microsecond=5)) == "2024-06-01T10:30:00.000005Z"
+    naive = datetime(2024, 6, 1, 10, 30)
+    assert utc_text(utc) == utc_text(cest) == utc_text(naive) == "2024-06-01T10:30:00Z"
+    assert utc_text(cest.replace(microsecond=5)) == "2024-06-01T10:30:00.000005Z"
+    # an offset west of UTC can carry the time into the next UTC day
+    assert utc_text(datetime(2024, 6, 1, 23, 30, tzinfo=timezone(timedelta(hours=-5)))) == "2024-06-02T04:30:00Z"
+
+
+def test_no_admac_function_keeps_a_process_wide_memo():
+    import importlib
+    import pkgutil
+
+    import admac
+
+    memoised = []
+    for info in pkgutil.iter_modules(admac.__path__, "admac."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            inner = vars(value).values() if isinstance(value, type) else ()
+            memoised += [f"{info.name}.{name}" for v in (value, *inner) if hasattr(v, "cache_info")]
+    assert memoised == []
 
 
 VALID_ROW = "IT,female,15,19,all,100,2024-06-01T00:00:00Z"
@@ -316,12 +339,13 @@ VALID_ROW = "IT,female,15,19,all,100,2024-06-01T00:00:00Z"
     ],
 )
 def test_bad_row_raises_parse_error_with_its_line_after_memos_are_warm(tmp_path, bad_row):
+    # a good file read first, then the bad one twice: a bad row raises ParseError with its line on every read
     good = tmp_path / "good.csv"
     good.write_text(f"{','.join(CELL_COLUMNS)}\n{VALID_ROW}\n", encoding="utf-8")
-    assert len(read_cells_csv(good)) == 1  # fills the key and timestamp memos
+    assert len(read_cells_csv(good)) == 1
     bad = tmp_path / "bad.csv"
     bad.write_text(f"# seed=1\n{','.join(CELL_COLUMNS)}\n{VALID_ROW}\n\n{bad_row}\n", encoding="utf-8")
-    for _ in range(2):  # a failed parse is never memoised
+    for _ in range(2):  # the second read fails as the first did
         with pytest.raises(ParseError) as caught:
             read_cells_csv(bad)
         assert caught.value.line == 5
@@ -346,14 +370,44 @@ def test_one_country_file_refuses_another_country_and_a_second_row_for_a_cell(tm
     assert counts == ({"IT": [100], "FR": [100]} if "FR" in second_row else {"IT": [200]})
 
 
-def test_naive_timestamp_reads_as_utc_with_memos_warm(tmp_path):
+def test_naive_and_offset_timestamps_read_as_utc_text(tmp_path):
+    rows = [
+        (ParentFilter.ALL, "2024-06-01T00:00:00Z", "2024-06-01T00:00:00Z"),
+        (ParentFilter.PARENTS_0_12M, "2024-06-01T00:00:00", "2024-06-01T00:00:00Z"),
+        (ParentFilter.ALL, "2024-06-01T12:30:00.000005+02:00", "2024-06-01T10:30:00.000005Z"),
+        (ParentFilter.PARENTS_0_12M, " 2024-06-01T10:30:00.000005", "2024-06-01T10:30:00.000005Z"),
+        (ParentFilter.ALL, "2024-06-01", "2024-06-01T00:00:00Z"),
+    ]
+    lines = [f"IT,female,{lower},{lower + 4},{flt.value},100,{raw}" for lower, (flt, raw, _) in zip((15, 15, 20, 20, 25), rows)]
     path = tmp_path / "cells.csv"
-    path.write_text(
-        f"{','.join(CELL_COLUMNS)}\n{VALID_ROW}\n{VALID_ROW.replace('all', 'parent_of_child_0_12m')[:-1]}\n",
-        encoding="utf-8",
-    )
-    first, second = read_cells_csv(path)["IT"].values()
-    assert first.collected_at == second.collected_at == datetime(2024, 6, 1, tzinfo=timezone.utc)
+    path.write_text("\n".join([",".join(CELL_COLUMNS), *lines]) + "\n", encoding="utf-8")
+    cells = read_cells_csv(path)["IT"]
+    assert [c.collected_at for c in cells.values()] == [text for _, _, text in rows]
+    assert {type(c.collected_at) for c in cells.values()} == {str}
+
+
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        (" Female ,15,19,all", (Sex.FEMALE, 15, ParentFilter.ALL)),
+        ("MALE,45,49,parent_of_child_0_12m", (Sex.MALE, 45, ParentFilter.PARENTS_0_12M)),
+        ("female, 15,019,all", (Sex.FEMALE, 15, ParentFilter.ALL)),
+        ("male,20,24, all ", (Sex.MALE, 20, ParentFilter.ALL)),
+    ],
+    ids=["spaced_capitalised_sex", "upper_case_sex", "spaced_and_zero_padded_ages", "spaced_filter"],
+)
+def test_key_fields_written_otherwise_read_as_their_keys(tmp_path, fields, key):
+    path = tmp_path / "IT.csv"
+    path.write_text(f"{','.join(CELL_COLUMNS)}\nIT,{fields},100,{TS}\n", encoding="utf-8")
+    assert read_cells_csv(path, "IT") == {"IT": {key: make_cell(100)}}
+
+
+def test_each_key_reads_from_its_fields_as_written_and_as_parsed():
+    for key in CELL_KEYS:
+        sex, low, high, flt = ingest._KEY_FIELDS[key].split(",")
+        assert ingest._KEYS_AS_WRITTEN[sex, low, high, flt] == ingest._cell_key(sex, low, high, flt) == key
+        assert ingest._cell_key(sex.upper(), f" {low}", f"0{high}", f" {flt} ") == key
+    assert len(ingest._KEYS_AS_WRITTEN) == len(CELL_KEYS)
 
 
 def test_fixture_run_all_reads_each_fixture_once_and_no_snapshot(tmp_path, monkeypatch):
@@ -652,6 +706,17 @@ def test_collect_across_utc_midnight_writes_each_country_to_the_day_it_looked_up
         assert cached_keys(tmp_path / "cache" / "2024-06-02.csv", iso2) == list(CELL_KEYS)
 
 
+def test_collect_on_a_clock_east_of_utc_appends_to_the_utc_day_of_its_reading(tmp_path):
+    # 01:00 at UTC+2 is 23:00 UTC the day before: that day's file, whose stamps all name it
+    clock = lambda: datetime(2024, 6, 3, 1, 0, tzinfo=timezone(timedelta(hours=2)))
+    config = CollectorConfig(mode=Mode.LIVE, cache_dir=tmp_path / "cache")
+    snapshot = collect_one(Collector(config, client=StubClient(count=500), clock=clock, sleep=lambda s: None), IT)
+    assert {c.collected_at for c in snapshot.cells.values()} == {"2024-06-02T23:00:00Z"}
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["2024-06-02.csv"]
+    rows = read_table(tmp_path / "cache" / "2024-06-02.csv", CELL_COLUMNS)
+    assert {row[-1] for _, row in rows} == {"2024-06-02T23:00:00Z"}
+
+
 def test_partly_cached_collect_across_utc_midnight_answers_hits_for_the_day_it_looked_up(tmp_path):
     before_midnight = datetime(2024, 6, 2, 23, 59, 59, tzinfo=timezone.utc)
     readings = []
@@ -837,6 +902,23 @@ def test_torn_last_cache_line_is_dropped_and_refetched(tmp_path, caplog):
     assert all(cached_keys(path, c) == list(CELL_KEYS) for c in countries)
 
 
+def test_whole_day_file_is_read_as_it_is_and_a_torn_line_is_counted_from_the_first_byte(tmp_path, caplog):
+    collect_one(live_collector(tmp_path, StubClient(count=500))[0], IT)
+    path = cache_file(tmp_path)
+    whole = path.read_bytes()
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+        collect_one(live_collector(tmp_path, StubClient())[0], IT)
+    assert caplog.records == [] and path.read_bytes() == whole
+    # a blank first line is line 1, so the torn 28th row is line 30
+    path.write_bytes(b"\n" + whole)
+    _tear_last_line(path)
+    with caplog.at_level(logging.WARNING, logger="admac.ingest"):
+        collect_one(live_collector(tmp_path, StubClient(count=500))[0], IT)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: cut off torn last line 30; its cell is fetched again"
+    ]
+
+
 def test_day_file_cut_inside_its_last_timestamp_refetches_that_cell(tmp_path, caplog):
     collect_one(live_collector(tmp_path, StubClient(count=500))[0], IT)
     path = cache_file(tmp_path)
@@ -849,7 +931,7 @@ def test_day_file_cut_inside_its_last_timestamp_refetches_that_cell(tmp_path, ca
         snapshot = collect_one(live_collector(tmp_path, client)[0], IT)
     assert client.calls == [canonical("IT", CELL_KEYS[-1])]
     assert any(str(path) in r.getMessage() and "line 29" in r.getMessage() for r in caplog.records)
-    assert all(c.collected_at == FIXED_NOW for c in snapshot.cells.values())
+    assert all(c.collected_at == FIXED_NOW_TEXT for c in snapshot.cells.values())
     assert path.read_text(encoding="utf-8") == text  # cut back to its 28 whole lines, then appended to
     again = StubClient(count=500)
     collect_one(live_collector(tmp_path, again)[0], IT)
@@ -1022,12 +1104,12 @@ def test_live_fetch_cell_sends_a_miss_once_and_appends_its_one_line(tmp_path):
     client = StubClient(count=700)
     collector, _ = live_collector(tmp_path, client)
     key = CELL_KEYS[5]
-    assert collector.fetch_cell(IT, key) == make_cell(700, FIXED_NOW)
+    assert collector.fetch_cell(IT, key) == make_cell(700, FIXED_NOW_TEXT)
     assert client.calls == [canonical(IT, key)]
     path = cache_file(tmp_path)
     assert path.read_text(encoding="utf-8").count("\n") == 2  # the header and the cell's line
     assert cached_rows(path) == [(IT, key)]
-    assert collector.fetch_cell(IT, key) == make_cell(700, FIXED_NOW)
+    assert collector.fetch_cell(IT, key) == make_cell(700, FIXED_NOW_TEXT)
     assert len(client.calls) == 1
     fresh = StubClient(count=9999)
     assert live_collector(tmp_path, fresh)[0].fetch_cell(IT, key).count == 700
@@ -1114,6 +1196,17 @@ def test_client_rejects_bad_payloads():
 def test_client_reads_the_largest_count_a_float_holds():
     client = AdsApiClient(token="tok", session=FakeSession(FakeResponse(200, {"audience_size": MAX_COUNT})))
     assert client.reach_estimate(*QUERY) == MAX_COUNT
+
+
+def test_client_reads_a_zero_count():
+    client = AdsApiClient(token="tok", session=FakeSession(FakeResponse(200, {"audience_size": 0})))
+    assert client.reach_estimate(*QUERY) == 0
+
+
+def test_readme_states_the_retry_and_timeout_constants():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split())
+    assert f"`MAX_RETRIES` ({ingest.MAX_RETRIES}) times after `BASE_BACKOFF_S` ({ingest.BASE_BACKOFF_S:g} s)" in readme
+    assert f"`REQUEST_TIMEOUT_S` ({ingest.REQUEST_TIMEOUT_S:g} s)" in readme
 
 
 def test_client_requires_token():

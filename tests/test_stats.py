@@ -19,6 +19,7 @@ from admac.errors import (
     TooFewPoints,
     ZeroTruth,
 )
+from admac.pipeline import _model_payload
 from admac.predict import predict_missing
 from admac.stats import (
     _line_fit,
@@ -235,6 +236,9 @@ def test_ols_of_a_constant_y_explains_nothing():
     assert model.r2 == 0.0
     # a perfect fit's slope of exactly 0 has t = 0, not inf
     assert (model.p_slope, model.p_intercept) == (1.0, 0.0)
+    # and the line explains none of y's (zero) variance: F = 0, not inf, and it is written as a number
+    assert (model.f_stat, model.p_f) == (0.0, 1.0)
+    assert _model_payload(model)["f_stat"] == 0.0
 
 
 def test_perfect_fit_through_the_origin_tests_its_intercept_as_null():
