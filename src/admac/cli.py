@@ -39,6 +39,14 @@ STAGES = {
 }
 
 
+def _seed(text: str) -> int:
+    """`text`, stripped, as an integer in ASCII digits with an optional leading "-"; ValueError otherwise."""
+    number = text.strip()
+    if not (number.isascii() and number.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer in ASCII digits: {text!r}")
+    return int(number)
+
+
 def _comma_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
@@ -52,7 +60,7 @@ OPTIONS = {
     "truth": ("truth_path", Path, "a ground-truth CSV (iso2,sex,mac,period)"),
     "continent_map": ("continent_map_path", Path, "a continent map CSV (iso2,continent)"),
     "sexes": ("sexes", _comma_list, "a comma list of female, male (default both)"),
-    "seed": ("seed", int, "an integer seeding all randomness (default 0)"),
+    "seed": ("seed", _seed, "an integer seeding all randomness (default 0)"),
     "lower_bound_policy": (
         "lower_bound_policy", str,
         "any (default) or parents-only: which floor-valued cells disqualify a country",

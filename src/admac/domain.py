@@ -59,6 +59,23 @@ def iso2_code(text: str) -> str:
     return text.upper()
 
 
+def whole_number(text: str) -> int:
+    """`text`, stripped, as a count or an age: ASCII digits only ("019" is 19). ValueError
+    otherwise, also for the sign, "_" and other scripts' digits that `int` would take."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected a whole number in ASCII digits, got {text!r}")
+    return int(digits)
+
+
+def decimal_number(text: str) -> float:
+    """`text`, stripped, as `float` reads it when it is ASCII with no "_"; ValueError otherwise."""
+    number = text.strip()
+    if not number.isascii() or "_" in number:
+        raise ValueError(f"expected a number in ASCII with no '_', got {text!r}")
+    return float(number)
+
+
 class CountryRef(namedtuple("CountryRef", "iso2")):
     """A country keyed by ISO-3166 alpha-2 code. The program keys countries
     by the code itself (`iso2_code`); only bench/traced.py still builds

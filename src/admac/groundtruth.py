@@ -8,7 +8,7 @@ import re
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .domain import CONTINENTS, Sex, iso2_code
+from .domain import CONTINENTS, Sex, decimal_number, iso2_code
 from .errors import ParseError
 from .fileio import read_table
 
@@ -96,7 +96,7 @@ def load_ground_truth(path: str | Path, *, data: bytes | None = None) -> list[Gr
             iso2, sex_raw, mac_raw, period = (f.strip() for f in row)
             country = iso2_code(iso2)
             sex = _read(lambda text: Sex(text.lower()), sex_raw, "unknown sex")
-            mac = _read(float, mac_raw, "unparseable mac")
+            mac = _read(decimal_number, mac_raw, "unparseable mac")
             if not MAC_MIN <= mac <= MAC_MAX:
                 raise ValueError(f"mac {mac:.6g} outside [{MAC_MIN:g}, {MAC_MAX:g}]")
         except ValueError as exc:

@@ -1,7 +1,9 @@
 """Audience snapshots -> MAC estimates.
 
 `estimate_country` alone decides whether a (country, sex) is eligible and,
-if not, why; `mac` is the kernel it applies to the eligible ones.
+if not, why; `mac` is the kernel it applies to the eligible ones. An
+estimate holds exactly one of a finite MAC and the reason it has none, and
+it is eligible when it holds no reason.
 """
 
 from __future__ import annotations
@@ -42,29 +44,26 @@ class LowerBoundPolicy(str, Enum):
     PARENTS_ONLY = "parents-only"
 
 
-class MacEstimate(namedtuple("MacEstimate", "country sex mac eligible ineligibility_reason")):
+class MacEstimate(namedtuple("MacEstimate", "country sex mac ineligibility_reason")):
     """One (country, sex) MAC, or the reason it is ineligible.
 
-    Construction holds the four invariants, else raises ValueError: an
-    eligible estimate has a finite `mac` and no reason; an ineligible one
-    has a reason and no `mac`.
+    Construction holds one rule, else raises ValueError: exactly one of
+    `mac` and `ineligibility_reason` is given, and a given `mac` is finite.
+    `eligible` is derived from it: the estimate holds no reason.
     """
 
     __slots__ = ()
 
     def __new__(
-        cls,
-        country: str,
-        sex: Sex,
-        mac: float | None,
-        eligible: bool,
-        ineligibility_reason: IneligibilityReason | None = None,
+        cls, country: str, sex: Sex, mac: float | None, ineligibility_reason: IneligibilityReason | None = None
     ) -> MacEstimate:
-        if eligible and (ineligibility_reason is not None or mac is None or not math.isfinite(mac)):
-            raise ValueError(f"an eligible estimate needs a finite mac and no reason, got {mac!r}")
-        if not eligible and (ineligibility_reason is None or mac is not None):
-            raise ValueError(f"an ineligible estimate needs a reason and no mac, got {mac!r}")
-        return tuple.__new__(cls, (country, sex, mac, eligible, ineligibility_reason))
+        if not (mac is None if ineligibility_reason is not None else mac is not None and math.isfinite(mac)):
+            raise ValueError(f"an estimate needs a finite mac or a reason, not both or neither; got {mac!r}")
+        return tuple.__new__(cls, (country, sex, mac, ineligibility_reason))
+
+    @property
+    def eligible(self) -> bool:
+        return self.ineligibility_reason is None
 
 
 def _kahan_sum(values: Iterable[float]) -> float:
@@ -128,5 +127,5 @@ def estimate_country(
     else:
         rates = tuple(p / t for p, t in zip(parents, totals))
         value = mac(FertilitySchedule(country=snapshot.country, sex=sex, rates=rates))
-        return MacEstimate(country=snapshot.country, sex=sex, mac=value, eligible=True)
-    return MacEstimate(country=snapshot.country, sex=sex, mac=None, eligible=False, ineligibility_reason=reason)
+        return MacEstimate(snapshot.country, sex, value)
+    return MacEstimate(snapshot.country, sex, None, reason)

@@ -40,6 +40,7 @@ from .domain import (
     Sex,
     age_group,
     iso2_code,
+    whole_number,
 )
 from .errors import (
     AuthError,
@@ -154,7 +155,7 @@ _KEYS_AS_WRITTEN = {tuple(fields.split(",")): key for key, fields in _KEY_FIELDS
 
 def _cell_key(sex: str, age_low: str, age_high: str, flt: str) -> CellKey:
     """The cell key a row's key fields name, spaced, capitalised or zero-padded; ValueError if they name none."""
-    return Sex(sex.strip().lower()), age_group(int(age_low), int(age_high)), ParentFilter(flt.strip())
+    return Sex(sex.strip().lower()), age_group(whole_number(age_low), whole_number(age_high)), ParentFilter(flt.strip())
 
 
 def _cell_lines(iso2: str, cells: dict[CellKey, AudienceCell]) -> str:
@@ -202,7 +203,7 @@ def read_cells_csv(
             key = _KEYS_AS_WRITTEN.get((sex, age_low, age_high, flt)) or _cell_key(sex, age_low, age_high, flt)
             if iso2 is not None and key in cells:
                 raise ValueError(f"a second row for cell {_KEY_FIELDS[key]}")
-            count = int(count)
+            count = whole_number(count)
             at = times.get(collected_at)
             if at is None:
                 at = times[collected_at] = utc_text(datetime.fromisoformat(collected_at.strip().replace("Z", "+00:00")))

@@ -30,7 +30,7 @@ import shutil
 from enum import Enum
 from pathlib import Path
 
-from .domain import AudienceSnapshot, Sex, iso2_code
+from .domain import AudienceSnapshot, Sex, decimal_number, iso2_code
 from .errors import (
     ConfigError,
     MissingStageInput,
@@ -307,8 +307,9 @@ def stage_estimate(cfg: RunConfig, collected: Collected | None = None) -> list[P
 def load_estimates(path: Path, *, data: bytes | None = None) -> list[MacEstimate]:
     """Read estimates.csv back. A row `stage_estimate` never writes raises ParseError with its
     line: a wrong field count, a field that does not parse, an iso2 not in capitals, a
-    repeated (iso2, sex), a row that breaks an invariant `MacEstimate` holds, and an
-    eligible mac outside the truth window [MAC_MIN, MAC_MAX]."""
+    repeated (iso2, sex), a row that breaks the rule `MacEstimate` holds, an `eligible`
+    other than what its reason implies, and an eligible mac outside the truth window
+    [MAC_MIN, MAC_MAX]."""
     rows = read_table(path, ESTIMATE_COLUMNS, data=data)
     estimates: list[MacEstimate] = []
     seen: set[tuple[str, Sex]] = set()
@@ -319,15 +320,10 @@ def load_estimates(path: Path, *, data: bytes | None = None) -> list[MacEstimate
             iso2, sex, mac_raw, eligible, reason = row
             if iso2_code(iso2) != iso2:
                 raise ValueError(f"{iso2!r} is not in capitals")
-            if eligible not in ("true", "false"):
-                raise ValueError(f"eligible must be true or false, got {eligible!r}")
-            est = MacEstimate(
-                country=iso2,
-                sex=Sex(sex),
-                mac=float(mac_raw) if mac_raw else None,
-                eligible=eligible == "true",
-                ineligibility_reason=IneligibilityReason(reason) if reason else None,
-            )
+            mac = decimal_number(mac_raw) if mac_raw else None
+            est = MacEstimate(iso2, Sex(sex), mac, IneligibilityReason(reason) if reason else None)
+            if eligible != ("true" if est.eligible else "false"):
+                raise ValueError(f"eligible is {eligible!r} where the reason is {reason!r}")
             if est.eligible and not MAC_MIN <= est.mac <= MAC_MAX:
                 raise ValueError(f"mac {est.mac:.6g} outside [{MAC_MIN:g}, {MAC_MAX:g}]")
             key = (est.country, est.sex)

@@ -297,16 +297,13 @@ def test_criterion_9_prediction_arithmetic():
             if rng.random() < 0.25:
                 estimates.append(
                     MacEstimate(
-                        country=country, sex=Sex.MALE, mac=None, eligible=False,
+                        country=country, sex=Sex.MALE, mac=None,
                         ineligibility_reason=IneligibilityReason.LOWER_BOUND_CELL,
                     )
                 )
             else:
                 estimates.append(
-                    MacEstimate(
-                        country=country, sex=Sex.MALE,
-                        mac=rng.uniform(28.0, 38.0), eligible=True,
-                    )
+                    MacEstimate(country=country, sex=Sex.MALE, mac=rng.uniform(28.0, 38.0))
                 )
             if rng.random() < 0.5:
                 truths.append(

@@ -502,11 +502,16 @@ def _with_mac(mac: str):
         lambda line: line.replace(",true,\n", ",false,lower_bound_cell\n"),
         lambda line: line.replace(",true,\n", ",true,lower_bound_cell\n"),
         lambda line: _with_mac("")(line).replace(",true,\n", ",false,\n"),
+        lambda line: line.replace(",true,\n", ",false,\n"),
+        lambda line: _with_mac("")(line).replace(",true,\n", ",true,lower_bound_cell\n"),
+        _with_mac("\u0663\u0660.\u0665"),  # Arabic-Indic 30.5, which `float` reads
+        _with_mac("3_1.5"),  # `float` reads 31.5
     ],
     ids=[
         "mac_not_a_number", "sixth_field", "eligible_not_boolean",
         "duplicate_row", "eligible_without_mac", "eligible_nan_mac", "ineligible_with_mac",
         "eligible_with_reason", "ineligible_without_reason",
+        "mac_marked_ineligible_without_reason", "reason_marked_eligible", "mac_arabic_indic", "mac_underscore",
     ],
 )
 def test_malformed_estimates_row_reports_parse_error(tmp_path, capsys, edit):
@@ -912,6 +917,10 @@ def test_missing_fixture_fails_before_any_snapshot(tmp_path, capsys):
 # case -> (option key, bad value, what the report must also say)
 BAD_OPTION_VALUES = {
     "seed_not_an_integer": ("seed", "abc", ["'abc'", "integer"]),
+    # `int` reads each of these as 42
+    "seed_arabic_indic": ("seed", "\u0664\u0662", ["'\u0664\u0662'", "integer"]),
+    "seed_underscore": ("seed", "4_2", ["'4_2'", "integer"]),
+    "seed_plus_sign": ("seed", "+42", ["'+42'", "integer"]),
     "unknown_mode": ("mode", "bogus", ["'bogus'", "fixture", "live"]),
     "unknown_lower_bound_policy": ("lower_bound_policy", "x", ["'x'", "any", "parents-only"]),
     "unknown_loocv_scope": ("loocv_scope", "x", ["'x'", "global", "continent"]),
@@ -984,6 +993,14 @@ def test_run_config_keeps_countries_upper_cased_once_each_and_sorted(tmp_path):
     from admac.pipeline import RunConfig
 
     assert RunConfig(output_dir=tmp_path, countries=("it", "FR", "IT")).countries == ("FR", "IT")
+
+
+@pytest.mark.parametrize("text, seed", [("-3", -3), (" 7 ", 7), ("019", 19)])
+def test_seed_reads_ascii_digits_with_an_optional_leading_minus(tmp_path, text, seed):
+    from admac.cli import build_parser, make_run_config
+
+    args = build_parser().parse_args(["collect", "--seed", text, "--out", str(tmp_path)])
+    assert make_run_config(args).seed == seed
 
 
 def test_run_config_and_collector_config_read_live_mode_given_as_text(tmp_path, monkeypatch):

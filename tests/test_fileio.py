@@ -9,7 +9,15 @@ import stat
 import pytest
 
 from admac.errors import ParseError
-from admac.fileio import append_lines, atomic_write_text, sha256_file, standard_metadata, write_csv, write_json
+from admac.fileio import (
+    append_lines,
+    atomic_write_text,
+    decode_utf8,
+    sha256_file,
+    standard_metadata,
+    write_csv,
+    write_json,
+)
 from admac.groundtruth import load_continent_map, load_ground_truth
 from admac.ingest import read_cells_csv
 from admac.pipeline import load_estimates
@@ -94,15 +102,24 @@ def test_atomic_write_creates_missing_parents_and_writes_text_byte_exact(tmp_pat
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
 def test_atomic_write_gives_the_mode_open_would(tmp_path, umask):
+    # in a directory that exists and in one the write creates first
     previous = os.umask(umask)
     try:
         atomic_write_text(tmp_path / "atomic.txt", "x")
+        atomic_write_text(tmp_path / "new" / "atomic.txt", "x")
         with open(tmp_path / "plain.txt", "w", encoding="utf-8") as handle:
             handle.write("x")
     finally:
         os.umask(previous)
-    mode = stat.S_IMODE((tmp_path / "atomic.txt").stat().st_mode)
-    assert mode == stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode) == 0o666 & ~umask
+    modes = {stat.S_IMODE(path.stat().st_mode) for path in (tmp_path / "atomic.txt", tmp_path / "new" / "atomic.txt")}
+    assert modes == {stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)} == {0o666 & ~umask}
+
+
+def test_non_utf8_byte_is_on_its_line_counted_from_the_first_byte(tmp_path):
+    # a blank first line counts: the bad byte below it is on line 2
+    with pytest.raises(ParseError) as caught:
+        decode_utf8(tmp_path / "input.csv", b"\n\xff\n")
+    assert caught.value.line == 2
 
 
 def test_write_json_embeds_metadata(tmp_path):
@@ -111,6 +128,10 @@ def test_write_json_embeds_metadata(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["metadata"] == {"seed": "1"}
     assert doc["payload"] == [1.5, None]
+    # the layout of every model_<sex>.json, which a rerun must give byte for byte
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "metadata": {\n    "seed": "1"\n  },\n  "payload": [\n    1.5,\n    null\n  ]\n}\n'
+    )
 
 
 def test_sha256_matches_known_value(tmp_path):
@@ -180,8 +201,9 @@ def test_csv_loader_contract(tmp_path, kind, case):
         assert caught.value.line == 3
         assert str(path) in str(caught.value)
     elif case == "empty":
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as caught:
             load(_write_loader_input(tmp_path, ""))
+        assert caught.value.line == 1
     elif case == "wrong_header":
         with pytest.raises(ParseError) as caught:
             load(_write_loader_input(tmp_path, plain.replace("iso2", "country", 1)))

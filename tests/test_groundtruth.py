@@ -44,14 +44,19 @@ def test_load_ground_truth_skips_bad_rows_with_diagnostics(tmp_path, caplog):
         "FR,male,abc,2006-2015\n"
         "DE,robot,33.0,2006-2015\n"
         "ES,male,33.0,2006-2015\n"
-        "NL,male,33.0\n",
+        "NL,male,33.0\n"
+        "PT,male,\u0663\u0660.\u0665,2006-2015\n"  # Arabic-Indic 30.5, which `float` reads
+        "SE,male,3_1.5,2006-2015\n",  # `float` reads 31.5
         encoding="utf-8",
     )
     with caplog.at_level("WARNING"):
         records = load_ground_truth(path)
     assert [r.country for r in records] == ["ES"]
     assert ":2:" in caplog.text and ":3:" in caplog.text and ":4:" in caplog.text
-    assert f"{path}:6: expected 4 fields, got 3; skipped" in [r.getMessage() for r in caplog.records]
+    messages = [r.getMessage() for r in caplog.records]
+    assert f"{path}:6: expected 4 fields, got 3; skipped" in messages
+    assert f"{path}:7: unparseable mac '\u0663\u0660.\u0665'; skipped" in messages
+    assert f"{path}:8: unparseable mac '3_1.5'; skipped" in messages
 
 
 def test_truth_row_whose_iso2_is_not_ascii_is_skipped_with_its_line(tmp_path, caplog):

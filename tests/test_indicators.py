@@ -17,6 +17,7 @@ from admac.errors import ZeroSchedule
 from admac.indicators import (
     IneligibilityReason,
     LowerBoundPolicy,
+    MacEstimate,
     estimate_country,
     mac,
 )
@@ -160,6 +161,19 @@ def test_floored_exposure_cell_honors_policy():
     assert strict.ineligibility_reason is IneligibilityReason.LOWER_BOUND_CELL
     relaxed = estimate_country(snap, Sex.FEMALE, LowerBoundPolicy.PARENTS_ONLY)
     assert relaxed.eligible
+
+
+def test_estimate_holds_a_finite_mac_or_a_reason_and_is_eligible_when_it_holds_no_reason():
+    reason = IneligibilityReason.ZERO_SCHEDULE
+    assert MacEstimate._fields == ("country", "sex", "mac", "ineligibility_reason")
+    assert MacEstimate(COUNTRY, Sex.MALE, 31.5) == (COUNTRY, Sex.MALE, 31.5, None)
+    assert MacEstimate(COUNTRY, Sex.MALE, 31.5).eligible is True
+    assert MacEstimate(COUNTRY, Sex.MALE, None, reason).eligible is False
+    for mac_value, why in [(None, None), (31.5, reason), (math.nan, None), (math.inf, None), (math.nan, reason)]:
+        with pytest.raises(ValueError):
+            MacEstimate(COUNTRY, Sex.MALE, mac_value, why)
+    with pytest.raises(AttributeError):
+        MacEstimate(COUNTRY, Sex.MALE, 31.5).eligible = False
 
 
 def test_clean_snapshot_yields_mac():

@@ -332,10 +332,19 @@ VALID_ROW = "IT,female,15,19,all,100,2024-06-01T00:00:00Z"
         "IT,female,15,19,all,100,2024-06-31T00:00:00Z",  # no such day
         "IT,female,15,19,all,100",  # field count
         "I1,female,15,19,all,100,2024-06-01T00:00:00Z",  # iso2
+        # `int` reads each of these, but a count or an age is ASCII digits only
+        "IT,female,15,19,all,1_000,2024-06-01T00:00:00Z",  # an underscore
+        "IT,female,15,19,all,+5,2024-06-01T00:00:00Z",  # a sign
+        "IT,female,15,19,all,\u0661\u0660\u0660,2024-06-01T00:00:00Z",  # Arabic-Indic 100
+        "IT,female,15,19,all,\uff15,2024-06-01T00:00:00Z",  # fullwidth 5
+        "IT,female,1_5,19,all,100,2024-06-01T00:00:00Z",
+        "IT,female,+15,19,all,100,2024-06-01T00:00:00Z",
+        "IT,female,\u0661\u0665,19,all,100,2024-06-01T00:00:00Z",  # Arabic-Indic 15
     ],
     ids=[
         "age_low", "age_high", "sex", "filter", "negative_count", "count_past_max", "bad_timestamp",
-        "fields", "iso2",
+        "fields", "iso2", "count_underscore", "count_sign", "count_arabic_indic", "count_fullwidth",
+        "age_underscore", "age_sign", "age_arabic_indic",
     ],
 )
 def test_bad_row_raises_parse_error_with_its_line_after_memos_are_warm(tmp_path, bad_row):
@@ -1036,9 +1045,9 @@ def test_bad_cache_line_with_a_line_break_is_removed_and_refetched(tmp_path, cap
     good = path.read_bytes()
     lines = good.decode("utf-8").splitlines(keepends=True)
     assert len(lines) == 1 + len(TWO_QUERIES)
-    # each data line, the last (fully written) one included, with a bad count or a bad iso2
+    # each data line, the last (fully written) one included, with a bad count (one `int` would read) or a bad iso2
     for i in range(1, len(lines)):
-        for bad_line in (lines[i].replace(",100,", ",1x00,"), "I1" + lines[i][2:]):
+        for bad_line in (lines[i].replace(",100,", ",1x00,"), lines[i].replace(",100,", ",1_00,"), "I1" + lines[i][2:]):
             path.write_text("".join(lines[:i] + [bad_line] + lines[i + 1:]), encoding="utf-8")
             caplog.clear()
             client = StubClient(count=100)

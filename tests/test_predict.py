@@ -40,14 +40,11 @@ def published_model(intercept=7.451, slope=0.811, residual_se=0.949, n=81, x_mea
 
 
 def eligible(iso2, mac, sex=Sex.MALE):
-    return MacEstimate(country=iso2, sex=sex, mac=mac, eligible=True)
+    return MacEstimate(country=iso2, sex=sex, mac=mac)
 
 
 def ineligible(iso2, sex=Sex.MALE):
-    return MacEstimate(
-        country=iso2, sex=sex, mac=None, eligible=False,
-        ineligibility_reason=IneligibilityReason.LOWER_BOUND_CELL,
-    )
+    return MacEstimate(country=iso2, sex=sex, mac=None, ineligibility_reason=IneligibilityReason.LOWER_BOUND_CELL)
 
 
 def truth(iso2, mac=33.0, sex=Sex.MALE):

@@ -12,9 +12,10 @@ numpy and scipy.stats, and none of admac's readers:
 - every prediction and its 95% interval, from `t.ppf` and the leverage formula;
 - the predicted set: the eligible countries without a truth row;
 - map.geojson: the male predictions and the male truth rows, sorted by iso2;
-- each metrics_<sex>.csv row but its stars, under both LOOCV scopes: rho
-  from `scipy.stats.spearmanr`, MAPE and n per continent of the bundled
-  continents.csv and overall, directly and from brute-force numpy LOOCV refits.
+- each metrics_<sex>.csv row under both LOOCV scopes: rho and its stars from
+  `scipy.stats.spearmanr` and the legend of `significance_stars`, MAPE and n
+  per continent of the bundled continents.csv and overall, directly and from
+  brute-force numpy LOOCV refits.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import pytest
 from scipy import stats
 
 from admac.pipeline import RunConfig, packaged_data_path, run_all
+from admac.stats import significance_stars
 from conftest import generate_world, world_script
 from oracles import mac_from_raw_cells
 
@@ -226,11 +228,12 @@ def test_map_is_the_male_predictions_and_the_male_truth_rows(world, oracle):
         ], where
 
 
-def _scores(pred, truth) -> tuple[float | None, float]:
-    """Spearman rho (None below 3 points) and MAPE in percent of `pred` against `truth`."""
+def _scores(pred, truth) -> tuple[float | None, float, float | None]:
+    """Spearman rho, MAPE in percent and rho's two-sided p-value (t with n - 2 df) of `pred`
+    against `truth`; rho and p are None below 3 points."""
     pred, truth = np.asarray(pred), np.asarray(truth)
-    rho = float(stats.spearmanr(pred, truth).statistic) if len(pred) >= 3 else None
-    return rho, float(np.mean(np.abs(pred - truth) / np.abs(truth))) * 100
+    rho, p = (float(v) for v in stats.spearmanr(pred, truth)) if len(pred) >= 3 else (None, None)
+    return rho, float(np.mean(np.abs(pred - truth) / np.abs(truth))) * 100, p
 
 
 def _held_out(fold):
@@ -246,7 +249,8 @@ def _held_out(fold):
 
 
 def _expected_metrics(macs, truth, sex, scope):
-    """label -> (direct rho, direct MAPE, LOOCV rho, LOOCV MAPE, n); LOOCV's are None for a skipped continent."""
+    """label -> (direct rho, direct MAPE, LOOCV rho, LOOCV MAPE, n, direct rho's stars, LOOCV rho's stars);
+    LOOCV's are None, and its stars empty, for a skipped continent."""
     with open(packaged_data_path("continents.csv"), encoding="utf-8", newline="") as handle:
         continent_of = {row["iso2"]: row["continent"] for row in csv.DictReader(handle)}
     pairs = [(continent_of[iso2], macs[(iso2, s)], truth[(iso2, s)])
@@ -260,9 +264,9 @@ def _expected_metrics(macs, truth, sex, scope):
     expected = {}
     for label, group in [*groups.items(), ("Overall", pairs)]:
         cv = [record for record in held if label in ("Overall", record[0])]
-        cv_scores = _scores([p for _, p, _ in cv], [t for _, _, t in cv]) if cv else (None, None)
-        direct = _scores([m for _, m, _ in group], [t for _, _, t in group])
-        expected[label] = (*direct, *cv_scores, len(group))
+        cv_rho, cv_mape, cv_p = _scores([p for _, p, _ in cv], [t for _, _, t in cv]) if cv else (None, None, None)
+        rho, mape, p = _scores([m for _, m, _ in group], [t for _, _, t in group])
+        expected[label] = (rho, mape, cv_rho, cv_mape, len(group), significance_stars(p), significance_stars(cv_p))
     return expected
 
 
@@ -273,11 +277,14 @@ def test_metrics_match_spearmanr_and_numpy_loocv(world, continent_scope_out, ora
     expected = _expected_metrics(*oracle, sex, scope)
     rows = _data_rows(out / f"metrics_{sex}.csv")
     assert [row[0] for row in rows] == sorted(set(expected) - {"Overall"}) + ["Overall"]
-    columns = ("metric_corr", "metric_mape", "loocv_corr", "loocv_mape", "n")
-    for label, *got, _, _ in rows:
+    columns = ("metric_corr", "metric_mape", "loocv_corr", "loocv_mape", "n", "metric_corr_stars", "loocv_corr_stars")
+    for label, *got in rows:
+        assert len(got) == len(columns), f"{sex}/{scope} {label}"
         for column, text, want in zip(columns, got, expected[label]):
             where = f"{sex}/{scope} {label} {column}"
-            if want is None:
+            if isinstance(want, str):
+                assert text == want, where
+            elif want is None:
                 assert text == "", where
             else:
                 assert float(text) == pytest.approx(want, rel=1e-9, abs=1e-12), where
