@@ -41,7 +41,6 @@ class ValidationPair(NamedTuple):
 class JoinResult(NamedTuple):
     pairs: list[ValidationPair]
     unmatched_estimates: list[tuple[str, Sex, float]]
-    unmatched_truth: list[GroundTruthRecord]
     truth: list[GroundTruthRecord]  # the one record kept per (iso2, sex), matched or not
 
 
@@ -168,5 +167,4 @@ def join_pairs(
             ValidationPair(country=country, sex=sex, mac_fb=mac_fb, mac_truth=rec.mac)
         )
     kept = [truth_by_key[key] for key in sorted(truth_by_key, key=lambda k: (k[0], k[1].value))]
-    unmatched_truth = [rec for rec in kept if (rec.country, rec.sex) not in est_by_key]
-    return JoinResult(pairs, unmatched_estimates, unmatched_truth, kept)
+    return JoinResult(pairs, unmatched_estimates, kept)

@@ -6,13 +6,15 @@ Fixtures (one `<ISO2>.csv` per country) and the live cache (one
 country by country in the order requested; read, it keeps only its whole
 lines) share one CSV schema
 (`iso2,sex,age_low,age_high,parent_filter,count,collected_at`) and one
-store, which alone reports a missing fixture file. A cell's time is text:
-`utc_text` is the one place its format is decided, for a time read from a
-row and for a live cell's clock reading alike, and a day file is named by
-the first ten characters of that text. A collect answers every hit
-from the store, and one rule takes a miss: a fixture's is a per-cell FixtureMiss,
-a live one is sent from the calling thread, and a throttled query is retried
-`MAX_RETRIES` times, waiting `BASE_BACKOFF_S` seconds and then twice as long.
+store, which alone reports a missing fixture file; it reads a day file once
+per collector and a fixture each time it is looked up (once per collect). A
+cell's time is text: `utc_text` is the one place its format is decided, for
+a time read from a row and for a live cell's clock reading alike, and a day
+file is named by the first ten characters of that text. A collect answers
+every hit from the store, and one rule takes a miss: a fixture's is a
+per-cell FixtureMiss, a live one is sent from the calling thread, and a
+throttled query is retried `MAX_RETRIES` times, waiting `BASE_BACKOFF_S`
+seconds and then twice as long.
 """
 
 from __future__ import annotations
@@ -144,6 +146,11 @@ def utc_text(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
+# The collected_at forms read the same on every Python: a date, then optionally a time to the hour,
+# minute, second, millisecond or microsecond, with an optional Z or +HH:MM / -HH:MM offset.
+_TIME_TEXT = re.compile(
+    r"\d{4}-\d{2}-\d{2}(?:[T ]\d{2}(?::\d{2}(?::\d{2}(?:\.\d{3}|\.\d{6})?)?)?(?:Z|[+-]\d{2}:\d{2})?)?", re.ASCII
+)
 _HEADER_LINE = ",".join(CELL_COLUMNS) + "\n"
 # The sex,age_low,age_high,parent_filter fields of each key's row.
 _KEY_FIELDS: dict[CellKey, str] = {
@@ -181,7 +188,8 @@ def read_cells_csv(
     With `iso2` (a fixture or snapshot) the result holds that country alone,
     every row must name it and a second row for one cell is an error.
     Without it (a day file) each code is checked once, and a later row for a
-    cell wins. Each distinct `collected_at` is turned into `utc_text` once.
+    cell wins. Each distinct `collected_at` is checked against `_TIME_TEXT`
+    and turned into `utc_text` once.
     `data` is the file's bytes when the caller has already read them (the
     live cache passes only its whole lines). A malformed row, or one these
     rules refuse, raises ParseError with its file line.
@@ -206,7 +214,10 @@ def read_cells_csv(
             count = whole_number(count)
             at = times.get(collected_at)
             if at is None:
-                at = times[collected_at] = utc_text(datetime.fromisoformat(collected_at.strip().replace("Z", "+00:00")))
+                text = collected_at.strip()
+                if not _TIME_TEXT.fullmatch(text):
+                    raise ValueError(f"collected_at {text!r} is not a time in a form admac reads")
+                at = times[collected_at] = utc_text(datetime.fromisoformat(text.replace("Z", "+00:00")))
             cells[key] = AudienceCell(count, at)
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from exc
@@ -322,8 +333,9 @@ class AdsApiClient:
 # --------------------------------------------------------------------------
 
 class _CellStore:
-    """A directory of cell CSVs, each file read once into one dict per
-    country keyed by (sex, age group, filter).
+    """A directory of cell CSVs, each file read into one dict per country
+    keyed by (sex, age group, filter): a day file once per store, a fixture
+    each time it is looked up (once per collect).
 
     Fixtures are `<ISO2>.csv` and only read. The live cache is one
     `<YYYY-MM-DD>.csv` per UTC day holding every country's cells of that
@@ -339,29 +351,25 @@ class _CellStore:
 
     def __init__(self, directory: Path) -> None:
         self.directory = directory
-        self._files: dict[tuple[str, str | None], dict[CellKey, AudienceCell]] = {}
-        self._digests: dict[str, str] = {}  # of fixture files
-        self._days: set[str] = set()  # day files read
+        self.digests: dict[str, str] = {}  # SHA-256 of each fixture as last read, by iso2
+        self._days: dict[str, dict[str, dict[CellKey, AudienceCell]]] = {}  # day files read, by day
 
     def _path(self, name: str) -> Path:
         return self.directory / f"{name}.csv"
 
     def cells(self, iso2: str, day: str | None = None) -> dict[CellKey, AudienceCell]:
-        """`iso2`'s cells by key, from `day`'s cache file (empty if it has none) or from its fixture
-        (day None); FixtureMiss if that file does not exist, which the next call looks for again."""
+        """`iso2`'s cells by key: from `day`'s cache file (empty if it has none), read at the day's
+        first lookup, or from its fixture (day None), read on every call; FixtureMiss if it is absent."""
         if day is not None:
             if day not in self._days:
-                self._days.add(day)
-                self._files.update(((code, day), cells) for code, cells in self._read_day(day).items())
-            return self._files.get((iso2, day), {})
-        if (iso2, None) not in self._files:
-            path = self._path(iso2)
-            if not path.exists():
-                raise FixtureMiss(f"no fixture file for {iso2} under {self.directory}")
-            data = path.read_bytes()
-            self._digests[iso2] = sha256(data).hexdigest()
-            self._files[iso2, None] = read_cells_csv(path, iso2, data=data)[iso2]
-        return self._files[iso2, None]
+                self._days[day] = self._read_day(day)
+            return self._days[day].get(iso2, {})
+        path = self._path(iso2)
+        if not path.exists():
+            raise FixtureMiss(f"no fixture file for {iso2} under {self.directory}")
+        data = path.read_bytes()
+        self.digests[iso2] = sha256(data).hexdigest()
+        return read_cells_csv(path, iso2, data=data)[iso2]
 
     def _read_day(self, day: str) -> dict[str, dict[CellKey, AudienceCell]]:
         """`day`'s cache file read by country, kept to its whole lines (see the class docstring)."""
@@ -383,16 +391,12 @@ class _CellStore:
             logger.warning("%s: cut off torn last line %d; its cell is fetched again", path, line)
         return cells
 
-    def digest(self, iso2: str) -> str | None:
-        """SHA-256 hex digest of `iso2`'s fixture file as loaded, or None when none was."""
-        return self._digests.get(iso2)
-
     def write(self, iso2: str, day: str, cells: dict[CellKey, AudienceCell]) -> None:
         """Append `cells` to `iso2`'s cells for `day`: to the day file in the dict's order, then,
         once that succeeded, in memory. Callers pass only cells the store lacked when they looked
         them up with `cells`."""
         append_lines(self._path(day), _cell_lines(iso2, cells), _HEADER_LINE)
-        self._files[iso2, day] = {**self._files.get((iso2, day), {}), **cells}
+        self._days[day][iso2] = {**self._days[day].get(iso2, {}), **cells}
 
 
 # --------------------------------------------------------------------------
@@ -441,8 +445,8 @@ class Collector:
         return cell
 
     def fixture_digest(self, iso2: str) -> str | None:
-        """SHA-256 of the fixture file this collector read for `iso2`, or None when it read none."""
-        return self._store.digest(iso2)
+        """SHA-256 of the fixture file this collector last read for `iso2`, or None when it read none."""
+        return self._store.digests.get(iso2)
 
     def _day(self) -> str | None:
         """The live cache file's day: the clock's reading as `utc_text`, cut to `YYYY-MM-DD`; None for fixtures."""

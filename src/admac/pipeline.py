@@ -420,7 +420,7 @@ def stage_validate(cfg: RunConfig, joins: Joins | None = None) -> list[Path]:
         meta["loocv_scope"] = cfg.loocv_scope
         meta["n_pairs"] = str(len(pairs))
         meta["n_unmatched_estimates"] = str(len(join.unmatched_estimates))
-        meta["n_unmatched_truth"] = str(len(join.unmatched_truth))
+        meta["n_unmatched_truth"] = str(len(join.truth) - len(join.pairs))
         results.append((cfg.metrics_path(sex), meta, direct, cv))
     for path, meta, direct, cv in results:
         _write_metrics(path, meta, direct, cv)

@@ -1,4 +1,4 @@
-"""Fault injection over stage inputs: the demo's estimates.csv and live replies.
+"""Fault injection over stage inputs: the demo's estimates.csv, a fixture's bytes and live replies.
 
 A seeded Hypothesis property damages the file a run of `admac all --seed 42`
 wrote: a flipped byte, a cut, an insert, or one data row's field replaced
@@ -8,13 +8,18 @@ exit 1 with the one-line JSON report naming an `AdmacError` subclass or an
 `OSError`. With the good file back, a rerun of the three must exit 0 and
 leave the output tree byte for byte as the clean run left it.
 
-A second property fails one call of a two-country live collect: with a
+A second property damages `IT.csv` in a four-country copy of the demo
+fixtures in the same ways; `collect` and then `estimate` run on that copy
+through `cli.main`, with the same contract, and with the good file back a
+rerun of the two leaves the output tree as a clean run of them left it.
+
+A third property fails one call of a two-country live collect: with a
 status, with a body that is no count, or with a transport error. The collect
 must return or raise an `AdmacError` or an `OSError`; a rerun into the same
 cache with a healthy upstream must then succeed, send only the queries the
 cache lacks, and snapshot the healthy counts.
 
-Both draw 60 examples, or 600 under `--hypothesis-profile deep` (see
+Each draws 60 examples, or 600 under `--hypothesis-profile deep` (see
 conftest.py), whatever other profile is active.
 """
 
@@ -38,7 +43,7 @@ from admac.cli import main
 from admac.domain import MAX_COUNT, ParentFilter, Sex
 from admac.errors import AdmacError
 from admac.ingest import BASE_BACKOFF_S, CELL_KEYS, AdsApiClient, Collector, CollectorConfig, Mode, read_cells_csv
-from admac.pipeline import RunConfig, stage_collect
+from admac.pipeline import RunConfig, packaged_data_path, stage_collect
 from conftest import fault_examples
 
 STAGES = ("validate", "calibrate", "predict")
@@ -55,11 +60,11 @@ def tree(out: Path) -> dict[str, bytes]:
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-def run(command: str, out: Path) -> tuple[int, str]:
+def run(command: str, out: Path, *options: str) -> tuple[int, str]:
     """`command`'s exit status and stderr."""
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
-        status = main([command, "--seed", "42", "--out", str(out)])
+        status = main([command, "--seed", "42", "--out", str(out), *options])
     return status, stderr.getvalue()
 
 
@@ -121,6 +126,51 @@ def test_damaged_estimates_end_each_stage_in_success_or_its_report(clean):
             (out / "estimates.csv").write_bytes(good)
             for command in STAGES:
                 assert run(command, out)[0] == 0, command
+            assert tree(out) == expected
+
+    prop()
+
+
+# --- fixture bytes ---------------------------------------------------------------
+
+FIXTURE_STAGES = ("collect", "estimate")
+
+
+@pytest.fixture(scope="module")
+def four_fixtures(tmp_path_factory):
+    """A copy of four demo fixtures, IT among them, and the output of a clean collect and estimate on it."""
+    root = tmp_path_factory.mktemp("fixture-bytes")
+    fixtures = root / "fixtures"
+    fixtures.mkdir()
+    for iso2 in ("DE", "IT", "JP", "NG"):
+        shutil.copyfile(packaged_data_path("fixtures", f"{iso2}.csv"), fixtures / f"{iso2}.csv")
+    out = root / "clean"
+    for command in FIXTURE_STAGES:
+        assert run(command, out, "--fixture-dir", str(fixtures))[0] == 0, command
+    return fixtures, out
+
+
+def test_a_damaged_fixture_ends_collect_and_estimate_in_success_or_their_report(four_fixtures):
+    fixtures, clean = four_fixtures
+    good = (fixtures / "IT.csv").read_bytes()
+    expected = tree(clean)
+
+    @PROFILE
+    @given(data=damaged(good))
+    def prop(data):
+        with tempfile.TemporaryDirectory(dir=clean.parent) as scratch:
+            out = Path(scratch, "out")
+            (fixtures / "IT.csv").write_bytes(data)
+            try:
+                for command in FIXTURE_STAGES:
+                    status, stderr = run(command, out, "--fixture-dir", str(fixtures))
+                    if status:
+                        assert status == 1, (command, stderr)
+                        assert issubclass(reported_error(stderr), (AdmacError, OSError)), (command, stderr)
+            finally:
+                (fixtures / "IT.csv").write_bytes(good)
+            for command in FIXTURE_STAGES:
+                assert run(command, out, "--fixture-dir", str(fixtures))[0] == 0, command
             assert tree(out) == expected
 
     prop()

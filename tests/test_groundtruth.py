@@ -152,20 +152,26 @@ def test_bundled_continent_map_loads():
 
 # --- joining -------------------------------------------------------------
 
+def unmatched_truth(result):
+    """The truth records `result` kept that no pair holds, in the join's order."""
+    paired = {(p.country, p.sex) for p in result.pairs}
+    return [r for r in result.truth if (r.country, r.sex) not in paired]
+
+
 def test_join_inner_and_unmatched():
     result = join_pairs([_estimate("IT")], [_truth("IT"), _truth("FR")])
     assert len(result.pairs) == 1
     assert result.pairs[0].country == "IT"
     assert result.pairs[0].mac_fb == 31.0 and result.pairs[0].mac_truth == 33.0
     assert result.unmatched_estimates == []
-    assert [t.country for t in result.unmatched_truth] == ["FR"]
+    assert [t.country for t in unmatched_truth(result)] == ["FR"]
 
 
 def test_join_disjoint_sets():
     result = join_pairs([_estimate("IT")], [_truth("FR")])
     assert result.pairs == []
     assert len(result.unmatched_estimates) == 1
-    assert len(result.unmatched_truth) == 1
+    assert len(unmatched_truth(result)) == 1
 
 
 def test_join_is_keyed_by_sex_too():
@@ -182,6 +188,9 @@ def test_join_duplicate_truth_latest_period_wins(caplog):
     assert "ambiguity" in caplog.text
     # order independence
     assert join_pairs([_estimate("IT")], [new, old]).pairs[0].mac_truth == 35.0
+    # a period that names a year, even 0001, is later than one that names none
+    dated, undated = _truth("IT", mac=35.0, period="0001"), _truth("IT", mac=36.0, period="n/a")
+    assert join_pairs([_estimate("IT")], [undated, dated]).pairs[0].mac_truth == 35.0
 
 
 def test_join_output_sorted_by_iso2():
@@ -204,7 +213,7 @@ def test_join_orders_every_list_by_iso2_then_sex_whatever_the_input_order():
     result = join_pairs(estimates, truth)
     assert [(p.country, p.sex) for p in result.pairs] == [("AR", F), ("MX", M), ("ZA", M)]
     assert [(c, s) for c, s, _ in result.unmatched_estimates] == [("AR", M), ("FR", F), ("ZA", F)]
-    assert [(r.country, r.sex) for r in result.unmatched_truth] == [("DE", M), ("NG", F)]
+    assert [(r.country, r.sex) for r in unmatched_truth(result)] == [("DE", M), ("NG", F)]
     assert [(r.country, r.sex) for r in result.truth] == [("AR", F), ("DE", M), ("MX", M), ("NG", F), ("ZA", M)]
 
 
@@ -253,7 +262,7 @@ def test_join_matches_bruteforce_oracle(est_keys, truth_keys, rnd):
 
     # count identities hold after duplicate resolution
     assert len(result.pairs) + len(result.unmatched_estimates) == len(est_resolved)
-    assert len(result.pairs) + len(result.unmatched_truth) == len(truth_resolved)
+    assert len(result.pairs) + len(unmatched_truth(result)) == len(truth_resolved)
 
     # permutation invariance, duplicate truth rows and all
     est_shuffled = list(estimates)

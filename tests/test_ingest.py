@@ -219,6 +219,17 @@ def test_fixture_file_written_after_a_miss_is_read(fixture_dir):
     assert collector.fixture_digest(IT) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def test_reused_collector_reads_a_rewritten_fixture_and_reports_its_digest(fixture_dir):
+    # a fixture is read each time it is looked up: a second collect sees the file as it is then
+    collector = fixture_collector(fixture_dir)
+    write_fixture(fixture_dir, IT, full_fixture_rows())
+    assert collect_one(collector, IT).cells[Sex.MALE, 20, ParentFilter.ALL].count == 100_000
+    first = collector.fixture_digest(IT)
+    path = write_fixture(fixture_dir, IT, full_fixture_rows(male_counts={(20, "all"): 125_000}))
+    assert collect_one(collector, IT).cells[Sex.MALE, 20, ParentFilter.ALL].count == 125_000
+    assert collector.fixture_digest(IT) == hashlib.sha256(path.read_bytes()).hexdigest() != first
+
+
 def test_collect_snapshot_complete(fixture_dir):
     write_fixture(fixture_dir, "IT", full_fixture_rows())
     collector = fixture_collector(fixture_dir)
@@ -340,11 +351,24 @@ VALID_ROW = "IT,female,15,19,all,100,2024-06-01T00:00:00Z"
         "IT,female,1_5,19,all,100,2024-06-01T00:00:00Z",
         "IT,female,+15,19,all,100,2024-06-01T00:00:00Z",
         "IT,female,\u0661\u0665,19,all,100,2024-06-01T00:00:00Z",  # Arabic-Indic 15
+        # `datetime.fromisoformat` reads these on 3.11+ but not on 3.10; admac reads none of them
+        "IT,female,15,19,all,100,20240601T000000Z",  # basic format
+        "IT,female,15,19,all,100,2024-W22-6T00:00:00Z",  # week date
+        "IT,female,15,19,all,100,2024-06-01T00:00:00.1Z",  # one fraction digit
+        "IT,female,15,19,all,100,2024-06-01T00:00:00,123Z",  # decimal comma
+        "IT,female,15,19,all,100,2024-06-01T0000Z",  # basic time
+        "IT,female,15,19,all,100,2024-06-01T12:30:00+0200",  # offset without colon
+        "IT,female,15,19,all,100,2024-06-01T12:30:00+02",  # offset in hours
+        # `datetime.fromisoformat` reads these on every version; admac reads neither
+        "IT,female,15,19,all,100,2024-06-01X00:00:00",  # a separator other than T or a space
+        "IT,female,15,19,all,100,2024-06-01T12:30:00+02:00:30",  # offset with seconds
     ],
     ids=[
         "age_low", "age_high", "sex", "filter", "negative_count", "count_past_max", "bad_timestamp",
         "fields", "iso2", "count_underscore", "count_sign", "count_arabic_indic", "count_fullwidth",
-        "age_underscore", "age_sign", "age_arabic_indic",
+        "age_underscore", "age_sign", "age_arabic_indic", "time_basic", "time_week_date",
+        "time_one_fraction_digit", "time_decimal_comma", "time_basic_time", "time_offset_no_colon",
+        "time_offset_hours", "time_other_separator", "time_offset_seconds",
     ],
 )
 def test_bad_row_raises_parse_error_with_its_line_after_memos_are_warm(tmp_path, bad_row):
